@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,11 +78,21 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_scheme(path: str):
+@contextmanager
+def _naming(path: str):
+    """Put the input file's path in front of a ValueError raised inside."""
     try:
-        return scheme_from_json(_load_json(path))
-    except KeyError as exc:
-        raise ValueError(f"{path}: scheme file is missing field {exc}") from exc
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _load_scheme(path: str):
+    with _naming(path):
+        try:
+            return scheme_from_json(_load_json(path))
+        except KeyError as exc:
+            raise ValueError(f"scheme file is missing field {exc}") from exc
 
 
 def _int_list(text: str) -> list[int]:
@@ -158,18 +168,14 @@ def cmd_build_system(args) -> int:
 def cmd_verify_derivative(args) -> int:
     scheme = _load_scheme(args.scheme)
     t0 = time.perf_counter()
-    report = verify_derivative_ratios(scheme)
+    with _naming(args.scheme):
+        report = verify_derivative_ratios(scheme)
     log.info(
         "derivative ratios over depths %s: %s in %.2fs",
         report.stats["depths"], _verdict(report.passed), time.perf_counter() - t0,
     )
     _emit(canonical_dumps({"command": "verify-derivative", **report.to_json()}), args.out)
     return 0 if report.passed else 1
-
-
-def _lrs_worker(payload):
-    path, depth = payload
-    return verify_lrs_pairs(_load_scheme(path), depth).to_json()
 
 
 def cmd_verify_lrs(args) -> int:
@@ -180,16 +186,12 @@ def cmd_verify_lrs(args) -> int:
     depths = [d for d in range(scheme.min_depth, args.depth + 1) if d <= feasible]
     if not depths:
         raise ValueError(
-            f"scheme holds levels {scheme.min_depth}..{scheme.max_depth}; "
+            f"{args.scheme}: scheme holds levels {scheme.min_depth}..{scheme.max_depth}; "
             "no pair depth is checkable — rebuild deeper"
         )
     reports = [audit_scheme(scheme).to_json()]
     t0 = time.perf_counter()
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports.extend(pool.map(_lrs_worker, [(args.scheme, d) for d in depths]))
-    else:
-        reports.extend(verify_lrs_pairs(scheme, d).to_json() for d in depths)
+    reports.extend(verify_lrs_pairs(scheme, d).to_json() for d in depths)
     log.info("lrs sweep over depths %s in %.2fs", depths, time.perf_counter() - t0)
     combined = {
         "command": "verify-lrs",
@@ -298,7 +300,10 @@ def cmd_verify_oracle(args) -> int:
 
 
 def cmd_export_ratio(args) -> int:
-    _emit(ratio_csv(_load_scheme(args.sys)), args.out)
+    scheme = _load_scheme(args.sys)
+    with _naming(args.sys):
+        table = ratio_csv(scheme)
+    _emit(table, args.out)
     return 0
 
 
@@ -374,7 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v_lr = vsub.add_parser("lrs", help="audit plus pair margins up to a depth")
     v_lr.add_argument("--scheme", required=True)
     v_lr.add_argument("--depth", type=int, required=True)
-    v_lr.add_argument("--jobs", type=int, default=1)
     v_lr.add_argument("--out")
     v_lr.set_defaults(func=cmd_verify_lrs)
 

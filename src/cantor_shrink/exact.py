@@ -168,26 +168,24 @@ def scalar_to_json(value: Rational) -> dict:
 
 
 def scalar_from_json(obj: dict) -> Fraction:
-    """Decode either scalar encoding (an optional "other" denominator factor
-    is accepted in the factored form).
+    """Decode either scalar encoding.
 
     Raises:
-        ValueError: if the object matches neither encoding.
+        ValueError: if the object matches neither encoding or carries a key
+            outside it.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"scalar must be a JSON object, got {type(obj).__name__}")
-    if "num" in obj and "den" in obj:
+    keys = set(obj)
+    if keys == {"num", "den"}:
         den = decimal_to_int(obj["den"])
         if den == 0:
             raise ValueError("scalar denominator is zero")
         return Fraction(decimal_to_int(obj["num"]), den)
-    if "mantissa" in obj:
+    if "mantissa" in keys and keys <= {"mantissa", "pow2", "pow3"}:
         value = Fraction(decimal_to_int(obj["mantissa"]))
         value *= pow2(int(obj.get("pow2", 0)))
         value *= pow3(int(obj.get("pow3", 0)))
-        other = obj.get("other")
-        if other is not None:
-            value /= decimal_to_int(str(other))
         return value
     raise ValueError(f"unrecognized scalar encoding: keys {sorted(obj)}")
 
@@ -226,32 +224,8 @@ class ClosedInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, point: Rational) -> bool:
-        return self.lo <= point <= self.hi
-
     def encloses(self, other: "ClosedInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def translate(self, offset: Rational) -> "ClosedInterval":
-        return ClosedInterval(self.lo + offset, self.hi + offset)
-
-
-def middle_subinterval(interval: ClosedInterval, fraction: Rational) -> ClosedInterval:
-    """Concentric closed subinterval whose length is `fraction` of the input.
-
-    Args:
-        interval: the enclosing interval.
-        fraction: relative length, must satisfy 0 < fraction <= 1.
-
-    Returns:
-        The subinterval leaving equal margins of (1 - fraction)/2 · diameter
-        on both sides.
-    """
-    fraction = Fraction(fraction)
-    if not 0 < fraction <= 1:
-        raise ValueError(f"relative length must lie in (0, 1], got {fraction}")
-    margin = interval.diameter * (1 - fraction) / 2
-    return ClosedInterval(interval.lo + margin, interval.hi - margin)
 
 
 def middle_of_length(interval: ClosedInterval, length: Rational) -> ClosedInterval:

@@ -231,64 +231,6 @@ class CoverSequence:
     def descriptor(self) -> dict:
         return {"variant": self.variant, "levels": self.top}
 
-    def validate_thread(self, t: "VertexThread") -> None:
-        if t.depth > self.top:
-            raise ValueError(f"thread depth {t.depth} exceeds top level {self.top}")
-        for i, w in enumerate(t.vertices):
-            if w not in self.graph(i)._out:
-                raise ValueError(f"vertex {w} not at level {i}")
-        for i in range(t.depth):
-            if self.homs[i][t.vertices[i + 1]] != t.vertices[i]:
-                raise ValueError(
-                    f"incompatible thread at level {i}: "
-                    f"{t.vertices[i + 1]} covers {self.homs[i][t.vertices[i + 1]]}, "
-                    f"not {t.vertices[i]}"
-                )
-
-    def thread(self, vertices) -> "VertexThread":
-        t = VertexThread(tuple(vertices))
-        self.validate_thread(t)
-        return t
-
-
-@dataclass(frozen=True)
-class VertexThread:
-    """Compatible vertex choice (w_0, …, w_d) down a cover sequence."""
-
-    vertices: tuple[Vertex, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.vertices) - 1
-
-
-def project_thread(t: VertexThread, depth: int) -> VertexThread:
-    if not 0 <= depth <= t.depth:
-        raise ValueError(f"cannot project depth-{t.depth} thread to depth {depth}")
-    return VertexThread(t.vertices[: depth + 1])
-
-
-def successor_threads(seq: CoverSequence, t: VertexThread) -> list[VertexThread]:
-    """All one-step successors of a finite-depth thread.
-
-    Off the base vertex the adjacency is a function; at the base it branches,
-    so a set (possibly of size 2) is returned.  The top-level choice forces all
-    lower levels through the covering maps.
-    """
-    seq.validate_thread(t)
-    d = t.depth
-    out = []
-    for top_choice in sorted(seq.graph(d).out_neighbors(t.vertices[d])):
-        chain = [top_choice]
-        for i in range(d - 1, -1, -1):
-            chain.append(seq.homs[i][chain[-1]])
-        chain.reverse()
-        for i, u in enumerate(chain):
-            if not seq.graph(i).has_edge(t.vertices[i], u):
-                raise AssertionError("covering map broke adjacency")
-        out.append(VertexThread(tuple(chain)))
-    return out
-
 
 def _build_tower(words, levels: int, variant: str) -> CoverSequence:
     """Build levels 0..levels from the initial (2,3) wedge and a word rule."""
@@ -544,16 +486,3 @@ def vertex_with_signed_index(level, j: int):
     if 1 <= i <= level.cycle_lengths[cycle - 1] - 1:
         return (level.n, cycle, i)
     return None
-
-
-def to_dot(g: Graph, name: str = "level") -> str:
-    """GraphViz DOT text with deterministic ordering."""
-
-    def label(v: Vertex) -> str:
-        return f'"v{v[0]}_{v[1]}_{v[2]}"'
-
-    lines = [f"digraph {name} {{"]
-    lines.extend(f"  {label(v)};" for v in g.vertices)
-    lines.extend(f"  {label(u)} -> {label(v)};" for u, v in g.edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -45,7 +45,7 @@ from cantor_shrink.graphcover import (
     signed_index,
     vertex_with_signed_index,
 )
-from cantor_shrink.odometer import OdometerSpec, ResiduePoint
+from cantor_shrink.odometer import OdometerSpec
 
 
 SLOTS_PER_CORE = 12
@@ -309,25 +309,6 @@ def children_of(scheme: EmbeddingScheme, depth: int) -> dict[int, list[Cell]]:
     return out
 
 
-def cylinder(scheme: EmbeddingScheme, point, depth: int) -> Cell:
-    """The cell whose cylinder contains ``point`` at the given depth.
-
-    Odometer schemes take a ResiduePoint, graph schemes a VertexThread; the
-    point must be resolved at least to ``depth``.
-    """
-    if scheme.kind == "odometer":
-        if not isinstance(point, ResiduePoint):
-            raise TypeError("odometer schemes locate ResiduePoint instances")
-        if depth > point.depth:
-            raise ValueError(f"point only resolved to depth {point.depth}")
-        return scheme.level(depth).cell(point.residues[depth - 1])
-    if not hasattr(point, "vertices"):
-        raise TypeError("graph schemes locate VertexThread instances")
-    if depth > point.depth:
-        raise ValueError(f"thread only resolved to depth {point.depth}")
-    return scheme.level(depth).cell(signed_index(point.vertices[depth]))
-
-
 # ---------------------------------------------------------------------------
 # verification reports
 # ---------------------------------------------------------------------------
@@ -389,11 +370,25 @@ def closed_form_ratio_bound(scheme: EmbeddingScheme, depth: int) -> Fraction:
     return 36 * pow2(-_modulus_at(scheme, depth))
 
 
+def _ratio_depths(scheme: EmbeddingScheme) -> list[int]:
+    """Depths whose child level is built, so that a ratio is defined there.
+
+    Raises:
+        ValueError: if there is none, so that no ratio check passes vacuously.
+    """
+    if len(scheme.levels) < 2:
+        raise ValueError(
+            f"scheme holds levels {scheme.min_depth}..{scheme.max_depth}; "
+            "no ratio depth is checkable — rebuild deeper"
+        )
+    return [lvl.n for lvl in scheme.levels[:-1]]
+
+
 def verify_derivative_ratios(scheme: EmbeddingScheme) -> VerifyReport:
     """Certify computed ratio <= closed-form bound, strictly decreasing in depth."""
     margins = []
     witnesses = []
-    depths = [lvl.n for lvl in scheme.levels[:-1]]
+    depths = _ratio_depths(scheme)
     previous: Fraction | None = None
     for d in depths:
         computed = derivative_ratio_bound(scheme, d)
@@ -641,24 +636,37 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
 
     The symbolic source is reconstructed from the descriptor so successor
     structure is available, but no interval is recomputed: verification then
-    applies to exactly what the file says.
+    applies to exactly what the file says.  Labels must be distinct integers
+    within a level, and each parent must be a label of the level above (null
+    on the first level).
+
+    Raises:
+        ValueError: naming the field, when the levels, a label, a parent or a
+            scalar does not fit the schema.
     """
     kind = obj["kind"]
     if kind not in ("odometer", "graph"):
         raise ValueError(f"unknown scheme kind {kind!r}")
+    if not isinstance(obj["levels"], list) or not obj["levels"]:
+        raise ValueError("field 'levels' must be a non-empty list")
     levels = []
-    for entry in obj["levels"]:
+    parents: set = {None}
+    for i, entry in enumerate(obj["levels"]):
         cells = {}
         for c in entry["cells"]:
-            cells[c["label"]] = Cell(
-                c["label"],
-                interval_from_json(c["A"]),
-                interval_from_json(c["D"]),
-                c["parent"],
-            )
+            label, parent = c["label"], c["parent"]
+            if type(label) is not int or label in cells:
+                raise ValueError(f"levels[{i}]: field 'label' {label!r} is not a distinct integer")
+            if type(parent) not in (int, type(None)) or parent not in parents:
+                raise ValueError(
+                    f"levels[{i}] label {label}: field 'parent' {parent!r} is not "
+                    + ("null on the first level" if i == 0 else "a label of the level above")
+                )
+            cells[label] = Cell(label, interval_from_json(c["A"]), interval_from_json(c["D"]), parent)
         levels.append(
             SchemeLevel(entry["n"], scalar_from_json(entry["a"]), scalar_from_json(entry["b"]), cells)
         )
+        parents = set(cells)
     if kind == "odometer":
         return EmbeddingScheme(kind, obj["source"], levels, spec=OdometerSpec.from_descriptor(obj["source"]))
     cover = build_sequence(obj["source"]["variant"], obj["source"]["levels"])
@@ -670,12 +678,12 @@ def ratio_csv(scheme: EmbeddingScheme) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["depth", "max_ratio_num", "max_ratio_den", "bound", "float_approx"])
-    for lvl in scheme.levels[:-1]:
-        computed = derivative_ratio_bound(scheme, lvl.n)
-        bound = closed_form_ratio_bound(scheme, lvl.n)
+    for d in _ratio_depths(scheme):
+        computed = derivative_ratio_bound(scheme, d)
+        bound = closed_form_ratio_bound(scheme, d)
         writer.writerow(
             [
-                lvl.n,
+                d,
                 computed.numerator,
                 computed.denominator,
                 repr(approx_float(bound)),

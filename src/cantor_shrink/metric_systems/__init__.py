@@ -10,7 +10,6 @@ from cantor_shrink.metric_systems.core import (
     entropy_estimate,
     full_shift_midpoint_system,
     midpoint_system,
-    minimal_set_label,
     periodic_points,
     product_system,
     separated_count,
@@ -43,7 +42,6 @@ __all__ = [
     "entropy_estimate",
     "full_shift_midpoint_system",
     "midpoint_system",
-    "minimal_set_label",
     "periodic_points",
     "product_system",
     "separated_count",

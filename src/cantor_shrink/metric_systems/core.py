@@ -346,26 +346,6 @@ def product_system(sys1: FinitePointSystem, sys2: FinitePointSystem) -> FinitePo
     return FinitePointSystem(pts, metric, step, eps=eps, source=source)
 
 
-def minimal_set_label(sys: FinitePointSystem, point, depth: int) -> int:
-    """Residue (y - x) mod s_depth separating minimal sets of the product.
-
-    Defined only on products of two midpoint systems over the same odometer
-    tower; the label is invariant under the product map because both
-    coordinates advance by one.
-    """
-    src = sys.source or {}
-    if src.get("kind") != "product":
-        raise ValueError("minimal-set labels need a product system")
-    f1, f2 = src["factors"]
-    if f1.get("kind") != "odometer-midpoints" or f1 != f2:
-        raise ValueError("both factors must be midpoint systems over the same tower")
-    moduli = f1["moduli"]
-    if not 1 <= depth <= len(moduli):
-        raise ValueError(f"depth must be within 1..{len(moduli)}")
-    x, y = point
-    return (y - x) % moduli[depth - 1]
-
-
 def midpoint_system(scheme: EmbeddingScheme, depth: int, with_radii: bool = True) -> FinitePointSystem:
     """Depth-``depth`` core midpoints of an odometer scheme, map = +1 mod s."""
     if scheme.kind != "odometer":

@@ -8,62 +8,32 @@ the depth-d cylinder structure is the ring Z/s_d with its tower of projections.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator
 
 
 @dataclass(frozen=True)
 class OdometerSpec:
-    """Generating rule for the modulus tower s_1, s_2, ….
+    """Modulus tower s_1, s_2, … read from `values`.
 
-    rule "list" reads moduli from `values`; "geometric" uses
-    s_n = first·base^(n-1); "factorial" uses s_n = (n+1)!.  Every rule must
-    yield s_1 >= 2 and a proper divisibility step s_n | s_{n+1}, s_{n+1} > s_n.
+    The tower must have s_1 >= 2 and a proper divisibility step
+    s_n | s_{n+1}, s_{n+1} > s_n.
     """
 
-    rule: str = "list"
-    values: tuple[int, ...] = ()
-    first: int = 2
-    base: int = 2
+    values: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if self.rule == "list":
-            if not self.values:
-                raise ValueError("list rule needs at least one modulus")
-            tower = self.values
-        elif self.rule == "geometric":
-            if self.first < 2 or self.base < 2:
-                raise ValueError(
-                    f"geometric rule needs first, base >= 2, got {self.first}, {self.base}"
-                )
-            tower = tuple(self.first * self.base**i for i in range(4))
-        elif self.rule == "factorial":
-            tower = tuple(math.factorial(n + 1) for n in range(1, 5))
-        else:
-            raise ValueError(f"unknown rule {self.rule!r}")
-        if tower[0] < 2:
-            raise ValueError(f"s_1 must be at least 2, got {tower[0]}")
-        for a, b in zip(tower, tower[1:]):
+        if not self.values:
+            raise ValueError("a modulus tower needs at least one modulus")
+        if self.values[0] < 2:
+            raise ValueError(f"s_1 must be at least 2, got {self.values[0]}")
+        for a, b in zip(self.values, self.values[1:]):
             if b % a != 0 or b <= a:
                 raise ValueError(f"modulus {b} does not properly extend {a}")
 
     @classmethod
     def from_list(cls, values) -> "OdometerSpec":
-        return cls(rule="list", values=tuple(values))
-
-    @classmethod
-    def geometric(cls, first: int = 2, base: int = 2) -> "OdometerSpec":
-        return cls(rule="geometric", first=first, base=base)
-
-    @classmethod
-    def factorial(cls) -> "OdometerSpec":
-        return cls(rule="factorial")
-
-    @property
-    def max_depth(self) -> int | None:
-        return len(self.values) if self.rule == "list" else None
+        return cls(tuple(values))
 
     def s(self, n: int) -> int:
         """Modulus s_n (1-indexed); s_0 = 1 by convention."""
@@ -71,28 +41,22 @@ class OdometerSpec:
             return 1
         if n < 0:
             raise ValueError(f"depth must be nonnegative, got {n}")
-        if self.rule == "list":
-            if n > len(self.values):
-                raise ValueError(
-                    f"depth {n} exceeds the {len(self.values)} listed moduli"
-                )
-            return self.values[n - 1]
-        if self.rule == "geometric":
-            return self.first * self.base ** (n - 1)
-        return math.factorial(n + 1)
+        if n > len(self.values):
+            raise ValueError(f"depth {n} exceeds the {len(self.values)} listed moduli")
+        return self.values[n - 1]
 
     def k(self, n: int) -> int:
         """Branching factor k_n = s_n / s_{n-1} (k_1 = s_1)."""
         return self.s(n) // self.s(n - 1)
 
     def extended_modulus(self, n: int) -> int:
-        """s_n, continuing a listed tower geometrically past its last entry.
+        """s_n, continuing the listed tower geometrically past its last entry.
 
         Interval lengths at depth d involve s_{d+1}, so building a listed
         tower to its full depth needs one modulus beyond the list; it is
         extended by the final branching factor.
         """
-        if self.rule != "list" or n <= len(self.values):
+        if n <= len(self.values):
             return self.s(n)
         last = self.values[-1]
         ratio = last // (self.values[-2] if len(self.values) >= 2 else 1)
@@ -103,22 +67,14 @@ class OdometerSpec:
 
     def descriptor(self) -> dict:
         """JSON-ready description sufficient to rebuild the spec."""
-        if self.rule == "list":
-            return {"rule": "list", "s": list(self.values)}
-        if self.rule == "geometric":
-            return {"rule": "geometric", "first": self.first, "base": self.base}
-        return {"rule": "factorial"}
+        return {"rule": "list", "s": list(self.values)}
 
     @classmethod
     def from_descriptor(cls, obj: dict) -> "OdometerSpec":
         rule = obj.get("rule", "list")
-        if rule == "list":
-            return cls.from_list(obj["s"])
-        if rule == "geometric":
-            return cls.geometric(first=int(obj.get("first", 2)), base=int(obj.get("base", 2)))
-        if rule == "factorial":
-            return cls.factorial()
-        raise ValueError(f"unknown odometer rule {rule!r}")
+        if rule != "list":
+            raise ValueError(f"unknown odometer rule {rule!r}")
+        return cls.from_list(obj["s"])
 
     def point(self, value: int, depth: int) -> "ResiduePoint":
         """Depth-d truncation of the integer orbit point `value`."""
@@ -150,59 +106,9 @@ class ResiduePoint:
                     f"incompatible thread: {r2} mod {m1} != {r1}"
                 )
 
-    @property
-    def depth(self) -> int:
-        return len(self.residues)
-
-    @property
-    def label(self) -> int:
-        """Integer in [0, s_d) determining the whole thread."""
-        return self.residues[-1]
-
-
-def successor(point: ResiduePoint) -> ResiduePoint:
-    """Add one to every coordinate (the odometer map)."""
-    return ResiduePoint(
-        tuple((r + 1) % m for r, m in zip(point.residues, point.moduli)),
-        point.moduli,
-    )
-
 
 def predecessor(point: ResiduePoint) -> ResiduePoint:
     return ResiduePoint(
         tuple((r - 1) % m for r, m in zip(point.residues, point.moduli)),
         point.moduli,
     )
-
-
-def project(point: ResiduePoint, depth: int) -> ResiduePoint:
-    """Truncate a thread to a shallower depth (1 <= depth <= point.depth)."""
-    if not 1 <= depth <= point.depth:
-        raise ValueError(f"cannot project a depth-{point.depth} point to depth {depth}")
-    return ResiduePoint(point.residues[:depth], point.moduli[:depth])
-
-
-def orbit(point: ResiduePoint) -> Iterator[ResiduePoint]:
-    """The forward orbit starting at `point` (stops after one full cycle)."""
-    current = point
-    for _ in range(point.moduli[-1]):
-        yield current
-        current = successor(current)
-
-
-def first_return_time(point: ResiduePoint, depth: int | None = None) -> int:
-    """Steps until the orbit re-enters the depth-n cylinder of the point.
-
-    Computed by honest iteration; for an odometer this always equals s_n.
-    """
-    if depth is None:
-        depth = point.depth
-    target = project(point, depth)
-    current = successor(point)
-    steps = 1
-    while project(current, depth) != target:
-        current = successor(current)
-        steps += 1
-        if steps > point.moduli[-1]:
-            raise AssertionError("orbit failed to return within a full period")
-    return steps

@@ -38,6 +38,7 @@ from cantor_shrink.interval_embed import (
     derivative_ratio_bound,
     exceptional_labels,
     scheme_to_json,
+    verify_derivative_ratios,
     verify_lrs_pairs,
 )
 from cantor_shrink.metric_systems import (
@@ -140,6 +141,9 @@ def test_criterion_02_derivative_ratio_decay(od9):
                 assert computed < previous
             previous = computed
         assert previous <= Fraction(1, 10_000)
+        # the same depths through the report the CLI prints, on an audited scheme
+        assert verify_derivative_ratios(od9).passed
+        assert audit_scheme(od9).passed
         info["note"] = f"depth-8 ratio {previous}"
 
 
@@ -229,10 +233,10 @@ def test_criterion_06_graph_scheme_depth3(wm3):
 
 def test_criterion_07_lrs_margins_everywhere(od9, od3, wm3, rate4_triple):
     with criterion(7, "positive shrinking margins across all five systems") as info:
-        for depth in range(1, 7):
+        for depth in range(1, 8):
             report = verify_lrs_pairs(od9, depth)
             assert report.passed and not report.witnesses and report.margins
-        for depth in (1, 2):
+        for depth in range(3):
             report = verify_lrs_pairs(wm3["scheme"], depth)
             assert report.passed and not report.witnesses and report.margins
         base = midpoint_system(od3, 3)

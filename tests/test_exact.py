@@ -15,7 +15,6 @@ from cantor_shrink.exact import (
     interval_from_json,
     interval_to_json,
     middle_of_length,
-    middle_subinterval,
     pow2,
     scalar_from_json,
     scalar_to_json,
@@ -108,9 +107,12 @@ def test_scalar_json_falls_back_for_large_mantissa():
     assert scalar_from_json(obj) == q
 
 
-def test_scalar_json_reads_other_factor():
-    obj = {"mantissa": "5", "pow2": -2, "pow3": 0, "other": "7"}
-    assert scalar_from_json(obj) == Fraction(5, 28)
+def test_scalar_json_rejects_unknown_key():
+    # a key outside the encoding must not be dropped without a word
+    with pytest.raises(ValueError, match="other"):
+        scalar_from_json({"mantissa": "5", "pow2": -2, "pow3": 0, "other": "7"})
+    with pytest.raises(ValueError, match="other"):
+        scalar_from_json({"num": "5", "den": "28", "other": "7"})
 
 
 def test_scalar_json_rejects_malformed():
@@ -133,26 +135,6 @@ def test_canonical_dumps_is_order_insensitive():
 def test_interval_validates_order():
     with pytest.raises(ValueError):
         ClosedInterval(Fraction(1), Fraction(0))
-
-
-def test_middle_third_of_unit_interval():
-    iv = middle_subinterval(ClosedInterval(0, 1), Fraction(1, 3))
-    assert (iv.lo, iv.hi) == (Fraction(1, 3), Fraction(2, 3))
-
-
-@h.given(intervals(), st.integers(min_value=1, max_value=99))
-def test_middle_subinterval_margins(iv, percent):
-    frac = Fraction(percent, 100)
-    mid = middle_subinterval(iv, frac)
-    assert mid.lo - iv.lo == iv.hi - mid.hi
-    assert mid.diameter == iv.diameter * frac
-
-
-def test_middle_subinterval_rejects_bad_fraction():
-    with pytest.raises(ValueError):
-        middle_subinterval(ClosedInterval(0, 1), Fraction(3, 2))
-    with pytest.raises(ValueError):
-        middle_subinterval(ClosedInterval(0, 1), 0)
 
 
 @h.given(intervals(), st.integers(min_value=1, max_value=40))

@@ -1,5 +1,3 @@
-import hypothesis as h
-import hypothesis.strategies as st
 import pytest
 
 from cantor_shrink.graphcover import (
@@ -8,7 +6,6 @@ from cantor_shrink.graphcover import (
     CycleLevel,
     Graph,
     TwoCycleLevel,
-    VertexThread,
     base_vertex,
     build_transitive_sequence,
     build_weakly_mixing_sequence,
@@ -23,10 +20,7 @@ from cantor_shrink.graphcover import (
     periodic_point_free_certificate,
     preimage_counts,
     preimages,
-    project_thread,
     signed_index,
-    successor_threads,
-    to_dot,
     vertex_with_signed_index,
 )
 
@@ -241,72 +235,6 @@ def test_minimal_cycle_length_girth():
 
 
 # ---------------------------------------------------------------------------
-# threads
-
-
-def test_thread_validation(wm4):
-    t = wm4.thread([base_vertex(0), base_vertex(1)])
-    assert t.depth == 1
-    with pytest.raises(ValueError):
-        wm4.thread([base_vertex(0), (1, 1, 1)])  # (1,1,1) covers (0,1,1)
-    with pytest.raises(ValueError):
-        wm4.thread([(0, 9, 9)])
-
-
-def test_successor_threads_branching(wm4):
-    at_base = wm4.thread([base_vertex(0)])
-    succ = successor_threads(wm4, at_base)
-    assert [s.vertices for s in succ] == [((0, 1, 1),), ((0, 2, 1),)]
-    interior = wm4.thread([(0, 1, 1)])
-    assert len(successor_threads(wm4, interior)) == 1
-
-
-def test_successor_commutes_with_projection(wm4):
-    deep = wm4.thread(
-        [base_vertex(0), base_vertex(1), base_vertex(2), base_vertex(3)]
-    )
-    succ_then_project = {
-        project_thread(s, 1) for s in successor_threads(wm4, deep)
-    }
-    project_then_succ = set(
-        successor_threads(wm4, project_thread(deep, 1))
-    )
-    assert succ_then_project <= project_then_succ
-
-
-def test_successor_sets_shrink_to_one(wm4):
-    """Deeper truncations of the same cylinder have fewer distinct successors
-    at a fixed observation depth."""
-    thread = [base_vertex(0)]
-    for n in range(3):
-        thread.append(base_vertex(n + 1))
-    for observe in (0,):
-        sizes = []
-        for d in range(4):
-            t = wm4.thread(thread[: d + 1])
-            projected = {
-                project_thread(s, observe).vertices
-                for s in successor_threads(wm4, t)
-            }
-            sizes.append(len(projected))
-        assert sizes[0] >= sizes[-1]
-        assert sizes[-1] == 1
-
-
-@h.given(st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=3))
-def test_successor_threads_follow_edges(steps, depth):
-    seq = build_weakly_mixing_sequence(depth)
-    t = seq.thread([base_vertex(i) for i in range(depth + 1)])
-    for _ in range(steps):
-        options = successor_threads(seq, t)
-        assert options
-        for s in options:
-            for i in range(depth + 1):
-                assert seq.graph(i).has_edge(t.vertices[i], s.vertices[i])
-        t = options[0]
-
-
-# ---------------------------------------------------------------------------
 # misc structure
 
 
@@ -329,10 +257,3 @@ def test_canonical_vertices_cover_graph(wm4):
 def test_descriptor(wm4, tr2):
     assert wm4.descriptor() == {"variant": "weakly-mixing", "levels": 4}
     assert tr2.descriptor() == {"variant": "transitive", "levels": 2}
-
-
-def test_dot_export():
-    text = to_dot(TwoCycleLevel(0, (2, 3)).graph, "level0")
-    assert text.startswith("digraph level0 {")
-    assert '"v0_0_0" -> "v0_1_1";' in text
-    assert text.count("->") == 5

@@ -5,7 +5,7 @@ import hypothesis as h
 import hypothesis.strategies as st
 import pytest
 
-from cantor_shrink.exact import canonical_dumps, gap, pow2, scalar_from_json
+from cantor_shrink.exact import ClosedInterval, canonical_dumps, gap, pow2, scalar_from_json
 from cantor_shrink.graphcover import base_vertex, build_sequence, preimage_counts
 from cantor_shrink.interval_embed import (
     Cell,
@@ -14,7 +14,6 @@ from cantor_shrink.interval_embed import (
     build_odometer_scheme,
     children_of,
     closed_form_ratio_bound,
-    cylinder,
     derivative_ratio_bound,
     exceptional_labels,
     induced_map_label,
@@ -101,7 +100,8 @@ def test_ratio_requires_child_level(od248):
 @h.given(first=st.sampled_from([2, 3, 5]), base=st.sampled_from([2, 3]), depth=st.integers(1, 3))
 @h.settings(deadline=None, max_examples=25)
 def test_ratio_closed_form_any_geometric_tower(first, base, depth):
-    scheme = build_odometer_scheme(OdometerSpec.geometric(first=first, base=base), depth + 1)
+    tower = OdometerSpec.from_list([first * base**i for i in range(depth + 1)])
+    scheme = build_odometer_scheme(tower, depth + 1)
     k = scheme.spec.k(depth + 1)
     computed = derivative_ratio_bound(scheme, depth)
     assert computed == k * pow2(-depth * k)
@@ -141,7 +141,8 @@ def test_audit_catches_off_center_core(od248):
     tampered = scheme_from_json(scheme_to_json(od248))
     lvl = tampered.level(1)
     good = lvl.cells[0]
-    lvl.cells[0] = Cell(good.label, good.A, good.D.translate(Fraction(1, 1000)), good.parent)
+    shifted = ClosedInterval(good.D.lo + Fraction(1, 1000), good.D.hi + Fraction(1, 1000))
+    lvl.cells[0] = Cell(good.label, good.A, shifted, good.parent)
     report = audit_scheme(tampered)
     assert not report.passed
     assert any(w["reason"] == "core not concentric" for w in report.witnesses)
@@ -164,17 +165,6 @@ def test_listed_tower_extends_for_top_level():
     scheme = build_odometer_scheme(OdometerSpec.from_list([3, 6]), 2)
     assert scheme.spec.extended_modulus(3) == 12
     assert audit_scheme(scheme).passed
-
-
-def test_cylinder_follows_residues(od248):
-    point = od248.spec.point(11, 3)
-    assert cylinder(od248, point, 1).label == 1
-    assert cylinder(od248, point, 2).label == 3
-    assert cylinder(od248, point, 3).label == 3
-    with pytest.raises(ValueError):
-        cylinder(od248, od248.spec.point(11, 2), 3)
-    with pytest.raises(TypeError):
-        cylinder(od248, (0, 0, 0), 1)
 
 
 def test_induced_map_label_steps_residue(od248):
@@ -266,15 +256,6 @@ def test_graph_induced_map_branches_at_base(wm_scheme):
     assert induced_map_label(wm_scheme, 0, 0) == (-1, 1)
     assert induced_map_label(wm_scheme, 0, -2) == (0,)
     assert induced_map_label(wm_scheme, 0, 1) == (0,)
-
-
-def test_graph_cylinder_follows_thread(wm_scheme):
-    seq = wm_scheme.cover
-    thread = seq.thread([base_vertex(0), base_vertex(1), base_vertex(2)])
-    assert cylinder(wm_scheme, thread, 0).label == 0
-    assert cylinder(wm_scheme, thread, 2).label == 0
-    with pytest.raises(ValueError):
-        cylinder(wm_scheme, seq.thread([base_vertex(0)]), 1)
 
 
 def test_graph_depth_cannot_exceed_tower():

@@ -22,7 +22,6 @@ from cantor_shrink.metric_systems import (
     extension_to_json,
     full_shift_midpoint_system,
     midpoint_system,
-    minimal_set_label,
     periodic_points,
     product_system,
     separated_count,
@@ -189,21 +188,6 @@ def test_entropy_of_singleton_is_zero():
     one = FinitePointSystem.from_positions({0: Fraction(1, 3)}, {0: 0})
     rows = entropy_estimate(one, [Fraction(1, 2)], [1, 3])
     assert [(r["count"], r["estimate"]) for r in rows] == [(1, 0.0), (1, 0.0)]
-
-
-def test_minimal_set_label_is_orbit_invariant(od248):
-    m2 = midpoint_system(od248, 2)
-    prod = product_system(m2, m2)
-    assert minimal_set_label(prod, (0, 3), 2) == 3
-    assert minimal_set_label(prod, (0, 3), 1) == 1
-    u = (0, 3)
-    for _ in range(5):
-        u = prod.f(u)
-        assert minimal_set_label(prod, u, 2) == 3
-    with pytest.raises(ValueError):
-        minimal_set_label(m2, 0, 1)
-    with pytest.raises(ValueError):
-        minimal_set_label(prod, (0, 3), 9)
 
 
 def test_product_depth3_is_radially_shrinking(od248):
