@@ -95,6 +95,17 @@ def _load_scheme(path: str):
             raise ValueError(f"scheme file is missing field {exc}") from exc
 
 
+def _audit_fails(path: str, scheme) -> bool:
+    """Audit a loaded scheme, and on failure print one line naming the first
+    witness: a certificate on geometry that fails its audit certifies nothing."""
+    report = audit_scheme(scheme)
+    if not report.passed:
+        w = report.witnesses[0]
+        label = f", label {w['label']}" if "label" in w else ""
+        print(f"fail: {path}: audit witness at depth {w['depth']}{label}: {w['reason']}", file=sys.stderr)
+    return not report.passed
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part]
@@ -167,6 +178,8 @@ def cmd_build_system(args) -> int:
 
 def cmd_verify_derivative(args) -> int:
     scheme = _load_scheme(args.scheme)
+    if _audit_fails(args.scheme, scheme):
+        return 1
     t0 = time.perf_counter()
     with _naming(args.scheme):
         report = verify_derivative_ratios(scheme)
@@ -189,14 +202,17 @@ def cmd_verify_lrs(args) -> int:
             f"{args.scheme}: scheme holds levels {scheme.min_depth}..{scheme.max_depth}; "
             "no pair depth is checkable — rebuild deeper"
         )
-    reports = [audit_scheme(scheme).to_json()]
-    t0 = time.perf_counter()
-    reports.extend(verify_lrs_pairs(scheme, d).to_json() for d in depths)
-    log.info("lrs sweep over depths %s in %.2fs", depths, time.perf_counter() - t0)
+    audit = audit_scheme(scheme)
+    reports = [audit.to_json()]
+    if audit.passed:
+        t0 = time.perf_counter()
+        reports.extend(verify_lrs_pairs(scheme, d).to_json() for d in depths)
+        log.info("lrs sweep over depths %s in %.2fs", depths, time.perf_counter() - t0)
     combined = {
         "command": "verify-lrs",
         "requested_depth": args.depth,
-        "depths_checked": depths,
+        # no pair margin is computed on geometry that fails its audit
+        "depths_checked": depths if audit.passed else [],
         "pass": all(r["pass"] for r in reports),
         "reports": reports,
     }
@@ -301,6 +317,8 @@ def cmd_verify_oracle(args) -> int:
 
 def cmd_export_ratio(args) -> int:
     scheme = _load_scheme(args.sys)
+    if _audit_fails(args.sys, scheme):
+        return 1
     with _naming(args.sys):
         table = ratio_csv(scheme)
     _emit(table, args.out)

@@ -1,18 +1,23 @@
 """Exact rational scalars, closed intervals, and canonical JSON encoding.
 
-Every certified quantity in this package is a `fractions.Fraction`; floats
-appear only in explicitly approximate export paths.  Denominators routinely
-contain powers of two with exponents in the millions of bits, so decimal
-serialization uses divide-and-conquer conversions instead of ``str``/``int``
-(CPython's conversions are quadratic and capped by ``sys.int_max_str_digits``).
+Every certified quantity in this package is exact: a `fractions.Fraction`,
+or an integer over a known integer scale; floats appear only in explicitly
+approximate export paths.  Denominators routinely contain powers of two with
+exponents in the hundreds of thousands, so decimal serialization uses
+divide-and-conquer conversions instead of ``str``/``int`` (CPython's
+conversions are quadratic and capped by ``sys.int_max_str_digits``), and
+bulk integers are written in hex, which converts in linear time.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Rational = Union[Fraction, int]
 
@@ -47,61 +52,58 @@ def approx_float(value: Rational) -> float:
 # ---------------------------------------------------------------------------
 # fast decimal conversion
 
-_POW10: dict[int, int] = {0: 1, 1: 10}
-# str()/int() stay comfortably under the interpreter's 4300-digit conversion
-# cap at this chunk size, and the recursion depth stays shallow.
-_CHUNK = 1024
-
-
-def _pow10(k: int) -> int:
-    cached = _POW10.get(k)
-    if cached is None:
-        half = _POW10.get(k >> 1)
-        if half is None:
-            half = _pow10(k >> 1)
-        cached = half * half * (10 if k & 1 else 1)
-        _POW10[k] = cached
-    return cached
-
-
-def _digit_count(n: int) -> int:
-    # 30103/100000 < log10(2); estimate then correct with cached powers.
-    count = max(1, (n.bit_length() * 30103) // 100000)
-    while _pow10(count) <= n:
-        count += 1
-    while count > 1 and _pow10(count - 1) > n:
-        count -= 1
-    return count
-
-
-def _to_fixed_width(n: int, width: int) -> str:
-    if width <= _CHUNK:
-        return str(n).rjust(width, "0")
-    lower = width >> 1
-    hi, lo = divmod(n, _pow10(lower))
-    return _to_fixed_width(hi, width - lower) + _to_fixed_width(lo, lower)
+def _to_decimal(n: int, bits: int, powers: dict) -> decimal.Decimal:
+    if bits <= 4096:  # small enough to convert directly
+        return decimal.Decimal(n)
+    half = bits >> 1
+    hi = n >> half
+    if half not in powers:
+        powers[half] = decimal.Decimal(2) ** half
+    return _to_decimal(hi, bits - half, powers) * powers[half] + _to_decimal(n - (hi << half), half, powers)
 
 
 def int_to_decimal(n: int) -> str:
-    """Decimal string of an arbitrary-size integer in softly linear time."""
-    if n < 0:
-        return "-" + int_to_decimal(-n)
-    return _to_fixed_width(n, _digit_count(n))
+    """Decimal string of an arbitrary-size integer in subquadratic time: the
+    binary digits are split in halves and recombined in `decimal` arithmetic,
+    whose multiplication is subquadratic (``str`` divides, in quadratic time)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True  # exact, or an error
+        text = str(_to_decimal(abs(n), n.bit_length(), {}))
+    return "-" + text if n < 0 else text
 
 
 def decimal_to_int(text: str) -> int:
-    """Parse a decimal string of any length (inverse of int_to_decimal)."""
-    text = text.strip()
-    if text.startswith("-"):
-        return -decimal_to_int(text[1:])
-    if text.startswith("+"):
-        text = text[1:]
-    if not text or not text.isdigit():
-        raise ValueError(f"not a decimal integer: {text[:32]!r}...")
-    if len(text) <= _CHUNK:
-        return int(text)
-    split = len(text) >> 1
-    return decimal_to_int(text[:-split]) * _pow10(split) + decimal_to_int(text[-split:])
+    """Parse a decimal integer string of any length (inverse of int_to_decimal)."""
+    if not isinstance(text, str) or not re.fullmatch(r"\s*[-+]?[0-9]+\s*", text):
+        raise ValueError(f"not a decimal integer: {text!r:.32}")
+    return int(decimal.Decimal(text))  # exact whatever the context's precision
+
+
+# ---------------------------------------------------------------------------
+# hex integers with their trailing zero bits split out: "<hex>p<zeros>"
+
+_HEX = re.compile(r"-?[0-9a-f]+(?:p[0-9]{1,12})?")
+
+
+def int_to_hex(n: int) -> str:
+    """Lower-case hex of n with its trailing zero bits written as ``p<count>``."""
+    zeros = (n & -n).bit_length() - 1 if n else 0
+    return f"{n >> zeros:x}p{zeros}" if zeros else f"{n:x}"
+
+
+def hex_to_int(text: str, max_bits: int) -> int:
+    """Parse int_to_hex output whose value fits in ``max_bits`` bits.
+
+    Raises:
+        ValueError: if the text is not of that form or the value is larger.
+    """
+    if not isinstance(text, str) or not _HEX.fullmatch(text):
+        raise ValueError(f"{text!r:.40} is not a hex integer")
+    digits, _, zeros = text.partition("p")
+    if 4 * len(digits.lstrip("-")) + int(zeros or 0) > max_bits + 4:
+        raise ValueError(f"{text[:40]!r} exceeds {max_bits} bits")
+    return int(digits, 16) << int(zeros or 0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +145,30 @@ def _split_powers(n: int, base: int) -> tuple[int, int]:
     return k, n
 
 
+def _lowest_terms(num: int, scale: int) -> tuple[int, int, int, int]:
+    """num / scale as (m, d, e2, e3), the value m * 2^e2 * 3^e3 / d in lowest
+    terms with m coprime to 6 and d coprime to 6m.  The common factor is read
+    off the scale's powers of 2 and 3; only the rest of it enters a gcd."""
+    p, rest = _split_powers(scale, 2)
+    q, c = _split_powers(rest, 3)
+    e2, rest = _split_powers(abs(num), 2)
+    e3, rest = _split_powers(rest, 3)
+    common = math.gcd(rest, c)
+    return (rest if num > 0 else -rest) // common, c // common, e2 - p, e3 - q
+
+
+def scaled_fraction(num: int, scale: int) -> Fraction:
+    """``Fraction(num, scale)`` with its terms set directly: they come out of
+    :func:`_lowest_terms` coprime, and normalising them again would take a gcd
+    of two full-size integers, milliseconds each at deep-level sizes."""
+    value = Fraction(0)
+    if num:
+        m, d, e2, e3 = _lowest_terms(num, scale)
+        value._numerator = (m << max(e2, 0)) * 3 ** max(e3, 0)
+        value._denominator = (d << max(-e2, 0)) * 3 ** max(-e3, 0)
+    return value
+
+
 def scalar_to_json(value: Rational) -> dict:
     """Encode an exact rational as a JSON-ready dict.
 
@@ -150,21 +176,12 @@ def scalar_to_json(value: Rational) -> dict:
     to stay readable, otherwise explicit num/den decimal strings.
     """
     value = Fraction(value)
-    num, den = value.numerator, value.denominator
-    if num == 0:
+    if value == 0:
         return {"num": "0", "den": "1"}
-    e2n, rest_n = _split_powers(abs(num), 2)
-    e3n, rest_n = _split_powers(rest_n, 3)
-    e2d, rest_d = _split_powers(den, 2)
-    e3d, rest_d = _split_powers(rest_d, 3)
-    if rest_d == 1 and rest_n < _MANTISSA_LIMIT:
-        mantissa = rest_n if num > 0 else -rest_n
-        return {
-            "mantissa": int_to_decimal(mantissa),
-            "pow2": e2n - e2d,
-            "pow3": e3n - e3d,
-        }
-    return {"num": int_to_decimal(num), "den": int_to_decimal(den)}
+    m, d, e2, e3 = _lowest_terms(value.numerator, value.denominator)
+    if d == 1 and abs(m) < _MANTISSA_LIMIT:
+        return {"mantissa": int_to_decimal(m), "pow2": e2, "pow3": e3}
+    return {"num": int_to_decimal(value.numerator), "den": int_to_decimal(value.denominator)}
 
 
 def scalar_from_json(obj: dict) -> Fraction:
@@ -183,10 +200,10 @@ def scalar_from_json(obj: dict) -> Fraction:
             raise ValueError("scalar denominator is zero")
         return Fraction(decimal_to_int(obj["num"]), den)
     if "mantissa" in keys and keys <= {"mantissa", "pow2", "pow3"}:
-        value = Fraction(decimal_to_int(obj["mantissa"]))
-        value *= pow2(int(obj.get("pow2", 0)))
-        value *= pow3(int(obj.get("pow3", 0)))
-        return value
+        exponents = obj.get("pow2", 0), obj.get("pow3", 0)
+        if any(type(e) is not int for e in exponents):
+            raise ValueError(f"scalar exponents must be integers, got {exponents!r:.40}")
+        return Fraction(decimal_to_int(obj["mantissa"])) * pow2(exponents[0]) * pow3(exponents[1])
     raise ValueError(f"unrecognized scalar encoding: keys {sorted(obj)}")
 
 
@@ -223,67 +240,3 @@ class ClosedInterval:
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def encloses(self, other: "ClosedInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-
-def middle_of_length(interval: ClosedInterval, length: Rational) -> ClosedInterval:
-    """Concentric closed subinterval of the given absolute length."""
-    length = Fraction(length)
-    if not 0 < length <= interval.diameter:
-        raise ValueError(
-            f"length {length} does not fit inside a diameter-{interval.diameter} interval"
-        )
-    mid = interval.midpoint
-    return ClosedInterval(mid - length / 2, mid + length / 2)
-
-
-def split_equal(interval: ClosedInterval, parts: int) -> list[ClosedInterval]:
-    """Split into `parts` equal closed subintervals sharing endpoints.
-
-    Raises:
-        ValueError: if parts is not a positive integer.
-    """
-    if parts <= 0:
-        raise ValueError(f"cannot split into {parts} parts")
-    step = interval.diameter / parts
-    cuts = [interval.lo + step * i for i in range(parts + 1)]
-    cuts[-1] = interval.hi
-    return [ClosedInterval(cuts[i], cuts[i + 1]) for i in range(parts)]
-
-
-def gap(a: ClosedInterval, b: ClosedInterval) -> Fraction:
-    """Distance between two non-overlapping closed intervals.
-
-    Touching intervals (shared endpoint) have gap 0.
-
-    Raises:
-        ValueError: if the interiors overlap.
-    """
-    left, right = (a, b) if a.lo <= b.lo else (b, a)
-    separation = right.lo - left.hi
-    if separation < 0:
-        raise ValueError(f"intervals overlap: [{a.lo},{a.hi}] and [{b.lo},{b.hi}]")
-    return separation
-
-
-def sup_distance(a: ClosedInterval, b: ClosedInterval) -> Fraction:
-    """Largest distance |x - y| over x in a, y in b (hull-based upper bound)."""
-    return max(b.hi - a.lo, a.hi - b.lo)
-
-
-def hull(intervals: Iterable[ClosedInterval]) -> ClosedInterval:
-    """Smallest closed interval containing all the given intervals."""
-    items = list(intervals)
-    if not items:
-        raise ValueError("hull of no intervals")
-    return ClosedInterval(min(iv.lo for iv in items), max(iv.hi for iv in items))
-
-
-def interval_to_json(interval: ClosedInterval) -> dict:
-    return {"lo": scalar_to_json(interval.lo), "hi": scalar_to_json(interval.hi)}
-
-
-def interval_from_json(obj: dict) -> ClosedInterval:
-    return ClosedInterval(scalar_from_json(obj["lo"]), scalar_from_json(obj["hi"]))

@@ -8,6 +8,10 @@ fast enough for the derivative-ratio and locally-radially-shrinking
 certificates to close at every finite depth, away from a single exceptional
 cell per level.
 
+Each level stores its endpoints as integers over one scale S_n, a multiple
+of S_{n-1}, so certificates compare integers (rescaled by S_{n+1}/S_n across
+levels) instead of normalising fractions with denominators of 10^4+ bits.
+
 Two builders are provided: :func:`build_odometer_scheme` for adding machines
 and :func:`build_graph_scheme` for inverse limits of graph covers.  Both feed
 the same verification battery (:func:`verify_derivative_ratios`,
@@ -21,21 +25,19 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from cantor_shrink.exact import (
     ClosedInterval,
     approx_float,
-    gap,
-    hull,
-    interval_from_json,
-    interval_to_json,
-    middle_of_length,
+    canonical_dumps,
+    hex_to_int,
+    int_to_hex,
     pow2,
     scalar_from_json,
     scalar_to_json,
-    split_equal,
-    sup_distance,
+    scaled_fraction,
 )
 from cantor_shrink.graphcover import (
     CoverSequence,
@@ -49,34 +51,48 @@ from cantor_shrink.odometer import OdometerSpec
 
 
 SLOTS_PER_CORE = 12
+SCHEME_FORMAT = 2
 
 
 @dataclass(frozen=True)
 class Cell:
     """One cylinder at one depth: carrier interval A, concentric core D.
 
+    ``carrier`` and ``core`` are (lo, hi) integers over the level ``scale``;
+    ``A`` and ``D`` are the same intervals in fractions, built on access.
     ``parent`` is the label of the depth-(n-1) cell whose core contains A,
     or None on the coarsest level.
     """
 
     label: int
-    A: ClosedInterval
-    D: ClosedInterval
+    carrier: tuple[int, int]
+    core: tuple[int, int]
     parent: int | None
+    scale: int
+
+    @property
+    def A(self) -> ClosedInterval:
+        return ClosedInterval(*(scaled_fraction(x, self.scale) for x in self.carrier))
+
+    @property
+    def D(self) -> ClosedInterval:
+        return ClosedInterval(*(scaled_fraction(x, self.scale) for x in self.core))
+
+
+def _width(pair: tuple[int, int]) -> int:
+    return pair[1] - pair[0]
 
 
 @dataclass
 class SchemeLevel:
-    """All cells of one depth, keyed by label, plus the level scales a, b."""
+    """All cells of one depth, keyed by label; the endpoints and the level
+    scales a, b are integers over ``scale``."""
 
     n: int
-    a: Fraction
-    b: Fraction
+    scale: int
+    a: int
+    b: int
     cells: dict[int, Cell]
-
-    @property
-    def labels(self) -> list[int]:
-        return list(self.cells)
 
     def cell(self, label: int) -> Cell:
         if label not in self.cells:
@@ -98,17 +114,15 @@ class EmbeddingScheme:
     levels: list[SchemeLevel]
     spec: OdometerSpec | None = None
     cover: CoverSequence | None = None
-    _by_depth: dict = field(default_factory=dict, repr=False, compare=False)
 
     def level(self, n: int) -> SchemeLevel:
-        if not self._by_depth:
-            self._by_depth.update({lvl.n: lvl for lvl in self.levels})
-        if n not in self._by_depth:
+        """The depth-n level; depths run consecutively from ``min_depth``."""
+        if not self.min_depth <= n <= self.max_depth:
             raise ValueError(
                 f"depth {n} not built (have {self.min_depth}..{self.max_depth}); "
                 "rebuild the scheme with a larger depth"
             )
-        return self._by_depth[n]
+        return self.levels[n - self.min_depth]
 
     @property
     def min_depth(self) -> int:
@@ -119,13 +133,19 @@ class EmbeddingScheme:
         return self.levels[-1].n
 
 
+def _cell(label: int, lo: int, width: int, half: int, parent: int | None, scale: int) -> Cell:
+    """Carrier [lo, lo + width] with a concentric core of half-length ``half``."""
+    mid = lo + width // 2
+    return Cell(label, (lo, lo + width), (mid - half, mid + half), parent, scale)
+
+
 # ---------------------------------------------------------------------------
 # odometer scheme
 # ---------------------------------------------------------------------------
 
 
-def _odometer_core_length(spec: OdometerSpec, n: int, label: int, a_n: Fraction) -> Fraction:
-    """Core diameter l_n(label): a geometric ladder read off in cyclic order.
+def _odometer_core_shifts(spec: OdometerSpec, n: int) -> dict[int, int]:
+    """Core ladder of depth n: label -> t, for a core of length 2^-t * a_n / 3.
 
     Labels are ranked by how far they sit after s_{n-1} in the cyclic order of
     Z/s_n; each step down the ladder multiplies the length by 2^(-n*k_{n+1}).
@@ -133,9 +153,8 @@ def _odometer_core_length(spec: OdometerSpec, n: int, label: int, a_n: Fraction)
     """
     s_n = spec.extended_modulus(n)
     s_prev = spec.extended_modulus(n - 1)
-    k_next = spec.extended_k(n + 1)
-    rank = (label - s_prev - 1) % s_n
-    return pow2(-n * k_next * rank) * a_n / 3
+    step = n * spec.extended_k(n + 1)
+    return {label: step * ((label - s_prev - 1) % s_n) for label in range(s_n)}
 
 
 def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
@@ -146,30 +165,35 @@ def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
     refinement, and shrinks a concentric core into each carrier.  Labels at
     depth n are residues mod s_n, and A_j at depth n+1 sits inside A_i at
     depth n exactly when i = j mod s_n.
+
+    The scale is S_n = 6 / b_n: with E_n the bottom shift of the ladder,
+    a_n = 6 * 2^E_n, b_n = 6 and a core of shift t has half-length 2^(E_n - t),
+    and a_{n+1} = 2^-n b_n / k_{n+1} gives S_{n+1} = S_n k_{n+1} 2^(n + E_{n+1}).
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    a = Fraction(1, 2)
-    b = pow2(-spec.extended_k(2) * (spec.extended_modulus(1) - 1)) * a
-    cells: dict[int, Cell] = {}
-    for i in range(spec.extended_modulus(1)):
-        A = ClosedInterval(Fraction(i), Fraction(i) + a)
-        cells[i] = Cell(i, A, middle_of_length(A, _odometer_core_length(spec, 1, i, a)), None)
-    levels = [SchemeLevel(1, a, b, cells)]
+    shifts = _odometer_core_shifts(spec, 1)
+    bottom = max(shifts.values())
+    scale = 12 << bottom  # a_1 = 1/2
+    cells = {i: _cell(i, i * scale, 6 << bottom, 1 << bottom - t, None, scale) for i, t in shifts.items()}
+    levels = [SchemeLevel(1, scale, 6 << bottom, 6, cells)]
 
     for n in range(1, depth):
         prev = levels[-1]
         s_n = spec.extended_modulus(n)
         k_next = spec.extended_k(n + 1)
-        a_next = pow2(-n) * prev.b / k_next
-        b_next = pow2(-(n + 1) * spec.extended_k(n + 2) * (spec.extended_modulus(n + 1) - 1)) * a_next
+        shifts = _odometer_core_shifts(spec, n + 1)
+        bottom = max(shifts.values())
+        refine = k_next << n + bottom
+        scale = prev.scale * refine
         children: dict[int, Cell] = {}
         for i, cell in prev.cells.items():
-            for m, part in enumerate(split_equal(cell.D, k_next)):
+            lo = cell.core[0] * refine
+            step = _width(cell.core) * refine // k_next
+            for m in range(k_next):
                 j = i + m * s_n
-                core = middle_of_length(part, _odometer_core_length(spec, n + 1, j, a_next))
-                children[j] = Cell(j, part, core, i)
-        levels.append(SchemeLevel(n + 1, a_next, b_next, {j: children[j] for j in sorted(children)}))
+                children[j] = _cell(j, lo + m * step, step, 1 << bottom - shifts[j], i, scale)
+        levels.append(SchemeLevel(n + 1, scale, 6 << bottom, 6, dict(sorted(children.items()))))
 
     return EmbeddingScheme("odometer", spec.descriptor(), levels, spec=spec)
 
@@ -179,8 +203,8 @@ def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
 # ---------------------------------------------------------------------------
 
 
-def _graph_core_length(seq: CoverSequence, n: int, vertex, a_prev: Fraction) -> Fraction:
-    """Core diameter for a level-n vertex; ``a_prev`` is the level-(n-1) scale.
+def _graph_core_exponent(seq: CoverSequence, n: int, vertex) -> int:
+    """e for a level-n core of length 2^-e * a_{n-1} / 3 (a_{-1} = a_0 = 1/2).
 
     The exponent has three regimes: the base vertex, early cycle positions up
     to the previous level's first-cycle length, and the remaining positions.
@@ -191,12 +215,10 @@ def _graph_core_length(seq: CoverSequence, n: int, vertex, a_prev: Fraction) -> 
     boundary = seq.levels[n - 1].cycle_lengths[0] if n >= 1 else 1
     _, cycle, i = vertex
     if cycle == 0:
-        exponent = 2 * s_n * s_n
-    elif i <= boundary:
-        exponent = 2 * s_n * s_n + i * s_n
-    else:
-        exponent = s_n * s_n + i * s_n
-    return pow2(-exponent) * a_prev / 3
+        return 2 * s_n * s_n
+    if i <= boundary:
+        return 2 * s_n * s_n + i * s_n
+    return s_n * s_n + i * s_n
 
 
 def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
@@ -208,23 +230,33 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
     canonical order (base, cycle-1 interiors, cycle-2 interiors); unused
     slots stay empty.  A vertex's carrier therefore sits inside the core of
     the cell its covering image labels.
+
+    Level n+1 refines the scale by 3 * 2^(e + 1), e its largest core exponent:
+    then slot ends and midpoints (24ths of a core), core half-lengths
+    2^-e a_n / 6 and b_{n+1} = 2^(-s_{n+1}^2) a_{n+1} (as e >= 2 s_{n+1}^2)
+    are integers.
     """
     if depth < 0:
         raise ValueError("depth must be at least 0")
     if depth > seq.top:
         raise ValueError(f"depth {depth} exceeds the cover tower height {seq.top}")
 
-    a = Fraction(1, 2)
-    cells: dict[int, Cell] = {}
-    for v in canonical_vertices(seq.levels[0]):
-        j = signed_index(v)
-        A = ClosedInterval(Fraction(j), Fraction(j) + a)
-        cells[j] = Cell(j, A, middle_of_length(A, _graph_core_length(seq, 0, v, a)), None)
+    exponents = {signed_index(v): _graph_core_exponent(seq, 0, v) for v in canonical_vertices(seq.levels[0])}
+    bottom = max(exponents.values())
+    scale = 12 << bottom  # a_0 = 1/2, and a core of exponent e has half-length 2^-e / 12
+    a = 6 << bottom
     s_0 = len(seq.graph(0).vertices)
-    levels = [SchemeLevel(0, a, pow2(-2 * s_0 * s_0) * a / 3, {j: cells[j] for j in sorted(cells)})]
+    cells = {j: _cell(j, j * scale, a, 1 << bottom - e, None, scale) for j, e in sorted(exponents.items())}
+    levels = [SchemeLevel(0, scale, a, a // 3 >> 2 * s_0 * s_0, cells)]
 
     for n in range(depth):
         prev = levels[-1]
+        vertices = canonical_vertices(seq.levels[n + 1])
+        exponents = {signed_index(w): _graph_core_exponent(seq, n + 1, w) for w in vertices}
+        s_next = len(vertices)
+        refine = 3 << max(exponents.values()) + 1
+        scale = prev.scale * refine
+        unit = prev.a * refine // 6
         children: dict[int, Cell] = {}
         for v in canonical_vertices(seq.levels[n]):
             i = signed_index(v)
@@ -234,15 +266,13 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
                     f"vertex {v} has {len(fibre)} preimages; only "
                     f"{SLOTS_PER_CORE} slots per core are available"
                 )
-            slots = split_equal(prev.cells[i].D, SLOTS_PER_CORE)
+            lo = prev.cells[i].core[0] * refine
+            step = _width(prev.cells[i].core) * refine // SLOTS_PER_CORE
             for t, w in enumerate(fibre):
                 j = signed_index(w)
-                core = middle_of_length(slots[t], _graph_core_length(seq, n + 1, w, prev.a))
-                children[j] = Cell(j, slots[t], core, i)
-        a_next = max(c.A.diameter for c in children.values())
-        s_next = len(seq.graph(n + 1).vertices)
-        b_next = pow2(-s_next * s_next) * a_next
-        levels.append(SchemeLevel(n + 1, a_next, b_next, {j: children[j] for j in sorted(children)}))
+                children[j] = _cell(j, lo + t * step, step, unit >> exponents[j], i, scale)
+        a_next = max(_width(c.carrier) for c in children.values())
+        levels.append(SchemeLevel(n + 1, scale, a_next, a_next >> s_next**2, dict(sorted(children.items()))))
 
     return EmbeddingScheme("graph", seq.descriptor(), levels, cover=seq)
 
@@ -250,12 +280,6 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
 # ---------------------------------------------------------------------------
 # labels, successors, exceptional cells
 # ---------------------------------------------------------------------------
-
-
-def _modulus_at(scheme: EmbeddingScheme, depth: int) -> int:
-    if scheme.kind == "odometer":
-        return scheme.spec.extended_modulus(depth)
-    return len(scheme.cover.graph(depth).vertices)
 
 
 def _vertex_at(scheme: EmbeddingScheme, depth: int, label: int):
@@ -348,18 +372,19 @@ def derivative_ratio_bound(scheme: EmbeddingScheme, depth: int) -> Fraction:
     """
     child_map = children_of(scheme, depth)
     level = scheme.level(depth)
+    refine = scheme.level(depth + 1).scale // level.scale
     skip = exceptional_labels(scheme, depth)
-    best: Fraction | None = None
-    for label, cell in level.cells.items():
+    best: tuple[int, int] | None = None  # numerator, denominator over the child scale
+    for label in level.cells:
         if label in skip or not child_map[label]:
             continue
-        image = max(level.cells[m].D.diameter for m in _image_labels(scheme, depth, label))
-        ratio = image / min(c.A.diameter for c in child_map[label])
-        if best is None or ratio > best:
-            best = ratio
+        image = max(_width(level.cells[m].core) for m in _image_labels(scheme, depth, label)) * refine
+        narrowest = min(_width(c.carrier) for c in child_map[label])
+        if best is None or image * best[1] > best[0] * narrowest:
+            best = (image, narrowest)
     if best is None:
         raise ValueError(f"no non-exceptional parents with children at depth {depth}")
-    return best
+    return Fraction(*best)
 
 
 def closed_form_ratio_bound(scheme: EmbeddingScheme, depth: int) -> Fraction:
@@ -367,7 +392,7 @@ def closed_form_ratio_bound(scheme: EmbeddingScheme, depth: int) -> Fraction:
     if scheme.kind == "odometer":
         k_next = scheme.spec.extended_k(depth + 1)
         return 3 * k_next * pow2(-depth * k_next)
-    return 36 * pow2(-_modulus_at(scheme, depth))
+    return 36 * pow2(-len(scheme.cover.graph(depth).vertices))
 
 
 def _ratio_depths(scheme: EmbeddingScheme) -> list[int]:
@@ -429,9 +454,20 @@ def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
     positive margin.  Pairs under an exceptional parent, and graph pairs
     whose successors straddle two parents, are excluded and reported rather
     than failed: the construction only promises shrinking away from them.
+    Every quantity is an integer over the depth-(depth+1) scale.
     """
     child_map = children_of(scheme, depth)
     skip = exceptional_labels(scheme, depth)
+    child_level = scheme.level(depth + 1)
+    cells, scale = child_level.cells, child_level.scale
+
+    def exact(x: int) -> dict:
+        return scalar_to_json(scaled_fraction(x, scale))
+
+    def image_hull(label: int) -> tuple[int, int]:
+        images = [cells[m].carrier for m in _image_labels(scheme, depth + 1, label)]
+        return min(lo for lo, _ in images), max(hi for _, hi in images)
+
     margins = []
     witnesses = []
     excluded = []
@@ -450,19 +486,15 @@ def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
                 if len(targets) > 1:
                     excluded.append({**pair, "reason": "successors split across parents"})
                     continue
-            child_level = scheme.level(depth + 1)
-            sup = sup_distance(
-                hull(child_level.cells[m].A for m in _image_labels(scheme, depth + 1, cu.label)),
-                hull(child_level.cells[m].A for m in _image_labels(scheme, depth + 1, cv.label)),
-            )
-            inf = gap(cu.D, cv.D)
+            (u_lo, u_hi), (v_lo, v_hi) = image_hull(cu.label), image_hull(cv.label)
+            sup = max(v_hi - u_lo, u_hi - v_lo)
+            left, right = sorted((cu.core, cv.core))
+            inf = right[0] - left[1]
             checked += 1
             if sup < inf:
-                margins.append({**pair, "margin": scalar_to_json(inf - sup)})
+                margins.append({**pair, "margin": exact(inf - sup)})
             else:
-                witnesses.append(
-                    {**pair, "sup": scalar_to_json(sup), "inf": scalar_to_json(inf)}
-                )
+                witnesses.append({**pair, "sup": exact(sup), "inf": exact(inf)})
     return VerifyReport(
         check="lrs-pairs",
         passed=not witnesses,
@@ -479,21 +511,26 @@ def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
 
 
 def _audit_level_geometry(lvl: SchemeLevel, witnesses: list) -> None:
-    cells = sorted(lvl.cells.values(), key=lambda c: c.A.lo)
+    cells = sorted(lvl.cells.values(), key=lambda c: c.carrier[0])
     for c in cells:
-        left = c.D.lo - c.A.lo
-        right = c.A.hi - c.D.hi
+        left = c.core[0] - c.carrier[0]
+        right = c.carrier[1] - c.core[1]
         if left != right:
             witnesses.append({"depth": lvl.n, "label": c.label, "reason": "core not concentric"})
         if left <= 0:
             witnesses.append({"depth": lvl.n, "label": c.label, "reason": "core touches carrier"})
     for prev, nxt in zip(cells, cells[1:]):
-        if nxt.A.lo < prev.A.hi:
+        if nxt.carrier[0] < prev.carrier[1]:
             witnesses.append(
                 {"depth": lvl.n, "label": nxt.label, "reason": "carrier interiors overlap"}
             )
-        if nxt.D.lo <= prev.D.hi:
+        if nxt.core[0] <= prev.core[1]:
             witnesses.append({"depth": lvl.n, "label": nxt.label, "reason": "cores not separated"})
+
+
+def _encloses(outer: tuple[int, int], refine: int, inner: tuple[int, int]) -> bool:
+    """Whether ``outer`` (one level up, so scaled by ``refine``) contains ``inner``."""
+    return outer[0] * refine <= inner[0] and inner[1] <= outer[1] * refine
 
 
 def _audit_odometer(scheme: EmbeddingScheme, witnesses: list) -> None:
@@ -502,35 +539,35 @@ def _audit_odometer(scheme: EmbeddingScheme, witnesses: list) -> None:
         n = lvl.n
         s_n = spec.extended_modulus(n)
         s_prev = spec.extended_modulus(n - 1)
-        if sorted(lvl.cells) != list(range(s_n)):
+        if len(lvl.cells) != s_n or sorted(lvl.cells) != list(range(s_n)):
             witnesses.append({"depth": n, "reason": "labels are not the residues mod s_n"})
             continue
-        if lvl.a > pow2(-n):
+        if lvl.a << n > lvl.scale:
             witnesses.append({"depth": n, "reason": "level scale exceeds 2^-n"})
-        if lvl.b != pow2(-n * spec.extended_k(n + 1) * (s_n - 1)) * lvl.a:
+        step = n * spec.extended_k(n + 1)
+        if lvl.b << step * (s_n - 1) != lvl.a:
             witnesses.append({"depth": n, "reason": "stored b does not match its formula"})
-        ladder = [lvl.cells[(s_prev + z) % s_n].D.diameter for z in range(1, s_n + 1)]
+        ladder = [_width(lvl.cells[(s_prev + z) % s_n].core) for z in range(1, s_n + 1)]
         if any(x <= y for x, y in zip(ladder, ladder[1:])):
             witnesses.append({"depth": n, "reason": "core ladder not strictly decreasing"})
-        step = pow2(-n * spec.extended_k(n + 1))
         for i, cell in lvl.cells.items():
-            d = cell.D.diameter
+            d = _width(cell.core)
             if not lvl.a >= 3 * d >= lvl.b:
                 witnesses.append({"depth": n, "label": i, "reason": "core outside [b/3, a/3]"})
-            if n > 3 and 3 * d > cell.A.diameter:
+            if n > 3 and 3 * d > _width(cell.carrier):
                 witnesses.append({"depth": n, "label": i, "reason": "core above a third of carrier"})
             if i % s_n != s_prev % s_n:
-                succ = lvl.cells[(i + 1) % s_n]
-                if succ.D.diameter != step * d:
+                if _width(lvl.cells[(i + 1) % s_n].core) << step != d:
                     witnesses.append(
                         {"depth": n, "label": i, "reason": "successor core ratio off ladder step"}
                     )
     for lvl, nxt in zip(scheme.levels, scheme.levels[1:]):
         s_n = spec.extended_modulus(lvl.n)
+        refine = nxt.scale // lvl.scale
         for j, cell in nxt.cells.items():
             if cell.parent != j % s_n:
                 witnesses.append({"depth": nxt.n, "label": j, "reason": "parent is not j mod s_n"})
-            elif not lvl.cells[cell.parent].D.encloses(cell.A):
+            elif not _encloses(lvl.cells[cell.parent].core, refine, cell.carrier):
                 witnesses.append(
                     {"depth": nxt.n, "label": j, "reason": "carrier leaves parent core"}
                 )
@@ -545,22 +582,23 @@ def _audit_graph(scheme: EmbeddingScheme, witnesses: list) -> None:
         if set(lvl.cells) != expected:
             witnesses.append({"depth": n, "reason": "labels do not match the level's vertices"})
             continue
-        if lvl.a != max(c.A.diameter for c in lvl.cells.values()):
+        if lvl.a != max(_width(c.carrier) for c in lvl.cells.values()):
             witnesses.append({"depth": n, "reason": "level scale is not the widest carrier"})
-        if lvl.a > pow2(-n):
+        if lvl.a << n > lvl.scale:
             witnesses.append({"depth": n, "reason": "level scale exceeds 2^-n"})
-        if n > 0 and lvl.b != pow2(-s_n * s_n) * lvl.a:
+        if n > 0 and lvl.b << s_n * s_n != lvl.a:
             witnesses.append({"depth": n, "reason": "stored b does not match its formula"})
         for j, cell in lvl.cells.items():
-            d = cell.D.diameter
-            if d > pow2(-s_n) * lvl.a:
+            d = _width(cell.core)
+            if d << s_n > lvl.a:
                 witnesses.append({"depth": n, "label": j, "reason": "core too wide for its level"})
-            if (cell.A.diameter - d) / 2 <= d:
+            if _width(cell.carrier) - d <= 2 * d:
                 witnesses.append(
                     {"depth": n, "label": j, "reason": "core margin thinner than the core"}
                 )
     for lvl, nxt in zip(scheme.levels, scheme.levels[1:]):
         hom = seq.homs[lvl.n]
+        refine = nxt.scale // lvl.scale
         for j, cell in nxt.cells.items():
             v = vertex_with_signed_index(seq.levels[nxt.n], j)
             if cell.parent != signed_index(hom[v]):
@@ -569,11 +607,11 @@ def _audit_graph(scheme: EmbeddingScheme, witnesses: list) -> None:
                 )
                 continue
             parent = lvl.cells[cell.parent]
-            if cell.A.diameter * SLOTS_PER_CORE != parent.D.diameter:
+            if _width(cell.carrier) * SLOTS_PER_CORE != _width(parent.core) * refine:
                 witnesses.append(
                     {"depth": nxt.n, "label": j, "reason": "carrier is not a twelfth of the core"}
                 )
-            if not parent.D.encloses(cell.A):
+            if not _encloses(parent.core, refine, cell.carrier):
                 witnesses.append(
                     {"depth": nxt.n, "label": j, "reason": "carrier leaves parent core"}
                 )
@@ -608,19 +646,22 @@ def audit_scheme(scheme: EmbeddingScheme) -> VerifyReport:
 
 
 def scheme_to_json(scheme: EmbeddingScheme) -> dict:
+    """Format-2 JSON: each level's scale once, and its integers in hex (:func:`int_to_hex`)."""
     return {
+        "format": SCHEME_FORMAT,
         "kind": scheme.kind,
         "source": scheme.source,
         "levels": [
             {
                 "n": lvl.n,
-                "a": scalar_to_json(lvl.a),
-                "b": scalar_to_json(lvl.b),
+                "scale": scalar_to_json(lvl.scale),
+                "a": int_to_hex(lvl.a),
+                "b": int_to_hex(lvl.b),
                 "cells": [
                     {
                         "label": c.label,
-                        "A": interval_to_json(c.A),
-                        "D": interval_to_json(c.D),
+                        "A": [int_to_hex(x) for x in c.carrier],
+                        "D": [int_to_hex(x) for x in c.core],
                         "parent": c.parent,
                     }
                     for c in lvl.cells.values()
@@ -631,46 +672,99 @@ def scheme_to_json(scheme: EmbeddingScheme) -> dict:
     }
 
 
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _field(obj: dict, key: str, where: str, parse):
+    """``parse(obj[key])``, naming the field in any ValueError it raises."""
+    try:
+        return parse(obj[key])
+    except ValueError as exc:
+        raise ValueError(f"{where}: field {key!r}: {exc}") from None
+
+
+def _hex_pair(value, bits: int) -> tuple[int, int]:
+    _check(isinstance(value, list) and len(value) == 2, "not a [lo, hi] pair")
+    lo, hi = (hex_to_int(x, bits) for x in value)
+    _check(lo <= hi, "lo > hi")
+    return lo, hi
+
+
 def scheme_from_json(obj: dict) -> EmbeddingScheme:
-    """Rebuild a scheme from its JSON form, intervals taken verbatim.
+    """Rebuild a scheme from its format-2 JSON form, geometry taken verbatim.
 
     The symbolic source is reconstructed from the descriptor so successor
     structure is available, but no interval is recomputed: verification then
-    applies to exactly what the file says.  Labels must be distinct integers
-    within a level, and each parent must be a label of the level above (null
-    on the first level).
+    applies to exactly what the file says.  Depths count up from the kind's
+    first depth, each scale is a positive multiple of the one above, labels
+    are distinct integers within a level, each parent is a label of the level
+    above (null on the first level), and each endpoint is a hex integer.
 
     Raises:
-        ValueError: naming the field, when the levels, a label, a parent or a
-            scalar does not fit the schema.
+        ValueError: naming the field, when the file does not fit the schema;
+            a file of another format is told to rebuild from its source.
     """
-    kind = obj["kind"]
-    if kind not in ("odometer", "graph"):
-        raise ValueError(f"unknown scheme kind {kind!r}")
-    if not isinstance(obj["levels"], list) or not obj["levels"]:
-        raise ValueError("field 'levels' must be a non-empty list")
+    _check(isinstance(obj, dict), f"a scheme file holds a JSON object, not a {type(obj).__name__}")
+    kind, source = obj["kind"], obj.get("source")
+    _check(kind in ("odometer", "graph"), f"unknown scheme kind {kind!r}")
+    _check(
+        obj.get("format") == SCHEME_FORMAT,
+        f"field 'format' is {obj.get('format')!r}, not {SCHEME_FORMAT}: rebuild the file with "
+        f"`cantor-shrink build` from its source descriptor {canonical_dumps(source).strip()}",
+    )
+    _check(isinstance(obj["levels"], list) and obj["levels"], "field 'levels' must be a non-empty list")
+    height = len(obj["levels"]) - 1
+    if kind == "odometer":
+        _check(
+            isinstance(source, dict) and source.get("rule", "list") == "list"
+            and isinstance(source.get("s"), list) and all(type(v) is int for v in source["s"]),
+            "field 'source' must be {\"rule\": \"list\", \"s\": [integers]}",
+        )
+        symbolic = {"spec": OdometerSpec.from_descriptor(source)}
+    else:
+        _check(
+            isinstance(source, dict) and type(source.get("levels")) is int and source["levels"] == height,
+            f"field 'source' must be {{\"variant\": ..., \"levels\": {height}}} for {height + 1} levels",
+        )
+        symbolic = {"cover": build_sequence(source["variant"], height)}
+    first = 1 if kind == "odometer" else 0
     levels = []
     parents: set = {None}
+    above = 1
     for i, entry in enumerate(obj["levels"]):
+        where = f"levels[{i}]"
+        _check(isinstance(entry, dict), f"{where} must be a JSON object")
+        _check(type(entry["n"]) is int and entry["n"] == first + i, f"{where}: field 'n' must be {first + i}")
+        scale = _field(entry, "scale", where, scalar_from_json)
+        _check(
+            scale.denominator == 1 and scale > 0 and scale.numerator % above == 0,
+            f"{where}: field 'scale' must be a positive integer multiple of the scale above",
+        )
+        scale = above = scale.numerator
+        bits = scale.bit_length() + 64  # no endpoint lies 2^64 scales from zero
+        pair, single = partial(_hex_pair, bits=bits), partial(hex_to_int, max_bits=bits)
+        _check(isinstance(entry["cells"], list), f"{where}: field 'cells' must be a list")
         cells = {}
         for c in entry["cells"]:
+            _check(isinstance(c, dict), f"{where}: each cell must be a JSON object")
             label, parent = c["label"], c["parent"]
-            if type(label) is not int or label in cells:
-                raise ValueError(f"levels[{i}]: field 'label' {label!r} is not a distinct integer")
-            if type(parent) not in (int, type(None)) or parent not in parents:
-                raise ValueError(
-                    f"levels[{i}] label {label}: field 'parent' {parent!r} is not "
-                    + ("null on the first level" if i == 0 else "a label of the level above")
-                )
-            cells[label] = Cell(label, interval_from_json(c["A"]), interval_from_json(c["D"]), parent)
-        levels.append(
-            SchemeLevel(entry["n"], scalar_from_json(entry["a"]), scalar_from_json(entry["b"]), cells)
-        )
+            _check(
+                type(label) is int and label not in cells,
+                f"{where}: field 'label' {label!r} is not a distinct integer",
+            )
+            _check(
+                type(parent) in (int, type(None)) and parent in parents,
+                f"{where} label {label}: field 'parent' {parent!r} is not "
+                + ("null on the first level" if i == 0 else "a label of the level above"),
+            )
+            carrier, core = (_field(c, key, f"{where} label {label}", pair) for key in "AD")
+            cells[label] = Cell(label, carrier, core, parent, scale)
+        a, b = (_field(entry, key, where, single) for key in "ab")
+        levels.append(SchemeLevel(first + i, scale, a, b, cells))
         parents = set(cells)
-    if kind == "odometer":
-        return EmbeddingScheme(kind, obj["source"], levels, spec=OdometerSpec.from_descriptor(obj["source"]))
-    cover = build_sequence(obj["source"]["variant"], obj["source"]["levels"])
-    return EmbeddingScheme(kind, obj["source"], levels, cover=cover)
+    return EmbeddingScheme(kind, source, levels, **symbolic)
 
 
 def ratio_csv(scheme: EmbeddingScheme) -> str:
@@ -720,9 +814,10 @@ def render_svg(scheme: EmbeddingScheme, width: int = 960, row_height: int = 56) 
             f'<text x="4" y="{y + 14:.1f}" font-size="11" font-family="monospace">'
             f"n={lvl.n}</text>"
         )
-        for c in sorted(lvl.cells.values(), key=lambda c: c.A.lo):
-            ax, aw = x(c.A.lo), max(x(c.A.hi) - x(c.A.lo), 0.7)
-            dx, dw = x(c.D.lo), max(x(c.D.hi) - x(c.D.lo), 0.7)
+        for c in sorted(lvl.cells.values(), key=lambda c: c.carrier[0]):
+            A, D = c.A, c.D
+            ax, aw = x(A.lo), max(x(A.hi) - x(A.lo), 0.7)
+            dx, dw = x(D.lo), max(x(D.hi) - x(D.lo), 0.7)
             parts.append(
                 f'<rect x="{ax:.2f}" y="{y + 6:.1f}" width="{aw:.2f}" height="18" '
                 'fill="none" stroke="#4466aa" stroke-width="0.8"/>'

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cantor_shrink.exact import gap, scalar_to_json, sup_distance
+from cantor_shrink.exact import scalar_to_json, scaled_fraction
 from cantor_shrink.interval_embed import EmbeddingScheme, VerifyReport
 from cantor_shrink.metric_systems.core import FinitePointSystem, check_lrs
 from cantor_shrink.odometer import predecessor
@@ -57,14 +57,15 @@ def certify_slack(scheme: EmbeddingScheme, n: int, refine: int, anchor_value: in
     s_next = spec.extended_modulus(n + 1)
     s_m = spec.extended_modulus(refine)
     z = anchor_value % s_m
-    z_core = level.cells[z].D
-    z_succ_core = level.cells[(z + 1) % s_m].D
-    worst: Fraction | None = None
+    z_lo, z_hi = level.cells[z].core
+    tz_lo, tz_hi = level.cells[(z + 1) % s_m].core
+    worst: int | None = None  # over the level's scale
     for j, cell in level.cells.items():
         if j % s_n != z % s_n or j % s_next == z % s_next:
             continue
-        lower = gap(z_core, cell.A)
-        upper = sup_distance(z_succ_core, level.cells[(j + 1) % s_m].A)
+        (lo, hi), (t_lo, t_hi) = cell.carrier, level.cells[(j + 1) % s_m].carrier
+        lower = max(lo - z_hi, z_lo - hi)  # gap from z's core to the carrier
+        upper = max(t_hi - tz_lo, tz_hi - t_lo)  # widest spread from Tz's core
         slack = lower - upper
         if worst is None or slack < worst:
             worst = slack
@@ -75,7 +76,7 @@ def certify_slack(scheme: EmbeddingScheme, n: int, refine: int, anchor_value: in
             f"slack at cylinder depth {n} is not positive at refinement {refine}; "
             "rebuild with a deeper refinement"
         )
-    return worst / 2
+    return scaled_fraction(worst, 2 * level.scale)
 
 
 def slack_sequence(scheme: EmbeddingScheme, levels: int, refine: int, anchor_value: int = 0) -> list:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from cantor_shrink.cli import main as cli_main
-from cantor_shrink.exact import ClosedInterval, canonical_dumps, pow2
+from cantor_shrink.exact import canonical_dumps, pow2
 from cantor_shrink.graphcover import (
     build_sequence,
     check_bidirectional,
@@ -126,7 +126,7 @@ def test_criterion_01_odometer_depth8_audits():
         assert report.passed and not report.witnesses
         for lvl in scheme.levels:
             for cell in lvl.cells.values():
-                assert lvl.a >= 3 * cell.D.diameter >= lvl.b
+                assert lvl.a >= 3 * (cell.core[1] - cell.core[0]) >= lvl.b
 
 
 def test_criterion_02_derivative_ratio_decay(od9):
@@ -252,14 +252,11 @@ def test_criterion_07_lrs_margins_everywhere(od9, od3, wm3, rate4_triple):
         # negative control: widen one depth-2 core toward its sibling and the
         # certificate must fail with a concrete witness pair
         level2 = od3.level(2)
-        widened = replace(
-            level2.cells[0],
-            D=ClosedInterval(level2.cells[0].D.lo, level2.cells[0].D.hi + Fraction(1, 20)),
-        )
+        lo, hi = level2.cells[0].core
+        widened = replace(level2.cells[0], core=(lo, hi + level2.scale // 20))
         corrupted_cells = dict(level2.cells)
         corrupted_cells[0] = widened
-        # a fresh scheme object, because replace() would carry over the
-        # populated depth memo and keep serving the healthy level
+        # a fresh scheme object holding the corrupted level
         corrupted = EmbeddingScheme(
             od3.kind,
             od3.source,

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -8,10 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis as h
+import hypothesis.strategies as st
 import pytest
 
 import cantor_shrink
 from cantor_shrink.cli import main
+from cantor_shrink.exact import hex_to_int, int_to_hex
+from cantor_shrink.interval_embed import audit_scheme, scheme_from_json
 
 
 def run(argv):
@@ -250,33 +255,220 @@ def test_missing_scheme_field_names_the_file(tmp_path):
     assert "hollow.json" in err and "missing field" in err
 
 
-# single mutations of the od3 scheme file; each must be caught as bad input
+def _set_endpoint(obj, text):
+    obj["levels"][1]["cells"][0]["A"][0] = text
+
+
+# single mutations of the od3 scheme file, each with the text its error line
+# must name; each must be caught as bad input
 SCHEME_MUTATIONS = {
-    "levels-emptied": lambda obj: obj.update(levels=[]),
-    "levels-cut-to-one": lambda obj: obj.update(levels=obj["levels"][:1]),
-    "string-label": lambda obj: obj["levels"][0]["cells"][0].update(label="0"),
-    "parent-99": lambda obj: obj["levels"][1]["cells"][0].update(parent=99),
-    "scalar-other-key": lambda obj: obj["levels"][1]["cells"][0]["A"]["lo"].update(other="7"),
+    "levels-emptied": (lambda obj: obj.update(levels=[]), "'levels'"),
+    "levels-cut-to-one": (lambda obj: obj.update(levels=obj["levels"][:1]), "levels 1..1"),
+    "string-label": (lambda obj: obj["levels"][0]["cells"][0].update(label="0"), "'label'"),
+    "parent-99": (lambda obj: obj["levels"][1]["cells"][0].update(parent=99), "'parent'"),
+    "scalar-other-key": (lambda obj: obj["levels"][1]["scale"].update(other="7"), "'scale'"),
+    "cells-not-a-list": (lambda obj: obj["levels"][1].update(cells=5), "'cells'"),
+    "top-level-list": (lambda obj: [obj], "JSON object"),
+    "source-string": (lambda obj: obj.update(source="x"), "'source'"),
+    "depth-string": (lambda obj: obj["levels"][0].update(n="1"), "'n'"),
+    "endpoint-not-hex": (lambda obj: _set_endpoint(obj, "0x1g"), "'A'"),
+    "old-format": (lambda obj: obj.pop("format"), "rebuild"),
 }
+
+SCHEME_COMMANDS = [
+    ["verify", "derivative", "--scheme"],
+    ["verify", "lrs", "--depth", "2", "--scheme"],
+    ["export", "ratio", "--sys"],
+]
+SCHEME_COMMAND_IDS = ["verify-derivative", "verify-lrs", "export-ratio"]
+
+
+def _write_mutated(work, path, mutate):
+    obj = json.loads(work["od3"].read_text())
+    result = mutate(obj)
+    path.write_text(json.dumps(result if isinstance(result, list) else obj))
+    return path
 
 
 @pytest.mark.parametrize("mutation", sorted(SCHEME_MUTATIONS))
-@pytest.mark.parametrize(
-    "command",
-    [["verify", "derivative", "--scheme"], ["verify", "lrs", "--depth", "2", "--scheme"], ["export", "ratio", "--sys"]],
-    ids=["verify-derivative", "verify-lrs", "export-ratio"],
-)
+@pytest.mark.parametrize("command", SCHEME_COMMANDS, ids=SCHEME_COMMAND_IDS)
 def test_mutated_scheme_is_a_one_line_usage_error(work, tmp_path, mutation, command):
-    obj = json.loads(work["od3"].read_text())
-    SCHEME_MUTATIONS[mutation](obj)
-    bad = tmp_path / f"{mutation}.json"
-    bad.write_text(json.dumps(obj))
+    mutate, named = SCHEME_MUTATIONS[mutation]
+    bad = _write_mutated(work, tmp_path / f"{mutation}.json", mutate)
     # in-process, so a traceback would surface here as an uncaught exception
     code, out, err = run([*command, str(bad)])
     assert code == 2
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith(f"error: {bad}")
+    assert named in line
+
+
+def _drop_last_depth3_cell(obj):
+    obj["levels"][2]["cells"].pop()
+
+
+def _swap_core_and_carrier(obj):
+    cell = obj["levels"][1]["cells"][1]
+    cell["A"], cell["D"] = cell["D"], cell["A"]
+
+
+@pytest.mark.parametrize(
+    "mutate, witness",
+    [
+        (_drop_last_depth3_cell, "audit witness at depth 3: labels are not the residues mod s_n"),
+        (_swap_core_and_carrier, "audit witness at depth 2, label 1: core touches carrier"),
+    ],
+    ids=["cell-deleted", "core-carrier-swapped"],
+)
+@pytest.mark.parametrize("command", [["verify", "derivative", "--scheme"], ["export", "ratio", "--sys"]],
+                         ids=["verify-derivative", "export-ratio"])
+def test_scheme_failing_its_audit_fails_the_command(work, tmp_path, command, mutate, witness):
+    bad = _write_mutated(work, tmp_path / "bad.json", mutate)
+    code, out, err = run([*command, str(bad)])
+    assert code == 1
+    assert out == ""
+    assert err == f"fail: {bad}: {witness}\n"
+    # verify lrs reports the same audit and computes no margin on that geometry
+    code, out, _ = run(["verify", "lrs", "--depth", "2", "--scheme", str(bad)])
+    report = json.loads(out)
+    assert code == 1 and report["depths_checked"] == [] and len(report["reports"]) == 1
+    assert report["reports"][0]["check"] == "audit" and not report["reports"][0]["pass"]
+
+
+def _json_paths(node, prefix=()):
+    """The key path of every value below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+RETYPED = ["1", 1, None, [], {}, 0.5, True]
+
+
+@st.composite
+def single_mutations(draw, obj):
+    """Delete a value, retype it, swap a cell's A and D, or shift one
+    endpoint by one unit of its level scale; applied to ``obj`` in place."""
+    kind = draw(st.sampled_from(["delete", "retype", "swap", "shift"]))
+    if kind in ("delete", "retype"):
+        path = draw(st.sampled_from(list(_json_paths(obj))))
+        parent, key = _at(obj, path[:-1]), path[-1]
+        if kind == "delete":
+            del parent[key]
+        else:
+            parent[key] = draw(st.sampled_from([v for v in RETYPED if type(v) is not type(parent[key])]))
+        return f"{kind} {path}"
+    level = draw(st.sampled_from(obj["levels"]))
+    cell = draw(st.sampled_from(level["cells"]))
+    if kind == "swap":
+        cell["A"], cell["D"] = cell["D"], cell["A"]
+        return f"swap A/D of level {level['n']} label {cell['label']}"
+    field, end, step = draw(st.sampled_from(["A", "D"])), draw(st.sampled_from([0, 1])), draw(st.sampled_from([-1, 1]))
+    cell[field][end] = int_to_hex(hex_to_int(cell[field][end], 1 << 20) + step)
+    return f"shift level {level['n']} label {cell['label']} {field}[{end}] by {step}"
+
+
+@h.given(data=st.data())
+@h.settings(derandomize=True, max_examples=120, deadline=None)
+def test_single_mutations_exit_cleanly(work, data):
+    """No single mutation makes a command crash, and none passes unless the
+    mutated file still loads and audits."""
+    obj = json.loads(work["od3"].read_text())
+    h.note(data.draw(single_mutations(obj)))
+    path = work["root"] / "mutant.json"
+    path.write_text(json.dumps(obj))
+    try:
+        audited = audit_scheme(scheme_from_json(obj)).passed
+    except (KeyError, ValueError):
+        audited = False
+    for command in SCHEME_COMMANDS:
+        # in-process, so a traceback surfaces here as an uncaught exception
+        code, _, err = run([*command, str(path)])
+        assert code in (1, 2) or (code == 0 and audited)
+        if code == 2:
+            [line] = err.splitlines()
+            assert line.startswith(f"error: {path}")
+
+
+# sha256 of stdout, pinned before scheme geometry became integers over a
+# per-level scale: the reports must not move by a byte
+GOLDEN_STDOUT = {
+    "od3-verify-derivative": (
+        ["verify", "derivative", "--scheme", "{od3}"],
+        "0f2082f64cc3452c8e575c7df5bbc976ca8a5dfc8f82822cd5f322ea9e5ce881",
+    ),
+    "od3-verify-lrs-2": (
+        ["verify", "lrs", "--depth", "2", "--scheme", "{od3}"],
+        "82f0624978fd3edbdc2ca146036a1073d2dc3a2fe690122be95710a118fdab2b",
+    ),
+    "od3-export-ratio": (
+        ["export", "ratio", "--sys", "{od3}"],
+        "e3c34fb1ad41aae493cd50c530b318ccf9036b65d0f825006eba3bded716d4c3",
+    ),
+    "wm2-verify-lrs-1": (
+        ["verify", "lrs", "--depth", "1", "--scheme", "{wm2}"],
+        "64b0aa6ac485bfe89edbb7bcac0a604eedab338526d50781469271c693a9103f",
+    ),
+    "wm2-verify-cover": (
+        ["verify", "cover", "--graph", "{wm2}"],
+        "171a9079311fe82b7ba8f33f50a2ab0c6b80bd05b43ebbc105c415fe129679a1",
+    ),
+    "tr2-verify-lrs-1": (
+        ["verify", "lrs", "--depth", "1", "--scheme", "{tr2}"],
+        "c44ff5f725a9d89d8056c8026a72cf1db2636d2592ec4a3bc565f50c37ea3e4c",
+    ),
+    "tr2-verify-cover": (
+        ["verify", "cover", "--graph", "{tr2}"],
+        "11ec756122de39316120f4cb992953cd63117db73e230e42dc61557954e165c0",
+    ),
+    "od3-build-system": (
+        ["build", "system", "--scheme", "{od3}", "--depth", "2"],
+        "d5c9a53c23efa5982b075d2f7509f63155563aa111dce3eb8ec3efd8b2648a8e",
+    ),
+    "od3-build-extension": (
+        ["build", "extension", "--scheme", "{od3}", "--levels", "1", "--tail", "4", "--refine", "3"],
+        "3ffea6bdf9c91682b0c9ea5c5398ca08952261abf5bf3b70a97633d1a67f6027",
+    ),
+}
+
+# sha256 of "n label A.lo A.hi D.lo D.hi" lines, one per cell in file order,
+# endpoints as reduced fractions; pinned at the same commit
+GOLDEN_GEOMETRY = {
+    "od3": "cf1a61e738bdfb286950c2df965615d5a8437585b1dae811d66912c9de4d9d00",
+    "wm2": "98bde0c95dc28a8edae80dc36f2d3b7ef19561b9f67f5bedc9f6b90157ae37b2",
+    "tr2": "e6d3cbf8f73e6787f03c5c8ae355fe3599744e2de0700ad7d5e9111b8a4b83ed",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_STDOUT))
+def test_report_bytes_match_the_pinned_digests(work, case):
+    argv, digest = GOLDEN_STDOUT[case]
+    code, out, _ = run([arg.format(**work) for arg in argv])
+    assert code == 0
+    assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GEOMETRY))
+def test_scheme_geometry_matches_the_pinned_digest(work, name):
+    scheme = scheme_from_json(json.loads(work[name].read_text()))
+    text = "".join(
+        f"{lvl.n} {c.label} {c.A.lo} {c.A.hi} {c.D.lo} {c.D.hi}\n"
+        for lvl in scheme.levels
+        for c in lvl.cells.values()
+    )
+    assert sha256(text) == GOLDEN_GEOMETRY[name]
 
 
 def test_missing_file_is_a_usage_error(tmp_path):

@@ -9,17 +9,13 @@ from cantor_shrink.exact import (
     ClosedInterval,
     canonical_dumps,
     decimal_to_int,
-    gap,
-    hull,
+    hex_to_int,
     int_to_decimal,
-    interval_from_json,
-    interval_to_json,
-    middle_of_length,
+    int_to_hex,
     pow2,
     scalar_from_json,
     scalar_to_json,
-    split_equal,
-    sup_distance,
+    scaled_fraction,
 )
 
 
@@ -36,13 +32,6 @@ def dyadic_triadic(draw):
     e2 = draw(st.integers(min_value=-2000, max_value=200))
     e3 = draw(st.integers(min_value=-50, max_value=20))
     return Fraction(mantissa) * Fraction(2) ** e2 * Fraction(3) ** e3
-
-
-@st.composite
-def intervals(draw):
-    lo = draw(rationals())
-    width = draw(rationals(max_num=10**4))
-    return ClosedInterval(lo, lo + abs(width))
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +109,50 @@ def test_scalar_json_rejects_malformed():
         scalar_from_json({"numerator": "1"})
     with pytest.raises(ValueError):
         scalar_from_json({"num": "1", "den": "0"})
+    # retyped fields are input errors, not TypeErrors
+    with pytest.raises(ValueError):
+        scalar_from_json({"num": 1, "den": "2"})
+    with pytest.raises(ValueError):
+        scalar_from_json({"mantissa": "1", "pow2": [3]})
+    with pytest.raises(ValueError):
+        scalar_from_json({"mantissa": "1", "pow3": "2"})
+
+
+@h.given(st.one_of(rationals(), dyadic_triadic()), st.sampled_from([1, 5, 7, 35, 3**40 * 11]))
+def test_scaled_fraction_is_the_reduced_fraction(q, extra):
+    # an integer over an unreduced scale gives the fraction in lowest terms
+    reduced = scaled_fraction(q.numerator * extra << 7, q.denominator * extra << 7)
+    assert (reduced.numerator, reduced.denominator) == (q.numerator, q.denominator)
+    assert scalar_to_json(reduced) == scalar_to_json(q)
+
+
+@h.given(st.integers(min_value=-(10**30), max_value=10**30), st.integers(min_value=0, max_value=3000))
+def test_hex_roundtrip(n, zeros):
+    value = n << zeros
+    text = int_to_hex(value)
+    assert hex_to_int(text, value.bit_length()) == value
+    # trailing zero bits are written as a count, never as digits
+    assert value == 0 or int(text.partition("p")[0], 16) % 2 == 1
+
+
+def test_hex_form():
+    assert int_to_hex(0) == "0"
+    assert int_to_hex(5) == "5"
+    assert int_to_hex(3 << 40) == "3p40"
+    assert int_to_hex(-6) == "-3p1"
+    assert hex_to_int("-3p1", 8) == -6
+
+
+@pytest.mark.parametrize("text", ["0x1f", "1F", "12g", " 1f", "", "1p", "p3", "1p-2", "1.5", 5, None, ["1"]])
+def test_hex_to_int_rejects_junk(text):
+    with pytest.raises(ValueError, match="hex"):
+        hex_to_int(text, 64)
+
+
+def test_hex_to_int_bounds_the_value():
+    assert hex_to_int("1p60", 64) == 1 << 60
+    with pytest.raises(ValueError, match="bits"):
+        hex_to_int("1p9999999999", 64)
 
 
 def test_canonical_dumps_is_order_insensitive():
@@ -135,48 +168,3 @@ def test_canonical_dumps_is_order_insensitive():
 def test_interval_validates_order():
     with pytest.raises(ValueError):
         ClosedInterval(Fraction(1), Fraction(0))
-
-
-@h.given(intervals(), st.integers(min_value=1, max_value=40))
-def test_split_equal_reconstitutes(iv, k):
-    parts = split_equal(iv, k)
-    assert len(parts) == k
-    assert parts[0].lo == iv.lo and parts[-1].hi == iv.hi
-    for left, right in zip(parts, parts[1:]):
-        assert left.hi == right.lo
-    assert all(p.diameter == iv.diameter / k for p in parts)
-
-
-def test_split_equal_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        split_equal(ClosedInterval(0, 1), 0)
-
-
-def test_gap_touching_is_zero_overlap_errors():
-    a = ClosedInterval(0, 1)
-    assert gap(a, ClosedInterval(1, 2)) == 0
-    assert gap(ClosedInterval(3, 4), a) == 2
-    with pytest.raises(ValueError):
-        gap(a, ClosedInterval(Fraction(1, 2), 2))
-
-
-@h.given(intervals(), intervals())
-def test_sup_distance_dominates_midpoint_distance(a, b):
-    assert sup_distance(a, b) >= abs(a.midpoint - b.midpoint)
-    assert sup_distance(a, b) == sup_distance(b, a)
-
-
-@h.given(st.lists(intervals(), min_size=1, max_size=6))
-def test_hull_contains_all(ivs):
-    big = hull(ivs)
-    assert all(big.encloses(iv) for iv in ivs)
-
-
-@h.given(intervals())
-def test_interval_json_roundtrip(iv):
-    assert interval_from_json(interval_to_json(iv)) == iv
-
-
-def test_middle_of_length_exact():
-    iv = middle_of_length(ClosedInterval(0, Fraction(1, 2)), Fraction(1, 6))
-    assert (iv.lo, iv.hi) == (Fraction(1, 6), Fraction(1, 3))

@@ -1,14 +1,14 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import hypothesis as h
 import hypothesis.strategies as st
 import pytest
 
-from cantor_shrink.exact import ClosedInterval, canonical_dumps, gap, pow2, scalar_from_json
+from cantor_shrink.exact import canonical_dumps, int_to_hex, pow2, scalar_from_json
 from cantor_shrink.graphcover import base_vertex, build_sequence, preimage_counts
 from cantor_shrink.interval_embed import (
-    Cell,
     audit_scheme,
     build_graph_scheme,
     build_odometer_scheme,
@@ -27,6 +27,15 @@ from cantor_shrink.interval_embed import (
 from cantor_shrink.odometer import OdometerSpec
 
 
+def encloses(outer, inner):
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def gap(a, b):
+    """Distance between two disjoint intervals."""
+    return max(b.lo - a.hi, a.lo - b.hi)
+
+
 @pytest.fixture(scope="module")
 def od248():
     return build_odometer_scheme(OdometerSpec.from_list([2, 4, 8]), 3)
@@ -43,8 +52,8 @@ def wm_scheme():
 
 def test_level_one_frozen_geometry(od248):
     lvl = od248.level(1)
-    assert lvl.a == Fraction(1, 2)
-    assert lvl.b == Fraction(1, 8)
+    assert Fraction(lvl.a, lvl.scale) == Fraction(1, 2)
+    assert Fraction(lvl.b, lvl.scale) == Fraction(1, 8)
     assert (lvl.cells[0].D.lo, lvl.cells[0].D.hi) == (Fraction(1, 6), Fraction(1, 3))
     assert (lvl.cells[1].D.lo, lvl.cells[1].D.hi) == (Fraction(59, 48), Fraction(61, 48))
     assert gap(lvl.cells[0].D, lvl.cells[1].D) == Fraction(43, 48)
@@ -52,8 +61,8 @@ def test_level_one_frozen_geometry(od248):
 
 def test_level_two_core_ladder(od248):
     lvl = od248.level(2)
-    assert lvl.a == Fraction(1, 32)
-    assert lvl.b == Fraction(1, 131072)
+    assert Fraction(lvl.a, lvl.scale) == Fraction(1, 32)
+    assert Fraction(lvl.b, lvl.scale) == Fraction(1, 131072)
     diameters = {j: lvl.cells[j].D.diameter for j in range(4)}
     assert diameters == {
         0: Fraction(1, 1536),
@@ -62,18 +71,18 @@ def test_level_two_core_ladder(od248):
         3: Fraction(1, 96),
     }
     # the ladder restarts at its top immediately after the exceptional label
-    assert diameters[3] == lvl.a / 3
-    assert diameters[2] == lvl.b / 3
+    assert diameters[3] == Fraction(lvl.a, 3 * lvl.scale)
+    assert diameters[2] == Fraction(lvl.b, 3 * lvl.scale)
 
 
 def test_carrier_nesting_iff_congruent(od248):
     coarse, fine = od248.level(1), od248.level(2)
     for j, cell in fine.cells.items():
         for i, parent in coarse.cells.items():
-            inside = parent.A.encloses(cell.A)
+            inside = encloses(parent.A, cell.A)
             assert inside == (i == j % 2)
             if inside:
-                assert parent.D.encloses(cell.A)
+                assert encloses(parent.D, cell.A)
 
 
 def test_exceptional_label_is_previous_modulus(od248):
@@ -131,7 +140,7 @@ def test_lrs_fails_on_widened_core(od248):
     tampered = scheme_from_json(scheme_to_json(od248))
     lvl = tampered.level(2)
     bad = lvl.cells[0]
-    lvl.cells[0] = Cell(bad.label, bad.A, bad.A, bad.parent)  # core blown up to carrier
+    lvl.cells[0] = replace(bad, core=bad.carrier)  # core blown up to carrier
     report = verify_lrs_pairs(tampered, 1)
     assert not report.passed
     assert report.witnesses[0]["pair"] == [0, 2]
@@ -141,8 +150,8 @@ def test_audit_catches_off_center_core(od248):
     tampered = scheme_from_json(scheme_to_json(od248))
     lvl = tampered.level(1)
     good = lvl.cells[0]
-    shifted = ClosedInterval(good.D.lo + Fraction(1, 1000), good.D.hi + Fraction(1, 1000))
-    lvl.cells[0] = Cell(good.label, good.A, shifted, good.parent)
+    # one unit of the level scale to the right
+    lvl.cells[0] = replace(good, core=(good.core[0] + 1, good.core[1] + 1))
     report = audit_scheme(tampered)
     assert not report.passed
     assert any(w["reason"] == "core not concentric" for w in report.witnesses)
@@ -181,8 +190,8 @@ def test_induced_map_label_steps_residue(od248):
 def test_graph_level_zero_frozen(wm_scheme):
     lvl = wm_scheme.level(0)
     assert sorted(lvl.cells) == [-2, -1, 0, 1]
-    assert lvl.a == Fraction(1, 2)
-    assert lvl.b == pow2(-32) / 6
+    assert Fraction(lvl.a, lvl.scale) == Fraction(1, 2)
+    assert Fraction(lvl.b, lvl.scale) == pow2(-32) / 6
     assert lvl.cells[0].D.diameter == pow2(-32) / 6
     assert lvl.cells[1].D.diameter == pow2(-36) / 6
     assert lvl.cells[-1].D.diameter == pow2(-36) / 6
@@ -191,8 +200,9 @@ def test_graph_level_zero_frozen(wm_scheme):
 
 
 def test_graph_level_scales(wm_scheme):
-    assert wm_scheme.level(1).a == pow2(-24) / 72
-    assert wm_scheme.level(1).b == pow2(-348) / 72
+    lvl = wm_scheme.level(1)
+    assert Fraction(lvl.a, lvl.scale) == pow2(-24) / 72
+    assert Fraction(lvl.b, lvl.scale) == pow2(-348) / 72
     assert wm_scheme.level(1).cells[0].D.diameter == pow2(-648) / 6
     assert len(wm_scheme.level(1).cells) == 18
     assert len(wm_scheme.level(2).cells) == 74
@@ -205,7 +215,7 @@ def test_graph_slots_are_twelfths(wm_scheme):
             assert kids, "covering maps are vertex-surjective"
             for child in kids:
                 assert child.A.diameter * 12 == parents.cells[label].D.diameter
-                assert parents.cells[label].D.encloses(child.A)
+                assert encloses(parents.cells[label].D, child.A)
 
 
 def test_graph_fibre_takes_leftmost_slots(wm_scheme):
@@ -285,10 +295,36 @@ def test_scheme_json_roundtrip_is_byte_identical(od248, wm_scheme):
 
 def test_loaded_scheme_keeps_file_intervals(od248):
     obj = scheme_to_json(od248)
-    obj["levels"][0]["cells"][0]["D"]["hi"] = {"num": "1", "den": "2"}
+    obj["levels"][0]["cells"][0]["D"][1] = int_to_hex(od248.level(1).scale // 2)
     loaded = scheme_from_json(obj)
     assert loaded.level(1).cells[0].D.hi == Fraction(1, 2)
     assert not audit_scheme(loaded).passed
+
+
+def test_level_scales_refine_and_factor(od248, wm_scheme):
+    # graph scales are 2^p 3^q; the (2, 4, 8) odometer's are 2^p * 3
+    for scheme in (od248, wm_scheme):
+        for lvl, nxt in zip(scheme.levels, scheme.levels[1:]):
+            assert nxt.scale % lvl.scale == 0
+        for lvl in scheme.levels:
+            rest, q = lvl.scale >> (lvl.scale & -lvl.scale).bit_length() - 1, 0
+            while rest % 3 == 0:
+                rest, q = rest // 3, q + 1
+            assert rest == 1 and (q == 1 if scheme.kind == "odometer" else q >= 1)
+
+
+def test_scheme_from_json_wants_the_current_format(od248):
+    obj = scheme_to_json(od248)
+    del obj["format"]
+    with pytest.raises(ValueError, match=r"rebuild .*\{\"rule\":\"list\",\"s\":\[2,4,8\]\}"):
+        scheme_from_json(obj)
+
+
+def test_scheme_from_json_wants_scales_that_refine(od248):
+    obj = scheme_to_json(od248)
+    obj["levels"][1]["scale"] = {"mantissa": "7", "pow2": 0, "pow3": 0}
+    with pytest.raises(ValueError, match=r"levels\[1\]: field 'scale'"):
+        scheme_from_json(obj)
 
 
 def test_scheme_from_json_rejects_unknown_kind():
