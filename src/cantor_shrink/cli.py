@@ -95,6 +95,14 @@ def _load_scheme(path: str):
             raise ValueError(f"scheme file is missing field {exc}") from exc
 
 
+def _log_system(what: str, system, t0: float) -> None:
+    n = len(system.points)
+    log.info(
+        "%s: %d points, %d-bit scale, %d triangle triples checked in %.2fs",
+        what, n, system.scale.bit_length(), n * (n - 1) * (n - 2), time.perf_counter() - t0,
+    )
+
+
 def _audit_fails(path: str, scheme) -> bool:
     """Audit a loaded scheme, and on failure print one line naming the first
     witness: a certificate on geometry that fails its audit certifies nothing."""
@@ -151,9 +159,13 @@ def cmd_build_graph(args) -> int:
 
 def cmd_build_extension(args) -> int:
     scheme = _load_scheme(args.scheme)
+    if _audit_fails(args.scheme, scheme):
+        return 1
+    t0 = time.perf_counter()
     ext = build_attractor_repellor(
         scheme, levels=args.levels, tail=args.tail, refine=args.refine, rate=args.rate
     )
+    _log_system("extension", ext.as_system(), t0)
     _emit(canonical_dumps(extension_to_json(ext)), args.out)
     return 0
 
@@ -162,11 +174,17 @@ def cmd_build_system(args) -> int:
     if (args.scheme is None) == (args.shift is None):
         raise ValueError("give exactly one of --scheme (with --depth) or --shift")
     if args.shift is not None:
+        t0 = time.perf_counter()
         system = full_shift_midpoint_system(args.shift)
     else:
         if args.depth is None:
             raise ValueError("--scheme needs --depth")
-        system = midpoint_system(_load_scheme(args.scheme), args.depth)
+        scheme = _load_scheme(args.scheme)
+        if _audit_fails(args.scheme, scheme):
+            return 1
+        t0 = time.perf_counter()
+        system = midpoint_system(scheme, args.depth)
+    _log_system("system", system, t0)
     _emit(canonical_dumps(system_to_json(system)), args.out)
     return 0
 
@@ -224,6 +242,8 @@ def cmd_verify_cover(args) -> int:
     scheme = _load_scheme(args.graph)
     if scheme.kind != "graph":
         raise ValueError("verify cover expects a graph scheme file")
+    if _audit_fails(args.graph, scheme):
+        return 1
     seq = scheme.cover
     variant = seq.variant
     t0 = time.perf_counter()
@@ -326,12 +346,18 @@ def cmd_export_ratio(args) -> int:
 
 
 def cmd_export_svg(args) -> int:
-    _emit(render_svg(_load_scheme(args.sys)), args.out)
+    scheme = _load_scheme(args.sys)
+    if _audit_fails(args.sys, scheme):
+        return 1
+    _emit(render_svg(scheme), args.out)
     return 0
 
 
 def cmd_export_entropy(args) -> int:
-    system = system_from_json(_load_json(args.sys))
+    t0 = time.perf_counter()
+    with _naming(args.sys):
+        system = system_from_json(_load_json(args.sys))
+    _log_system(f"loaded {args.sys}", system, t0)
     rows = entropy_estimate(system, args.eps, args.n)
     buf = io.StringIO()
     writer = csv.writer(buf)

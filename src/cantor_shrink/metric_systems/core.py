@@ -1,89 +1,112 @@
 """Finite metric dynamical systems with exact rational distances.
 
 Everything here is desk scale on purpose: systems are finite point sets whose
-metric is validated exactly (symmetry, positivity, triangle inequality) at
+metric is validated exactly (symmetry, positivity, every ordered triangle) at
 construction time, so any certificate computed downstream — local radial
 shrinking, separated-set counts, entropy estimates — is a statement about a
 genuine metric space and not about unchecked tables.
+
+A system stores its metric as one positive integer scale S and an n×n matrix
+of integers D, indexed by point position, with d(x_i, x_j) = D[i][j] / S.
+The constructors put their inputs over one common denominator once, and the
+triangle check and every certificate compare integers over S; reduced
+``Fraction``s appear only where a distance, radius or margin leaves the
+module, built by :func:`~cantor_shrink.exact.scaled_fraction`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from operator import sub
 from typing import NamedTuple
 
-from cantor_shrink.exact import scalar_from_json, scalar_to_json
+from cantor_shrink.exact import scalar_from_json, scalar_to_json, scaled_fraction
 from cantor_shrink.interval_embed import EmbeddingScheme
 
 
 @dataclass
 class FinitePointSystem:
-    """Point ids, exact metric (both orientations), total self-map.
+    """Point ids, exact metric as integers over one scale, total self-map.
 
-    ``eps`` optionally assigns each point the radius inside which shrinking
-    is demanded; ``source`` records where the system came from (used by
-    label bookkeeping, never by the metric checks).
+    ``dist[i][j] / scale`` is the distance between ``points[i]`` and
+    ``points[j]``.  ``eps`` optionally assigns each point the radius inside
+    which shrinking is demanded; ``source`` records where the system came
+    from (used by label bookkeeping, never by the metric checks).
     """
 
     points: list
-    metric: dict
+    scale: int
+    dist: list
     map: dict
     eps: dict | None = None
     source: dict | None = None
+    index: dict = field(init=False, repr=False)
+    succ: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        pts = self.points
-        ids = set(pts)
-        if not pts or len(ids) != len(pts):
+        pts, dist, n = self.points, self.dist, len(self.points)
+        self.index = {x: i for i, x in enumerate(pts)}
+        if not pts or len(self.index) != n:
             raise ValueError("points must be nonempty and distinct")
         for x in pts:
-            if self.map.get(x) not in ids:
+            if self.map.get(x) not in self.index:
                 raise ValueError(f"map must send {x!r} to a point of the system")
-        for x, y in combinations(pts, 2):
-            dxy = self.metric.get((x, y), self.metric.get((y, x)))
-            if dxy is None or dxy <= 0:
-                raise ValueError(f"metric must be positive and defined on {(x, y)!r}")
-            self.metric[(x, y)] = self.metric[(y, x)] = dxy
-        for x in pts:
-            for y in pts:
-                if y is x:
-                    continue
-                dxy = self.metric[(x, y)]
-                for z in pts:
-                    if z is x or z is y:
-                        continue
-                    if dxy + self.metric[(y, z)] < self.metric[(x, z)]:
-                        raise ValueError(f"triangle inequality fails on {(x, y, z)!r}")
+        self.succ = [self.index[self.map[x]] for x in pts]
+        if type(self.scale) is not int or self.scale <= 0:
+            raise ValueError(f"scale must be a positive integer, not {self.scale!r:.40}")
+        if len(dist) != n or any(len(row) != n for row in dist):
+            raise ValueError(f"distances must form a {n}x{n} matrix")
+        for i, row in enumerate(dist):
+            if row[i] != 0:
+                raise ValueError(f"distances must vanish on the diagonal; not at {pts[i]!r}")
+            for j in range(i + 1, n):
+                if row[j] <= 0 or row[j] != dist[j][i]:
+                    raise ValueError(
+                        f"distances must be positive and symmetric off the diagonal; "
+                        f"not on {(pts[i], pts[j])!r}"
+                    )
+        # every ordered triple: d(x, y) + d(y, z) >= d(x, z) and its mirror
+        # d(y, x) + d(x, z) >= d(y, z) are |D[x][z] - D[y][z]| <= D[x][y], one
+        # pass over z per unordered pair {x, y} (z = x or y holds trivially)
+        for i, row in enumerate(dist):
+            for j in range(i + 1, n):
+                if max(map(abs, map(sub, row, dist[j]))) > row[j]:
+                    # name the first failing triple in point order (x, then
+                    # y, then z), which the order of pairs does not follow
+                    x, y, z = next(
+                        (x, y, z)
+                        for x, xrow in enumerate(dist)
+                        for y, yrow in enumerate(dist)
+                        for z in range(n)
+                        if xrow[z] - yrow[z] > xrow[y]
+                    )
+                    raise ValueError(f"triangle inequality fails on {(pts[x], pts[y], pts[z])!r}")
         if self.eps is not None:
             for x in pts:
                 if self.eps.get(x, Fraction(0)) <= 0:
-                    raise ValueError(f"radius at {x!r} must be positive")
+                    raise ValueError(f"eps radius at {x!r} must be positive")
 
     @classmethod
     def from_positions(cls, positions: dict, step: dict, eps=None, source=None):
-        """Coordinate-sum (L1) metric from per-point coordinate tuples."""
-        coords = {
-            x: p if isinstance(p, tuple) else (p,) for x, p in positions.items()
-        }
-        pts = list(positions)
-        metric = {}
-        for x, y in combinations(pts, 2):
-            metric[(x, y)] = sum(abs(a - b) for a, b in zip(coords[x], coords[y]))
-        return cls(pts, metric, dict(step), eps=eps, source=source)
+        """Coordinate-sum (L1) metric from per-point coordinates (a rational or
+        a tuple of rationals), all put over their least common denominator."""
+        coords = [
+            tuple(map(Fraction, p)) if isinstance(p, tuple) else (Fraction(p),)
+            for p in positions.values()
+        ]
+        scale = math.lcm(*{c.denominator for p in coords for c in p})
+        ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in coords]
+        dist = [[sum(map(abs, map(sub, p, q))) for q in ints] for p in ints]
+        return cls(list(positions), scale, dist, dict(step), eps=eps, source=source)
 
     def d(self, x, y) -> Fraction:
-        return Fraction(0) if x == y else self.metric[(x, y)]
+        return scaled_fraction(self.dist[self.index[x]][self.index[y]], self.scale)
 
     def f(self, x):
         return self.map[x]
-
-    @property
-    def diameter(self) -> Fraction:
-        return max(self.metric[(x, y)] for x, y in combinations(self.points, 2)) if len(self.points) > 1 else Fraction(0)
 
 
 class LrsResult(NamedTuple):
@@ -94,19 +117,27 @@ class LrsResult(NamedTuple):
     min_margin: Fraction | None
 
 
+def _image_distances(sys: FinitePointSystem) -> list:
+    """Row i, column j: d(f(x_i), f(x_j)) over the system's scale."""
+    succ = sys.succ
+    return [[row[k] for k in succ] for row in (sys.dist[i] for i in succ)]
+
+
+def _radii(sys: FinitePointSystem, image: list) -> list:
+    """Computed radii over the scale: nearest non-shrinking partner, else
+    one unit past the diameter."""
+    fallback = max(map(max, sys.dist)) + sys.scale
+    return [
+        min((d for d, e in zip(row, img) if e >= d > 0), default=fallback)
+        for row, img in zip(sys.dist, image)
+    ]
+
+
 def computed_radii(sys: FinitePointSystem) -> dict:
     """Largest usable radius per point: distance to its nearest
     non-shrinking partner, or past the diameter if every partner shrinks."""
-    radii = {}
-    fallback = sys.diameter + 1
-    for x in sys.points:
-        bad = [
-            sys.d(x, y)
-            for y in sys.points
-            if y != x and sys.d(sys.f(x), sys.f(y)) >= sys.d(x, y)
-        ]
-        radii[x] = min(bad) if bad else fallback
-    return radii
+    radii = _radii(sys, _image_distances(sys))
+    return {x: scaled_fraction(r, sys.scale) for x, r in zip(sys.points, radii)}
 
 
 def check_lrs(sys: FinitePointSystem) -> LrsResult:
@@ -116,24 +147,33 @@ def check_lrs(sys: FinitePointSystem) -> LrsResult:
     maximal feasible ones.  Returns the first failing pair as witness, or the
     smallest shrink margin over all pairs that had to shrink.
     """
-    radii = sys.eps if sys.eps is not None else computed_radii(sys)
+    scale, image = sys.scale, _image_distances(sys)
+    if sys.eps is None:
+        radii = _radii(sys, image)
+    else:
+        # d < r exactly when D < ceil(r * scale), D being an integer
+        radii = [-(-Fraction(sys.eps[x]) * scale // 1) for x in sys.points]
     worst = None
-    for x in sys.points:
-        for y in sys.points:
-            if y == x or sys.d(x, y) >= radii[x]:
-                continue
-            margin = sys.d(x, y) - sys.d(sys.f(x), sys.f(y))
-            if margin <= 0:
-                return LrsResult(False, (x, y), margin)
-            if worst is None or margin < worst:
-                worst = margin
-    return LrsResult(True, None, worst)
+    for i, (row, img, r) in enumerate(zip(sys.dist, image, radii)):
+        margins = [d - e for d, e in zip(row, img) if 0 < d < r]
+        if not margins:
+            continue
+        least = min(margins)
+        if least <= 0:
+            j = next(j for j, (d, e) in enumerate(zip(row, img)) if 0 < d < r and d <= e)
+            margin = scaled_fraction(row[j] - img[j], scale)
+            return LrsResult(False, (sys.points[i], sys.points[j]), margin)
+        if worst is None or least < worst:
+            worst = least
+    return LrsResult(True, None, None if worst is None else scaled_fraction(worst, scale))
 
 
 def check_shrinking(sys: FinitePointSystem) -> bool:
     """Global strict shrinking: d(f(x), f(y)) < d(x, y) for every pair."""
     return all(
-        sys.d(sys.f(x), sys.f(y)) < sys.d(x, y) for x, y in combinations(sys.points, 2)
+        e < d
+        for i, (row, img) in enumerate(zip(sys.dist, _image_distances(sys)))
+        for d, e in zip(row[i + 1 :], img[i + 1 :])
     )
 
 
@@ -205,15 +245,16 @@ def shrinking_propositions_oracle(trials: int = 1000, max_size: int = 8, seed: i
         if not check_shrinking(sys):
             continue
         report["shrinking_systems"] += 1
-        pts = sys.points
-        if {sys.f(x) for x in pts} == set(pts):
+        succ = sys.succ  # the map on point indices
+        pts = range(len(succ))
+        if len(set(succ)) == len(succ):
             report["surjective_shrinking"] += 1
             if len(pts) != 1:
                 report["counterexamples"].append({"trial": t, "claim": "surjective"})
         image = set(pts)
-        for _ in range(len(pts)):
-            image = {sys.f(x) for x in image}
-        fixed = [x for x in pts if sys.f(x) == x]
+        for _ in pts:
+            image = {succ[x] for x in image}
+        fixed = [x for x in pts if succ[x] == x]
         if len(image) != 1 or len(fixed) != 1 or image != set(fixed):
             report["counterexamples"].append({"trial": t, "claim": "unique-fixed-point"})
             continue
@@ -223,7 +264,7 @@ def shrinking_propositions_oracle(trials: int = 1000, max_size: int = 8, seed: i
             level = {x}
             steps = 0
             while level and steps <= len(pts):
-                level = {y for y in pts if sys.f(y) in level}
+                level = {y for y in pts if succ[y] in level}
                 steps += 1
             if level:
                 report["counterexamples"].append({"trial": t, "claim": "preimage-vanishes"})
@@ -289,16 +330,19 @@ def separated_count(sys: FinitePointSystem, n: int, eps: Fraction) -> int:
         raise ValueError("need at least one step")
     if eps <= 0:
         raise ValueError("separation threshold must be positive")
-    pts = sys.points
-    orbits = {x: [x] for x in pts}
-    for x in pts:
+    # d > eps exactly when D > floor(eps * scale), D being an integer
+    threshold = Fraction(eps) * sys.scale // 1
+    dist, succ = sys.dist, sys.succ
+    orbits = []
+    for i in range(len(dist)):
+        orbit = [i]
         for _ in range(n - 1):
-            orbits[x].append(sys.f(orbits[x][-1]))
-    adj = [0] * len(pts)
-    for i, x in enumerate(pts):
-        for j in range(i + 1, len(pts)):
-            y = pts[j]
-            if any(sys.d(u, v) > eps for u, v in zip(orbits[x], orbits[y])):
+            orbit.append(succ[orbit[-1]])
+        orbits.append(orbit)
+    adj = [0] * len(dist)
+    for i, orbit in enumerate(orbits):
+        for j in range(i + 1, len(dist)):
+            if any(dist[u][v] > threshold for u, v in zip(orbit, orbits[j])):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return _max_clique(adj)
@@ -333,9 +377,10 @@ def product_system(sys1: FinitePointSystem, sys2: FinitePointSystem) -> FinitePo
     radii, which is exactly what makes local shrinking survive the product.
     """
     pts = [(p, q) for p in sys1.points for q in sys2.points]
-    metric = {}
-    for u, v in combinations(pts, 2):
-        metric[(u, v)] = sys1.d(u[0], v[0]) + sys2.d(u[1], v[1])
+    scale = math.lcm(sys1.scale, sys2.scale)
+    rows1 = [[d * (scale // sys1.scale) for d in row] for row in sys1.dist]
+    rows2 = [[d * (scale // sys2.scale) for d in row] for row in sys2.dist]
+    dist = [[u + v for u in r1 for v in r2] for r1 in rows1 for r2 in rows2]
     step = {(p, q): (sys1.f(p), sys2.f(q)) for p, q in pts}
     eps = None
     if sys1.eps is not None and sys2.eps is not None:
@@ -343,7 +388,7 @@ def product_system(sys1: FinitePointSystem, sys2: FinitePointSystem) -> FinitePo
     source = None
     if sys1.source is not None and sys2.source is not None:
         source = {"kind": "product", "factors": [sys1.source, sys2.source]}
-    return FinitePointSystem(pts, metric, step, eps=eps, source=source)
+    return FinitePointSystem(pts, scale, dist, step, eps=eps, source=source)
 
 
 def midpoint_system(scheme: EmbeddingScheme, depth: int, with_radii: bool = True) -> FinitePointSystem:
@@ -392,38 +437,63 @@ def _encode_id(x):
 def _decode_id(x):
     if isinstance(x, list):
         return tuple(_decode_id(v) for v in x)
+    if type(x) not in (int, str):
+        raise ValueError(f"field 'points': a point id is an integer, a string or a list of ids, not {x!r:.40}")
     return x
 
 
 def system_to_json(sys: FinitePointSystem) -> dict:
-    pts = sys.points
     out = {
         "kind": "finite-system",
-        "points": [_encode_id(x) for x in pts],
+        "points": [_encode_id(x) for x in sys.points],
         "metric": "explicit",
-        "distances": [
-            [scalar_to_json(sys.d(x, y)) for y in pts] for x in pts
-        ],
-        "map": [pts.index(sys.f(x)) for x in pts],
+        "distances": [[scalar_to_json(scaled_fraction(d, sys.scale)) for d in row] for row in sys.dist],
+        "map": list(sys.succ),
     }
     if sys.eps is not None:
-        out["eps"] = [scalar_to_json(sys.eps[x]) for x in pts]
+        out["eps"] = [scalar_to_json(sys.eps[x]) for x in sys.points]
     if sys.source is not None:
         out["source"] = sys.source
     return out
 
 
+def _scalars(values, name: str, n: int) -> list:
+    """A list of ``n`` scalars from field ``name``, decoded, or a ValueError naming it."""
+    if not isinstance(values, list) or len(values) != n:
+        raise ValueError(f"field {name!r} must list {n} entries, one per point")
+    try:
+        return [scalar_from_json(v) for v in values]
+    except ValueError as exc:
+        raise ValueError(f"field {name!r}: {exc}") from exc
+
+
 def system_from_json(obj: dict) -> FinitePointSystem:
+    """Rebuild a system from its JSON form, every distance put over one scale.
+
+    Raises:
+        ValueError: naming the field, on any entry that is missing, mistyped
+            or out of range, and on a matrix that is not a metric.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a finite-system file holds a JSON object, not a {type(obj).__name__}")
     if obj.get("kind") != "finite-system" or obj.get("metric") != "explicit":
         raise ValueError("not a finite-system descriptor")
+    if not isinstance(obj.get("points"), list):
+        raise ValueError("field 'points' must be a list of point ids")
     pts = [_decode_id(x) for x in obj["points"]]
-    metric = {}
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            if i < j:
-                metric[(x, y)] = scalar_from_json(obj["distances"][i][j])
-    step = {x: pts[obj["map"][i]] for i, x in enumerate(pts)}
-    eps = None
-    if "eps" in obj:
-        eps = {x: scalar_from_json(obj["eps"][i]) for i, x in enumerate(pts)}
-    return FinitePointSystem(pts, metric, step, eps=eps, source=obj.get("source"))
+    n = len(pts)
+    rows = obj.get("distances")
+    if not isinstance(rows, list) or len(rows) != n:
+        raise ValueError(f"field 'distances' must hold {n} rows, one per point")
+    values = [_scalars(row, "distances", n) for row in rows]
+    scale = math.lcm(*{v.denominator for row in values for v in row})
+    dist = [[v.numerator * (scale // v.denominator) for v in row] for row in values]
+    targets = obj.get("map")
+    if not isinstance(targets, list) or len(targets) != n:
+        raise ValueError(f"field 'map' must list {n} point indices, one per point")
+    for t in targets:
+        if type(t) is not int or not 0 <= t < n:
+            raise ValueError(f"field 'map': {t!r:.40} is not a point index below {n}")
+    step = {x: pts[t] for x, t in zip(pts, targets)}
+    eps = dict(zip(pts, _scalars(obj["eps"], "eps", n))) if "eps" in obj else None
+    return FinitePointSystem(pts, scale, dist, step, eps=eps, source=obj.get("source"))

@@ -110,10 +110,6 @@ class ExtensionSystem:
     def pi2(self, j: int) -> Fraction:
         return self.positions[("y", j)][1]
 
-    def rho(self, u, v) -> Fraction:
-        (x1, y1), (x2, y2) = self.positions[u], self.positions[v]
-        return abs(x1 - x2) + abs(y1 - y2)
-
     def as_system(self) -> FinitePointSystem:
         return FinitePointSystem.from_positions(
             dict(self.positions),
@@ -217,19 +213,20 @@ def verify_extension_lrs(ext: ExtensionSystem) -> VerifyReport:
     """
     margins = []
     witnesses = []
+    system = ext.as_system()  # rho, the sum metric on the two coordinates
     spec = ext.scheme.spec
     s_m = spec.extended_modulus(ext.refine)
     z_sheet = ("sheet", ext.anchor_value % s_m, -1)
     for n in range(1, ext.levels + 1):
         anchor = ("y", -ext.k[n])
-        before = ext.rho(z_sheet, anchor)
-        after = ext.rho(ext.map[z_sheet], ext.map[anchor])
+        before = system.d(z_sheet, anchor)
+        after = system.d(ext.map[z_sheet], ext.map[anchor])
         entry = {"kind": "critical-pair", "n": n, "margin": scalar_to_json(before - after)}
         (margins if after < before else witnesses).append(entry)
 
-    orbit = [u for u in ext.ids if u[0] == "y"]
-    isolation = min(
-        min(ext.rho(u, v) for v in ext.ids if v != u) for u in orbit
+    orbit = [system.index[u] for u in ext.ids if u[0] == "y"]
+    isolation = scaled_fraction(
+        min(min(d for v, d in enumerate(system.dist[u]) if v != u) for u in orbit), system.scale
     )
     entry = {"kind": "isolation", "margin": scalar_to_json(isolation)}
     (margins if isolation > 0 else witnesses).append(entry)
@@ -246,7 +243,7 @@ def verify_extension_lrs(ext: ExtensionSystem) -> VerifyReport:
         entry = {"kind": "attractor-monotone", "j": j, "margin": scalar_to_json(rise)}
         (margins if rise > 0 else witnesses).append(entry)
 
-    sweep = check_lrs(ext.as_system())
+    sweep = check_lrs(system)
     if not sweep.ok:
         witnesses.append({"kind": "sweep", "pair": [list(sweep.witness[0]), list(sweep.witness[1])]})
     elif sweep.min_margin is not None:

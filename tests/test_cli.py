@@ -15,8 +15,15 @@ import pytest
 
 import cantor_shrink
 from cantor_shrink.cli import main
-from cantor_shrink.exact import hex_to_int, int_to_hex
-from cantor_shrink.interval_embed import audit_scheme, scheme_from_json
+from cantor_shrink.exact import canonical_dumps, hex_to_int, int_to_hex
+from cantor_shrink.interval_embed import audit_scheme, build_odometer_scheme, scheme_from_json
+from cantor_shrink.metric_systems import (
+    build_attractor_repellor,
+    build_fixed_point_system,
+    verify_deformed_lrs,
+    verify_extension_lrs,
+)
+from cantor_shrink.odometer import OdometerSpec
 
 
 def run(argv):
@@ -60,6 +67,8 @@ def work(tmp_path_factory):
         "wm2": root / "wm2.json",
         "tr2": root / "tr2.json",
         "sys2": root / "sys2.json",
+        "sys3": root / "sys3.json",
+        "sh6": root / "sh6.json",
         "root": root,
     }
     assert run(["build", "odometer", "--s", "2,4,8", "--depth", "3", "--out", str(paths["od3"])])[0] == 0
@@ -67,6 +76,8 @@ def work(tmp_path_factory):
     assert run(["build", "graph", "--variant", "weakly-mixing", "--levels", "2", "--out", str(paths["wm2"])])[0] == 0
     assert run(["build", "graph", "--variant", "transitive", "--levels", "2", "--out", str(paths["tr2"])])[0] == 0
     assert run(["build", "system", "--scheme", str(paths["od3"]), "--depth", "2", "--out", str(paths["sys2"])])[0] == 0
+    assert run(["build", "system", "--scheme", str(paths["od3"]), "--depth", "3", "--out", str(paths["sys3"])])[0] == 0
+    assert run(["build", "system", "--shift", "6", "--out", str(paths["sh6"])])[0] == 0
     return paths
 
 
@@ -283,8 +294,8 @@ SCHEME_COMMANDS = [
 SCHEME_COMMAND_IDS = ["verify-derivative", "verify-lrs", "export-ratio"]
 
 
-def _write_mutated(work, path, mutate):
-    obj = json.loads(work["od3"].read_text())
+def _write_mutated(work, path, mutate, source="od3"):
+    obj = json.loads(work[source].read_text())
     result = mutate(obj)
     path.write_text(json.dumps(result if isinstance(result, list) else obj))
     return path
@@ -334,6 +345,108 @@ def test_scheme_failing_its_audit_fails_the_command(work, tmp_path, command, mut
     report = json.loads(out)
     assert code == 1 and report["depths_checked"] == [] and len(report["reports"]) == 1
     assert report["reports"][0]["check"] == "audit" and not report["reports"][0]["pass"]
+
+
+# commands that build on a scheme, with the file they read: each audits it
+# first and stops with the witness, since geometry that fails its audit
+# certifies nothing; verify cover reads graph schemes, so it gets wm2
+SCHEME_READERS = {
+    "build-system": (["build", "system", "--depth", "2", "--scheme"], "od3"),
+    "build-extension": (["build", "extension", "--levels", "1", "--tail", "4", "--refine", "3", "--scheme"], "od3"),
+    "export-svg": (["export", "svg", "--sys"], "od3"),
+    "verify-cover": (["verify", "cover", "--graph"], "wm2"),
+}
+
+AUDIT_WITNESSES = {
+    ("od3", "cell-deleted"): "audit witness at depth 3: labels are not the residues mod s_n",
+    ("od3", "core-carrier-swapped"): "audit witness at depth 2, label 1: core touches carrier",
+    ("wm2", "cell-deleted"): "audit witness at depth 2: labels do not match the level's vertices",
+    ("wm2", "core-carrier-swapped"): "audit witness at depth 1, label -8: core touches carrier",
+}
+
+
+@pytest.mark.parametrize(
+    "mutation, mutate",
+    [("cell-deleted", _drop_last_depth3_cell), ("core-carrier-swapped", _swap_core_and_carrier)],
+    ids=["cell-deleted", "core-carrier-swapped"],
+)
+@pytest.mark.parametrize("reader", sorted(SCHEME_READERS))
+def test_scheme_failing_its_audit_stops_every_reader(work, tmp_path, reader, mutation, mutate):
+    command, source = SCHEME_READERS[reader]
+    bad = _write_mutated(work, tmp_path / "bad.json", mutate, source)
+    code, out, err = run([*command, str(bad)])
+    assert code == 1
+    assert out == ""
+    assert err == f"fail: {bad}: {AUDIT_WITNESSES[source, mutation]}\n"
+
+
+def _setting(value, *path):
+    def mutate(obj):
+        _at(obj, path[:-1])[path[-1]] = value
+    return mutate
+
+
+THIRD = {"num": "1", "den": "3"}
+
+# single mutations of the depth-3 midpoint system file, each with the field its
+# error line must name; each must be caught as bad input
+SYSTEM_MUTATIONS = {
+    "map-index-out-of-range": (_setting(8, "map", 0), "'map'"),
+    "map-entry-string": (_setting("1", "map", 0), "'map'"),
+    "short-distance-row": (lambda obj: obj["distances"][1].pop(), "'distances'"),
+    "points-not-a-list": (_setting(5, "points"), "'points'"),
+    "short-eps": (lambda obj: obj["eps"].pop(), "'eps'"),
+    "top-level-list": (lambda obj: [obj], "JSON object"),
+    "asymmetric": (_setting(THIRD, "distances", 1, 0), "distances"),
+    "nonzero-diagonal": (_setting(THIRD, "distances", 2, 2), "distances"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SYSTEM_MUTATIONS))
+def test_mutated_system_is_a_one_line_usage_error(work, tmp_path, mutation):
+    mutate, named = SYSTEM_MUTATIONS[mutation]
+    bad = _write_mutated(work, tmp_path / f"{mutation}.json", mutate, "sys3")
+    # in-process, so a traceback would surface here as an uncaught exception
+    code, out, err = run(["export", "entropy", "--sys", str(bad), "--eps", "1/4", "--n", "1"])
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {bad}: ")
+    assert named in line
+
+
+# the INFO line each command that builds or loads a finite system logs
+SYSTEM_LOG_LINES = {
+    "build-system": (
+        ["build", "system", "--scheme", "{od3}", "--depth", "3"],
+        r"system: 8 points, 21-bit scale, 336 triangle triples checked in \d+\.\d\ds",
+    ),
+    "build-extension": (
+        ["build", "extension", "--scheme", "{od3}", "--levels", "1", "--tail", "4", "--refine", "3"],
+        r"extension: 23 points, 49-bit scale, 10626 triangle triples checked in \d+\.\d\ds",
+    ),
+    "export-entropy": (
+        ["export", "entropy", "--sys", "{sys3}", "--eps", "1/4", "--n", "1,2"],
+        r"loaded \S+sys3\.json: 8 points, 21-bit scale, 336 triangle triples checked in \d+\.\d\ds",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYSTEM_LOG_LINES))
+def test_finite_system_commands_log_one_line(work, caplog, case):
+    argv, pattern = SYSTEM_LOG_LINES[case]
+    argv = [arg.format(**work) for arg in argv]
+    caplog.set_level(logging.INFO, logger="cantor_shrink.cli")
+    code, out, _ = run(argv)
+    assert code == 0
+    [line] = cli_log_lines(caplog)
+    assert re.fullmatch(pattern, line)
+    # the line goes to stderr under CANTOR_SHRINK_LOG only, and the output
+    # keeps its bytes either way
+    logged, quiet = run_child(argv, log_level="INFO"), run_child(argv)
+    assert logged.stdout == quiet.stdout == out.encode()
+    assert re.fullmatch(f"INFO:cantor_shrink\\.cli:{pattern}\n", logged.stderr.decode())
+    assert quiet.stderr == b""
 
 
 def _json_paths(node, prefix=()):
@@ -437,6 +550,27 @@ GOLDEN_STDOUT = {
         ["build", "extension", "--scheme", "{od3}", "--levels", "1", "--tail", "4", "--refine", "3"],
         "3ffea6bdf9c91682b0c9ea5c5398ca08952261abf5bf3b70a97633d1a67f6027",
     ),
+    # pinned before finite systems became integer distance matrices over one scale
+    "verify-oracle-200-seed-7": (
+        ["verify", "oracle", "--trials", "200", "--seed", "7"],
+        "26b7f302b4d9c3bde9a73cbeb335c0f730b8a92acef0aa139da167f011c3136f",
+    ),
+    "od3-depth3-export-entropy": (
+        ["export", "entropy", "--sys", "{sys3}", "--eps", "1/1572864,1/4", "--n", "1,2,3"],
+        "9159bf0f608ae541b351bac52c1e7382b07dea2402a4e2ffe7d10d1eb8ea9ecb",
+    ),
+    "shift6-export-entropy": (
+        ["export", "entropy", "--sys", "{sh6}", "--eps", "1/4,1/8", "--n", "1,3,6"],
+        "2a4e9e13ba02a84777c713b78b319c47e84580e0c8710524100e68569b6f70be",
+    ),
+}
+
+# sha256 of the canonical JSON of the extension and deformed-triple reports on
+# the finite-systems benchmark inputs, pinned at the same commit as the three
+# entries above
+GOLDEN_CERTIFICATES = {
+    "extension-lrs": "36bf07eab2a16d11bed24c112069b4c55cc1c9b989c38c4e0d868ebfdd549d0c",
+    "deformed-lrs": "0a61047e7d4711fcf495059e7150d6aa05cbe168d619f92296d1d18d155deafd",
 }
 
 # sha256 of "n label A.lo A.hi D.lo D.hi" lines, one per cell in file order,
@@ -458,6 +592,20 @@ def test_report_bytes_match_the_pinned_digests(work, case):
     code, out, _ = run([arg.format(**work) for arg in argv])
     assert code == 0
     assert sha256(out) == digest
+
+
+def _certificate_report(name):
+    if name == "extension-lrs":
+        tall = build_odometer_scheme(OdometerSpec.from_list([2, 4, 8, 16, 32]), 5)
+        return verify_extension_lrs(build_attractor_repellor(tall, levels=3, tail=16, refine=5))
+    od3 = build_odometer_scheme(OdometerSpec.from_list([2, 4, 8]), 3)
+    small = build_attractor_repellor(od3, levels=1, tail=4, refine=3, rate=4)
+    return verify_deformed_lrs(build_fixed_point_system(od3, small, od3, truncation=5))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CERTIFICATES))
+def test_certificate_bytes_match_the_pinned_digests(name):
+    assert sha256(canonical_dumps(_certificate_report(name).to_json())) == GOLDEN_CERTIFICATES[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_GEOMETRY))

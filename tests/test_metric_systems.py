@@ -1,4 +1,7 @@
+import ast
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 import hypothesis as h
@@ -11,6 +14,7 @@ from cantor_shrink.interval_embed import build_graph_scheme, build_odometer_sche
 from cantor_shrink.metric_systems import (
     OMEGA,
     FinitePointSystem,
+    LrsResult,
     backward_return_time,
     build_attractor_repellor,
     build_fixed_point_system,
@@ -89,17 +93,11 @@ def test_constant_map_shrinks_and_fixes_target():
 
 
 def test_metric_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="triangle"):
         FinitePointSystem(
             points=[0, 1, 2],
-            metric={
-                (0, 1): Fraction(1),
-                (1, 0): Fraction(1),
-                (1, 2): Fraction(1),
-                (2, 1): Fraction(1),
-                (0, 2): Fraction(5),  # violates the triangle via 1
-                (2, 0): Fraction(5),
-            },
+            scale=1,
+            dist=[[0, 1, 5], [1, 0, 1], [5, 1, 0]],  # d(0, 2) violates the triangle via 1
             map={0: 0, 1: 1, 2: 2},
         )
     with pytest.raises(ValueError):
@@ -110,10 +108,153 @@ def test_metric_validation():
         )
 
 
+positive = st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=12)
+
+
+@st.composite
+def rational_metrics(draw):
+    """Symmetric matrices of positive rationals with a zero diagonal: the L1
+    metric of distinct plane points, optionally with one distance nudged
+    (a near-metric, on or just past the triangle boundary), or arbitrary."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = [[Fraction(0)] * n for _ in range(n)]
+    if draw(st.booleans()):
+        coord = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+        xs = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+        ys = draw(st.lists(coord, min_size=n, max_size=n))
+        for i in range(n):
+            for j in range(n):
+                m[i][j] = abs(xs[i] - xs[j]) + abs(ys[i] - ys[j])
+        if n > 1 and draw(st.booleans()):
+            i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+            nudge = draw(st.fractions(min_value=Fraction(-1, 4), max_value=Fraction(1, 4), max_denominator=8))
+            m[i][j] = m[j][i] = max(m[i][j] + nudge, Fraction(1, 64))
+    else:
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = draw(positive)
+    return m
+
+
+@h.given(m=rational_metrics())
+@h.settings(derandomize=True, max_examples=200, deadline=None)
+def test_triangle_check_matches_brute_force(m):
+    """The constructor raises exactly when some ordered triple of distinct
+    points violates the triangle inequality, names the first one in point
+    order, and otherwise gives back every distance as the reduced Fraction."""
+    n = len(m)
+    ids = [f"p{i}" for i in range(n)]
+    violations = [
+        (x, y, z)
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+        if len({x, y, z}) == 3 and m[x][y] + m[y][z] < m[x][z]
+    ]
+    scale = math.lcm(*(v.denominator for row in m for v in row))
+    dist = [[int(v * scale) for v in row] for row in m]
+    try:
+        system = FinitePointSystem(ids, scale, dist, {x: x for x in ids})
+    except ValueError as exc:
+        assert violations, str(exc)
+        named = ast.literal_eval(str(exc).partition("triangle inequality fails on ")[2])
+        x, y, z = violations[0]
+        assert named == (ids[x], ids[y], ids[z])
+        assert m[x][y] + m[y][z] < m[x][z]
+    else:
+        assert not violations
+        for i, x in enumerate(ids):
+            for j, y in enumerate(ids):
+                got = system.d(x, y)
+                assert (got.numerator, got.denominator) == (m[i][j].numerator, m[i][j].denominator)
+
+
+@st.composite
+def small_systems(draw):
+    """Systems of up to six distinct plane points (L1 metric) under a random
+    map, with radii (or thresholds) often a distance itself or half a unit
+    of the system's scale to either side of one, so the checks meet d == r
+    and the rounding of r to the scale."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=9)
+    xs = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+    ys = draw(st.lists(coord, min_size=n, max_size=n))
+    positions = {f"p{i}": (xs[i], ys[i]) for i in range(n)}
+    step = {x: f"p{draw(st.integers(0, n - 1))}" for x in positions}
+    distances = sorted({abs(a - c) + abs(b - e) for a, b in zip(xs, ys) for c, e in zip(xs, ys)} - {0})
+    half_unit = Fraction(1, 2 * math.lcm(*(c.denominator for c in xs + ys)))
+    near = st.builds(operator.add, st.sampled_from(distances), st.sampled_from([0, half_unit, -half_unit]))
+    radius = st.one_of(near, positive) if distances else positive
+    eps = draw(st.none() | st.fixed_dictionaries({x: radius for x in positions}))
+    return FinitePointSystem.from_positions(positions, step, eps=eps), draw(radius)
+
+
+def reference_check_lrs(system):
+    """check_lrs as a loop over every ordered pair of Fraction distances."""
+    pts, d, f = system.points, system.d, system.f
+    radii = system.eps
+    if radii is None:
+        diameter = max(d(x, y) for x in pts for y in pts)
+        radii = {
+            x: min((d(x, y) for y in pts if y != x and d(f(x), f(y)) >= d(x, y)), default=diameter + 1)
+            for x in pts
+        }
+    worst = None
+    for x in pts:
+        for y in pts:
+            if y == x or d(x, y) >= radii[x]:
+                continue
+            margin = d(x, y) - d(f(x), f(y))
+            if margin <= 0:
+                return LrsResult(False, (x, y), margin), radii
+            if worst is None or margin < worst:
+                worst = margin
+    return LrsResult(True, None, worst), radii
+
+
+def reference_separated_count(system, n, eps):
+    """Largest set of points whose n-step orbits pairwise eps-separate, by
+    trying every subset."""
+    pts = system.points
+    orbits = {}
+    for x in pts:
+        orbits[x] = [x]
+        for _ in range(n - 1):
+            orbits[x].append(system.f(orbits[x][-1]))
+    apart = {
+        (x, y): any(system.d(u, v) > eps for u, v in zip(orbits[x], orbits[y])) for x in pts for y in pts
+    }
+    return max(
+        len(sub)
+        for k in range(1, len(pts) + 1)
+        for sub in itertools.combinations(pts, k)
+        if all(apart[x, y] for x, y in itertools.combinations(sub, 2))
+    )
+
+
+@h.given(case=small_systems())
+@h.settings(derandomize=True, max_examples=150, deadline=None)
+def test_integer_certificates_match_the_fraction_loops(case):
+    """Radii, radial and global shrinking and separated counts computed on
+    integers over the scale agree with the same checks on Fractions."""
+    system, eps = case
+    lrs, radii = reference_check_lrs(system)
+    assert check_lrs(system) == lrs
+    if system.eps is None:
+        assert computed_radii(system) == radii
+    pts = system.points
+    assert check_shrinking(system) == all(
+        system.d(system.f(x), system.f(y)) < system.d(x, y) for x, y in itertools.combinations(pts, 2)
+    )
+    for n in (1, 2):
+        assert separated_count(system, n, eps) == reference_separated_count(system, n, eps)
+
+
 def test_computed_radii_fallback_past_diameter():
     chain = halving_chain(4)
     radii = computed_radii(chain)
-    assert all(r == chain.diameter + 1 for r in radii.values())
+    diameter = max(chain.d(x, y) for x in chain.points for y in chain.points)
+    assert all(r == diameter + 1 for r in radii.values())
 
 
 @h.given(
@@ -204,7 +345,7 @@ def test_system_json_roundtrip_with_tuple_ids(od248):
     prod = product_system(m2, m2)
     again = system_from_json(system_to_json(prod))
     assert again.points == prod.points
-    assert again.metric == prod.metric
+    assert all(again.d(x, y) == prod.d(x, y) for x in prod.points for y in prod.points)
     assert again.map == prod.map
     assert again.eps == prod.eps
     assert canonical_dumps(system_to_json(again)) == canonical_dumps(system_to_json(prod))
