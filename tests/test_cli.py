@@ -15,7 +15,7 @@ import pytest
 
 import cantor_shrink
 from cantor_shrink.cli import main
-from cantor_shrink.exact import canonical_dumps, hex_to_int, int_to_hex
+from cantor_shrink.exact import canonical_dumps, hex_to_int, int_to_hex, scalar_from_json
 from cantor_shrink.interval_embed import audit_scheme, build_odometer_scheme, scheme_from_json
 from cantor_shrink.metric_systems import (
     build_attractor_repellor,
@@ -582,8 +582,36 @@ GOLDEN_GEOMETRY = {
 }
 
 
+# sha256 of the pair lines (:func:`_pair_lines`) of each ``verify lrs``
+# report in GOLDEN_STDOUT, pinned before margins were written as signed
+# binary digits: the values hold whatever the encoding
+GOLDEN_PAIR_VALUES = {
+    "od3-verify-lrs-2": "3c036f5289632d7a02dd06f65ea90029be05f37f0801e7e1e86435b4085ea312",
+    "wm2-verify-lrs-1": "96e229dd99ac45aa6f673d46e5dc1fb91d206a0e5ff8d4ed8509d5036abee4b9",
+    "tr2-verify-lrs-1": "edbd8b1df1279181e67e2c99b3299183413b02390e094e9038eb29abfb1778a5",
+}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _pair_lines(report: dict) -> str:
+    """One line per sibling pair of a ``verify lrs`` report: depth, parent,
+    pair, kind, and the margin, the sup and inf, or the exclusion reason,
+    each value as a reduced fraction."""
+    lines = []
+    for sub in report["reports"][1:]:
+        depth = sub["stats"]["depth"]
+        for entry in sub["margins"]:
+            value = scalar_from_json(entry["margin"])
+            lines.append(f"{depth} {entry['parent']} {entry['pair']} margin {value}")
+        for entry in sub["witnesses"]:
+            sup, inf = (scalar_from_json(entry[key]) for key in ("sup", "inf"))
+            lines.append(f"{depth} {entry['parent']} {entry['pair']} witness {sup} {inf}")
+        for entry in sub.get("excluded", []):
+            lines.append(f"{depth} {entry['parent']} {entry['pair']} excluded {entry['reason']}")
+    return "".join(line + "\n" for line in lines)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_STDOUT))
@@ -601,6 +629,14 @@ def _certificate_report(name):
     od3 = build_odometer_scheme(OdometerSpec.from_list([2, 4, 8]), 3)
     small = build_attractor_repellor(od3, levels=1, tail=4, refine=3, rate=4)
     return verify_deformed_lrs(build_fixed_point_system(od3, small, od3, truncation=5))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_PAIR_VALUES))
+def test_pair_values_match_the_pinned_digests(work, case):
+    argv, _ = GOLDEN_STDOUT[case]
+    code, out, _ = run([arg.format(**work) for arg in argv])
+    assert code == 0
+    assert sha256(_pair_lines(json.loads(out))) == GOLDEN_PAIR_VALUES[case]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CERTIFICATES))
