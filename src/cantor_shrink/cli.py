@@ -17,6 +17,7 @@ import logging
 import os
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -222,10 +223,17 @@ def cmd_verify_lrs(args) -> int:
         )
     audit = audit_scheme(scheme)
     reports = [audit.to_json()]
-    if audit.passed:
+    for d in depths if audit.passed else []:
         t0 = time.perf_counter()
-        reports.extend(verify_lrs_pairs(scheme, d).to_json() for d in depths)
-        log.info("lrs sweep over depths %s in %.2fs", depths, time.perf_counter() - t0)
+        report = verify_lrs_pairs(scheme, d)
+        reports.append(report.to_json())
+        counts = Counter(e["reason"] for e in report.excluded)
+        reasons = ", ".join(f"{n} {reason}" for reason, n in sorted(counts.items()))
+        log.info(
+            "lrs pairs at depth %d: %s, %d checked, %d excluded%s in %.2fs",
+            d, _verdict(report.passed), report.stats["pairs_checked"], len(report.excluded),
+            f" ({reasons})" if reasons else "", time.perf_counter() - t0,
+        )
     combined = {
         "command": "verify-lrs",
         "requested_depth": args.depth,
@@ -234,7 +242,12 @@ def cmd_verify_lrs(args) -> int:
         "pass": all(r["pass"] for r in reports),
         "reports": reports,
     }
-    _emit(canonical_dumps(combined), args.out)
+    text = canonical_dumps(combined)
+    log.info(
+        "lrs report over depths %s: %s, %d bytes",
+        combined["depths_checked"], _verdict(combined["pass"]), len(text),
+    )
+    _emit(text, args.out)
     return 0 if combined["pass"] else 1
 
 

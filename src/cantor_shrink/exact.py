@@ -2,11 +2,18 @@
 
 Every certified quantity in this package is exact: a `fractions.Fraction`,
 or an integer over a known integer scale; floats appear only in explicitly
-approximate export paths.  Denominators routinely contain powers of two with
-exponents in the hundreds of thousands, so decimal serialization uses
-divide-and-conquer conversions instead of ``str``/``int`` (CPython's
-conversions are quadratic and capped by ``sys.int_max_str_digits``), and
-bulk integers are written in hex, which converts in linear time.
+approximate export paths.
+
+Integers over a scale that a file declares once (scheme geometry and
+sibling-pair margins) are written as one canonical string of signed binary
+digits in non-adjacent form, ``"+84370-84366+12"`` for 2^84370 - 2^84366 +
+2^12, by :func:`int_to_digits` and read back by :func:`digits_to_int`.  The
+level-scale integers have a few dozen nonzero digits at most, so the strings
+stay short whatever the size of the integer, and each digit costs one
+linear-time operation to write or read.  Other scalars are JSON objects
+(:func:`scalar_to_json`) whose decimal terms are converted by divide and
+conquer instead of ``str``/``int`` (CPython's conversions are quadratic and
+capped by ``sys.int_max_str_digits``).
 """
 
 from __future__ import annotations
@@ -81,29 +88,67 @@ def decimal_to_int(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# hex integers with their trailing zero bits split out: "<hex>p<zeros>"
+# signed binary digits: "+e1-e2+e3..." for 2^e1 - 2^e2 + 2^e3 ..., non-adjacent
 
-_HEX = re.compile(r"-?[0-9a-f]+(?:p[0-9]{1,12})?")
-
-
-def int_to_hex(n: int) -> str:
-    """Lower-case hex of n with its trailing zero bits written as ``p<count>``."""
-    zeros = (n & -n).bit_length() - 1 if n else 0
-    return f"{n >> zeros:x}p{zeros}" if zeros else f"{n:x}"
+_DIGITS = re.compile(r"0|(?:[+-](?:0|[1-9][0-9]{0,11}))+")
+_SIGN = re.compile(r"([+-])")
 
 
-def hex_to_int(text: str, max_bits: int) -> int:
-    """Parse int_to_hex output whose value fits in ``max_bits`` bits.
+def int_to_digits(x: int) -> str:
+    """The non-adjacent form of x: its nonzero signed binary digits, highest
+    first, as ``+e`` or ``-e`` for ±2^e; ``"0"`` for zero.
+
+    With h = |x| >> 1, the bits of (|x| + h) ^ h that are set in |x| + h are
+    the digits +1 and those set in h the digits -1, so the digits come out of
+    a few C-level operations on the whole integer; the loop then only visits
+    the ones that are nonzero.
+    """
+    if not x:
+        return "0"
+    m = abs(x)
+    half = m >> 1
+    three_halves = m + half
+    change = half ^ three_halves
+    plus, minus = three_halves & change, half & change
+    if x < 0:
+        plus, minus = minus, plus
+    terms = []
+    while plus or minus:
+        p, q = plus.bit_length(), minus.bit_length()
+        if p > q:
+            plus ^= 1 << p - 1
+            terms.append(f"+{p - 1}")
+        else:
+            minus ^= 1 << q - 1
+            terms.append(f"-{q - 1}")
+    return "".join(terms)
+
+
+def digits_to_int(text: str, max_bits: int) -> int:
+    """Parse :func:`int_to_digits` output whose leading exponent is at most
+    ``max_bits``.  Only the canonical form is read: exponents strictly
+    descending, no two adjacent, and ``"0"`` for zero; each value has
+    exactly one such string.
 
     Raises:
-        ValueError: if the text is not of that form or the value is larger.
+        ValueError: if the text is not of that form or an exponent exceeds
+            ``max_bits``; both are found before any power of two is built.
     """
-    if not isinstance(text, str) or not _HEX.fullmatch(text):
-        raise ValueError(f"{text!r:.40} is not a hex integer")
-    digits, _, zeros = text.partition("p")
-    if 4 * len(digits.lstrip("-")) + int(zeros or 0) > max_bits + 4:
+    if not isinstance(text, str) or not _DIGITS.fullmatch(text):
+        raise ValueError(f"{text!r:.40} is not a signed-digit string")
+    if text == "0":
+        return 0
+    parts = _SIGN.split(text)  # "", sign, exponent, sign, exponent, ...
+    exponents = list(map(int, parts[2::2]))
+    if any(hi - lo < 2 for hi, lo in zip(exponents, exponents[1:])):
+        raise ValueError(f"{text[:40]!r} is not canonical: exponents must fall by at least 2")
+    if exponents[0] > max_bits:
         raise ValueError(f"{text[:40]!r} exceeds {max_bits} bits")
-    return int(digits, 16) << int(zeros or 0)
+    size = exponents[0] // 8 + 1
+    plus, minus = bytearray(size), bytearray(size)
+    for sign, e in zip(parts[1::2], exponents):
+        (plus if sign == "+" else minus)[e >> 3] |= 1 << (e & 7)
+    return int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
 
 
 # ---------------------------------------------------------------------------

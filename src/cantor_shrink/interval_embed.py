@@ -11,6 +11,8 @@ cell per level.
 Each level stores its endpoints as integers over one scale S_n, a multiple
 of S_{n-1}, so certificates compare integers (rescaled by S_{n+1}/S_n across
 levels) instead of normalising fractions with denominators of 10^4+ bits.
+Files and pair-margin reports write those integers, and the scale, as
+signed binary digits (:func:`~cantor_shrink.exact.int_to_digits`).
 
 Two builders are provided: :func:`build_odometer_scheme` for adding machines
 and :func:`build_graph_scheme` for inverse limits of graph covers.  Both feed
@@ -32,10 +34,9 @@ from cantor_shrink.exact import (
     ClosedInterval,
     approx_float,
     canonical_dumps,
-    hex_to_int,
-    int_to_hex,
+    digits_to_int,
+    int_to_digits,
     pow2,
-    scalar_from_json,
     scalar_to_json,
     scaled_fraction,
 )
@@ -51,7 +52,10 @@ from cantor_shrink.odometer import OdometerSpec
 
 
 SLOTS_PER_CORE = 12
-SCHEME_FORMAT = 2
+SCHEME_FORMAT = 3
+# wm4's level scale has 3.2 M bits; a scale past this bound would not fit its
+# level's endpoints in memory as integers, so a file naming one is refused
+SCALE_BITS_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -348,6 +352,7 @@ class VerifyReport:
     margins: list = field(default_factory=list)
     excluded: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
+    scale: int | None = None  # declared once when margins are digit strings over it
 
     def to_json(self) -> dict:
         out = {
@@ -356,6 +361,8 @@ class VerifyReport:
             "witnesses": self.witnesses,
             "margins": self.margins,
         }
+        if self.scale is not None:
+            out["scale"] = int_to_digits(self.scale)
         if self.excluded:
             out["excluded"] = self.excluded
         if self.stats:
@@ -454,15 +461,14 @@ def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
     positive margin.  Pairs under an exceptional parent, and graph pairs
     whose successors straddle two parents, are excluded and reported rather
     than failed: the construction only promises shrinking away from them.
-    Every quantity is an integer over the depth-(depth+1) scale.
+    Every quantity is an integer over the depth-(depth+1) scale, which the
+    report declares once; margins, sups and infs are written as signed
+    binary digits over it.
     """
     child_map = children_of(scheme, depth)
     skip = exceptional_labels(scheme, depth)
     child_level = scheme.level(depth + 1)
-    cells, scale = child_level.cells, child_level.scale
-
-    def exact(x: int) -> dict:
-        return scalar_to_json(scaled_fraction(x, scale))
+    cells = child_level.cells
 
     def image_hull(label: int) -> tuple[int, int]:
         images = [cells[m].carrier for m in _image_labels(scheme, depth + 1, label)]
@@ -492,9 +498,9 @@ def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
             inf = right[0] - left[1]
             checked += 1
             if sup < inf:
-                margins.append({**pair, "margin": exact(inf - sup)})
+                margins.append({**pair, "margin": int_to_digits(inf - sup)})
             else:
-                witnesses.append({**pair, "sup": exact(sup), "inf": exact(inf)})
+                witnesses.append({**pair, "sup": int_to_digits(sup), "inf": int_to_digits(inf)})
     return VerifyReport(
         check="lrs-pairs",
         passed=not witnesses,
@@ -502,6 +508,7 @@ def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
         margins=margins,
         excluded=excluded,
         stats={"depth": depth, "pairs_checked": checked},
+        scale=child_level.scale,
     )
 
 
@@ -646,7 +653,8 @@ def audit_scheme(scheme: EmbeddingScheme) -> VerifyReport:
 
 
 def scheme_to_json(scheme: EmbeddingScheme) -> dict:
-    """Format-2 JSON: each level's scale once, and its integers in hex (:func:`int_to_hex`)."""
+    """Format-3 JSON: each level's scale, a, b and endpoints as signed binary
+    digits (:func:`int_to_digits`), the last three over that scale."""
     return {
         "format": SCHEME_FORMAT,
         "kind": scheme.kind,
@@ -654,14 +662,14 @@ def scheme_to_json(scheme: EmbeddingScheme) -> dict:
         "levels": [
             {
                 "n": lvl.n,
-                "scale": scalar_to_json(lvl.scale),
-                "a": int_to_hex(lvl.a),
-                "b": int_to_hex(lvl.b),
+                "scale": int_to_digits(lvl.scale),
+                "a": int_to_digits(lvl.a),
+                "b": int_to_digits(lvl.b),
                 "cells": [
                     {
                         "label": c.label,
-                        "A": [int_to_hex(x) for x in c.carrier],
-                        "D": [int_to_hex(x) for x in c.core],
+                        "A": [int_to_digits(x) for x in c.carrier],
+                        "D": [int_to_digits(x) for x in c.core],
                         "parent": c.parent,
                     }
                     for c in lvl.cells.values()
@@ -685,22 +693,23 @@ def _field(obj: dict, key: str, where: str, parse):
         raise ValueError(f"{where}: field {key!r}: {exc}") from None
 
 
-def _hex_pair(value, bits: int) -> tuple[int, int]:
+def _digit_pair(value, bits: int) -> tuple[int, int]:
     _check(isinstance(value, list) and len(value) == 2, "not a [lo, hi] pair")
-    lo, hi = (hex_to_int(x, bits) for x in value)
+    lo, hi = (digits_to_int(x, bits) for x in value)
     _check(lo <= hi, "lo > hi")
     return lo, hi
 
 
 def scheme_from_json(obj: dict) -> EmbeddingScheme:
-    """Rebuild a scheme from its format-2 JSON form, geometry taken verbatim.
+    """Rebuild a scheme from its format-3 JSON form, geometry taken verbatim.
 
     The symbolic source is reconstructed from the descriptor so successor
     structure is available, but no interval is recomputed: verification then
     applies to exactly what the file says.  Depths count up from the kind's
     first depth, each scale is a positive multiple of the one above, labels
     are distinct integers within a level, each parent is a label of the level
-    above (null on the first level), and each endpoint is a hex integer.
+    above (null on the first level), and each scale, a, b and endpoint is a
+    canonical signed-digit string whose exponents stay within the bounds.
 
     Raises:
         ValueError: naming the field, when the file does not fit the schema;
@@ -737,14 +746,14 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
         where = f"levels[{i}]"
         _check(isinstance(entry, dict), f"{where} must be a JSON object")
         _check(type(entry["n"]) is int and entry["n"] == first + i, f"{where}: field 'n' must be {first + i}")
-        scale = _field(entry, "scale", where, scalar_from_json)
+        scale = _field(entry, "scale", where, partial(digits_to_int, max_bits=SCALE_BITS_LIMIT))
         _check(
-            scale.denominator == 1 and scale > 0 and scale.numerator % above == 0,
+            scale > 0 and scale % above == 0,
             f"{where}: field 'scale' must be a positive integer multiple of the scale above",
         )
-        scale = above = scale.numerator
+        above = scale
         bits = scale.bit_length() + 64  # no endpoint lies 2^64 scales from zero
-        pair, single = partial(_hex_pair, bits=bits), partial(hex_to_int, max_bits=bits)
+        pair, single = partial(_digit_pair, bits=bits), partial(digits_to_int, max_bits=bits)
         _check(isinstance(entry["cells"], list), f"{where}: field 'cells' must be a list")
         cells = {}
         for c in entry["cells"]:

@@ -69,11 +69,15 @@ class FinitePointSystem:
                         f"not on {(pts[i], pts[j])!r}"
                     )
         # every ordered triple: d(x, y) + d(y, z) >= d(x, z) and its mirror
-        # d(y, x) + d(x, z) >= d(y, z) are |D[x][z] - D[y][z]| <= D[x][y], one
-        # pass over z per unordered pair {x, y} (z = x or y holds trivially)
+        # d(y, x) + d(x, z) >= d(y, z) are |D[x][z] - D[y][z]| <= D[x][y], so
+        # the pass over z for a pair {x, y} checks the two inequalities of
+        # {x, y, z} whose middle point is x or y.  For a < b < c the pass for
+        # {a, b} at c (middles a, b) and the pass for {a, c} at b (middles a,
+        # c) cover all three, so the pass for i < j runs over z > i alone
+        # (z = j holds trivially)
         for i, row in enumerate(dist):
             for j in range(i + 1, n):
-                if max(map(abs, map(sub, row, dist[j]))) > row[j]:
+                if max(map(abs, map(sub, row[i + 1:], dist[j][i + 1:]))) > row[j]:
                     # name the first failing triple in point order (x, then
                     # y, then z), which the order of pairs does not follow
                     x, y, z = next(

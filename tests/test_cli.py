@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis as h
@@ -15,11 +16,17 @@ import pytest
 
 import cantor_shrink
 from cantor_shrink.cli import main
-from cantor_shrink.exact import canonical_dumps, hex_to_int, int_to_hex, scalar_from_json
-from cantor_shrink.interval_embed import audit_scheme, build_odometer_scheme, scheme_from_json
+from cantor_shrink.exact import canonical_dumps, digits_to_int, int_to_digits
+from cantor_shrink.interval_embed import (
+    SCALE_BITS_LIMIT,
+    audit_scheme,
+    build_odometer_scheme,
+    scheme_from_json,
+)
 from cantor_shrink.metric_systems import (
     build_attractor_repellor,
     build_fixed_point_system,
+    system_from_json,
     verify_deformed_lrs,
     verify_extension_lrs,
 )
@@ -64,6 +71,7 @@ def work(tmp_path_factory):
     paths = {
         "od3": root / "od3.json",
         "od1": root / "od1.json",
+        "wm1": root / "wm1.json",
         "wm2": root / "wm2.json",
         "tr2": root / "tr2.json",
         "sys2": root / "sys2.json",
@@ -73,6 +81,7 @@ def work(tmp_path_factory):
     }
     assert run(["build", "odometer", "--s", "2,4,8", "--depth", "3", "--out", str(paths["od3"])])[0] == 0
     assert run(["build", "odometer", "--s", "2,4,8", "--depth", "1", "--out", str(paths["od1"])])[0] == 0
+    assert run(["build", "graph", "--variant", "weakly-mixing", "--levels", "1", "--out", str(paths["wm1"])])[0] == 0
     assert run(["build", "graph", "--variant", "weakly-mixing", "--levels", "2", "--out", str(paths["wm2"])])[0] == 0
     assert run(["build", "graph", "--variant", "transitive", "--levels", "2", "--out", str(paths["tr2"])])[0] == 0
     assert run(["build", "system", "--scheme", str(paths["od3"]), "--depth", "2", "--out", str(paths["sys2"])])[0] == 0
@@ -151,6 +160,47 @@ def test_verify_lrs_clamps_to_feasible_depths(work):
     assert report["depths_checked"] == [1, 2]
     assert report["pass"] is True
     assert [r["check"] for r in report["reports"]] == ["audit", "lrs-pairs", "lrs-pairs"]
+
+
+def test_verify_lrs_logs_each_depth_and_the_report_size(work, caplog):
+    argv = ["verify", "lrs", "--scheme", str(work["od3"]), "--depth", "2"]
+    caplog.set_level(logging.INFO, logger="cantor_shrink.cli")
+    code, out, _ = run(argv)
+    assert code == 0
+    patterns = [
+        r"lrs pairs at depth 1: pass, 1 checked, 1 excluded \(1 exceptional parent\) in \d+\.\d\ds",
+        r"lrs pairs at depth 2: pass, 3 checked, 1 excluded \(1 exceptional parent\) in \d+\.\d\ds",
+        rf"lrs report over depths \[1, 2\]: pass, {len(out)} bytes",
+    ]
+    lines = cli_log_lines(caplog)
+    assert len(lines) == len(patterns) and all(map(re.fullmatch, patterns, lines))
+    # the lines go to stderr under CANTOR_SHRINK_LOG only, and the report
+    # keeps its bytes either way
+    logged, quiet = run_child(argv, log_level="INFO"), run_child(argv)
+    assert logged.stdout == quiet.stdout == out.encode()
+    stderr = logged.stderr.decode().splitlines()
+    assert len(stderr) == len(patterns)
+    assert all(map(re.fullmatch, (f"INFO:cantor_shrink\\.cli:{p}" for p in patterns), stderr))
+    assert quiet.stderr == b""
+
+
+def test_verify_lrs_log_counts_match_the_report(work, caplog):
+    # on a graph scheme, both exclusion reasons, counted as the report lists them
+    caplog.set_level(logging.INFO, logger="cantor_shrink.cli")
+    code, out, _ = run(["verify", "lrs", "--scheme", str(work["wm2"]), "--depth", "1"])
+    assert code == 0
+    subs = json.loads(out)["reports"][1:]
+    lines = cli_log_lines(caplog)
+    assert len(lines) == len(subs) + 1
+    for sub, line in zip(subs, lines):
+        reasons = [e["reason"] for e in sub["excluded"]]
+        counts = ", ".join(f"{reasons.count(r)} {r}" for r in sorted(set(reasons)))
+        prefix = (
+            f"lrs pairs at depth {sub['stats']['depth']}: pass, {sub['stats']['pairs_checked']} checked, "
+            f"{len(reasons)} excluded ({counts}) in "
+        )
+        assert line.startswith(prefix) and "successors split across parents" in counts
+    assert lines[-1] == f"lrs report over depths [0, 1]: pass, {len(out)} bytes"
 
 
 def test_verify_lrs_depth_one_scheme_is_unusable(work):
@@ -277,7 +327,7 @@ SCHEME_MUTATIONS = {
     "levels-cut-to-one": (lambda obj: obj.update(levels=obj["levels"][:1]), "levels 1..1"),
     "string-label": (lambda obj: obj["levels"][0]["cells"][0].update(label="0"), "'label'"),
     "parent-99": (lambda obj: obj["levels"][1]["cells"][0].update(parent=99), "'parent'"),
-    "scalar-other-key": (lambda obj: obj["levels"][1]["scale"].update(other="7"), "'scale'"),
+    "scalar-other-key": (lambda obj: obj["levels"][1].update(scale={"mantissa": "3", "other": "7"}), "'scale'"),
     "cells-not-a-list": (lambda obj: obj["levels"][1].update(cells=5), "'cells'"),
     "top-level-list": (lambda obj: [obj], "JSON object"),
     "source-string": (lambda obj: obj.update(source="x"), "'source'"),
@@ -466,11 +516,23 @@ def _at(obj, path):
 RETYPED = ["1", 1, None, [], {}, 0.5, True]
 
 
+def _non_canonical(text: str) -> str:
+    """The same value in a signed-digit string that is not the canonical one:
+    the leading digit ±2^e split into ±2^(e+1) ∓ 2^e, and 0 as +0-0."""
+    if text == "0":
+        return "+0-0"
+    sign, e, rest = re.fullmatch(r"([+-])([0-9]+)(.*)", text).groups()
+    return f"{sign}{int(e) + 1}{'-' if sign == '+' else '+'}{e}{rest}"
+
+
 @st.composite
 def single_mutations(draw, obj):
-    """Delete a value, retype it, swap a cell's A and D, or shift one
-    endpoint by one unit of its level scale; applied to ``obj`` in place."""
-    kind = draw(st.sampled_from(["delete", "retype", "swap", "shift"]))
+    """Delete a value or retype it; in a scheme file also swap a cell's A and
+    D, shift one endpoint by one unit of its level scale, or rewrite one
+    digit string in a non-canonical form of its value.  Applied to ``obj``
+    in place; returns a description and whether the file must be refused."""
+    kinds = ["delete", "retype"] + (["swap", "shift", "non-canonical"] if "levels" in obj else [])
+    kind = draw(st.sampled_from(kinds))
     if kind in ("delete", "retype"):
         path = draw(st.sampled_from(list(_json_paths(obj))))
         parent, key = _at(obj, path[:-1]), path[-1]
@@ -478,41 +540,82 @@ def single_mutations(draw, obj):
             del parent[key]
         else:
             parent[key] = draw(st.sampled_from([v for v in RETYPED if type(v) is not type(parent[key])]))
-        return f"{kind} {path}"
+        return f"{kind} {path}", False
+    if kind == "non-canonical":
+        path = draw(st.sampled_from([
+            p for p in _json_paths(obj) if p[-1] in ("scale", "a", "b") or p[-2:-1] in (("A",), ("D",))
+        ]))
+        parent, key = _at(obj, path[:-1]), path[-1]
+        parent[key] = _non_canonical(parent[key])
+        return f"rewrite {path} as {parent[key]:.40}", True
     level = draw(st.sampled_from(obj["levels"]))
     cell = draw(st.sampled_from(level["cells"]))
     if kind == "swap":
         cell["A"], cell["D"] = cell["D"], cell["A"]
-        return f"swap A/D of level {level['n']} label {cell['label']}"
+        return f"swap A/D of level {level['n']} label {cell['label']}", False
     field, end, step = draw(st.sampled_from(["A", "D"])), draw(st.sampled_from([0, 1])), draw(st.sampled_from([-1, 1]))
-    cell[field][end] = int_to_hex(hex_to_int(cell[field][end], 1 << 20) + step)
-    return f"shift level {level['n']} label {cell['label']} {field}[{end}] by {step}"
+    cell[field][end] = int_to_digits(digits_to_int(cell[field][end], SCALE_BITS_LIMIT) + step)
+    return f"shift level {level['n']} label {cell['label']} {field}[{end}] by {step}", False
 
 
-@h.given(data=st.data())
-@h.settings(derandomize=True, max_examples=120, deadline=None)
-def test_single_mutations_exit_cleanly(work, data):
-    """No single mutation makes a command crash, and none passes unless the
-    mutated file still loads and audits."""
-    obj = json.loads(work["od3"].read_text())
-    h.note(data.draw(single_mutations(obj)))
+def _scheme_audits(obj) -> bool:
+    return audit_scheme(scheme_from_json(obj)).passed
+
+
+def _system_loads(obj) -> bool:
+    system_from_json(obj)  # raises unless the file loads
+    return True
+
+
+def _mutation_exits_cleanly(work, data, source, commands, accepts):
+    """Apply one drawn mutation to the ``source`` file and run each command on
+    it: exit 1 or 2 with no traceback, 2 with one error line naming the file,
+    0 only if ``accepts`` takes the mutated file, never 0 or 1 if the file must
+    be refused as bad input."""
+    obj = json.loads(work[source].read_text())
+    description, refused = data.draw(single_mutations(obj))
+    h.note(description)
     path = work["root"] / "mutant.json"
     path.write_text(json.dumps(obj))
     try:
-        audited = audit_scheme(scheme_from_json(obj)).passed
+        accepted = accepts(obj)
     except (KeyError, ValueError):
-        audited = False
-    for command in SCHEME_COMMANDS:
+        accepted = False
+    assert not (refused and accepted)
+    for command in commands:
         # in-process, so a traceback surfaces here as an uncaught exception
         code, _, err = run([*command, str(path)])
-        assert code in (1, 2) or (code == 0 and audited)
+        assert code == 2 if refused else code in (1, 2) or (code == 0 and accepted)
         if code == 2:
             [line] = err.splitlines()
             assert line.startswith(f"error: {path}")
 
 
+@h.given(data=st.data())
+@h.settings(derandomize=True, max_examples=120, deadline=None)
+def test_single_mutations_exit_cleanly(work, data):
+    """No single mutation of the od3 scheme file makes a command crash, and
+    none passes unless the mutated file still loads and audits."""
+    _mutation_exits_cleanly(work, data, "od3", SCHEME_COMMANDS, _scheme_audits)
+
+
+@h.given(data=st.data())
+@h.settings(derandomize=True, max_examples=80, deadline=None)
+def test_single_mutations_of_a_graph_scheme_exit_cleanly(work, data):
+    _mutation_exits_cleanly(work, data, "wm1", SCHEME_COMMANDS, _scheme_audits)
+
+
+@h.given(data=st.data())
+@h.settings(derandomize=True, max_examples=80, deadline=None)
+def test_single_mutations_of_a_system_file_exit_cleanly(work, data):
+    command = ["export", "entropy", "--eps", "1/4", "--n", "1,2", "--sys"]
+    _mutation_exits_cleanly(work, data, "sys2", [command], _system_loads)
+
+
 # sha256 of stdout, pinned before scheme geometry became integers over a
-# per-level scale: the reports must not move by a byte
+# per-level scale: the reports must not move by a byte.  The three verify lrs
+# entries were re-pinned when margins became signed binary digits over a
+# declared scale; GOLDEN_PAIR_VALUES holds their values across that switch
 GOLDEN_STDOUT = {
     "od3-verify-derivative": (
         ["verify", "derivative", "--scheme", "{od3}"],
@@ -520,7 +623,7 @@ GOLDEN_STDOUT = {
     ),
     "od3-verify-lrs-2": (
         ["verify", "lrs", "--depth", "2", "--scheme", "{od3}"],
-        "82f0624978fd3edbdc2ca146036a1073d2dc3a2fe690122be95710a118fdab2b",
+        "0f5271116bc6f02a368b74e1e8bccf98151fc272362266aa74bca9f28de3d7fc",
     ),
     "od3-export-ratio": (
         ["export", "ratio", "--sys", "{od3}"],
@@ -528,7 +631,7 @@ GOLDEN_STDOUT = {
     ),
     "wm2-verify-lrs-1": (
         ["verify", "lrs", "--depth", "1", "--scheme", "{wm2}"],
-        "64b0aa6ac485bfe89edbb7bcac0a604eedab338526d50781469271c693a9103f",
+        "32878f31e2a43e330b223a9d4951a18923dd213c0c5172d827ebc16cbb3c4ead",
     ),
     "wm2-verify-cover": (
         ["verify", "cover", "--graph", "{wm2}"],
@@ -536,7 +639,7 @@ GOLDEN_STDOUT = {
     ),
     "tr2-verify-lrs-1": (
         ["verify", "lrs", "--depth", "1", "--scheme", "{tr2}"],
-        "c44ff5f725a9d89d8056c8026a72cf1db2636d2592ec4a3bc565f50c37ea3e4c",
+        "7557d38eab20395056d46a317274a5812ffaf747c4c073932ec02435195b7d9f",
     ),
     "tr2-verify-cover": (
         ["verify", "cover", "--graph", "{tr2}"],
@@ -603,11 +706,15 @@ def _pair_lines(report: dict) -> str:
     lines = []
     for sub in report["reports"][1:]:
         depth = sub["stats"]["depth"]
+        scale = digits_to_int(sub["scale"], SCALE_BITS_LIMIT)
+
+        def value(text):
+            return Fraction(digits_to_int(text, scale.bit_length() + 64), scale)
+
         for entry in sub["margins"]:
-            value = scalar_from_json(entry["margin"])
-            lines.append(f"{depth} {entry['parent']} {entry['pair']} margin {value}")
+            lines.append(f"{depth} {entry['parent']} {entry['pair']} margin {value(entry['margin'])}")
         for entry in sub["witnesses"]:
-            sup, inf = (scalar_from_json(entry[key]) for key in ("sup", "inf"))
+            sup, inf = (value(entry[key]) for key in ("sup", "inf"))
             lines.append(f"{depth} {entry['parent']} {entry['pair']} witness {sup} {inf}")
         for entry in sub.get("excluded", []):
             lines.append(f"{depth} {entry['parent']} {entry['pair']} excluded {entry['reason']}")

@@ -1,4 +1,6 @@
+import re
 import sys
+import time
 from fractions import Fraction
 
 import hypothesis as h
@@ -9,9 +11,9 @@ from cantor_shrink.exact import (
     ClosedInterval,
     canonical_dumps,
     decimal_to_int,
-    hex_to_int,
+    digits_to_int,
     int_to_decimal,
-    int_to_hex,
+    int_to_digits,
     pow2,
     scalar_from_json,
     scalar_to_json,
@@ -126,33 +128,70 @@ def test_scaled_fraction_is_the_reduced_fraction(q, extra):
     assert scalar_to_json(reduced) == scalar_to_json(q)
 
 
-@h.given(st.integers(min_value=-(10**30), max_value=10**30), st.integers(min_value=0, max_value=3000))
-def test_hex_roundtrip(n, zeros):
-    value = n << zeros
-    text = int_to_hex(value)
-    assert hex_to_int(text, value.bit_length()) == value
-    # trailing zero bits are written as a count, never as digits
-    assert value == 0 or int(text.partition("p")[0], 16) % 2 == 1
+@st.composite
+def codec_integers(draw):
+    """0, ±2^k, ±2^p 3^q, and random integers of up to 200k bits."""
+    kind = draw(st.sampled_from(["zero", "power of 2", "2^p 3^q", "random"]))
+    sign = draw(st.sampled_from([1, -1]))
+    if kind == "zero":
+        return 0
+    if kind == "power of 2":
+        return sign << draw(st.integers(0, 200_000))
+    if kind == "2^p 3^q":
+        return sign * 3 ** draw(st.integers(0, 400)) << draw(st.integers(0, 200_000))
+    return sign * draw(st.randoms(use_true_random=False)).getrandbits(draw(st.integers(1, 200_000)))
 
 
-def test_hex_form():
-    assert int_to_hex(0) == "0"
-    assert int_to_hex(5) == "5"
-    assert int_to_hex(3 << 40) == "3p40"
-    assert int_to_hex(-6) == "-3p1"
-    assert hex_to_int("-3p1", 8) == -6
+@h.given(codec_integers())
+@h.settings(derandomize=True, deadline=None, max_examples=150)
+def test_digits_roundtrip(x):
+    text = int_to_digits(x)
+    assert digits_to_int(text, max(x.bit_length(), 1)) == x
+    # the digits are the non-adjacent form: their values sum to x, and the
+    # exponents fall by at least two from one digit to the next
+    digits = [(1 if sign == "+" else -1, int(e)) for sign, e in re.findall(r"([+-])([0-9]+)", text)]
+    exponents = [e for _, e in digits]
+    assert sum(sign << e for sign, e in digits) == x
+    assert all(hi - lo >= 2 for hi, lo in zip(exponents, exponents[1:]))
+    assert (text == "0") == (x == 0)
 
 
-@pytest.mark.parametrize("text", ["0x1f", "1F", "12g", " 1f", "", "1p", "p3", "1p-2", "1.5", 5, None, ["1"]])
-def test_hex_to_int_rejects_junk(text):
-    with pytest.raises(ValueError, match="hex"):
-        hex_to_int(text, 64)
+def test_digits_form():
+    assert int_to_digits(0) == "0"
+    assert int_to_digits(1) == "+0"
+    assert int_to_digits(-1) == "-0"
+    assert int_to_digits(3) == "+2-0"
+    assert int_to_digits(-6) == "-3+1"
+    assert int_to_digits(81) == "+6+4+0"
+    assert int_to_digits((1 << 84370) - (1 << 84366) + (1 << 12)) == "+84370-84366+12"
+    assert digits_to_int("-3+1", 8) == -6
 
 
-def test_hex_to_int_bounds_the_value():
-    assert hex_to_int("1p60", 64) == 1 << 60
+# the old hex junk, and strings of digits that are not the canonical form:
+# leading zeros, stray signs, ascending, repeated or adjacent exponents
+@pytest.mark.parametrize(
+    "text",
+    ["0x1f", "1F", "12g", " 1f", "", "1p", "p3", "1p-2", "1.5", 5, None, ["1"],
+     "3", "+03", "+3 ", "+3-", "+-3", "00", "-0+2", "+2+2", "+3+2", "+3-2", "+5+3+4", "+0-0", "+0+0"],
+)
+def test_digits_reject_junk(text):
+    with pytest.raises(ValueError, match="signed-digit|canonical"):
+        digits_to_int(text, 64)
+
+
+def test_digits_bound_the_exponent():
+    assert digits_to_int("+60", 64) == 1 << 60
+    assert digits_to_int("+64-2", 64) == (1 << 64) - 4
     with pytest.raises(ValueError, match="bits"):
-        hex_to_int("1p9999999999", 64)
+        digits_to_int("+65", 64)
+    # refused from the text alone: 2^999999999999 would take 125 GB
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="bits"):
+        digits_to_int("+999999999999", 64)
+    assert time.perf_counter() - start < 0.1
+    # an exponent of more than twelve digits is not read at all
+    with pytest.raises(ValueError, match="signed-digit"):
+        digits_to_int("+9999999999999", 64)
 
 
 def test_canonical_dumps_is_order_insensitive():

@@ -6,7 +6,7 @@ import hypothesis as h
 import hypothesis.strategies as st
 import pytest
 
-from cantor_shrink.exact import canonical_dumps, int_to_hex, pow2, scalar_from_json
+from cantor_shrink.exact import canonical_dumps, digits_to_int, int_to_digits, pow2
 from cantor_shrink.graphcover import base_vertex, build_sequence, preimage_counts
 from cantor_shrink.interval_embed import (
     audit_scheme,
@@ -120,9 +120,11 @@ def test_ratio_closed_form_any_geometric_tower(first, base, depth):
 def test_lrs_depth_one_certificate_and_exclusion(od248):
     report = verify_lrs_pairs(od248, 1)
     assert report.passed
-    assert report.margins == [
-        {"parent": 0, "pair": [0, 2], "margin": {"mantissa": "10837", "pow2": -18, "pow3": 0}}
-    ]
+    # the margin 10837/2^18 over the depth-2 scale 3 * 2^18
+    assert report.scale == 3 << 18
+    assert report.margins == [{"parent": 0, "pair": [0, 2], "margin": "+15-8-0"}]
+    assert Fraction(digits_to_int("+15-8-0", 20), report.scale) == Fraction(10837, 2**18)
+    assert report.to_json()["scale"] == "+20-18"
     assert report.excluded == [{"parent": 1, "pair": [1, 3], "reason": "exceptional parent"}]
     assert report.stats["pairs_checked"] == 1
 
@@ -247,7 +249,7 @@ def test_graph_lrs_reports_both_exclusion_kinds(wm_scheme):
     assert report.stats["pairs_checked"] == 12
     reasons = {e["reason"] for e in report.excluded}
     assert reasons == {"exceptional parent", "successors split across parents"}
-    assert all(scalar_from_json(m["margin"]) > 0 for m in report.margins)
+    assert all(digits_to_int(m["margin"], report.scale.bit_length()) > 0 for m in report.margins)
 
 
 def test_graph_lrs_depth_one(wm_scheme):
@@ -295,7 +297,7 @@ def test_scheme_json_roundtrip_is_byte_identical(od248, wm_scheme):
 
 def test_loaded_scheme_keeps_file_intervals(od248):
     obj = scheme_to_json(od248)
-    obj["levels"][0]["cells"][0]["D"][1] = int_to_hex(od248.level(1).scale // 2)
+    obj["levels"][0]["cells"][0]["D"][1] = int_to_digits(od248.level(1).scale // 2)
     loaded = scheme_from_json(obj)
     assert loaded.level(1).cells[0].D.hi == Fraction(1, 2)
     assert not audit_scheme(loaded).passed
@@ -318,11 +320,16 @@ def test_scheme_from_json_wants_the_current_format(od248):
     del obj["format"]
     with pytest.raises(ValueError, match=r"rebuild .*\{\"rule\":\"list\",\"s\":\[2,4,8\]\}"):
         scheme_from_json(obj)
+    # a format-2 file, hex endpoints and all, is told to rebuild before any is read
+    obj.update(format=2)
+    obj["levels"][0]["cells"][0]["A"] = ["0", "3p40"]
+    with pytest.raises(ValueError, match=r"field 'format' is 2, not 3: rebuild"):
+        scheme_from_json(obj)
 
 
 def test_scheme_from_json_wants_scales_that_refine(od248):
     obj = scheme_to_json(od248)
-    obj["levels"][1]["scale"] = {"mantissa": "7", "pow2": 0, "pow3": 0}
+    obj["levels"][1]["scale"] = int_to_digits(7)
     with pytest.raises(ValueError, match=r"levels\[1\]: field 'scale'"):
         scheme_from_json(obj)
 
