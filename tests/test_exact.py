@@ -167,12 +167,25 @@ def test_digits_form():
     assert digits_to_int("-3+1", 8) == -6
 
 
-# the old hex junk, and strings of digits that are not the canonical form:
-# leading zeros, stray signs, ascending, repeated or adjacent exponents
+def test_hex_form():
+    # the hex forms the scheme files used to hold are not read any more
+    for text in ["5", "3p40", "-3p1", "1f"]:
+        with pytest.raises(ValueError, match="signed-digit|canonical"):
+            digits_to_int(text, 64)
+
+
+@pytest.mark.parametrize("text", ["0x1f", "1F", "12g", " 1f", "", "1p", "p3", "1p-2", "1.5", 5, None, ["1"]])
+def test_hex_to_int_rejects_junk(text):
+    # every input the removed hex decoder refused, digits_to_int refuses too
+    with pytest.raises(ValueError, match="signed-digit|canonical"):
+        digits_to_int(text, 64)
+
+
+# strings of digits that are not the canonical form: leading zeros, stray
+# signs, ascending, repeated or adjacent exponents
 @pytest.mark.parametrize(
     "text",
-    ["0x1f", "1F", "12g", " 1f", "", "1p", "p3", "1p-2", "1.5", 5, None, ["1"],
-     "3", "+03", "+3 ", "+3-", "+-3", "00", "-0+2", "+2+2", "+3+2", "+3-2", "+5+3+4", "+0-0", "+0+0"],
+    ["3", "+03", "+3 ", "+3-", "+-3", "00", "-0+2", "+2+2", "+3+2", "+3-2", "+5+3+4", "+0-0", "+0+0"],
 )
 def test_digits_reject_junk(text):
     with pytest.raises(ValueError, match="signed-digit|canonical"):
