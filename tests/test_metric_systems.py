@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import math
 import operator
@@ -279,6 +280,21 @@ def test_oracle_frozen_report_and_determinism():
     assert rep["surjective_shrinking"] == 80
     assert rep["max_preimage_vanishing_step"] == 5
     assert rep == shrinking_propositions_oracle(trials=200, max_size=6, seed=1)
+
+
+# sha256 of the canonical JSON of the oracle report at the benchmark's trial
+# count, pinned while the random systems were built from Fraction positions
+ORACLE_5000_SHA256 = {
+    0: "04d1b76f86914ee00471e3b2cbf8123b1bd2823c4dba0de041d981c877049dee",
+    7: "b27a4c318e8991c5607b3ac8a1d645c0c737f4ab71a25598e21ce5ed1f2703fb",
+    123: "9af8661e92b3ca1817e0edd280be0d19f2856dd4b6fc17664fbda658c082324c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ORACLE_5000_SHA256))
+def test_oracle_5000_trials_pinned(seed):
+    report = canonical_dumps(shrinking_propositions_oracle(trials=5000, seed=seed))
+    assert hashlib.sha256(report.encode()).hexdigest() == ORACLE_5000_SHA256[seed]
 
 
 # ---------------------------------------------------------------------------
