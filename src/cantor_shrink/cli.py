@@ -117,16 +117,22 @@ def _audit_fails(path: str, scheme) -> bool:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+    return values
 
 
 def _fraction_list(text: str) -> list[Fraction]:
     try:
-        return [Fraction(part) for part in text.split(",") if part]
+        values = [Fraction(part) for part in text.split(",") if part]
     except (ValueError, ZeroDivisionError):
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"not a comma-separated rational list: {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +340,14 @@ def cmd_verify_cover(args) -> int:
 def cmd_verify_oracle(args) -> int:
     t0 = time.perf_counter()
     report = shrinking_propositions_oracle(trials=args.trials, seed=args.seed)
-    payload = {"command": "verify-oracle", "pass": not report["counterexamples"], **report}
+    # a run that drew no shrinking system checked no proposition
+    passed = report["shrinking_systems"] > 0 and not report["counterexamples"]
+    if not report["shrinking_systems"]:
+        print(
+            f"fail: seed {args.seed} drew no shrinking system in {args.trials} trials; nothing was checked",
+            file=sys.stderr,
+        )
+    payload = {"command": "verify-oracle", "pass": passed, **report}
     log.info(
         "shrinking oracle over %d trials with seed %d: %s in %.2fs",
         args.trials, args.seed, _verdict(payload["pass"]), time.perf_counter() - t0,

@@ -342,35 +342,42 @@ def minimality_witness(seq: CoverSequence, n: int):
     return None
 
 
-def return_lengths(level, bound: int) -> set[int]:
-    """All closed-path lengths at the base vertex up to `bound`.
+def _closed_path_lengths(lengths, bound: int) -> int:
+    """Closed-path lengths at the base vertex up to `bound`, as a bit mask.
 
-    Closed paths are concatenations of full cycles, so this is the set of
-    subset sums of the cycle lengths.
+    Bit t is set iff some closed path of length t exists; bit 0 stands for
+    the empty path.  Closed paths are concatenations of full cycles, so these
+    are the sums of cycle lengths with repeats.  Shifting by L, 2L, 4L, …
+    while the shift stays within the bound adds every multiple of L up to
+    the bound in about log(bound / L) big-int steps.
     """
-    lengths = sorted(level.cycle_lengths)
-    reachable = [False] * (bound + 1)
-    reachable[0] = True
-    for total in range(1, bound + 1):
-        reachable[total] = any(
-            total >= step and reachable[total - step] for step in lengths
-        )
-    return {total for total in range(1, bound + 1) if reachable[total]}
+    mask = (1 << (bound + 1)) - 1
+    reach = 1
+    for length in set(lengths):
+        shift = length
+        while shift <= bound:
+            reach |= (reach << shift) & mask
+            shift <<= 1
+    return reach
 
 
 def check_weak_mixing_certificate(seq: CoverSequence, n: int) -> bool:
     """True iff two consecutive base return lengths exist at level n.
 
     Consecutive return lengths rule out any common rotation period; this is
-    the finite-level witness used for weak mixing.  Return lengths are subset
-    sums of the cycle lengths, searched up to (L1+1)·(L2+1).
+    the finite-level witness used for weak mixing.  Return lengths are sums
+    of cycle lengths with repeats, searched up to 2 + (L1+1)·(L2+1).  They
+    are held as one integer whose bit t means "a closed path of length t
+    exists"; t and t + 1 are both return lengths exactly where
+    ``reach & reach >> 1`` has bit t, and the pair (0, 1) of the empty path
+    is shifted out.
     """
     if not 0 <= n <= seq.top:
         raise ValueError(f"level {n} outside the built tower")
     lengths = seq.levels[n].cycle_lengths
     bound = 2 + (lengths[0] + 1) * (lengths[-1] + 1)
-    seen = return_lengths(seq.levels[n], bound)
-    return any(m + 1 in seen for m in seen)
+    reach = _closed_path_lengths(lengths, bound)
+    return (reach & reach >> 1) >> 1 != 0
 
 
 def invariant_subsystem(seq: CoverSequence) -> CoverSequence:

@@ -103,8 +103,14 @@ class FinitePointSystem:
         ]
         scale = math.lcm(*{c.denominator for p in coords for c in p})
         ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in coords]
-        dist = [[sum(map(abs, map(sub, p, q))) for q in ints] for p in ints]
-        return cls(list(positions), scale, dist, dict(step), eps=eps, source=source)
+        return cls._from_coordinates(list(positions), scale, ints, step, eps=eps, source=source)
+
+    @classmethod
+    def _from_coordinates(cls, points: list, scale: int, coords: list, step: dict, eps=None, source=None):
+        """Coordinate-sum (L1) metric from integer coordinate tuples over
+        ``scale``, one tuple per point in the order of ``points``."""
+        dist = [[sum(map(abs, map(sub, p, q))) for q in coords] for p in coords]
+        return cls(points, scale, dist, dict(step), eps=eps, source=source)
 
     def d(self, x, y) -> Fraction:
         return scaled_fraction(self.dist[self.index[x]][self.index[y]], self.scale)
@@ -205,24 +211,25 @@ def periodic_points(sys: FinitePointSystem) -> list:
 
 
 def _random_system(rng: random.Random, max_size: int) -> FinitePointSystem:
+    """One random system on the line, built as integers over the denominator
+    its positions share: 997, 3989, or 997·49·2^(n-1) for the halving chain."""
     kind = rng.randrange(3)
     if kind == 0:
-        pos = Fraction(rng.randrange(1, 1000), 997)
-        return FinitePointSystem.from_positions({0: pos}, {0: 0})
+        return FinitePointSystem._from_coordinates([0], 997, [(rng.randrange(1, 1000),)], {0: 0})
     n = rng.randint(2, max_size)
     if kind == 1:
         values = rng.sample(range(1, 4000), n)
-        positions = {i: Fraction(values[i], 3989) for i in range(n)}
         step = {i: rng.randrange(n) for i in range(n)}
-        return FinitePointSystem.from_positions(positions, step)
+        return FinitePointSystem._from_coordinates(list(range(n)), 3989, [(v,) for v in values], step)
     # halving chain onto a fixed endpoint: strictly shrinking, never
     # surjective (the fixed point sits on the same geometric ladder so that
-    # every pair, not just interior ones, contracts strictly)
-    centre = Fraction(rng.randrange(1000), 997)
-    offset = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 50), 49)
-    positions = {i: centre + offset / 2 ** (n - 1 - i) for i in range(n)}
+    # every pair, not just interior ones, contracts strictly).  Point i sits
+    # at centre + offset / 2^(n-1-i), centre = a/997 and offset = ±b/49
+    centre = (rng.randrange(1000) * 49) << (n - 1)
+    offset = rng.choice([-1, 1]) * rng.randrange(1, 50) * 997
+    coords = [(centre + (offset << i),) for i in range(n)]
     step = {i: max(i - 1, 0) for i in range(n)}
-    return FinitePointSystem.from_positions(positions, step)
+    return FinitePointSystem._from_coordinates(list(range(n)), (997 * 49) << (n - 1), coords, step)
 
 
 def shrinking_propositions_oracle(trials: int = 1000, max_size: int = 8, seed: int = 0) -> dict:
@@ -233,7 +240,12 @@ def shrinking_propositions_oracle(trials: int = 1000, max_size: int = 8, seed: i
     point; every non-fixed point has an empty iterated preimage within |X|
     steps.  Any violation lands in ``counterexamples`` (expected empty —
     these are theorems).
+
+    Raises:
+        ValueError: if ``trials`` is below 1.
     """
+    if trials < 1:
+        raise ValueError(f"the oracle needs at least one trial, not {trials}")
     rng = random.Random(seed)
     report = {
         "trials": trials,

@@ -263,6 +263,24 @@ def test_verify_oracle_small(work, caplog):
     assert run(["verify", "oracle", "--trials", "50", "--seed", "3"])[1] == out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_oracle_refuses_fewer_than_one_trial(trials):
+    code, out, err = run(["verify", "oracle", "--trials", trials])
+    assert (code, out) == (2, "")
+    assert err == f"error: the oracle needs at least one trial, not {trials}\n"
+
+
+def test_verify_oracle_fails_when_no_system_shrinks():
+    # seed 0 draws one non-shrinking system in its first trial: no
+    # proposition was checked, so the run cannot pass
+    code, out, err = run(["verify", "oracle", "--trials", "1", "--seed", "0"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert (report["trials"], report["shrinking_systems"], report["counterexamples"]) == (1, 0, [])
+    assert err == "fail: seed 0 drew no shrinking system in 1 trials; nothing was checked\n"
+
+
 # ---------------------------------------------------------------------------
 # export
 
@@ -298,6 +316,23 @@ def test_export_entropy_csv_is_eps_major(work):
 
 # ---------------------------------------------------------------------------
 # error handling
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["export", "entropy", "--sys", "{sys2}", "--eps", ",", "--n", "1"], "--eps"),
+        (["export", "entropy", "--sys", "{sys2}", "--eps", "1/4", "--n", ","], "--n"),
+        (["export", "entropy", "--sys", "{sys2}", "--eps", "1/4", "--n", ",,"], "--n"),
+        (["build", "odometer", "--s", ",", "--depth", "2"], "--s"),
+    ],
+)
+def test_empty_lists_are_usage_errors(work, argv, option):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main([arg.format(sys2=work["sys2"]) for arg in argv])
+    assert exc.value.code == 2
+    assert re.search(rf"error: argument {option}: not a comma-separated \w+ list: ',+'$", err.getvalue().strip())
 
 
 def test_malformed_json_is_a_usage_error(tmp_path):

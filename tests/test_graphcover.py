@@ -1,6 +1,9 @@
+import hypothesis as h
+import hypothesis.strategies as st
 import pytest
 
 from cantor_shrink.graphcover import (
+    _closed_path_lengths,
     CoverSequence,
     CycleExpr,
     CycleLevel,
@@ -180,6 +183,52 @@ def test_weak_mixing_certificate(wm4, tr2):
     assert all(check_weak_mixing_certificate(wm4, n) for n in range(5))
     assert not check_weak_mixing_certificate(tr2, 1)
     assert not check_weak_mixing_certificate(tr2, 2)
+
+
+def reference_return_lengths(lengths, bound):
+    """Closed-path lengths 1..bound at the base vertex by the subset-sum loop
+    the bit mask replaced: t is reachable iff t - L is, for some length L."""
+    lengths = sorted(lengths)
+    reachable = [False] * (bound + 1)
+    reachable[0] = True
+    for total in range(1, bound + 1):
+        reachable[total] = any(
+            total >= step and reachable[total - step] for step in lengths
+        )
+    return {total for total in range(1, bound + 1) if reachable[total]}
+
+
+def reference_weak_mixing(seq, n):
+    lengths = seq.levels[n].cycle_lengths
+    seen = reference_return_lengths(lengths, 2 + (lengths[0] + 1) * (lengths[-1] + 1))
+    return any(m + 1 in seen for m in seen)
+
+
+@h.given(
+    lengths=st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=4),
+    bound=st.integers(min_value=0, max_value=600),
+)
+@h.example(lengths=[7, 9], bound=6)  # bound below the shortest cycle
+@h.example(lengths=[1], bound=64)  # every multiple, up to the bound itself
+@h.settings(derandomize=True, max_examples=300, deadline=None)
+def test_closed_path_mask_matches_subset_sums(lengths, bound):
+    reach = _closed_path_lengths(tuple(lengths), bound)
+    assert reach & 1 and reach >> bound + 1 == 0
+    found = {t for t in range(1, bound + 1) if reach >> t & 1}
+    assert found == reference_return_lengths(lengths, bound)
+
+
+def test_weak_mixing_certificate_matches_subset_sums(wm4):
+    tr3 = build_transitive_sequence(3)
+    verdicts = {}
+    for name, seq in [("wm4", wm4), ("tr3", tr3), ("tr3-cycle-1", invariant_subsystem(tr3))]:
+        verdicts[name] = [check_weak_mixing_certificate(seq, n) for n in range(seq.top + 1)]
+        assert verdicts[name] == [reference_weak_mixing(seq, n) for n in range(seq.top + 1)]
+    assert verdicts == {
+        "wm4": [True] * 5,
+        "tr3": [True, False, False, False],
+        "tr3-cycle-1": [False] * 4,
+    }
 
 
 def test_weak_mixing_fails_for_even_lengths():

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
 import hypothesis as h
@@ -37,6 +38,7 @@ from cantor_shrink.metric_systems import (
     verify_deformed_lrs,
     verify_extension_lrs,
 )
+from cantor_shrink.metric_systems.core import _random_system
 from cantor_shrink.odometer import OdometerSpec
 
 
@@ -280,6 +282,40 @@ def test_oracle_frozen_report_and_determinism():
     assert rep["surjective_shrinking"] == 80
     assert rep["max_preimage_vanishing_step"] == 5
     assert rep == shrinking_propositions_oracle(trials=200, max_size=6, seed=1)
+
+
+def fraction_random_system(rng, max_size):
+    """The oracle's random system as it was built from Fraction positions,
+    which ``from_positions`` puts over their least common denominator."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        pos = Fraction(rng.randrange(1, 1000), 997)
+        return FinitePointSystem.from_positions({0: pos}, {0: 0})
+    n = rng.randint(2, max_size)
+    if kind == 1:
+        values = rng.sample(range(1, 4000), n)
+        positions = {i: Fraction(values[i], 3989) for i in range(n)}
+        step = {i: rng.randrange(n) for i in range(n)}
+        return FinitePointSystem.from_positions(positions, step)
+    centre = Fraction(rng.randrange(1000), 997)
+    offset = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 50), 49)
+    positions = {i: centre + offset / 2 ** (n - 1 - i) for i in range(n)}
+    step = {i: max(i - 1, 0) for i in range(n)}
+    return FinitePointSystem.from_positions(positions, step)
+
+
+@h.given(seed=st.integers(min_value=0, max_value=2**64), max_size=st.integers(min_value=2, max_value=12))
+@h.settings(derandomize=True, max_examples=100, deadline=None)
+def test_integer_oracle_systems_match_the_fraction_construction(seed, max_size):
+    ints, fractions = random.Random(seed), random.Random(seed)
+    for _ in range(30):
+        got = _random_system(ints, max_size)
+        want = fraction_random_system(fractions, max_size)
+        assert ints.getstate() == fractions.getstate()
+        assert (got.points, got.map) == (want.points, want.map)
+        assert [got.d(x, y) for x in got.points for y in got.points] == [
+            want.d(x, y) for x in want.points for y in want.points
+        ]
 
 
 # sha256 of the canonical JSON of the oracle report at the benchmark's trial
