@@ -115,24 +115,23 @@ def _audit_fails(path: str, scheme) -> bool:
     return not report.passed
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part]
-    except ValueError:
-        values = []
-    if not values:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    return values
+def _comma_list(parse, what: str):
+    """An argparse type for a nonempty comma-separated list of ``parse`` values."""
+
+    def read(text: str) -> list:
+        try:
+            values = [parse(part) for part in text.split(",") if part]
+        except (ValueError, ZeroDivisionError):
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(f"not a comma-separated {what} list: {text!r}")
+        return values
+
+    return read
 
 
-def _fraction_list(text: str) -> list[Fraction]:
-    try:
-        values = [Fraction(part) for part in text.split(",") if part]
-    except (ValueError, ZeroDivisionError):
-        values = []
-    if not values:
-        raise argparse.ArgumentTypeError(f"not a comma-separated rational list: {text!r}")
-    return values
+_int_list = _comma_list(int, "integer")
+_fraction_list = _comma_list(Fraction, "rational")
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +339,10 @@ def cmd_verify_cover(args) -> int:
 def cmd_verify_oracle(args) -> int:
     t0 = time.perf_counter()
     report = shrinking_propositions_oracle(trials=args.trials, seed=args.seed)
-    # a run that drew no shrinking system checked no proposition
-    passed = report["shrinking_systems"] > 0 and not report["counterexamples"]
-    if not report["shrinking_systems"]:
-        print(
-            f"fail: seed {args.seed} drew no shrinking system in {args.trials} trials; nothing was checked",
-            file=sys.stderr,
-        )
-    payload = {"command": "verify-oracle", "pass": passed, **report}
+    vacuous = not report["shrinking_systems"]
+    if vacuous:
+        print(f"fail: no shrinking system in {args.trials} trials; nothing was checked", file=sys.stderr)
+    payload = {"command": "verify-oracle", "pass": not vacuous and not report["counterexamples"], **report}
     log.info(
         "shrinking oracle over %d trials with seed %d: %s in %.2fs",
         args.trials, args.seed, _verdict(payload["pass"]), time.perf_counter() - t0,

@@ -343,13 +343,11 @@ def minimality_witness(seq: CoverSequence, n: int):
 
 
 def _closed_path_lengths(lengths, bound: int) -> int:
-    """Closed-path lengths at the base vertex up to `bound`, as a bit mask.
+    """Closed-path lengths at the base vertex up to `bound` as a bit mask:
+    bit t is set iff a closed path of length t exists (bit 0: the empty path).
 
-    Bit t is set iff some closed path of length t exists; bit 0 stands for
-    the empty path.  Closed paths are concatenations of full cycles, so these
-    are the sums of cycle lengths with repeats.  Shifting by L, 2L, 4L, …
-    while the shift stays within the bound adds every multiple of L up to
-    the bound in about log(bound / L) big-int steps.
+    Closed paths are concatenations of full cycles.  Shifts by L, 2L, 4L, …
+    within the bound add every multiple of L up to the bound.
     """
     mask = (1 << (bound + 1)) - 1
     reach = 1
@@ -366,11 +364,9 @@ def check_weak_mixing_certificate(seq: CoverSequence, n: int) -> bool:
 
     Consecutive return lengths rule out any common rotation period; this is
     the finite-level witness used for weak mixing.  Return lengths are sums
-    of cycle lengths with repeats, searched up to 2 + (L1+1)·(L2+1).  They
-    are held as one integer whose bit t means "a closed path of length t
-    exists"; t and t + 1 are both return lengths exactly where
-    ``reach & reach >> 1`` has bit t, and the pair (0, 1) of the empty path
-    is shifted out.
+    of cycle lengths with repeats up to 2 + (L1+1)·(L2+1), held as a bit
+    mask; ``reach & reach >> 1`` has bit t where t and t + 1 are both return
+    lengths, and t = 0 (the empty path) is shifted out.
     """
     if not 0 <= n <= seq.top:
         raise ValueError(f"level {n} outside the built tower")
