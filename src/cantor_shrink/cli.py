@@ -45,17 +45,10 @@ from cantor_shrink.interval_embed import (
     verify_derivative_ratios,
     verify_lrs_pairs,
 )
-from cantor_shrink.metric_systems import (
-    build_attractor_repellor,
-    entropy_estimate,
-    extension_to_json,
-    full_shift_midpoint_system,
-    midpoint_system,
-    shrinking_propositions_oracle,
-    system_from_json,
-    system_to_json,
-)
 from cantor_shrink.odometer import OdometerSpec
+
+# cantor_shrink.metric_systems is imported inside the four commands that use
+# it, so that the scheme commands do not pay for loading it
 
 log = logging.getLogger("cantor_shrink.cli")
 
@@ -116,16 +109,15 @@ def _audit_fails(path: str, scheme) -> bool:
 
 
 def _comma_list(parse, what: str):
-    """An argparse type for a nonempty comma-separated list of ``parse`` values."""
+    """An argparse type for a comma-separated list of ``parse`` values, with
+    no part empty."""
 
     def read(text: str) -> list:
         try:
-            values = [parse(part) for part in text.split(",") if part]
+            return [parse(part) for part in text.split(",")]
         except (ValueError, ZeroDivisionError):
-            values = []
-        if not values:
-            raise argparse.ArgumentTypeError(f"not a comma-separated {what} list: {text!r}")
-        return values
+            # an empty part, as in "1,,2", "1," or ",", is refused like junk
+            raise argparse.ArgumentTypeError(f"not a comma-separated {what} list: {text!r}") from None
 
     return read
 
@@ -164,6 +156,8 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_build_extension(args) -> int:
+    from cantor_shrink.metric_systems import build_attractor_repellor, extension_to_json
+
     scheme = _load_scheme(args.scheme)
     if _audit_fails(args.scheme, scheme):
         return 1
@@ -177,6 +171,8 @@ def cmd_build_extension(args) -> int:
 
 
 def cmd_build_system(args) -> int:
+    from cantor_shrink.metric_systems import full_shift_midpoint_system, midpoint_system, system_to_json
+
     if (args.scheme is None) == (args.shift is None):
         raise ValueError("give exactly one of --scheme (with --depth) or --shift")
     if args.shift is not None:
@@ -337,6 +333,8 @@ def cmd_verify_cover(args) -> int:
 
 
 def cmd_verify_oracle(args) -> int:
+    from cantor_shrink.metric_systems import shrinking_propositions_oracle
+
     t0 = time.perf_counter()
     report = shrinking_propositions_oracle(trials=args.trials, seed=args.seed)
     vacuous = not report["shrinking_systems"]
@@ -375,6 +373,8 @@ def cmd_export_svg(args) -> int:
 
 
 def cmd_export_entropy(args) -> int:
+    from cantor_shrink.metric_systems import entropy_estimate, system_from_json
+
     t0 = time.perf_counter()
     with _naming(args.sys):
         system = system_from_json(_load_json(args.sys))

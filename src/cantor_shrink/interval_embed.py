@@ -11,6 +11,11 @@ cell per level.
 Each level stores its endpoints as integers over one scale S_n, a multiple
 of S_{n-1}, so certificates compare integers (rescaled by S_{n+1}/S_n across
 levels) instead of normalising fractions with denominators of 10^4+ bits.
+Both builders make every level factor S_{n+1}/S_n a small odd number times
+2^k (k_{n+1} 2^(n + E_{n+1}) for the odometer, 3 * 2^(e + 1) for graph
+covers), and the odometer's core widths are powers of two.  Products of
+scheme integers therefore go through :func:`_mul`, which multiplies the odd
+parts and shifts the product back: a dense product by 2^9207 becomes a shift.
 Files and pair-margin reports write those integers, and the scale, as
 signed binary digits (:func:`~cantor_shrink.exact.int_to_digits`).
 
@@ -137,6 +142,16 @@ class EmbeddingScheme:
         return self.levels[-1].n
 
 
+def _mul(x: int, y: int) -> int:
+    """``x * y`` for any integers, as the product of their odd parts shifted
+    left by their trailing zero bits together."""
+    if not x or not y:
+        return 0
+    ex = (x & -x).bit_length() - 1
+    ey = (y & -y).bit_length() - 1
+    return (x >> ex) * (y >> ey) << ex + ey
+
+
 def _cell(label: int, lo: int, width: int, half: int, parent: int | None, scale: int) -> Cell:
     """Carrier [lo, lo + width] with a concentric core of half-length ``half``."""
     mid = lo + width // 2
@@ -189,11 +204,11 @@ def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
         shifts = _odometer_core_shifts(spec, n + 1)
         bottom = max(shifts.values())
         refine = k_next << n + bottom
-        scale = prev.scale * refine
+        scale = _mul(prev.scale, refine)
         children: dict[int, Cell] = {}
         for i, cell in prev.cells.items():
-            lo = cell.core[0] * refine
-            step = _width(cell.core) * refine // k_next
+            lo = _mul(cell.core[0], refine)
+            step = _width(cell.core) << n + bottom  # a k_next-th of the core over the new scale
             for m in range(k_next):
                 j = i + m * s_n
                 children[j] = _cell(j, lo + m * step, step, 1 << bottom - shifts[j], i, scale)
@@ -258,9 +273,10 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
         vertices = canonical_vertices(seq.levels[n + 1])
         exponents = {signed_index(w): _graph_core_exponent(seq, n + 1, w) for w in vertices}
         s_next = len(vertices)
-        refine = 3 << max(exponents.values()) + 1
-        scale = prev.scale * refine
-        unit = prev.a * refine // 6
+        top = max(exponents.values())
+        refine = 3 << top + 1
+        scale = _mul(prev.scale, refine)
+        unit = prev.a << top  # a_n / 6 over the new scale
         children: dict[int, Cell] = {}
         for v in canonical_vertices(seq.levels[n]):
             i = signed_index(v)
@@ -270,8 +286,8 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
                     f"vertex {v} has {len(fibre)} preimages; only "
                     f"{SLOTS_PER_CORE} slots per core are available"
                 )
-            lo = prev.cells[i].core[0] * refine
-            step = _width(prev.cells[i].core) * refine // SLOTS_PER_CORE
+            lo = _mul(prev.cells[i].core[0], refine)
+            step = _width(prev.cells[i].core) << top - 1  # a twelfth of the core over the new scale
             for t, w in enumerate(fibre):
                 j = signed_index(w)
                 children[j] = _cell(j, lo + t * step, step, unit >> exponents[j], i, scale)
@@ -385,13 +401,13 @@ def derivative_ratio_bound(scheme: EmbeddingScheme, depth: int) -> Fraction:
     for label in level.cells:
         if label in skip or not child_map[label]:
             continue
-        image = max(_width(level.cells[m].core) for m in _image_labels(scheme, depth, label)) * refine
+        image = _mul(max(_width(level.cells[m].core) for m in _image_labels(scheme, depth, label)), refine)
         narrowest = min(_width(c.carrier) for c in child_map[label])
-        if best is None or image * best[1] > best[0] * narrowest:
+        if best is None or _mul(image, best[1]) > _mul(best[0], narrowest):
             best = (image, narrowest)
     if best is None:
         raise ValueError(f"no non-exceptional parents with children at depth {depth}")
-    return Fraction(*best)
+    return scaled_fraction(*best)
 
 
 def closed_form_ratio_bound(scheme: EmbeddingScheme, depth: int) -> Fraction:
@@ -537,7 +553,7 @@ def _audit_level_geometry(lvl: SchemeLevel, witnesses: list) -> None:
 
 def _encloses(outer: tuple[int, int], refine: int, inner: tuple[int, int]) -> bool:
     """Whether ``outer`` (one level up, so scaled by ``refine``) contains ``inner``."""
-    return outer[0] * refine <= inner[0] and inner[1] <= outer[1] * refine
+    return _mul(outer[0], refine) <= inner[0] and inner[1] <= _mul(outer[1], refine)
 
 
 def _audit_odometer(scheme: EmbeddingScheme, witnesses: list) -> None:
@@ -614,7 +630,7 @@ def _audit_graph(scheme: EmbeddingScheme, witnesses: list) -> None:
                 )
                 continue
             parent = lvl.cells[cell.parent]
-            if _width(cell.carrier) * SLOTS_PER_CORE != _width(parent.core) * refine:
+            if _width(cell.carrier) * SLOTS_PER_CORE != _mul(_width(parent.core), refine):
                 witnesses.append(
                     {"depth": nxt.n, "label": j, "reason": "carrier is not a twelfth of the core"}
                 )

@@ -426,12 +426,22 @@ def midpoint_system(scheme: EmbeddingScheme, depth: int, with_radii: bool = True
     return sys
 
 
+# 2^depth points and a triangle check over all triples: depth 8 builds in
+# 0.5 s, depth 9 in 4 s to a 9.7 MB file, and each depth more costs 8 times
+SHIFT_DEPTH_LIMIT = 9
+
+
 def full_shift_midpoint_system(depth: int = 6) -> FinitePointSystem:
     """Binary words of a fixed length as dyadic midpoints, map = left shift.
 
     The entropy negative control: separated counts grow like 2^n, so the
     estimates sit at log 2 instead of decaying.
+
+    Raises:
+        ValueError: unless 1 <= depth <= SHIFT_DEPTH_LIMIT.
     """
+    if not 1 <= depth <= SHIFT_DEPTH_LIMIT:
+        raise ValueError(f"the full shift needs a word length from 1 to {SHIFT_DEPTH_LIMIT}, not {depth!r}")
     words = [format(v, f"0{depth}b") for v in range(2**depth)]
     positions = {w: Fraction(2 * int(w, 2) + 1, 2 ** (depth + 1)) for w in words}
     step = {w: w[1:] + "0" for w in words}

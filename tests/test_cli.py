@@ -30,6 +30,7 @@ from cantor_shrink.metric_systems import (
     verify_deformed_lrs,
     verify_extension_lrs,
 )
+from cantor_shrink.metric_systems.core import SHIFT_DEPTH_LIMIT
 from cantor_shrink.odometer import OdometerSpec
 
 
@@ -49,15 +50,18 @@ def run_child(argv, log_level=None):
     tests import whether or not the package is installed.
     CANTOR_SHRINK_LOG is set to ``log_level``, or removed when that is None.
     """
+    return run_python(["-m", "cantor_shrink.cli", *argv], log_level)
+
+
+def run_python(args, log_level=None):
+    """Run ``python *args`` in a child process set up as :func:`run_child` says."""
     env = dict(os.environ)
     src_root = str(Path(cantor_shrink.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src_root, env.get("PYTHONPATH")) if p)
     env.pop("CANTOR_SHRINK_LOG", None)
     if log_level is not None:
         env["CANTOR_SHRINK_LOG"] = log_level
-    return subprocess.run(
-        [sys.executable, "-m", "cantor_shrink.cli", *argv], capture_output=True, env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
 
 
 def cli_log_lines(caplog):
@@ -112,6 +116,19 @@ def test_build_system_shift(tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["points"]) == 4
+
+
+@pytest.mark.parametrize("depth", ["-1", "0", str(SHIFT_DEPTH_LIMIT + 1)])
+def test_build_system_refuses_shift_depths_out_of_range(depth):
+    code, out, err = run(["build", "system", "--shift", depth])
+    assert code == 2 and out == ""
+    assert err == f"error: the full shift needs a word length from 1 to {SHIFT_DEPTH_LIMIT}, not {depth}\n"
+
+
+def test_build_system_shortest_shift():
+    code, out, _ = run(["build", "system", "--shift", "1"])
+    assert code == 0
+    assert json.loads(out)["points"] == ["0", "1"]
 
 
 def test_build_system_needs_exactly_one_source(work):
@@ -324,6 +341,9 @@ def test_export_entropy_csv_is_eps_major(work):
         (["export", "entropy", "--sys", "{sys2}", "--eps", ",", "--n", "1"], "--eps"),
         (["export", "entropy", "--sys", "{sys2}", "--eps", "1/4", "--n", ","], "--n"),
         (["export", "entropy", "--sys", "{sys2}", "--eps", "1/4", "--n", ",,"], "--n"),
+        (["export", "entropy", "--sys", "{sys2}", "--eps", "1/4", "--n", "1,,2"], "--n"),
+        (["export", "entropy", "--sys", "{sys2}", "--eps", "1/4", "--n", "1,"], "--n"),
+        (["export", "entropy", "--sys", "{sys2}", "--eps", "1/4", "--n", ",1"], "--n"),
         (["build", "odometer", "--s", ",", "--depth", "2"], "--s"),
     ],
 )
@@ -332,7 +352,8 @@ def test_empty_lists_are_usage_errors(work, argv, option):
     with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
         main([arg.format(sys2=work["sys2"]) for arg in argv])
     assert exc.value.code == 2
-    assert re.search(rf"error: argument {option}: not a comma-separated \w+ list: ',+'$", err.getvalue().strip())
+    value = re.escape(repr(argv[argv.index(option) + 1]))
+    assert re.search(rf"error: argument {option}: not a comma-separated \w+ list: {value}$", err.getvalue().strip())
 
 
 def test_malformed_json_is_a_usage_error(tmp_path):
@@ -807,6 +828,19 @@ def test_unknown_subcommand_exits_two():
     assert proc.returncode == 2
     err = proc.stderr.decode()
     assert "invalid choice" in err and "nonsense" in err
+
+
+def test_scheme_commands_do_not_load_the_finite_systems(work):
+    # only build extension/system, verify oracle and export entropy need
+    # cantor_shrink.metric_systems; a scheme command must not import it
+    code = (
+        "import sys\n"
+        "from cantor_shrink.cli import main\n"
+        f"status = main(['verify', 'derivative', '--scheme', {str(work['od3'])!r}, '--out', {os.devnull!r}])\n"
+        "print(status, 'cantor_shrink.metric_systems' in sys.modules)\n"
+    )
+    proc = run_python(["-c", code])
+    assert proc.stdout.decode() == "0 False\n", proc.stderr.decode()
 
 
 def test_module_entry_point_and_logging(work):

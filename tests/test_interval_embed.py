@@ -9,6 +9,7 @@ import pytest
 from cantor_shrink.exact import canonical_dumps, digits_to_int, int_to_digits, pow2
 from cantor_shrink.graphcover import base_vertex, build_sequence, preimage_counts
 from cantor_shrink.interval_embed import (
+    _mul,
     audit_scheme,
     build_graph_scheme,
     build_odometer_scheme,
@@ -281,6 +282,48 @@ def test_transitive_variant_also_audits():
     assert audit_scheme(scheme).passed
     assert verify_lrs_pairs(scheme, 0).passed
     assert len(scheme.level(1).cells) == 17
+
+
+# ---------------------------------------------------------------------------
+# products of scheme integers
+
+
+def _odd_shapes():
+    """±odd * 2^k, the shape of every scale, level factor and od9 width."""
+    return st.builds(
+        lambda odd, k, sign: sign * (2 * odd + 1) << k,
+        st.integers(0, 1 << 80), st.integers(0, 10**5), st.sampled_from([1, -1]),
+    )
+
+
+@h.given(
+    x=st.one_of(st.integers(-64, 64), st.integers(-(1 << 2000), 1 << 2000), _odd_shapes()),
+    y=st.one_of(st.integers(-64, 64), st.integers(-(1 << 2000), 1 << 2000), _odd_shapes()),
+)
+@h.example(x=0, y=0)
+@h.example(x=7 << 9, y=0)
+@h.example(x=-1, y=-1)
+@h.example(x=-12, y=3 << 9207)
+@h.example(x=-(3 << 99999), y=-(5 << 12))
+@h.settings(derandomize=True, deadline=None, max_examples=400)
+def test_mul_is_the_product(x, y):
+    assert _mul(x, y) == x * y
+    assert _mul(y, x) == x * y
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_odometer_scheme(OdometerSpec.from_list([2, 4, 8]), 9),
+    lambda: build_graph_scheme(build_sequence("transitive", 3), 3),
+    lambda: build_graph_scheme(build_sequence("weakly-mixing", 2), 2),
+], ids=["od9", "tr3", "wm2"])
+def test_level_factors_are_a_small_odd_part_times_a_power_of_two(build):
+    # the premise of _mul's speed: the factor between two level scales has
+    # thousands of trailing zero bits and an odd part of a few bits
+    scheme = build()
+    for lvl, nxt in zip(scheme.levels, scheme.levels[1:]):
+        refine, rest = divmod(nxt.scale, lvl.scale)
+        assert rest == 0
+        assert refine >> (refine & -refine).bit_length() - 1 < 1 << 8
 
 
 # ---------------------------------------------------------------------------
