@@ -23,17 +23,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from cantor_shrink.exact import canonical_dumps
-from cantor_shrink.graphcover import (
-    build_sequence,
-    check_bidirectional,
-    check_edge_surjective,
-    check_minimality_certificate,
-    check_transitivity_certificate,
-    check_weak_mixing_certificate,
-    invariant_subsystem,
-    minimality_witness,
-    periodic_point_free_certificate,
-)
 from cantor_shrink.interval_embed import (
     audit_scheme,
     build_graph_scheme,
@@ -47,8 +36,9 @@ from cantor_shrink.interval_embed import (
 )
 from cantor_shrink.odometer import OdometerSpec
 
-# cantor_shrink.metric_systems is imported inside the four commands that use
-# it, so that the scheme commands do not pay for loading it
+# cantor_shrink.graphcover and cantor_shrink.metric_systems are imported
+# inside the commands that use them, so that each command loads only the
+# layers it runs
 
 log = logging.getLogger("cantor_shrink.cli")
 
@@ -141,6 +131,8 @@ def cmd_build_odometer(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
+    from cantor_shrink.graphcover import build_sequence
+
     if args.levels > GRAPH_FEASIBLE_LEVELS:
         print(
             f"warning: graph schemes beyond depth {GRAPH_FEASIBLE_LEVELS} need "
@@ -253,6 +245,17 @@ def cmd_verify_lrs(args) -> int:
 
 
 def cmd_verify_cover(args) -> int:
+    from cantor_shrink.graphcover import (
+        check_bidirectional,
+        check_edge_surjective,
+        check_minimality_certificate,
+        check_transitivity_certificate,
+        check_weak_mixing_certificate,
+        invariant_subsystem,
+        minimality_witness,
+        periodic_point_free_certificate,
+    )
+
     scheme = _load_scheme(args.graph)
     if scheme.kind != "graph":
         raise ValueError("verify cover expects a graph scheme file")

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from cantor_shrink.exact import (
     ClosedInterval,
@@ -45,15 +46,12 @@ from cantor_shrink.exact import (
     scalar_to_json,
     scaled_fraction,
 )
-from cantor_shrink.graphcover import (
-    CoverSequence,
-    build_sequence,
-    canonical_vertices,
-    preimages,
-    signed_index,
-    vertex_with_signed_index,
-)
 from cantor_shrink.odometer import OdometerSpec
+
+# the graph functions import cantor_shrink.graphcover where they run, so that
+# odometer commands do not load it
+if TYPE_CHECKING:
+    from cantor_shrink.graphcover import CoverSequence
 
 
 SLOTS_PER_CORE = 12
@@ -255,6 +253,8 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
     2^-e a_n / 6 and b_{n+1} = 2^(-s_{n+1}^2) a_{n+1} (as e >= 2 s_{n+1}^2)
     are integers.
     """
+    from cantor_shrink.graphcover import canonical_vertices, preimages, signed_index
+
     if depth < 0:
         raise ValueError("depth must be at least 0")
     if depth > seq.top:
@@ -302,13 +302,6 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_at(scheme: EmbeddingScheme, depth: int, label: int):
-    v = vertex_with_signed_index(scheme.cover.levels[depth], label)
-    if v is None:
-        raise KeyError(f"no vertex with signed index {label} at level {depth}")
-    return v
-
-
 def induced_map_label(scheme: EmbeddingScheme, depth: int, label: int):
     """Where the induced dynamics sends a depth-``depth`` cell.
 
@@ -320,8 +313,12 @@ def induced_map_label(scheme: EmbeddingScheme, depth: int, label: int):
     level.cell(label)
     if scheme.kind == "odometer":
         return (label + 1) % scheme.spec.extended_modulus(depth)
-    succ = scheme.cover.graph(depth).out_neighbors(_vertex_at(scheme, depth, label))
-    return tuple(sorted(signed_index(w) for w in succ))
+    from cantor_shrink.graphcover import signed_index, vertex_with_signed_index
+
+    v = vertex_with_signed_index(scheme.cover.levels[depth], label)
+    if v is None:
+        raise KeyError(f"no vertex with signed index {label} at level {depth}")
+    return tuple(sorted(signed_index(w) for w in scheme.cover.graph(depth).out_neighbors(v)))
 
 
 def _image_labels(scheme: EmbeddingScheme, depth: int, label: int) -> list[int]:
@@ -597,6 +594,8 @@ def _audit_odometer(scheme: EmbeddingScheme, witnesses: list) -> None:
 
 
 def _audit_graph(scheme: EmbeddingScheme, witnesses: list) -> None:
+    from cantor_shrink.graphcover import canonical_vertices, signed_index, vertex_with_signed_index
+
     seq = scheme.cover
     for lvl in scheme.levels:
         n = lvl.n
@@ -753,6 +752,8 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
             isinstance(source, dict) and type(source.get("levels")) is int and source["levels"] == height,
             f"field 'source' must be {{\"variant\": ..., \"levels\": {height}}} for {height + 1} levels",
         )
+        from cantor_shrink.graphcover import build_sequence
+
         symbolic = {"cover": build_sequence(source["variant"], height)}
     first = 1 if kind == "odometer" else 0
     levels = []

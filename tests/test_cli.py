@@ -341,10 +341,10 @@ def test_export_entropy_csv_is_eps_major(work):
         (["export", "entropy", "--sys", "{sys2}", "--eps", ",", "--n", "1"], "--eps"),
         (["export", "entropy", "--sys", "{sys2}", "--eps", "1/4", "--n", ","], "--n"),
         (["export", "entropy", "--sys", "{sys2}", "--eps", "1/4", "--n", ",,"], "--n"),
+        (["build", "odometer", "--s", ",", "--depth", "2"], "--s"),
         (["export", "entropy", "--sys", "{sys2}", "--eps", "1/4", "--n", "1,,2"], "--n"),
         (["export", "entropy", "--sys", "{sys2}", "--eps", "1/4", "--n", "1,"], "--n"),
         (["export", "entropy", "--sys", "{sys2}", "--eps", "1/4", "--n", ",1"], "--n"),
-        (["build", "odometer", "--s", ",", "--depth", "2"], "--s"),
     ],
 )
 def test_empty_lists_are_usage_errors(work, argv, option):
@@ -830,17 +830,25 @@ def test_unknown_subcommand_exits_two():
     assert "invalid choice" in err and "nonsense" in err
 
 
-def test_scheme_commands_do_not_load_the_finite_systems(work):
+@pytest.mark.parametrize("source, command", [
+    ("od3", ["verify", "derivative", "--scheme"]),
+    ("od3", ["export", "ratio", "--sys"]),
+    ("wm2", ["verify", "derivative", "--scheme"]),
+])
+def test_scheme_commands_load_only_the_layers_they_run(work, source, command):
     # only build extension/system, verify oracle and export entropy need
-    # cantor_shrink.metric_systems; a scheme command must not import it
+    # cantor_shrink.metric_systems, and only graph schemes need graphcover
     code = (
         "import sys\n"
         "from cantor_shrink.cli import main\n"
-        f"status = main(['verify', 'derivative', '--scheme', {str(work['od3'])!r}, '--out', {os.devnull!r}])\n"
-        "print(status, 'cantor_shrink.metric_systems' in sys.modules)\n"
+        f"status = main({command + [str(work[source]), '--out', os.devnull]!r})\n"
+        "print(status, sorted(m for m in sys.modules if m.startswith('cantor_shrink.')))\n"
     )
     proc = run_python(["-c", code])
-    assert proc.stdout.decode() == "0 False\n", proc.stderr.decode()
+    layers = ["cantor_shrink.cli", "cantor_shrink.exact", "cantor_shrink.interval_embed", "cantor_shrink.odometer"]
+    if source == "wm2":
+        layers.insert(2, "cantor_shrink.graphcover")
+    assert proc.stdout.decode() == f"0 {layers}\n", proc.stderr.decode()
 
 
 def test_module_entry_point_and_logging(work):
