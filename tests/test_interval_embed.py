@@ -317,8 +317,8 @@ def test_mul_is_the_product(x, y):
     lambda: build_graph_scheme(build_sequence("weakly-mixing", 2), 2),
 ], ids=["od9", "tr3", "wm2"])
 def test_level_factors_are_a_small_odd_part_times_a_power_of_two(build):
-    # the premise of _mul's speed: the factor between two level scales has
-    # thousands of trailing zero bits and an odd part of a few bits
+    # the premise of _mul's speed: the factor between two level scales is a
+    # power of two times an odd part of a few bits
     scheme = build()
     for lvl, nxt in zip(scheme.levels, scheme.levels[1:]):
         refine, rest = divmod(nxt.scale, lvl.scale)
