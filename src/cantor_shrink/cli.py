@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import logging
 import os
 import sys
 import time
@@ -40,7 +39,18 @@ from cantor_shrink.odometer import OdometerSpec
 # inside the commands that use them, so that each command loads only the
 # layers it runs
 
-log = logging.getLogger("cantor_shrink.cli")
+
+def _info(message: str, *args) -> None:
+    """Log an INFO line to the ``cantor_shrink.cli`` logger.
+
+    Without a handler the line goes nowhere, so ``logging`` is not imported
+    for it: the line is passed on only when something has loaded ``logging``
+    already (a test runner, an embedding program, or :func:`main` under
+    CANTOR_SHRINK_LOG).
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("cantor_shrink.cli").info(message, *args)
 
 GRAPH_FEASIBLE_LEVELS = 4
 
@@ -48,7 +58,7 @@ GRAPH_FEASIBLE_LEVELS = 4
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
-        log.info("wrote %s (%d bytes)", out, len(text))
+        _info("wrote %s (%d bytes)", out, len(text))
     else:
         sys.stdout.write(text)
 
@@ -81,7 +91,7 @@ def _load_scheme(path: str):
 
 def _log_system(what: str, system, t0: float) -> None:
     n = len(system.points)
-    log.info(
+    _info(
         "%s: %d points, %d-bit scale, %d triangle triples checked in %.2fs",
         what, n, system.scale.bit_length(), n * (n - 1) * (n - 2), time.perf_counter() - t0,
     )
@@ -125,7 +135,7 @@ def cmd_build_odometer(args) -> int:
     spec = OdometerSpec.from_list(args.s)
     t0 = time.perf_counter()
     scheme = build_odometer_scheme(spec, args.depth)
-    log.info("odometer depth %d built in %.2fs", args.depth, time.perf_counter() - t0)
+    _info("odometer depth %d built in %.2fs", args.depth, time.perf_counter() - t0)
     _emit(canonical_dumps(scheme_to_json(scheme)), args.out)
     return 0
 
@@ -142,7 +152,7 @@ def cmd_build_graph(args) -> int:
     seq = build_sequence(args.variant, args.levels)
     t0 = time.perf_counter()
     scheme = build_graph_scheme(seq, args.levels)
-    log.info("graph depth %d built in %.2fs", args.levels, time.perf_counter() - t0)
+    _info("graph depth %d built in %.2fs", args.levels, time.perf_counter() - t0)
     _emit(canonical_dumps(scheme_to_json(scheme)), args.out)
     return 0
 
@@ -195,7 +205,7 @@ def cmd_verify_derivative(args) -> int:
     t0 = time.perf_counter()
     with _naming(args.scheme):
         report = verify_derivative_ratios(scheme)
-    log.info(
+    _info(
         "derivative ratios over depths %s: %s in %.2fs",
         report.stats["depths"], _verdict(report.passed), time.perf_counter() - t0,
     )
@@ -222,7 +232,7 @@ def cmd_verify_lrs(args) -> int:
         reports.append(report.to_json())
         counts = Counter(e["reason"] for e in report.excluded)
         reasons = ", ".join(f"{n} {reason}" for reason, n in sorted(counts.items()))
-        log.info(
+        _info(
             "lrs pairs at depth %d: %s, %d checked, %d excluded%s in %.2fs",
             d, _verdict(report.passed), report.stats["pairs_checked"], len(report.excluded),
             f" ({reasons})" if reasons else "", time.perf_counter() - t0,
@@ -236,7 +246,7 @@ def cmd_verify_lrs(args) -> int:
         "reports": reports,
     }
     text = canonical_dumps(combined)
-    log.info(
+    _info(
         "lrs report over depths %s: %s, %d bytes",
         combined["depths_checked"], _verdict(combined["pass"]), len(text),
     )
@@ -319,7 +329,7 @@ def cmd_verify_cover(args) -> int:
             and certificates["restricted_is_doubling_triple"]
             and certificates["periodic_point_free"]
         )
-    log.info(
+    _info(
         "cover certificates for the %s tower over %d levels (%s): %s in %.2fs",
         variant, seq.top, ", ".join(certificates), _verdict(ok), time.perf_counter() - t0,
     )
@@ -344,7 +354,7 @@ def cmd_verify_oracle(args) -> int:
     if vacuous:
         print(f"fail: no shrinking system in {args.trials} trials; nothing was checked", file=sys.stderr)
     payload = {"command": "verify-oracle", "pass": not vacuous and not report["counterexamples"], **report}
-    log.info(
+    _info(
         "shrinking oracle over %d trials with seed %d: %s in %.2fs",
         args.trials, args.seed, _verdict(payload["pass"]), time.perf_counter() - t0,
     )
@@ -487,6 +497,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("CANTOR_SHRINK_LOG")
     if level:
+        import logging
+
         logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
     parser = _build_parser()
     args = parser.parse_args(argv)

@@ -7,13 +7,17 @@ approximate export paths.
 Integers over a scale that a file declares once (scheme geometry and
 sibling-pair margins) are written as one canonical string of signed binary
 digits in non-adjacent form, ``"+84370-84366+12"`` for 2^84370 - 2^84366 +
-2^12, by :func:`int_to_digits` and read back by :func:`digits_to_int`.  The
-level-scale integers have a few dozen nonzero digits at most, so the strings
-stay short whatever the size of the integer, and each digit costs one
-linear-time operation to write or read.  Other scalars are JSON objects
-(:func:`scalar_to_json`) whose decimal terms are converted by divide and
-conquer instead of ``str``/``int`` (CPython's conversions are quadratic and
-capped by ``sys.int_max_str_digits``).
+2^12, by :func:`int_to_digits` and read back, a whole scheme level at a
+time, by :func:`digits_to_ints`.  The level-scale integers have a few dozen
+nonzero digits at most, so the strings stay short whatever the size of the
+integer, and each digit costs one linear-time operation to write or read.
+Other scalars are JSON objects (:func:`scalar_to_json`) whose decimal terms
+are converted by divide and conquer instead of ``str``/``int`` (CPython's
+conversions are quadratic and capped by ``sys.int_max_str_digits``).
+
+:class:`ClosedInterval` is a ``typing.NamedTuple`` rather than a dataclass:
+every command imports this module, and ``dataclasses`` would load
+``inspect`` (with ``ast``, ``dis`` and ``tokenize``) into each launch.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ import decimal
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 Rational = Union[Fraction, int]
 
@@ -91,7 +94,7 @@ def decimal_to_int(text: str) -> int:
 # signed binary digits: "+e1-e2+e3..." for 2^e1 - 2^e2 + 2^e3 ..., non-adjacent
 
 _DIGITS = re.compile(r"0|(?:[+-](?:0|[1-9][0-9]{0,11}))+")
-_SIGN = re.compile(r"([+-])")
+_TERM = re.compile(r"([+-])([0-9]+)")
 
 
 def int_to_digits(x: int) -> str:
@@ -124,31 +127,67 @@ def int_to_digits(x: int) -> str:
     return "".join(terms)
 
 
-def digits_to_int(text: str, max_bits: int) -> int:
-    """Parse :func:`int_to_digits` output whose leading exponent is at most
-    ``max_bits``.  Only the canonical form is read: exponents strictly
-    descending, no two adjacent, and ``"0"`` for zero; each value has
-    exactly one such string.
+def digits_to_ints(texts: list, max_bits: int) -> list[int]:
+    """Parse a list of :func:`int_to_digits` outputs whose leading exponents
+    are at most ``max_bits``.  Only the canonical form is read: exponents
+    strictly descending, no two adjacent, and ``"0"`` for zero; each value
+    has exactly one such string.
+
+    Each string is checked by one regex, mapped over the list in C (one match
+    over the joined strings would keep a backtracking entry per digit in the
+    regex engine: about 9 MB, freshly paged in, for the largest od9 level).
+    The values are then built by Horner's rule, a shift by the fall in
+    exponent and a ±1 per digit.  The strings of a scheme level come in runs
+    that share their leading digits (the ends of a carrier and of its core),
+    so each string resumes from the state after the longest run of whole
+    digits it shares with the string before it: two thirds of the digits of
+    od9 and tr3 are not read again.
 
     Raises:
-        ValueError: if the text is not of that form or an exponent exceeds
-            ``max_bits``; both are found before any power of two is built.
+        ValueError: naming the first string, in list order, that is not of
+            that form or whose leading exponent exceeds ``max_bits``; both are
+            found before that string builds any power of two.
     """
-    if not isinstance(text, str) or not _DIGITS.fullmatch(text):
-        raise ValueError(f"{text!r:.40} is not a signed-digit string")
-    if text == "0":
-        return 0
-    parts = _SIGN.split(text)  # "", sign, exponent, sign, exponent, ...
-    exponents = list(map(int, parts[2::2]))
-    if any(hi - lo < 2 for hi, lo in zip(exponents, exponents[1:])):
-        raise ValueError(f"{text[:40]!r} is not canonical: exponents must fall by at least 2")
-    if exponents[0] > max_bits:
-        raise ValueError(f"{text[:40]!r} exceeds {max_bits} bits")
-    size = exponents[0] // 8 + 1
-    plus, minus = bytearray(size), bytearray(size)
-    for sign, e in zip(parts[1::2], exponents):
-        (plus if sign == "+" else minus)[e >> 3] |= 1 << (e & 7)
-    return int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
+    try:
+        check = not all(map(_DIGITS.fullmatch, texts))
+    except TypeError:  # not every one is a string
+        check = True
+    values = []
+    prev, marks = "", []  # the string before, and (end, x, e) after each of its digits
+    for text in texts:
+        if check and not (isinstance(text, str) and _DIGITS.fullmatch(text)):
+            raise ValueError(f"{text!r:.40} is not a signed-digit string")
+        start = x = e = 0  # the value so far is x 2^e, e the last exponent read
+        for k in range(len(marks) - 1, -1, -1):
+            end = marks[k][0]
+            # a digit of this string ends there too ("" when the string does)
+            if text[end:end + 1] in "+-" and text.startswith(prev[:end]):
+                start, x, e = marks[k]
+                del marks[k + 1:]
+                break
+        else:
+            marks = []
+        for term in _TERM.finditer(text, start):
+            sign, digits = term.groups()
+            f = int(digits)
+            if not x:  # the leading digit
+                if f > max_bits:
+                    raise ValueError(f"{text[:40]!r} exceeds {max_bits} bits")
+                x = 1 if sign == "+" else -1
+            elif e - f >= 2:
+                x = (x << e - f) + (1 if sign == "+" else -1)
+            else:
+                raise ValueError(f"{text[:40]!r} is not canonical: exponents must fall by at least 2")
+            e = f
+            marks.append((term.end(), x, e))
+        values.append(x << e)
+        prev = text
+    return values
+
+
+def digits_to_int(text: str, max_bits: int) -> int:
+    """:func:`digits_to_ints` of one string."""
+    return digits_to_ints([text], max_bits)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +304,21 @@ def canonical_dumps(obj) -> str:
 # closed intervals
 
 
-@dataclass(frozen=True)
-class ClosedInterval:
-    """Closed interval [lo, hi] with exact rational endpoints."""
-
+class _Interval(NamedTuple):
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+
+class ClosedInterval(_Interval):
+    """Closed interval [lo, hi] with exact rational endpoints."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        return super().__new__(cls, lo, hi)
 
     @property
     def diameter(self) -> Fraction:

@@ -199,7 +199,7 @@ def expand_cycle_expr(level, expr: CycleExpr) -> list[Vertex]:
         raise ValueError("empty cycle expression")
     path = [level.base]
     for mult, cycle in expr.terms:
-        if not 1 <= cycle <= len(level.cycles):
+        if not 1 <= cycle <= len(level.cycle_lengths):
             raise ValueError(f"level {level.n} has no cycle {cycle}")
         for _ in range(mult):
             path.extend(level.cycle_path(cycle)[1:])
@@ -484,7 +484,7 @@ def vertex_with_signed_index(level, j: int):
     if j == 0:
         return level.base
     cycle, i = (1, j) if j > 0 else (2, -j)
-    if cycle > len(level.cycles):
+    if cycle > len(level.cycle_lengths):
         return None
     if 1 <= i <= level.cycle_lengths[cycle - 1] - 1:
         return (level.n, cycle, i)

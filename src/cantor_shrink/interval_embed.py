@@ -23,24 +23,33 @@ Two builders are provided: :func:`build_odometer_scheme` for adding machines
 and :func:`build_graph_scheme` for inverse limits of graph covers.  Both feed
 the same verification battery (:func:`verify_derivative_ratios`,
 :func:`verify_lrs_pairs`, :func:`audit_scheme`) and the same canonical JSON
-serialization, so a scheme written to disk can be re-audited verbatim.
+serialization, so a scheme written to disk can be re-audited verbatim.  A
+loaded level's scale must be the one its source descriptor gives
+(:func:`_odometer_scale_steps`, :func:`_graph_scale_steps`), so a file cannot
+ask for more memory than its construction would use.
+
+The records (:class:`Cell`, :class:`SchemeLevel`, :class:`EmbeddingScheme`)
+are ``typing.NamedTuple``s and :class:`VerifyReport` is a plain class, not
+dataclasses: every scheme command imports this module, and ``dataclasses``
+would load ``inspect`` (with ``ast``, ``dis`` and ``tokenize``) into each
+launch.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from cantor_shrink.exact import (
     ClosedInterval,
     approx_float,
     canonical_dumps,
     digits_to_int,
+    digits_to_ints,
     int_to_digits,
     pow2,
     scalar_to_json,
@@ -57,12 +66,12 @@ if TYPE_CHECKING:
 SLOTS_PER_CORE = 12
 SCHEME_FORMAT = 3
 # wm4's level scale has 3.2 M bits; a scale past this bound would not fit its
-# level's endpoints in memory as integers, so a file naming one is refused
+# level's endpoints in memory as integers, so a file whose source descriptor
+# gives one is refused
 SCALE_BITS_LIMIT = 1 << 24
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One cylinder at one depth: carrier interval A, concentric core D.
 
     ``carrier`` and ``core`` are (lo, hi) integers over the level ``scale``;
@@ -90,8 +99,12 @@ def _width(pair: tuple[int, int]) -> int:
     return pair[1] - pair[0]
 
 
-@dataclass
-class SchemeLevel:
+def _core_widths(level: SchemeLevel) -> dict[int, int]:
+    """Label -> core width of every cell of a level, each subtracted once."""
+    return {label: _width(c.core) for label, c in level.cells.items()}
+
+
+class SchemeLevel(NamedTuple):
     """All cells of one depth, keyed by label; the endpoints and the level
     scales a, b are integers over ``scale``."""
 
@@ -107,8 +120,7 @@ class SchemeLevel:
         return self.cells[label]
 
 
-@dataclass
-class EmbeddingScheme:
+class EmbeddingScheme(NamedTuple):
     """A finite tower of interval levels together with its symbolic source.
 
     ``kind`` is "odometer" or "graph"; ``source`` is the descriptor needed to
@@ -174,6 +186,17 @@ def _odometer_core_shifts(spec: OdometerSpec, n: int) -> dict[int, int]:
     return {label: step * ((label - s_prev - 1) % s_n) for label in range(s_n)}
 
 
+def _odometer_scale_steps(spec: OdometerSpec, depth: int) -> Iterator[tuple[int, int]]:
+    """(m, e) for levels 1..depth, each level's scale S_n = S_{n-1} m 2^e
+    (S_0 = 1): S_1 = 12 * 2^E_1 and S_{n+1} = S_n k_{n+1} 2^(n + E_{n+1}),
+    with E_n = n k_{n+1} (s_n - 1) the bottom shift of the depth-n core ladder
+    (:func:`_odometer_core_shifts`).  Lazy, so that a reader can refuse a
+    scale before the steps of deeper levels are worked out."""
+    for n in range(1, depth + 1):
+        bottom = n * spec.extended_k(n + 1) * (spec.extended_modulus(n) - 1)
+        yield (12, bottom) if n == 1 else (spec.extended_k(n), n - 1 + bottom)
+
+
 def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
     """Embed the odometer with modulus tower s_1 | s_2 | ... up to ``depth``.
 
@@ -189,24 +212,25 @@ def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    steps = list(_odometer_scale_steps(spec, depth))
+    m, bottom = steps[0]
+    scale = m << bottom  # a_1 = 1/2
     shifts = _odometer_core_shifts(spec, 1)
-    bottom = max(shifts.values())
-    scale = 12 << bottom  # a_1 = 1/2
     cells = {i: _cell(i, i * scale, 6 << bottom, 1 << bottom - t, None, scale) for i, t in shifts.items()}
     levels = [SchemeLevel(1, scale, 6 << bottom, 6, cells)]
 
     for n in range(1, depth):
         prev = levels[-1]
         s_n = spec.extended_modulus(n)
-        k_next = spec.extended_k(n + 1)
+        k_next, e = steps[n]
+        bottom = e - n  # E_{n+1}, as e = n + E_{n+1}
         shifts = _odometer_core_shifts(spec, n + 1)
-        bottom = max(shifts.values())
-        refine = k_next << n + bottom
+        refine = k_next << e
         scale = _mul(prev.scale, refine)
         children: dict[int, Cell] = {}
         for i, cell in prev.cells.items():
             lo = _mul(cell.core[0], refine)
-            step = _width(cell.core) << n + bottom  # a k_next-th of the core over the new scale
+            step = _width(cell.core) << e  # a k_next-th of the core over the new scale
             for m in range(k_next):
                 j = i + m * s_n
                 children[j] = _cell(j, lo + m * step, step, 1 << bottom - shifts[j], i, scale)
@@ -238,6 +262,23 @@ def _graph_core_exponent(seq: CoverSequence, n: int, vertex) -> int:
     return s_n * s_n + i * s_n
 
 
+def _graph_core_exponents(seq: CoverSequence, n: int) -> dict[int, int]:
+    """Signed index -> core exponent of every level-n vertex, in canonical order."""
+    from cantor_shrink.graphcover import canonical_vertices, signed_index
+
+    return {signed_index(v): _graph_core_exponent(seq, n, v) for v in canonical_vertices(seq.levels[n])}
+
+
+def _graph_scale_steps(seq: CoverSequence, depth: int) -> Iterator[tuple[int, int]]:
+    """(m, e) for levels 0..depth, each level's scale S_n = S_{n-1} m 2^e
+    (S_{-1} = 1): S_0 = 12 * 2^e_0 and S_{n+1} = S_n * 3 * 2^(e_{n+1} + 1),
+    with e_n the largest core exponent of level n.  Lazy, as
+    :func:`_odometer_scale_steps` is."""
+    yield 12, max(_graph_core_exponents(seq, 0).values())
+    for n in range(1, depth + 1):
+        yield 3, max(_graph_core_exponents(seq, n).values()) + 1
+
+
 def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
     """Embed the inverse limit of ``seq`` down to level ``depth``.
 
@@ -260,21 +301,22 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
     if depth > seq.top:
         raise ValueError(f"depth {depth} exceeds the cover tower height {seq.top}")
 
-    exponents = {signed_index(v): _graph_core_exponent(seq, 0, v) for v in canonical_vertices(seq.levels[0])}
-    bottom = max(exponents.values())
-    scale = 12 << bottom  # a_0 = 1/2, and a core of exponent e has half-length 2^-e / 12
+    steps = list(_graph_scale_steps(seq, depth))
+    m, bottom = steps[0]
+    scale = m << bottom  # a_0 = 1/2, and a core of exponent e has half-length 2^-e / 12
     a = 6 << bottom
     s_0 = len(seq.graph(0).vertices)
+    exponents = _graph_core_exponents(seq, 0)
     cells = {j: _cell(j, j * scale, a, 1 << bottom - e, None, scale) for j, e in sorted(exponents.items())}
     levels = [SchemeLevel(0, scale, a, a // 3 >> 2 * s_0 * s_0, cells)]
 
     for n in range(depth):
         prev = levels[-1]
-        vertices = canonical_vertices(seq.levels[n + 1])
-        exponents = {signed_index(w): _graph_core_exponent(seq, n + 1, w) for w in vertices}
-        s_next = len(vertices)
-        top = max(exponents.values())
-        refine = 3 << top + 1
+        exponents = _graph_core_exponents(seq, n + 1)
+        s_next = len(exponents)
+        m, e = steps[n + 1]
+        top = e - 1  # the largest core exponent of level n + 1
+        refine = m << e
         scale = _mul(prev.scale, refine)
         unit = prev.a << top  # a_n / 6 over the new scale
         children: dict[int, Cell] = {}
@@ -355,17 +397,18 @@ def children_of(scheme: EmbeddingScheme, depth: int) -> dict[int, list[Cell]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class VerifyReport:
-    """Outcome of one certificate: pass/fail, margins, witnesses, exclusions."""
+    """Outcome of one certificate: pass/fail, margins, witnesses, exclusions.
 
-    check: str
-    passed: bool
-    witnesses: list
-    margins: list = field(default_factory=list)
-    excluded: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
-    scale: int | None = None  # declared once when margins are digit strings over it
+    ``scale`` is declared once when the margins are digit strings over it.
+    """
+
+    def __init__(self, check: str, passed: bool, witnesses: list, margins: list | None = None,
+                 excluded: list | None = None, stats: dict | None = None, scale: int | None = None):
+        self.check, self.passed, self.witnesses, self.scale = check, passed, witnesses, scale
+        self.margins = [] if margins is None else margins
+        self.excluded = [] if excluded is None else excluded
+        self.stats = {} if stats is None else stats
 
     def to_json(self) -> dict:
         out = {
@@ -394,11 +437,12 @@ def derivative_ratio_bound(scheme: EmbeddingScheme, depth: int) -> Fraction:
     level = scheme.level(depth)
     refine = scheme.level(depth + 1).scale // level.scale
     skip = exceptional_labels(scheme, depth)
+    widths = _core_widths(level)
     best: tuple[int, int] | None = None  # numerator, denominator over the child scale
     for label in level.cells:
         if label in skip or not child_map[label]:
             continue
-        image = _mul(max(_width(level.cells[m].core) for m in _image_labels(scheme, depth, label)), refine)
+        image = _mul(max(widths[m] for m in _image_labels(scheme, depth, label)), refine)
         narrowest = min(_width(c.carrier) for c in child_map[label])
         if best is None or _mul(image, best[1]) > _mul(best[0], narrowest):
             best = (image, narrowest)
@@ -567,17 +611,18 @@ def _audit_odometer(scheme: EmbeddingScheme, witnesses: list) -> None:
         step = n * spec.extended_k(n + 1)
         if lvl.b << step * (s_n - 1) != lvl.a:
             witnesses.append({"depth": n, "reason": "stored b does not match its formula"})
-        ladder = [_width(lvl.cells[(s_prev + z) % s_n].core) for z in range(1, s_n + 1)]
+        widths = _core_widths(lvl)
+        ladder = [widths[(s_prev + z) % s_n] for z in range(1, s_n + 1)]
         if any(x <= y for x, y in zip(ladder, ladder[1:])):
             witnesses.append({"depth": n, "reason": "core ladder not strictly decreasing"})
         for i, cell in lvl.cells.items():
-            d = _width(cell.core)
+            d = widths[i]
             if not lvl.a >= 3 * d >= lvl.b:
                 witnesses.append({"depth": n, "label": i, "reason": "core outside [b/3, a/3]"})
             if n > 3 and 3 * d > _width(cell.carrier):
                 witnesses.append({"depth": n, "label": i, "reason": "core above a third of carrier"})
             if i % s_n != s_prev % s_n:
-                if _width(lvl.cells[(i + 1) % s_n].core) << step != d:
+                if widths[(i + 1) % s_n] << step != d:
                     witnesses.append(
                         {"depth": n, "label": i, "reason": "successor core ratio off ladder step"}
                     )
@@ -708,11 +753,30 @@ def _field(obj: dict, key: str, where: str, parse):
         raise ValueError(f"{where}: field {key!r}: {exc}") from None
 
 
-def _digit_pair(value, bits: int) -> tuple[int, int]:
+def _digit_pair(value, decode) -> tuple[int, int]:
     _check(isinstance(value, list) and len(value) == 2, "not a [lo, hi] pair")
-    lo, hi = (digits_to_int(x, bits) for x in value)
+    lo, hi = decode(value[0]), decode(value[1])
     _check(lo <= hi, "lo > hi")
     return lo, hi
+
+
+def _level_decoder(entry: dict, bits: int):
+    """A function that reads the digit strings of the level ``entry`` (each
+    cell's A and D, then a and b), called on them in that order.
+
+    Every string of the level is decoded up front in one pass
+    (:func:`digits_to_ints`), and the function hands the values out in turn.
+    When that pass fails, or the level is not shaped for it, the function
+    decodes each string as it is called instead, so that the first fault in
+    file order is the one reported, with its field.
+    """
+    try:
+        texts = [x for c in entry["cells"] for key in "AD" for x in c[key]]
+        texts += entry["a"], entry["b"]
+        values = iter(digits_to_ints(texts, bits))
+    except (KeyError, TypeError, ValueError):
+        return partial(digits_to_int, max_bits=bits)
+    return lambda text: next(values)
 
 
 def scheme_from_json(obj: dict) -> EmbeddingScheme:
@@ -721,10 +785,11 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
     The symbolic source is reconstructed from the descriptor so successor
     structure is available, but no interval is recomputed: verification then
     applies to exactly what the file says.  Depths count up from the kind's
-    first depth, each scale is a positive multiple of the one above, labels
-    are distinct integers within a level, each parent is a label of the level
-    above (null on the first level), and each scale, a, b and endpoint is a
-    canonical signed-digit string whose exponents stay within the bounds.
+    first depth, each scale is the one the descriptor gives (and is refused
+    before any endpoint is read when it is not), labels are distinct
+    integers within a level, each parent is a label of the level above (null
+    on the first level), and each scale, a, b and endpoint is a canonical
+    signed-digit string whose exponents stay within the bounds.
 
     Raises:
         ValueError: naming the field, when the file does not fit the schema;
@@ -747,6 +812,7 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
             "field 'source' must be {\"rule\": \"list\", \"s\": [integers]}",
         )
         symbolic = {"spec": OdometerSpec.from_descriptor(source)}
+        steps = _odometer_scale_steps(symbolic["spec"], height + 1)
     else:
         _check(
             isinstance(source, dict) and type(source.get("levels")) is int and source["levels"] == height,
@@ -755,39 +821,41 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
         from cantor_shrink.graphcover import build_sequence
 
         symbolic = {"cover": build_sequence(source["variant"], height)}
+        steps = _graph_scale_steps(symbolic["cover"], height)
     first = 1 if kind == "odometer" else 0
     levels = []
     parents: set = {None}
-    above = 1
-    for i, entry in enumerate(obj["levels"]):
+    scale = 1
+    for i, (entry, (m, e)) in enumerate(zip(obj["levels"], steps)):
         where = f"levels[{i}]"
         _check(isinstance(entry, dict), f"{where} must be a JSON object")
         _check(type(entry["n"]) is int and entry["n"] == first + i, f"{where}: field 'n' must be {first + i}")
-        scale = _field(entry, "scale", where, partial(digits_to_int, max_bits=SCALE_BITS_LIMIT))
-        _check(
-            scale > 0 and scale % above == 0,
-            f"{where}: field 'scale' must be a positive integer multiple of the scale above",
-        )
-        above = scale
-        bits = scale.bit_length() + 64  # no endpoint lies 2^64 scales from zero
-        pair, single = partial(_digit_pair, bits=bits), partial(digits_to_int, max_bits=bits)
+        bits = scale.bit_length() + m.bit_length() + e
+        if bits > SCALE_BITS_LIMIT:
+            raise ValueError(f"{where}: field 'scale': the source descriptor gives a scale of {bits} bits, "
+                             f"past the limit of {SCALE_BITS_LIMIT}")
+        scale = scale * m << e
+        declared = _field(entry, "scale", where, partial(digits_to_int, max_bits=scale.bit_length()))
+        if declared != scale:
+            raise ValueError(f"{where}: field 'scale' is not {int_to_digits(scale)}, the scale its source gives")
+        decode = _level_decoder(entry, scale.bit_length() + 64)  # no endpoint lies 2^64 scales from zero
+        pair = partial(_digit_pair, decode=decode)
         _check(isinstance(entry["cells"], list), f"{where}: field 'cells' must be a list")
         cells = {}
         for c in entry["cells"]:
-            _check(isinstance(c, dict), f"{where}: each cell must be a JSON object")
+            if not isinstance(c, dict):
+                raise ValueError(f"{where}: each cell must be a JSON object")
             label, parent = c["label"], c["parent"]
-            _check(
-                type(label) is int and label not in cells,
-                f"{where}: field 'label' {label!r} is not a distinct integer",
-            )
-            _check(
-                type(parent) in (int, type(None)) and parent in parents,
-                f"{where} label {label}: field 'parent' {parent!r} is not "
-                + ("null on the first level" if i == 0 else "a label of the level above"),
-            )
-            carrier, core = (_field(c, key, f"{where} label {label}", pair) for key in "AD")
-            cells[label] = Cell(label, carrier, core, parent, scale)
-        a, b = (_field(entry, key, where, single) for key in "ab")
+            if type(label) is not int or label in cells:
+                raise ValueError(f"{where}: field 'label' {label!r} is not a distinct integer")
+            if type(parent) not in (int, type(None)) or parent not in parents:
+                raise ValueError(
+                    f"{where} label {label}: field 'parent' {parent!r} is not "
+                    + ("null on the first level" if i == 0 else "a label of the level above")
+                )
+            here = f"{where} label {label}"
+            cells[label] = Cell(label, _field(c, "A", here, pair), _field(c, "D", here, pair), parent, scale)
+        a, b = (_field(entry, key, where, decode) for key in "ab")
         levels.append(SchemeLevel(first + i, scale, a, b, cells))
         parents = set(cells)
     return EmbeddingScheme(kind, source, levels, **symbolic)

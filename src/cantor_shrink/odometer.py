@@ -4,32 +4,40 @@ An odometer is determined by a divisibility tower s_1 | s_2 | s_3 | …; a point
 is a compatible residue thread (r_1, r_2, …) with r_n in [0, s_n), and the map
 adds one to every coordinate.  Finite truncations at depth d are exact objects:
 the depth-d cylinder structure is the ring Z/s_d with its tower of projections.
+
+Both records are ``typing.NamedTuple`` subclasses that validate in
+``__new__``: every scheme command imports this module, and ``dataclasses``
+would load ``inspect`` into each launch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class OdometerSpec:
+class _Tower(NamedTuple):
+    values: tuple[int, ...]
+
+
+class OdometerSpec(_Tower):
     """Modulus tower s_1, s_2, … read from `values`.
 
     The tower must have s_1 >= 2 and a proper divisibility step
     s_n | s_{n+1}, s_{n+1} > s_n.
     """
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if not self.values:
+    def __new__(cls, values):
+        values = tuple(int(v) for v in values)
+        if not values:
             raise ValueError("a modulus tower needs at least one modulus")
-        if self.values[0] < 2:
-            raise ValueError(f"s_1 must be at least 2, got {self.values[0]}")
-        for a, b in zip(self.values, self.values[1:]):
+        if values[0] < 2:
+            raise ValueError(f"s_1 must be at least 2, got {values[0]}")
+        for a, b in zip(values, values[1:]):
             if b % a != 0 or b <= a:
                 raise ValueError(f"modulus {b} does not properly extend {a}")
+        return super().__new__(cls, values)
 
     @classmethod
     def from_list(cls, values) -> "OdometerSpec":
@@ -82,29 +90,33 @@ class OdometerSpec:
         return ResiduePoint(tuple(value % m for m in moduli), moduli)
 
 
-@dataclass(frozen=True)
-class ResiduePoint:
-    """Compatible residue thread (r_1, …, r_d) modulo (s_1, …, s_d)."""
-
+class _Thread(NamedTuple):
     residues: tuple[int, ...]
     moduli: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "residues", tuple(int(r) for r in self.residues))
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
-        if len(self.residues) != len(self.moduli) or not self.residues:
+
+class ResiduePoint(_Thread):
+    """Compatible residue thread (r_1, …, r_d) modulo (s_1, …, s_d)."""
+
+    __slots__ = ()
+
+    def __new__(cls, residues, moduli):
+        residues = tuple(int(r) for r in residues)
+        moduli = tuple(int(m) for m in moduli)
+        if len(residues) != len(moduli) or not residues:
             raise ValueError("residues and moduli must align and be nonempty")
-        for a, b in zip(self.moduli, self.moduli[1:]):
+        for a, b in zip(moduli, moduli[1:]):
             if b % a != 0 or b <= a:
                 raise ValueError(f"modulus {b} does not properly extend {a}")
-        for r, m in zip(self.residues, self.moduli):
+        for r, m in zip(residues, moduli):
             if not 0 <= r < m:
                 raise ValueError(f"residue {r} out of range for modulus {m}")
-        for (r1, m1), r2 in zip(zip(self.residues, self.moduli), self.residues[1:]):
+        for (r1, m1), r2 in zip(zip(residues, moduli), residues[1:]):
             if r2 % m1 != r1:
                 raise ValueError(
                     f"incompatible thread: {r2} mod {m1} != {r1}"
                 )
+        return super().__new__(cls, residues, moduli)
 
 
 def predecessor(point: ResiduePoint) -> ResiduePoint:

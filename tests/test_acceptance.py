@@ -10,7 +10,6 @@ it covers.
 
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -253,14 +252,14 @@ def test_criterion_07_lrs_margins_everywhere(od9, od3, wm3, rate4_triple):
         # certificate must fail with a concrete witness pair
         level2 = od3.level(2)
         lo, hi = level2.cells[0].core
-        widened = replace(level2.cells[0], core=(lo, hi + level2.scale // 20))
+        widened = level2.cells[0]._replace(core=(lo, hi + level2.scale // 20))
         corrupted_cells = dict(level2.cells)
         corrupted_cells[0] = widened
         # a fresh scheme object holding the corrupted level
         corrupted = EmbeddingScheme(
             od3.kind,
             od3.source,
-            [od3.levels[0], replace(level2, cells=corrupted_cells), od3.levels[2]],
+            [od3.levels[0], level2._replace(cells=corrupted_cells), od3.levels[2]],
             spec=od3.spec,
         )
         bad = verify_lrs_pairs(corrupted, 1)

@@ -376,6 +376,15 @@ def _set_endpoint(obj, text):
     obj["levels"][1]["cells"][0]["A"][0] = text
 
 
+def _inflate(obj):
+    """Every scale and endpoint near 2^(2^22): a file of under 2 KB that
+    would ask for tens of MB unless its scales are checked first."""
+    for level in obj["levels"]:
+        level.update(scale="+4194300", a="+4194290", b="+4194280")
+        for cell in level["cells"]:
+            cell["A"], cell["D"] = ["+4194200", "+4194250"], ["+4194210", "+4194240"]
+
+
 # single mutations of the od3 scheme file, each with the text its error line
 # must name; each must be caught as bad input
 SCHEME_MUTATIONS = {
@@ -390,6 +399,7 @@ SCHEME_MUTATIONS = {
     "depth-string": (lambda obj: obj["levels"][0].update(n="1"), "'n'"),
     "endpoint-not-hex": (lambda obj: _set_endpoint(obj, "0x1g"), "'A'"),
     "old-format": (lambda obj: obj.pop("format"), "rebuild"),
+    "scales-near-2^2^22": (_inflate, "levels[0]: field 'scale'"),
 }
 
 SCHEME_COMMANDS = [
@@ -837,18 +847,29 @@ def test_unknown_subcommand_exits_two():
 ])
 def test_scheme_commands_load_only_the_layers_they_run(work, source, command):
     # only build extension/system, verify oracle and export entropy need
-    # cantor_shrink.metric_systems, and only graph schemes need graphcover
+    # cantor_shrink.metric_systems, and only graph schemes need graphcover;
+    # no scheme command loads dataclasses (with inspect) or logging, unless
+    # CANTOR_SHRINK_LOG asks for the log, and graphcover keeps its dataclasses
     code = (
         "import sys\n"
         "from cantor_shrink.cli import main\n"
         f"status = main({command + [str(work[source]), '--out', os.devnull]!r})\n"
         "print(status, sorted(m for m in sys.modules if m.startswith('cantor_shrink.')))\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'logging') if m in sys.modules))\n"
     )
-    proc = run_python(["-c", code])
     layers = ["cantor_shrink.cli", "cantor_shrink.exact", "cantor_shrink.interval_embed", "cantor_shrink.odometer"]
+    stdlib = []
     if source == "wm2":
         layers.insert(2, "cantor_shrink.graphcover")
-    assert proc.stdout.decode() == f"0 {layers}\n", proc.stderr.decode()
+        stdlib = ["dataclasses", "inspect"]
+    proc = run_python(["-c", code])
+    assert proc.stdout.decode() == f"0 {layers}\n{stdlib}\n", proc.stderr.decode()
+    assert proc.stderr == b""
+    logged = run_python(["-c", code], log_level="INFO")
+    assert logged.stdout.decode() == f"0 {layers}\n{sorted(stdlib + ['logging'])}\n", logged.stderr.decode()
+    lines = logged.stderr.decode().splitlines()
+    assert lines and all(line.startswith("INFO:cantor_shrink.cli:") for line in lines)
+    assert re.fullmatch(rf"INFO:cantor_shrink\.cli:wrote {re.escape(os.devnull)} \(\d+ bytes\)", lines[-1])
 
 
 def test_module_entry_point_and_logging(work):

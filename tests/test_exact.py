@@ -12,6 +12,7 @@ from cantor_shrink.exact import (
     canonical_dumps,
     decimal_to_int,
     digits_to_int,
+    digits_to_ints,
     int_to_decimal,
     int_to_digits,
     pow2,
@@ -181,15 +182,85 @@ def test_hex_to_int_rejects_junk(text):
         digits_to_int(text, 64)
 
 
+@st.composite
+def levels_sharing_digits(draw):
+    """Values whose digit strings share their leading digits, as the ends of
+    a scheme level's carriers and cores do: a base value moved by small
+    multiples of powers of two, and values cut to their leading digits."""
+    base = draw(codec_integers())
+    moves = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 200_000)), max_size=6))
+    xs = [base] + [base + (m << k) for m, k in moves]
+    for x in list(xs):
+        digits = re.findall(r"[+-][0-9]+", int_to_digits(x))
+        cut = draw(st.integers(0, len(digits)))
+        xs.insert(draw(st.integers(0, len(xs))), digits_to_int("".join(digits[:cut]) or "0", 200_100))
+    return xs
+
+
+@h.given(levels_sharing_digits())
+@h.settings(derandomize=True, deadline=None, max_examples=80)
+def test_digit_level_with_shared_leading_digits_roundtrips(xs):
+    texts = [int_to_digits(x) for x in xs]
+    assert digits_to_ints(texts, 200_100) == xs
+
+
+def test_digit_level_resumes_only_at_a_whole_digit():
+    # "+123" is a textual prefix of "+1234" but not a digit of it
+    assert digits_to_ints(["+123-4", "+1234", "+12", "+123", "+12", "+12-0"], 2000) == [
+        (1 << 123) - 16, 1 << 1234, 1 << 12, 1 << 123, 1 << 12, (1 << 12) - 1,
+    ]
+    assert digits_to_ints(["+7-5", "+70-5", "0", "+70", "+70-68"], 100) == [96, (1 << 70) - 32, 0, 1 << 70, 3 << 68]
+
+
 # strings of digits that are not the canonical form: leading zeros, stray
 # signs, ascending, repeated or adjacent exponents
-@pytest.mark.parametrize(
-    "text",
-    ["3", "+03", "+3 ", "+3-", "+-3", "00", "-0+2", "+2+2", "+3+2", "+3-2", "+5+3+4", "+0-0", "+0+0"],
-)
+JUNK = ["3", "+03", "+3 ", "+3-", "+-3", "00", "-0+2", "+2+2", "+3+2", "+3-2", "+5+3+4", "+0-0", "+0+0"]
+
+
+@pytest.mark.parametrize("text", JUNK)
 def test_digits_reject_junk(text):
     with pytest.raises(ValueError, match="signed-digit|canonical"):
         digits_to_int(text, 64)
+
+
+@h.given(st.lists(codec_integers(), max_size=12))
+@h.settings(derandomize=True, deadline=None, max_examples=60)
+def test_digit_level_roundtrip(xs):
+    # a level's strings decode in one pass to the values one decode each gives
+    texts = [int_to_digits(x) for x in xs]
+    bits = max((x.bit_length() for x in xs), default=1)
+    assert digits_to_ints(texts, bits) == xs
+    assert [digits_to_int(t, bits) for t in texts] == xs
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("text", JUNK + ["+1,+0", "", 5, None])
+def test_digit_level_names_the_string_at_fault(text, where):
+    # a string that one decode refuses is refused with the same message
+    # wherever it sits in a level, and a later fault does not mask it
+    good = [int_to_digits(x) for x in (0, -1, 3 << 40, -(5 << 20))]
+    at = {"first": 0, "middle": 2, "last": len(good)}[where]
+    with pytest.raises(ValueError) as alone:
+        digits_to_int(text, 64)
+    level = good[:at] + [text] + good[at:]
+    with pytest.raises(ValueError) as exc:
+        digits_to_ints(level, 64)
+    assert str(exc.value) == str(alone.value)
+    with pytest.raises(ValueError) as exc:
+        digits_to_ints(level + ["+65", "junk"], 64)
+    assert str(exc.value) == str(alone.value)
+
+
+def test_digit_level_bounds_each_string_before_building_it():
+    assert digits_to_ints([], 64) == []
+    assert digits_to_ints(["+64-2", "0", "-60"], 64) == [(1 << 64) - 4, 0, -(1 << 60)]
+    # refused from the text alone, in whatever place: 2^999999999999 would
+    # take 125 GB
+    for level in (["+999999999999"], ["+3", "+999999999999-0"], ["0", "+2", "-999999999999"]):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^'[+-]999999999999(-0)?' exceeds 64 bits$"):
+            digits_to_ints(level, 64)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_digits_bound_the_exponent():

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import hypothesis as h
@@ -143,7 +142,7 @@ def test_lrs_fails_on_widened_core(od248):
     tampered = scheme_from_json(scheme_to_json(od248))
     lvl = tampered.level(2)
     bad = lvl.cells[0]
-    lvl.cells[0] = replace(bad, core=bad.carrier)  # core blown up to carrier
+    lvl.cells[0] = bad._replace(core=bad.carrier)  # core blown up to carrier
     report = verify_lrs_pairs(tampered, 1)
     assert not report.passed
     assert report.witnesses[0]["pair"] == [0, 2]
@@ -154,10 +153,29 @@ def test_audit_catches_off_center_core(od248):
     lvl = tampered.level(1)
     good = lvl.cells[0]
     # one unit of the level scale to the right
-    lvl.cells[0] = replace(good, core=(good.core[0] + 1, good.core[1] + 1))
+    lvl.cells[0] = good._replace(core=(good.core[0] + 1, good.core[1] + 1))
     report = audit_scheme(tampered)
     assert not report.passed
     assert any(w["reason"] == "core not concentric" for w in report.witnesses)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+@pytest.mark.parametrize("scheme_name", ["od248", "wm_scheme"])
+def test_audit_catches_a_carrier_past_its_parent_core(request, scheme_name, end):
+    # one child's carrier moved one unit past its parent's core, at either end
+    scheme = request.getfixturevalue(scheme_name)
+    tampered = scheme_from_json(scheme_to_json(scheme))
+    upper, lower = tampered.levels[0], tampered.levels[1]
+    refine = lower.scale // upper.scale
+    kids = sorted((c for c in lower.cells.values() if c.parent == next(iter(upper.cells))), key=lambda c: c.carrier)
+    child = kids[-end]
+    edge = _mul(upper.cells[child.parent].core[end], refine) + (1 if end else -1)
+    carrier = (edge, child.carrier[1]) if end == 0 else (child.carrier[0], edge)
+    lower.cells[child.label] = child._replace(carrier=carrier)
+    reasons = {(w.get("label"), w["reason"]) for w in audit_scheme(tampered).witnesses}
+    assert (child.label, "carrier leaves parent core") in reasons
+    if scheme.kind == "graph":
+        assert (child.label, "carrier is not a twelfth of the core") in reasons
 
 
 def test_audit_passes_and_counts_cells(od248):
@@ -334,6 +352,7 @@ def test_scheme_json_roundtrip_is_byte_identical(od248, wm_scheme):
     for scheme in (od248, wm_scheme):
         blob = canonical_dumps(scheme_to_json(scheme))
         again = scheme_from_json(json.loads(blob))
+        assert again.levels == scheme.levels
         assert canonical_dumps(scheme_to_json(again)) == blob
         assert audit_scheme(again).passed
 
@@ -374,6 +393,87 @@ def test_scheme_from_json_wants_scales_that_refine(od248):
     obj = scheme_to_json(od248)
     obj["levels"][1]["scale"] = int_to_digits(7)
     with pytest.raises(ValueError, match=r"levels\[1\]: field 'scale'"):
+        scheme_from_json(obj)
+
+
+# where a junk string goes in a level's file order (each cell's A and D, then
+# a and b), and the field its error names
+LEVEL_PLACES = {
+    "first": (lambda lvl: lvl["cells"][0]["A"], 0, "levels[1] label 0: field 'A'"),
+    "middle": (lambda lvl: lvl["cells"][1]["D"], 1, "levels[1] label 1: field 'D'"),
+    "last": (lambda lvl: lvl, "b", "levels[1]: field 'b'"),
+}
+
+
+@pytest.mark.parametrize("place", sorted(LEVEL_PLACES))
+@pytest.mark.parametrize(
+    "text",
+    ["3", "+03", "+3 ", "+3-", "+-3", "00", "-0+2", "+2+2", "+3+2", "+3-2", "+5+3+4", "+0-0", "+0+0", "+999999999"],
+)
+def test_scheme_level_names_the_string_at_fault(od248, text, place):
+    # the level is decoded in one pass, and a string it refuses is named with
+    # its field and the message one decode of it gives, even with a later
+    # fault in the same level
+    holder, key, field = LEVEL_PLACES[place]
+    obj = scheme_to_json(od248)
+    level = obj["levels"][1]
+    holder(level)[key] = text
+    obj["levels"][2]["cells"][0]["A"][0] = "junk"
+    if place != "last":
+        level["cells"][-1]["D"][1] = "junk"
+    with pytest.raises(ValueError) as alone:
+        digits_to_int(text, od248.level(2).scale.bit_length() + 64)
+    with pytest.raises(ValueError) as exc:
+        scheme_from_json(obj)
+    assert str(exc.value) == f"{field}: {alone.value}"
+
+
+def test_scale_steps_give_the_built_scales(od248, wm_scheme):
+    from cantor_shrink.interval_embed import _graph_scale_steps, _odometer_scale_steps
+
+    for scheme, steps in (
+        (od248, _odometer_scale_steps(od248.spec, 3)),
+        (wm_scheme, _graph_scale_steps(wm_scheme.cover, wm_scheme.max_depth)),
+    ):
+        scale = 1
+        for lvl, (m, e) in zip(scheme.levels, steps, strict=True):
+            scale = scale * m << e
+            assert lvl.scale == scale
+
+
+def test_scale_the_descriptor_cannot_give_is_refused_before_any_endpoint(od248):
+    import tracemalloc
+
+    # every scale and endpoint near 2^(2^22): a small file that asked the
+    # loader for tens of MB before its audit refused it
+    obj = scheme_to_json(od248)
+    for level in obj["levels"]:
+        level.update(scale="+4194300", a="+4194290", b="+4194280")
+        for cell in level["cells"]:
+            cell["A"], cell["D"] = ["+4194200", "+4194250"], ["+4194210", "+4194240"]
+    text = canonical_dumps(obj)
+    assert len(text) < 2000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^levels\[0\]: field 'scale': '\+4194300' exceeds \d+ bits$"):
+            scheme_from_json(json.loads(text))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    # a scale of the right size but another value is refused too
+    obj = scheme_to_json(od248)
+    obj["levels"][2]["scale"] = int_to_digits(od248.level(3).scale + 1)
+    with pytest.raises(ValueError, match=r"^levels\[2\]: field 'scale' is not \+\d+.*, the scale its source gives$"):
+        scheme_from_json(obj)
+
+
+def test_descriptor_asking_for_a_huge_scale_is_refused_from_its_size(od248):
+    # s_2 = 2^40 gives the depth-1 core ladder a bottom shift of 2^39: the
+    # loader refuses the scale from its bit count, without building it
+    obj = scheme_to_json(od248)
+    obj["source"]["s"] = [2, 1 << 40]
+    with pytest.raises(ValueError, match=r"^levels\[0\]: field 'scale': the source descriptor gives a scale of \d+ bits"):
         scheme_from_json(obj)
 
 
