@@ -7,8 +7,9 @@ approximate export paths.
 Integers over a scale that a file declares once (scheme geometry and
 sibling-pair margins) are written as one canonical string of signed binary
 digits in non-adjacent form, ``"+84370-84366+12"`` for 2^84370 - 2^84366 +
-2^12, by :func:`int_to_digits` and read back, a whole scheme level at a
-time, by :func:`digits_to_ints`.  The level-scale integers have a few dozen
+2^12, by :func:`int_to_digits` and read back by a :func:`digit_decoder`,
+which carries the leading digits one string of a scheme level shares with
+the next.  The level-scale integers have a few dozen
 nonzero digits at most, so the strings stay short whatever the size of the
 integer, and each digit costs one linear-time operation to write or read.
 Other scalars are JSON objects (:func:`scalar_to_json`) whose decimal terms
@@ -17,7 +18,10 @@ conversions are quadratic and capped by ``sys.int_max_str_digits``).
 
 :class:`ClosedInterval` is a ``typing.NamedTuple`` rather than a dataclass:
 every command imports this module, and ``dataclasses`` would load
-``inspect`` (with ``ast``, ``dis`` and ``tokenize``) into each launch.
+``inspect`` (with ``ast``, ``dis`` and ``tokenize``) into each launch.  It
+validates in ``__new__``, and its ``_make`` (which ``_replace`` calls) goes
+through ``__new__`` too.  Being a tuple, it unpacks as ``lo, hi`` and
+compares equal to the plain tuple ``(lo, hi)``.
 """
 
 from __future__ import annotations
@@ -127,35 +131,35 @@ def int_to_digits(x: int) -> str:
     return "".join(terms)
 
 
-def digits_to_ints(texts: list, max_bits: int) -> list[int]:
-    """Parse a list of :func:`int_to_digits` outputs whose leading exponents
-    are at most ``max_bits``.  Only the canonical form is read: exponents
-    strictly descending, no two adjacent, and ``"0"`` for zero; each value
-    has exactly one such string.
+_HORNER_RUN = 64  # digits of a string read by Horner's rule; the rest are set as bits
 
-    Each string is checked by one regex, mapped over the list in C (one match
-    over the joined strings would keep a backtracking entry per digit in the
-    regex engine: about 9 MB, freshly paged in, for the largest od9 level).
-    The values are then built by Horner's rule, a shift by the fall in
-    exponent and a ±1 per digit.  The strings of a scheme level come in runs
-    that share their leading digits (the ends of a carrier and of its core),
-    so each string resumes from the state after the longest run of whole
-    digits it shares with the string before it: two thirds of the digits of
-    od9 and tr3 are not read again.
 
-    Raises:
-        ValueError: naming the first string, in list order, that is not of
-            that form or whose leading exponent exceeds ``max_bits``; both are
-            found before that string builds any power of two.
+def digit_decoder(max_bits: int):
+    """A function that parses :func:`int_to_digits` outputs whose leading
+    exponents are at most ``max_bits``, one string per call.  Only the
+    canonical form is read: exponents strictly descending, no two adjacent,
+    and ``"0"`` for zero; each value has exactly one such string.
+
+    Each string is checked by one regex, then its value is built by Horner's
+    rule, a shift by the fall in exponent and a ±1 per digit.  The strings of
+    a scheme level come in runs that share their leading digits (the ends of
+    a carrier and of its core), so the function keeps the state after each
+    digit of the string before, and each string resumes from the longest run
+    of whole digits it shares with it: two thirds of the digits of od9 and
+    tr3 are not read again.  A Horner step copies the value built so far, so
+    past the first ``_HORNER_RUN`` digits of a string the rest are set as
+    bits in two byte arrays, added in once: decoding stays linear in the
+    length of the string and of its value.
+
+    The returned function raises ValueError when its string is not of that
+    form or its leading exponent exceeds ``max_bits``; both are found before
+    that string builds any power of two.
     """
-    try:
-        check = not all(map(_DIGITS.fullmatch, texts))
-    except TypeError:  # not every one is a string
-        check = True
-    values = []
-    prev, marks = "", []  # the string before, and (end, x, e) after each of its digits
-    for text in texts:
-        if check and not (isinstance(text, str) and _DIGITS.fullmatch(text)):
+    prev, marks = "", []  # the string before, and (end, x, e) after each of its first digits
+
+    def decode(text: str) -> int:
+        nonlocal prev, marks
+        if not (isinstance(text, str) and _DIGITS.fullmatch(text)):
             raise ValueError(f"{text!r:.40} is not a signed-digit string")
         start = x = e = 0  # the value so far is x 2^e, e the last exponent read
         for k in range(len(marks) - 1, -1, -1):
@@ -167,6 +171,7 @@ def digits_to_ints(texts: list, max_bits: int) -> list[int]:
                 break
         else:
             marks = []
+        base = None  # set past the Horner run: the digits left lie below 2^base
         for term in _TERM.finditer(text, start):
             sign, digits = term.groups()
             f = int(digits)
@@ -174,20 +179,29 @@ def digits_to_ints(texts: list, max_bits: int) -> list[int]:
                 if f > max_bits:
                     raise ValueError(f"{text[:40]!r} exceeds {max_bits} bits")
                 x = 1 if sign == "+" else -1
-            elif e - f >= 2:
-                x = (x << e - f) + (1 if sign == "+" else -1)
-            else:
+            elif e - f < 2:
                 raise ValueError(f"{text[:40]!r} is not canonical: exponents must fall by at least 2")
+            elif base is not None:
+                (plus if sign == "+" else minus)[f >> 3] |= 1 << (f & 7)
+            else:
+                x = (x << e - f) + (1 if sign == "+" else -1)
             e = f
-            marks.append((term.end(), x, e))
-        values.append(x << e)
+            if base is None:
+                marks.append((term.end(), x, e))
+                if len(marks) >= _HORNER_RUN:
+                    base = e
+                    plus, minus = bytearray((e >> 3) + 1), bytearray((e >> 3) + 1)
         prev = text
-    return values
+        if base is None:
+            return x << e
+        return (x << base) + int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
+
+    return decode
 
 
 def digits_to_int(text: str, max_bits: int) -> int:
-    """:func:`digits_to_ints` of one string."""
-    return digits_to_ints([text], max_bits)[0]
+    """One string's :func:`digit_decoder`."""
+    return digit_decoder(max_bits)(text)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +333,10 @@ class ClosedInterval(_Interval):
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
         return super().__new__(cls, lo, hi)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def diameter(self) -> Fraction:

@@ -48,8 +48,8 @@ from cantor_shrink.exact import (
     ClosedInterval,
     approx_float,
     canonical_dumps,
+    digit_decoder,
     digits_to_int,
-    digits_to_ints,
     int_to_digits,
     pow2,
     scalar_to_json,
@@ -173,28 +173,21 @@ def _cell(label: int, lo: int, width: int, half: int, parent: int | None, scale:
 # ---------------------------------------------------------------------------
 
 
-def _odometer_core_shifts(spec: OdometerSpec, n: int) -> dict[int, int]:
-    """Core ladder of depth n: label -> t, for a core of length 2^-t * a_n / 3.
+def _odometer_scale_steps(spec: OdometerSpec, depth: int) -> Iterator[tuple[int, int, int]]:
+    """(m, e, r) for levels n = 1..depth.
 
-    Labels are ranked by how far they sit after s_{n-1} in the cyclic order of
-    Z/s_n; each step down the ladder multiplies the length by 2^(-n*k_{n+1}).
-    The ladder starts at a_n/3 and bottoms out at b_n/3.
+    The depth-n core ladder ranks labels by how far they sit after s_{n-1}
+    in the cyclic order of Z/s_n, and each step down it multiplies a core's
+    length by 2^-r, r = n k_{n+1}: over the level's scale the core of label j
+    has half-length 2^(r ((s_{n-1} - j) mod s_n)), from 2^E_n, E_n =
+    r (s_n - 1), down to 1.  The scales are S_n = S_{n-1} m 2^e (S_0 = 1),
+    S_1 = 12 * 2^E_1 and S_{n+1} = S_n k_{n+1} 2^(n + E_{n+1}), so e =
+    n - 1 + E_n on every level.  Lazy, so that a reader can refuse a scale
+    before the steps of deeper levels are worked out.
     """
-    s_n = spec.extended_modulus(n)
-    s_prev = spec.extended_modulus(n - 1)
-    step = n * spec.extended_k(n + 1)
-    return {label: step * ((label - s_prev - 1) % s_n) for label in range(s_n)}
-
-
-def _odometer_scale_steps(spec: OdometerSpec, depth: int) -> Iterator[tuple[int, int]]:
-    """(m, e) for levels 1..depth, each level's scale S_n = S_{n-1} m 2^e
-    (S_0 = 1): S_1 = 12 * 2^E_1 and S_{n+1} = S_n k_{n+1} 2^(n + E_{n+1}),
-    with E_n = n k_{n+1} (s_n - 1) the bottom shift of the depth-n core ladder
-    (:func:`_odometer_core_shifts`).  Lazy, so that a reader can refuse a
-    scale before the steps of deeper levels are worked out."""
     for n in range(1, depth + 1):
-        bottom = n * spec.extended_k(n + 1) * (spec.extended_modulus(n) - 1)
-        yield (12, bottom) if n == 1 else (spec.extended_k(n), n - 1 + bottom)
+        rung = n * spec.extended_k(n + 1)
+        yield 12 if n == 1 else spec.extended_k(n), n - 1 + rung * (spec.extended_modulus(n) - 1), rung
 
 
 def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
@@ -206,25 +199,26 @@ def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
     depth n are residues mod s_n, and A_j at depth n+1 sits inside A_i at
     depth n exactly when i = j mod s_n.
 
-    The scale is S_n = 6 / b_n: with E_n the bottom shift of the ladder,
-    a_n = 6 * 2^E_n, b_n = 6 and a core of shift t has half-length 2^(E_n - t),
-    and a_{n+1} = 2^-n b_n / k_{n+1} gives S_{n+1} = S_n k_{n+1} 2^(n + E_{n+1}).
+    The scale is S_n = 6 / b_n: with E_n the bottom shift of the core ladder
+    (:func:`_odometer_scale_steps`), a_n = 6 * 2^E_n and b_n = 6, and
+    a_{n+1} = 2^-n b_n / k_{n+1} gives S_{n+1} = S_n k_{n+1} 2^(n + E_{n+1}).
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     steps = list(_odometer_scale_steps(spec, depth))
-    m, bottom = steps[0]
+    m, bottom, rung = steps[0]
     scale = m << bottom  # a_1 = 1/2
-    shifts = _odometer_core_shifts(spec, 1)
-    cells = {i: _cell(i, i * scale, 6 << bottom, 1 << bottom - t, None, scale) for i, t in shifts.items()}
+    cells = {
+        i: _cell(i, i * scale, 6 << bottom, 1 << rung * ((1 - i) % spec.s(1)), None, scale)
+        for i in range(spec.s(1))
+    }
     levels = [SchemeLevel(1, scale, 6 << bottom, 6, cells)]
 
     for n in range(1, depth):
         prev = levels[-1]
-        s_n = spec.extended_modulus(n)
-        k_next, e = steps[n]
-        bottom = e - n  # E_{n+1}, as e = n + E_{n+1}
-        shifts = _odometer_core_shifts(spec, n + 1)
+        s_n, s_next = spec.extended_modulus(n), spec.extended_modulus(n + 1)
+        k_next, e, rung = steps[n]
+        bottom = e - n  # E_{n+1}
         refine = k_next << e
         scale = _mul(prev.scale, refine)
         children: dict[int, Cell] = {}
@@ -233,7 +227,7 @@ def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
             step = _width(cell.core) << e  # a k_next-th of the core over the new scale
             for m in range(k_next):
                 j = i + m * s_n
-                children[j] = _cell(j, lo + m * step, step, 1 << bottom - shifts[j], i, scale)
+                children[j] = _cell(j, lo + m * step, step, 1 << rung * ((s_n - j) % s_next), i, scale)
         levels.append(SchemeLevel(n + 1, scale, 6 << bottom, 6, dict(sorted(children.items()))))
 
     return EmbeddingScheme("odometer", spec.descriptor(), levels, spec=spec)
@@ -269,14 +263,16 @@ def _graph_core_exponents(seq: CoverSequence, n: int) -> dict[int, int]:
     return {signed_index(v): _graph_core_exponent(seq, n, v) for v in canonical_vertices(seq.levels[n])}
 
 
-def _graph_scale_steps(seq: CoverSequence, depth: int) -> Iterator[tuple[int, int]]:
-    """(m, e) for levels 0..depth, each level's scale S_n = S_{n-1} m 2^e
-    (S_{-1} = 1): S_0 = 12 * 2^e_0 and S_{n+1} = S_n * 3 * 2^(e_{n+1} + 1),
+def _graph_scale_steps(seq: CoverSequence, depth: int) -> Iterator[tuple[int, int, dict[int, int]]]:
+    """(m, e, exponents) for levels n = 0..depth: the level's core exponents
+    (:func:`_graph_core_exponents`) and its scale S_n = S_{n-1} m 2^e
+    (S_{-1} = 1), S_0 = 12 * 2^e_0 and S_{n+1} = S_n * 3 * 2^(e_{n+1} + 1),
     with e_n the largest core exponent of level n.  Lazy, as
     :func:`_odometer_scale_steps` is."""
-    yield 12, max(_graph_core_exponents(seq, 0).values())
-    for n in range(1, depth + 1):
-        yield 3, max(_graph_core_exponents(seq, n).values()) + 1
+    for n in range(depth + 1):
+        exponents = _graph_core_exponents(seq, n)
+        top = max(exponents.values())
+        yield (12, top, exponents) if n == 0 else (3, top + 1, exponents)
 
 
 def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
@@ -302,19 +298,17 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
         raise ValueError(f"depth {depth} exceeds the cover tower height {seq.top}")
 
     steps = list(_graph_scale_steps(seq, depth))
-    m, bottom = steps[0]
+    m, bottom, exponents = steps[0]
     scale = m << bottom  # a_0 = 1/2, and a core of exponent e has half-length 2^-e / 12
     a = 6 << bottom
-    s_0 = len(seq.graph(0).vertices)
-    exponents = _graph_core_exponents(seq, 0)
+    s_0 = len(exponents)
     cells = {j: _cell(j, j * scale, a, 1 << bottom - e, None, scale) for j, e in sorted(exponents.items())}
     levels = [SchemeLevel(0, scale, a, a // 3 >> 2 * s_0 * s_0, cells)]
 
     for n in range(depth):
         prev = levels[-1]
-        exponents = _graph_core_exponents(seq, n + 1)
+        m, e, exponents = steps[n + 1]
         s_next = len(exponents)
-        m, e = steps[n + 1]
         top = e - 1  # the largest core exponent of level n + 1
         refine = m << e
         scale = _mul(prev.scale, refine)
@@ -760,25 +754,6 @@ def _digit_pair(value, decode) -> tuple[int, int]:
     return lo, hi
 
 
-def _level_decoder(entry: dict, bits: int):
-    """A function that reads the digit strings of the level ``entry`` (each
-    cell's A and D, then a and b), called on them in that order.
-
-    Every string of the level is decoded up front in one pass
-    (:func:`digits_to_ints`), and the function hands the values out in turn.
-    When that pass fails, or the level is not shaped for it, the function
-    decodes each string as it is called instead, so that the first fault in
-    file order is the one reported, with its field.
-    """
-    try:
-        texts = [x for c in entry["cells"] for key in "AD" for x in c[key]]
-        texts += entry["a"], entry["b"]
-        values = iter(digits_to_ints(texts, bits))
-    except (KeyError, TypeError, ValueError):
-        return partial(digits_to_int, max_bits=bits)
-    return lambda text: next(values)
-
-
 def scheme_from_json(obj: dict) -> EmbeddingScheme:
     """Rebuild a scheme from its format-3 JSON form, geometry taken verbatim.
 
@@ -826,7 +801,7 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
     levels = []
     parents: set = {None}
     scale = 1
-    for i, (entry, (m, e)) in enumerate(zip(obj["levels"], steps)):
+    for i, (entry, (m, e, _)) in enumerate(zip(obj["levels"], steps)):
         where = f"levels[{i}]"
         _check(isinstance(entry, dict), f"{where} must be a JSON object")
         _check(type(entry["n"]) is int and entry["n"] == first + i, f"{where}: field 'n' must be {first + i}")
@@ -838,7 +813,7 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
         declared = _field(entry, "scale", where, partial(digits_to_int, max_bits=scale.bit_length()))
         if declared != scale:
             raise ValueError(f"{where}: field 'scale' is not {int_to_digits(scale)}, the scale its source gives")
-        decode = _level_decoder(entry, scale.bit_length() + 64)  # no endpoint lies 2^64 scales from zero
+        decode = digit_decoder(scale.bit_length() + 64)  # no endpoint lies 2^64 scales from zero
         pair = partial(_digit_pair, decode=decode)
         _check(isinstance(entry["cells"], list), f"{where}: field 'cells' must be a list")
         cells = {}

@@ -6,8 +6,10 @@ adds one to every coordinate.  Finite truncations at depth d are exact objects:
 the depth-d cylinder structure is the ring Z/s_d with its tower of projections.
 
 Both records are ``typing.NamedTuple`` subclasses that validate in
-``__new__``: every scheme command imports this module, and ``dataclasses``
-would load ``inspect`` into each launch.
+``__new__``, as does their ``_make`` (which ``_replace`` calls): every scheme
+command imports this module, and ``dataclasses`` would load ``inspect`` into
+each launch.  Being tuples, they compare equal to plain tuples of their
+fields.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ class OdometerSpec(_Tower):
             if b % a != 0 or b <= a:
                 raise ValueError(f"modulus {b} does not properly extend {a}")
         return super().__new__(cls, values)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def from_list(cls, values) -> "OdometerSpec":
@@ -117,6 +123,10 @@ class ResiduePoint(_Thread):
                     f"incompatible thread: {r2} mod {m1} != {r1}"
                 )
         return super().__new__(cls, residues, moduli)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def predecessor(point: ResiduePoint) -> ResiduePoint:

@@ -11,8 +11,8 @@ from cantor_shrink.exact import (
     ClosedInterval,
     canonical_dumps,
     decimal_to_int,
+    digit_decoder,
     digits_to_int,
-    digits_to_ints,
     int_to_decimal,
     int_to_digits,
     pow2,
@@ -182,6 +182,11 @@ def test_hex_to_int_rejects_junk(text):
         digits_to_int(text, 64)
 
 
+def decode_level(texts, max_bits):
+    # the strings of a level, read in turn by one decoder
+    return list(map(digit_decoder(max_bits), texts))
+
+
 @st.composite
 def levels_sharing_digits(draw):
     """Values whose digit strings share their leading digits, as the ends of
@@ -201,15 +206,43 @@ def levels_sharing_digits(draw):
 @h.settings(derandomize=True, deadline=None, max_examples=80)
 def test_digit_level_with_shared_leading_digits_roundtrips(xs):
     texts = [int_to_digits(x) for x in xs]
-    assert digits_to_ints(texts, 200_100) == xs
+    assert decode_level(texts, 200_100) == xs
 
 
 def test_digit_level_resumes_only_at_a_whole_digit():
     # "+123" is a textual prefix of "+1234" but not a digit of it
-    assert digits_to_ints(["+123-4", "+1234", "+12", "+123", "+12", "+12-0"], 2000) == [
+    assert decode_level(["+123-4", "+1234", "+12", "+123", "+12", "+12-0"], 2000) == [
         (1 << 123) - 16, 1 << 1234, 1 << 12, 1 << 123, 1 << 12, (1 << 12) - 1,
     ]
-    assert digits_to_ints(["+7-5", "+70-5", "0", "+70", "+70-68"], 100) == [96, (1 << 70) - 32, 0, 1 << 70, 3 << 68]
+    assert decode_level(["+7-5", "+70-5", "0", "+70", "+70-68"], 100) == [96, (1 << 70) - 32, 0, 1 << 70, 3 << 68]
+
+
+def test_digit_level_resumes_past_the_horner_run():
+    # strings of a few hundred digits that share their first 0 to 300
+    digits = [f"{'+-'[k % 2]}{1000 - 3 * k}" for k in range(300)]
+    texts = ["".join(digits[:cut]) + tail for cut, tail in
+             [(300, ""), (63, "+2"), (64, "-5"), (65, ""), (200, "+0"), (64, ""), (10, "-800"), (0, "+7")]]
+    want = [sum(int(t[0] + "1") << int(t[1:]) for t in re.findall(r"[+-][0-9]+", text)) for text in texts]
+    assert decode_level(texts, 1000) == want
+
+
+def test_dense_digits_decode_in_linear_time():
+    # 2^17 digits two apart: Horner's rule alone would copy the value built
+    # so far at each digit, about 2 GB here, where reading the digits is a pass
+    text = "".join(f"{'+-'[k % 2]}{2 * k}" for k in range(1 << 17, 0, -1))
+    x = 4 * (4 ** (1 << 17) - 1) // 5  # the sum of (-4)^k for k = 1 .. 2^17
+
+    def best(run):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    read = best(lambda: [int(t[2]) for t in re.finditer(r"([+-])([0-9]+)", text)])
+    assert digits_to_int(text, 1 << 20) == x
+    assert best(lambda: digits_to_int(text, 1 << 20)) < 10 * read + 0.05
 
 
 # strings of digits that are not the canonical form: leading zeros, stray
@@ -229,7 +262,7 @@ def test_digit_level_roundtrip(xs):
     # a level's strings decode in one pass to the values one decode each gives
     texts = [int_to_digits(x) for x in xs]
     bits = max((x.bit_length() for x in xs), default=1)
-    assert digits_to_ints(texts, bits) == xs
+    assert decode_level(texts, bits) == xs
     assert [digits_to_int(t, bits) for t in texts] == xs
 
 
@@ -244,22 +277,22 @@ def test_digit_level_names_the_string_at_fault(text, where):
         digits_to_int(text, 64)
     level = good[:at] + [text] + good[at:]
     with pytest.raises(ValueError) as exc:
-        digits_to_ints(level, 64)
+        decode_level(level, 64)
     assert str(exc.value) == str(alone.value)
     with pytest.raises(ValueError) as exc:
-        digits_to_ints(level + ["+65", "junk"], 64)
+        decode_level(level + ["+65", "junk"], 64)
     assert str(exc.value) == str(alone.value)
 
 
 def test_digit_level_bounds_each_string_before_building_it():
-    assert digits_to_ints([], 64) == []
-    assert digits_to_ints(["+64-2", "0", "-60"], 64) == [(1 << 64) - 4, 0, -(1 << 60)]
+    assert decode_level([], 64) == []
+    assert decode_level(["+64-2", "0", "-60"], 64) == [(1 << 64) - 4, 0, -(1 << 60)]
     # refused from the text alone, in whatever place: 2^999999999999 would
     # take 125 GB
     for level in (["+999999999999"], ["+3", "+999999999999-0"], ["0", "+2", "-999999999999"]):
         start = time.perf_counter()
         with pytest.raises(ValueError, match=r"^'[+-]999999999999(-0)?' exceeds 64 bits$"):
-            digits_to_ints(level, 64)
+            decode_level(level, 64)
         assert time.perf_counter() - start < 0.1
 
 
@@ -291,3 +324,12 @@ def test_canonical_dumps_is_order_insensitive():
 def test_interval_validates_order():
     with pytest.raises(ValueError):
         ClosedInterval(Fraction(1), Fraction(0))
+
+
+def test_interval_replace_validates_order():
+    # _replace builds through _make, which validates as the constructor does
+    assert ClosedInterval(0, 1)._replace(hi=3) == ClosedInterval(0, 3)
+    with pytest.raises(ValueError, match="out of order"):
+        ClosedInterval(0, 1)._replace(lo=5)
+    with pytest.raises(ValueError, match="out of order"):
+        ClosedInterval._make((2, 1))

@@ -436,7 +436,7 @@ def test_scale_steps_give_the_built_scales(od248, wm_scheme):
         (wm_scheme, _graph_scale_steps(wm_scheme.cover, wm_scheme.max_depth)),
     ):
         scale = 1
-        for lvl, (m, e) in zip(scheme.levels, steps, strict=True):
+        for lvl, (m, e, _) in zip(scheme.levels, steps, strict=True):
             scale = scale * m << e
             assert lvl.scale == scale
 

@@ -67,6 +67,15 @@ def test_residue_thread_validation():
         ResiduePoint((0, 0), (4, 2))  # moduli must grow
 
 
+def test_replace_validates_as_the_constructor_does():
+    assert ResiduePoint((1, 3), (2, 4))._replace(residues=(0, 2)) == ResiduePoint((0, 2), (2, 4))
+    with pytest.raises(ValueError, match="incompatible thread"):
+        ResiduePoint((1, 3), (2, 4))._replace(residues=(0, 1))
+    assert OdometerSpec((2, 4))._replace(values=(3, 9)) == OdometerSpec((3, 9))
+    with pytest.raises(ValueError, match="does not properly extend"):
+        OdometerSpec((2, 4))._replace(values=(2, 3))
+
+
 @h.given(points())
 def test_successor_predecessor_inverse(p):
     spec, value, depth = p
