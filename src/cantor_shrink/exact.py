@@ -144,12 +144,12 @@ def digit_decoder(max_bits: int):
     rule, a shift by the fall in exponent and a ±1 per digit.  The strings of
     a scheme level come in runs that share their leading digits (the ends of
     a carrier and of its core), so the function keeps the state after each
-    digit of the string before, and each string resumes from the longest run
-    of whole digits it shares with it: two thirds of the digits of od9 and
-    tr3 are not read again.  A Horner step copies the value built so far, so
-    past the first ``_HORNER_RUN`` digits of a string the rest are set as
-    bits in two byte arrays, added in once: decoding stays linear in the
-    length of the string and of its value.
+    Horner step of the string before, and each string resumes from the
+    longest run of whole digits it shares with it: two thirds of the digits
+    of od9 and tr3 are not read again.  A Horner step copies the value built
+    so far, so past the first ``_HORNER_RUN`` digits of a string the rest
+    are set as bits in two byte arrays, added in once: decoding stays linear
+    in the length of the string and of its value.
 
     The returned function raises ValueError when its string is not of that
     form or its leading exponent exceeds ``max_bits``; both are found before
