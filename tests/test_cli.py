@@ -750,6 +750,23 @@ GOLDEN_GEOMETRY = {
     "tr2": "e6d3cbf8f73e6787f03c5c8ae355fe3599744e2de0700ad7d5e9111b8a4b83ed",
 }
 
+# sha256 of "n label scale A.lo A.hi D.lo D.hi" lines of the loaded od9 and
+# tr3 schemes, one per cell in file order, each an integer over the level
+# scale written by int_to_digits (a reduced fraction would pass the int
+# string limit at these sizes), with the build command of each file; pinned
+# while scheme files held absolute endpoints, so that the values hold across
+# any change of the file encoding
+GOLDEN_VALUES = {
+    "od9": (
+        ["build", "odometer", "--s", "2,4,8", "--depth", "9"],
+        "012caf49ea70356847d2e3795ec97852930602863b442030939b01a9d2c8f86e",
+    ),
+    "tr3": (
+        ["build", "graph", "--variant", "transitive", "--levels", "3"],
+        "644deb8dbedf187cd3a0b7e2fb8522b63ee45b5e0e549739bcf6ab8f89fa1e95",
+    ),
+}
+
 
 # sha256 of the pair lines (:func:`_pair_lines`) of each ``verify lrs``
 # report in GOLDEN_STDOUT, pinned before margins were written as signed
@@ -826,6 +843,22 @@ def test_scheme_geometry_matches_the_pinned_digest(work, name):
         for c in lvl.cells.values()
     )
     assert sha256(text) == GOLDEN_GEOMETRY[name]
+
+
+def _value_lines(scheme) -> str:
+    return "".join(
+        f"{lvl.n} {c.label} {' '.join(map(int_to_digits, (lvl.scale, *c.carrier, *c.core)))}\n"
+        for lvl in scheme.levels
+        for c in lvl.cells.values()
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VALUES))
+def test_loaded_values_match_the_pinned_digest(tmp_path, name):
+    argv, digest = GOLDEN_VALUES[name]
+    path = tmp_path / f"{name}.json"
+    assert run([*argv, "--out", str(path)])[0] == 0
+    assert sha256(_value_lines(scheme_from_json(json.loads(path.read_text())))) == digest
 
 
 def test_missing_file_is_a_usage_error(tmp_path):
