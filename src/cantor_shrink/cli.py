@@ -48,9 +48,15 @@ def _info(message: str, *args) -> None:
     already (a test runner, an embedding program, or :func:`main` under
     CANTOR_SHRINK_LOG).
     """
+    if _logging():
+        sys.modules["logging"].getLogger("cantor_shrink.cli").info(message, *args)
+
+
+def _logging() -> bool:
+    """Whether an INFO line of ``cantor_shrink.cli`` goes anywhere, so that
+    a line whose numbers cost work to gather can skip gathering them."""
     logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger("cantor_shrink.cli").info(message, *args)
+    return logging is not None and logging.getLogger("cantor_shrink.cli").isEnabledFor(logging.INFO)
 
 GRAPH_FEASIBLE_LEVELS = 4
 
@@ -81,12 +87,29 @@ def _naming(path: str):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _signed_digits(obj: dict) -> int:
+    """The nonzero digits of every signed-digit string of a scheme file."""
+    texts = [text for level in obj["levels"] for text in (level["scale"], level["a"], level["b"])]
+    texts += [text for level in obj["levels"] for c in level["cells"] for text in (*c["A"], *c["D"])]
+    return sum(text.count("+") + text.count("-") for text in texts)
+
+
 def _load_scheme(path: str):
+    t0 = time.perf_counter()
     with _naming(path):
         try:
-            return scheme_from_json(_load_json(path))
+            obj = _load_json(path)
+            scheme = scheme_from_json(obj)
         except KeyError as exc:
             raise ValueError(f"scheme file is missing field {exc}") from exc
+    if _logging():
+        seconds = time.perf_counter() - t0
+        _info(
+            "loaded %s: %d bytes, %d levels, %d cells, %d signed digits, largest scale %d bits in %.2fs",
+            path, os.path.getsize(path), len(scheme.levels), sum(len(lvl.cells) for lvl in scheme.levels),
+            _signed_digits(obj), max(lvl.scale.bit_length() for lvl in scheme.levels), seconds,
+        )
+    return scheme
 
 
 def _log_system(what: str, system, t0: float) -> None:
@@ -97,10 +120,17 @@ def _log_system(what: str, system, t0: float) -> None:
     )
 
 
+def _audit(path: str, scheme):
+    t0 = time.perf_counter()
+    report = audit_scheme(scheme)
+    _info("audit of %s: %s in %.2fs", path, _verdict(report.passed), time.perf_counter() - t0)
+    return report
+
+
 def _audit_fails(path: str, scheme) -> bool:
     """Audit a loaded scheme, and on failure print one line naming the first
     witness: a certificate on geometry that fails its audit certifies nothing."""
-    report = audit_scheme(scheme)
+    report = _audit(path, scheme)
     if not report.passed:
         w = report.witnesses[0]
         label = f", label {w['label']}" if "label" in w else ""
@@ -224,7 +254,7 @@ def cmd_verify_lrs(args) -> int:
             f"{args.scheme}: scheme holds levels {scheme.min_depth}..{scheme.max_depth}; "
             "no pair depth is checkable — rebuild deeper"
         )
-    audit = audit_scheme(scheme)
+    audit = _audit(args.scheme, scheme)
     reports = [audit.to_json()]
     for d in depths if audit.passed else []:
         t0 = time.perf_counter()
@@ -507,6 +537,12 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if _logging():
+            import resource
+
+            # ru_maxrss is in KiB on Linux
+            _info("peak RSS %.1f MB", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 
 if __name__ == "__main__":

@@ -7,11 +7,11 @@ approximate export paths.
 Integers over a scale that a file declares once (scheme geometry and
 sibling-pair margins) are written as one canonical string of signed binary
 digits in non-adjacent form, ``"+84370-84366+12"`` for 2^84370 - 2^84366 +
-2^12, by :func:`int_to_digits` and read back by a :func:`digit_decoder`,
-which carries the leading digits one string of a scheme level shares with
-the next.  The level-scale integers have a few dozen
-nonzero digits at most, so the strings stay short whatever the size of the
-integer, and each digit costs one linear-time operation to write or read.
+2^12, by :func:`int_to_digits` and read back by :func:`digits_to_int`.
+The level-scale integers have a few dozen nonzero digits at most, and the
+offsets that scheme files write in place of absolute endpoints one or two
+(format 4), so the strings stay short whatever the size of the integer,
+and each digit costs one linear-time operation to write or read.
 Other scalars are JSON objects (:func:`scalar_to_json`) whose decimal terms
 are converted by divide and conquer instead of ``str``/``int`` (CPython's
 conversions are quadratic and capped by ``sys.int_max_str_digits``).
@@ -134,74 +134,49 @@ def int_to_digits(x: int) -> str:
 _HORNER_RUN = 64  # digits of a string read by Horner's rule; the rest are set as bits
 
 
-def digit_decoder(max_bits: int):
-    """A function that parses :func:`int_to_digits` outputs whose leading
-    exponents are at most ``max_bits``, one string per call.  Only the
-    canonical form is read: exponents strictly descending, no two adjacent,
-    and ``"0"`` for zero; each value has exactly one such string.
-
-    Each string is checked by one regex, then its value is built by Horner's
-    rule, a shift by the fall in exponent and a ±1 per digit.  The strings of
-    a scheme level come in runs that share their leading digits (the ends of
-    a carrier and of its core), so the function keeps the state after each
-    Horner step of the string before, and each string resumes from the
-    longest run of whole digits it shares with it: two thirds of the digits
-    of od9 and tr3 are not read again.  A Horner step copies the value built
-    so far, so past the first ``_HORNER_RUN`` digits of a string the rest
-    are set as bits in two byte arrays, added in once: decoding stays linear
-    in the length of the string and of its value.
-
-    The returned function raises ValueError when its string is not of that
-    form or its leading exponent exceeds ``max_bits``; both are found before
-    that string builds any power of two.
-    """
-    prev, marks = "", []  # the string before, and (end, x, e) after each of its first digits
-
-    def decode(text: str) -> int:
-        nonlocal prev, marks
-        if not (isinstance(text, str) and _DIGITS.fullmatch(text)):
-            raise ValueError(f"{text!r:.40} is not a signed-digit string")
-        start = x = e = 0  # the value so far is x 2^e, e the last exponent read
-        for k in range(len(marks) - 1, -1, -1):
-            end = marks[k][0]
-            # a digit of this string ends there too ("" when the string does)
-            if text[end:end + 1] in "+-" and text.startswith(prev[:end]):
-                start, x, e = marks[k]
-                del marks[k + 1:]
-                break
-        else:
-            marks = []
-        base = None  # set past the Horner run: the digits left lie below 2^base
-        for term in _TERM.finditer(text, start):
-            sign, digits = term.groups()
-            f = int(digits)
-            if not x:  # the leading digit
-                if f > max_bits:
-                    raise ValueError(f"{text[:40]!r} exceeds {max_bits} bits")
-                x = 1 if sign == "+" else -1
-            elif e - f < 2:
-                raise ValueError(f"{text[:40]!r} is not canonical: exponents must fall by at least 2")
-            elif base is not None:
-                (plus if sign == "+" else minus)[f >> 3] |= 1 << (f & 7)
-            else:
-                x = (x << e - f) + (1 if sign == "+" else -1)
-            e = f
-            if base is None:
-                marks.append((term.end(), x, e))
-                if len(marks) >= _HORNER_RUN:
-                    base = e
-                    plus, minus = bytearray((e >> 3) + 1), bytearray((e >> 3) + 1)
-        prev = text
-        if base is None:
-            return x << e
-        return (x << base) + int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
-
-    return decode
-
-
 def digits_to_int(text: str, max_bits: int) -> int:
-    """One string's :func:`digit_decoder`."""
-    return digit_decoder(max_bits)(text)
+    """Parse one :func:`int_to_digits` output whose leading exponent is at
+    most ``max_bits``.  Only the canonical form is read: exponents strictly
+    descending, no two adjacent, and ``"0"`` for zero; each value has exactly
+    one such string.
+
+    The string is checked by one regex, then its value is built by Horner's
+    rule, a shift by the fall in exponent and a ±1 per digit.  A Horner step
+    copies the value built so far, so past the first ``_HORNER_RUN`` digits
+    the rest are set as bits in two byte arrays, added in once: decoding
+    stays linear in the length of the string and of its value.
+
+    Raises:
+        ValueError: when the string is not of that form or its leading
+            exponent exceeds ``max_bits``; both are found before any power
+            of two is built.
+    """
+    if not (isinstance(text, str) and _DIGITS.fullmatch(text)):
+        raise ValueError(f"{text!r:.40} is not a signed-digit string")
+    x = e = 0  # the value so far is x 2^e, e the last exponent read
+    base = None  # set past the Horner run: the digits left lie below 2^base
+    # the strings of a scheme file have a few digits, listed in one call; a
+    # long string is read as it goes, in memory that does not grow with it
+    terms = _TERM.findall(text) if len(text) <= 1024 else map(re.Match.groups, _TERM.finditer(text))
+    for k, (sign, digits) in enumerate(terms):
+        f = int(digits)
+        if not x:  # the leading digit
+            if f > max_bits:
+                raise ValueError(f"{text[:40]!r} exceeds {max_bits} bits")
+            x = 1 if sign == "+" else -1
+        elif e - f < 2:
+            raise ValueError(f"{text[:40]!r} is not canonical: exponents must fall by at least 2")
+        elif base is not None:
+            (plus if sign == "+" else minus)[f >> 3] |= 1 << (f & 7)
+        else:
+            x = (x << e - f) + (1 if sign == "+" else -1)
+        e = f
+        if k == _HORNER_RUN - 1:
+            base = e
+            plus, minus = bytearray((e >> 3) + 1), bytearray((e >> 3) + 1)
+    if base is None:
+        return x << e
+    return (x << base) + int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
 
 
 # ---------------------------------------------------------------------------

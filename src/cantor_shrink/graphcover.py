@@ -232,64 +232,62 @@ class CoverSequence:
         return {"variant": self.variant, "levels": self.top}
 
 
-def _build_tower(words, levels: int, variant: str) -> CoverSequence:
-    """Build levels 0..levels from the initial (2,3) wedge and a word rule."""
-    if levels < 1:
-        raise ValueError(f"need at least one covering level, got {levels}")
-    tower = [TwoCycleLevel(0, (2, 3))]
-    homs: list[dict] = []
-    for m in range(levels):
-        cur = tower[-1]
-        next_lengths = tuple(expr.length(cur.cycle_lengths) for expr in words)
-        nxt = TwoCycleLevel(m + 1, next_lengths)  # type: ignore[arg-type]
-        hom: dict[Vertex, Vertex] = {}
-        for cycle_id, expr in enumerate(words, start=1):
-            source_path = nxt.cycle_path(cycle_id)
-            image_path = expand_cycle_expr(cur, expr)
-            if len(source_path) != len(image_path):
-                raise AssertionError("cycle word length mismatch")
-            for w, v in zip(source_path, image_path):
-                previous = hom.setdefault(w, v)
-                if previous != v:
-                    raise AssertionError(f"inconsistent images for {w}")
-        tower.append(nxt)
-        homs.append(hom)
-    return CoverSequence(tower, homs, variant)
-
-
-def build_weakly_mixing_sequence(levels: int) -> CoverSequence:
-    """Tower whose cycles wrap as c_i' -> 2·c_1 + c_i + c_2.
-
-    Both images traverse both cycles, and the cycle lengths stay consecutive
-    integers at every level — the ingredients of the minimality and
-    weak-mixing certificates.
-    """
-    words = (
+# the word rule of each variant: cycle i of level n+1 wraps around the i-th word
+COVER_WORDS = {
+    # c_i' -> 2·c_1 + c_i + c_2: both images traverse both cycles, and the
+    # cycle lengths stay consecutive integers at every level — the
+    # ingredients of the minimality and weak-mixing certificates
+    "weakly-mixing": (
         CycleExpr(((2, 1), (1, 1), (1, 2))),
         CycleExpr(((2, 1), (1, 2), (1, 2))),
-    )
-    return _build_tower(words, levels, "weakly-mixing")
-
-
-def build_transitive_sequence(levels: int) -> CoverSequence:
-    """Tower with c_1' -> 3·c_1 and c_2' -> 2·c_1 + 2·c_2 + c_1.
-
-    The first cycle never visits the second, so the tower is transitive but
-    not minimal; the c_1 cycles form a closed subtower (an odometer).
-    """
-    words = (
+    ),
+    # c_1' -> 3·c_1 and c_2' -> 2·c_1 + 2·c_2 + c_1: the first cycle never
+    # visits the second, so the tower is transitive but not minimal; the c_1
+    # cycles form a closed subtower (an odometer)
+    "transitive": (
         CycleExpr(((3, 1),)),
         CycleExpr(((2, 1), (2, 2), (1, 1))),
-    )
-    return _build_tower(words, levels, "transitive")
+    ),
+}
+
+
+def cover_base(variant: str) -> CoverSequence:
+    """Level 0 of the variant's tower, the initial (2,3) wedge, with no
+    covering level yet: :func:`extend_sequence` adds them one at a time."""
+    if not (isinstance(variant, str) and variant in COVER_WORDS):
+        raise ValueError(f"unknown cover variant {variant!r}")
+    return CoverSequence([TwoCycleLevel(0, (2, 3))], [], variant)
+
+
+def extend_sequence(seq: CoverSequence) -> None:
+    """Add level top + 1 and its covering map onto level top, by the word
+    rule of the sequence's variant."""
+    words = COVER_WORDS[seq.variant]
+    cur = seq.levels[-1]
+    next_lengths = tuple(expr.length(cur.cycle_lengths) for expr in words)
+    nxt = TwoCycleLevel(cur.n + 1, next_lengths)  # type: ignore[arg-type]
+    hom: dict[Vertex, Vertex] = {}
+    for cycle_id, expr in enumerate(words, start=1):
+        source_path = nxt.cycle_path(cycle_id)
+        image_path = expand_cycle_expr(cur, expr)
+        if len(source_path) != len(image_path):
+            raise AssertionError("cycle word length mismatch")
+        for w, v in zip(source_path, image_path):
+            previous = hom.setdefault(w, v)
+            if previous != v:
+                raise AssertionError(f"inconsistent images for {w}")
+    seq.levels.append(nxt)
+    seq.homs.append(hom)
 
 
 def build_sequence(variant: str, levels: int) -> CoverSequence:
-    if variant == "weakly-mixing":
-        return build_weakly_mixing_sequence(levels)
-    if variant == "transitive":
-        return build_transitive_sequence(levels)
-    raise ValueError(f"unknown cover variant {variant!r}")
+    """Levels 0..levels of the variant's tower (:data:`COVER_WORDS`)."""
+    seq = cover_base(variant)
+    if levels < 1:
+        raise ValueError(f"need at least one covering level, got {levels}")
+    for _ in range(levels):
+        extend_sequence(seq)
+    return seq
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,12 @@ covers), and the odometer's core widths are powers of two.  Products of
 scheme integers therefore go through :func:`_mul`, which multiplies the odd
 parts and shifts the product back: a dense product by 2^9207 becomes a shift.
 Files and pair-margin reports write those integers, and the scale, as
-signed binary digits (:func:`~cantor_shrink.exact.int_to_digits`).
+signed binary digits (:func:`~cantor_shrink.exact.int_to_digits`).  A
+scheme file (format 4) writes each cell as offsets over its level's scale:
+the carrier's start from its parent's core start, the core's start from the
+carrier's, and the two widths.  A carrier lies in its parent's core, so an
+offset has only the digits below the parent's, and the reader adds the
+offsets back onto the parent's core start to rebuild the absolute integers.
 
 Two builders are provided: :func:`build_odometer_scheme` for adding machines
 and :func:`build_graph_scheme` for inverse limits of graph covers.  Both feed
@@ -25,7 +30,8 @@ the same verification battery (:func:`verify_derivative_ratios`,
 :func:`verify_lrs_pairs`, :func:`audit_scheme`) and the same canonical JSON
 serialization, so a scheme written to disk can be re-audited verbatim.  A
 loaded level's scale must be the one its source descriptor gives
-(:func:`_odometer_scale_steps`, :func:`_graph_scale_steps`), so a file cannot
+(:func:`_odometer_scale_steps`, :func:`_graph_scale_steps`), and a graph
+descriptor's cover tower grows one level per level read, so a file cannot
 ask for more memory than its construction would use.
 
 The records (:class:`Cell`, :class:`SchemeLevel`, :class:`EmbeddingScheme`)
@@ -48,7 +54,6 @@ from cantor_shrink.exact import (
     ClosedInterval,
     approx_float,
     canonical_dumps,
-    digit_decoder,
     digits_to_int,
     int_to_digits,
     pow2,
@@ -64,7 +69,7 @@ if TYPE_CHECKING:
 
 
 SLOTS_PER_CORE = 12
-SCHEME_FORMAT = 3
+SCHEME_FORMAT = 4
 # wm4's level scale has 3.2 M bits; a scale past this bound would not fit its
 # level's endpoints in memory as integers, so a file whose source descriptor
 # gives one is refused
@@ -707,31 +712,34 @@ def audit_scheme(scheme: EmbeddingScheme) -> VerifyReport:
 
 
 def scheme_to_json(scheme: EmbeddingScheme) -> dict:
-    """Format-3 JSON: each level's scale, a, b and endpoints as signed binary
-    digits (:func:`int_to_digits`), the last three over that scale."""
-    return {
-        "format": SCHEME_FORMAT,
-        "kind": scheme.kind,
-        "source": scheme.source,
-        "levels": [
-            {
-                "n": lvl.n,
-                "scale": int_to_digits(lvl.scale),
-                "a": int_to_digits(lvl.a),
-                "b": int_to_digits(lvl.b),
-                "cells": [
-                    {
-                        "label": c.label,
-                        "A": [int_to_digits(x) for x in c.carrier],
-                        "D": [int_to_digits(x) for x in c.core],
-                        "parent": c.parent,
-                    }
-                    for c in lvl.cells.values()
-                ],
-            }
-            for lvl in scheme.levels
-        ],
-    }
+    """Format-4 JSON: each level's scale, a and b as signed binary digits
+    (:func:`int_to_digits`), the last two over that scale, and each cell as
+    offsets and widths over it: ``A`` is [carrier start - parent core start,
+    carrier width] and ``D`` is [core start - carrier start, core width],
+    carrier starts on the first level counting from 0.  A carrier sits in its
+    parent's core, so an offset has the few digits below the parent's, where
+    an absolute endpoint repeats all of them."""
+    levels = []
+    for above, lvl in zip([None, *scheme.levels], scheme.levels):
+        refine = None if above is None else lvl.scale // above.scale
+        cells = []
+        for c in lvl.cells.values():
+            (lo, hi), (core_lo, core_hi) = c.carrier, c.core
+            start = lo if c.parent is None else lo - _mul(above.cells[c.parent].core[0], refine)
+            cells.append({
+                "label": c.label,
+                "A": [int_to_digits(start), int_to_digits(hi - lo)],
+                "D": [int_to_digits(core_lo - lo), int_to_digits(core_hi - core_lo)],
+                "parent": c.parent,
+            })
+        levels.append({
+            "n": lvl.n,
+            "scale": int_to_digits(lvl.scale),
+            "a": int_to_digits(lvl.a),
+            "b": int_to_digits(lvl.b),
+            "cells": cells,
+        })
+    return {"format": SCHEME_FORMAT, "kind": scheme.kind, "source": scheme.source, "levels": levels}
 
 
 def _check(ok: bool, message: str) -> None:
@@ -747,24 +755,28 @@ def _field(obj: dict, key: str, where: str, parse):
         raise ValueError(f"{where}: field {key!r}: {exc}") from None
 
 
-def _digit_pair(value, decode) -> tuple[int, int]:
-    _check(isinstance(value, list) and len(value) == 2, "not a [lo, hi] pair")
-    lo, hi = decode(value[0]), decode(value[1])
-    _check(lo <= hi, "lo > hi")
-    return lo, hi
+def _offset_width(value, decode) -> tuple[int, int]:
+    _check(isinstance(value, list) and len(value) == 2, "not an [offset, width] pair")
+    offset, width = decode(value[0]), decode(value[1])
+    _check(width >= 0, "width < 0")
+    return offset, width
 
 
 def scheme_from_json(obj: dict) -> EmbeddingScheme:
-    """Rebuild a scheme from its format-3 JSON form, geometry taken verbatim.
+    """Rebuild a scheme from its format-4 JSON form, geometry taken verbatim.
 
     The symbolic source is reconstructed from the descriptor so successor
-    structure is available, but no interval is recomputed: verification then
-    applies to exactly what the file says.  Depths count up from the kind's
-    first depth, each scale is the one the descriptor gives (and is refused
-    before any endpoint is read when it is not), labels are distinct
-    integers within a level, each parent is a label of the level above (null
-    on the first level), and each scale, a, b and endpoint is a canonical
-    signed-digit string whose exponents stay within the bounds.
+    structure is available, but no interval is recomputed: each endpoint is
+    its file offset added onto the parent's core start (:func:`scheme_to_json`),
+    and verification then applies to exactly what the file says.  Depths
+    count up from the kind's first depth, each scale is the one the
+    descriptor gives (and is refused before any endpoint is read when it is
+    not), labels are distinct integers within a level, each parent is a
+    label of the level above (null on the first level), each scale, a, b,
+    offset and width is a canonical signed-digit string whose exponents stay
+    within the bounds, and no width is negative.  A graph descriptor's cover
+    tower is built one level at a time as the file's levels are read, so a
+    file that claims more levels than it holds builds no more than it holds.
 
     Raises:
         ValueError: naming the field, when the file does not fit the schema;
@@ -793,28 +805,34 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
             isinstance(source, dict) and type(source.get("levels")) is int and source["levels"] == height,
             f"field 'source' must be {{\"variant\": ..., \"levels\": {height}}} for {height + 1} levels",
         )
-        from cantor_shrink.graphcover import build_sequence
+        from cantor_shrink.graphcover import cover_base, extend_sequence
 
-        symbolic = {"cover": build_sequence(source["variant"], height)}
+        _check(height >= 1, f"need at least one covering level, got {height}")
+        symbolic = {"cover": cover_base(source["variant"])}
         steps = _graph_scale_steps(symbolic["cover"], height)
     first = 1 if kind == "odometer" else 0
     levels = []
-    parents: set = {None}
+    above: dict = {None: None}  # the cells of the level above, by label
     scale = 1
-    for i, (entry, (m, e, _)) in enumerate(zip(obj["levels"], steps)):
+    for i, entry in enumerate(obj["levels"]):
         where = f"levels[{i}]"
         _check(isinstance(entry, dict), f"{where} must be a JSON object")
         _check(type(entry["n"]) is int and entry["n"] == first + i, f"{where}: field 'n' must be {first + i}")
+        if kind == "graph" and i:
+            extend_sequence(symbolic["cover"])  # the tower's level i, which the scale step reads
+        m, e, _ = next(steps)
         bits = scale.bit_length() + m.bit_length() + e
         if bits > SCALE_BITS_LIMIT:
             raise ValueError(f"{where}: field 'scale': the source descriptor gives a scale of {bits} bits, "
                              f"past the limit of {SCALE_BITS_LIMIT}")
+        refine = m << e
         scale = scale * m << e
         declared = _field(entry, "scale", where, partial(digits_to_int, max_bits=scale.bit_length()))
         if declared != scale:
             raise ValueError(f"{where}: field 'scale' is not {int_to_digits(scale)}, the scale its source gives")
-        decode = digit_decoder(scale.bit_length() + 64)  # no endpoint lies 2^64 scales from zero
-        pair = partial(_digit_pair, decode=decode)
+        # no offset or width lies 2^64 scales from zero
+        decode = partial(digits_to_int, max_bits=scale.bit_length() + 64)
+        pair = partial(_offset_width, decode=decode)
         _check(isinstance(entry["cells"], list), f"{where}: field 'cells' must be a list")
         cells = {}
         for c in entry["cells"]:
@@ -823,16 +841,20 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
             label, parent = c["label"], c["parent"]
             if type(label) is not int or label in cells:
                 raise ValueError(f"{where}: field 'label' {label!r} is not a distinct integer")
-            if type(parent) not in (int, type(None)) or parent not in parents:
+            if type(parent) not in (int, type(None)) or parent not in above:
                 raise ValueError(
                     f"{where} label {label}: field 'parent' {parent!r} is not "
                     + ("null on the first level" if i == 0 else "a label of the level above")
                 )
             here = f"{where} label {label}"
-            cells[label] = Cell(label, _field(c, "A", here, pair), _field(c, "D", here, pair), parent, scale)
+            offset, width = _field(c, "A", here, pair)
+            inset, core_width = _field(c, "D", here, pair)
+            lo = offset if parent is None else _mul(above[parent].core[0], refine) + offset
+            core_lo = lo + inset
+            cells[label] = Cell(label, (lo, lo + width), (core_lo, core_lo + core_width), parent, scale)
         a, b = (_field(entry, key, where, decode) for key in "ab")
         levels.append(SchemeLevel(first + i, scale, a, b, cells))
-        parents = set(cells)
+        above = cells
     return EmbeddingScheme(kind, source, levels, **symbolic)
 
 

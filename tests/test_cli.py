@@ -68,6 +68,33 @@ def cli_log_lines(caplog):
     return [r.getMessage() for r in caplog.records if r.name == "cantor_shrink.cli"]
 
 
+def child_log_lines(proc):
+    """The INFO lines a child wrote to stderr, each without its logger prefix."""
+    lines = proc.stderr.decode().splitlines()
+    assert all(line.startswith("INFO:cantor_shrink.cli:") for line in lines), lines
+    return [line.removeprefix("INFO:cantor_shrink.cli:") for line in lines]
+
+
+def assert_lines_match(lines, patterns):
+    assert len(lines) == len(patterns), lines
+    for line, pattern in zip(lines, patterns):
+        assert re.fullmatch(pattern, line), (line, pattern)
+
+
+def scheme_log_lines(path) -> list[str]:
+    """Patterns of the two lines a command logs on reading a scheme file
+    that passes its audit: the load, then the audit."""
+    name = re.escape(str(path))
+    return [
+        rf"loaded {name}: \d+ bytes, \d+ levels, \d+ cells, \d+ signed digits, largest scale \d+ bits in \d+\.\d\ds",
+        rf"audit of {name}: pass in \d+\.\d\ds",
+    ]
+
+
+# the last line every command logs
+PEAK_LINE = r"peak RSS \d+\.\d MB"
+
+
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     """Prebuilt artifact files shared by the read-only CLI tests."""
@@ -185,20 +212,58 @@ def test_verify_lrs_logs_each_depth_and_the_report_size(work, caplog):
     code, out, _ = run(argv)
     assert code == 0
     patterns = [
+        *scheme_log_lines(work["od3"]),
         r"lrs pairs at depth 1: pass, 1 checked, 1 excluded \(1 exceptional parent\) in \d+\.\d\ds",
         r"lrs pairs at depth 2: pass, 3 checked, 1 excluded \(1 exceptional parent\) in \d+\.\d\ds",
         rf"lrs report over depths \[1, 2\]: pass, {len(out)} bytes",
+        PEAK_LINE,
     ]
-    lines = cli_log_lines(caplog)
-    assert len(lines) == len(patterns) and all(map(re.fullmatch, patterns, lines))
+    assert_lines_match(cli_log_lines(caplog), patterns)
     # the lines go to stderr under CANTOR_SHRINK_LOG only, and the report
     # keeps its bytes either way
     logged, quiet = run_child(argv, log_level="INFO"), run_child(argv)
     assert logged.stdout == quiet.stdout == out.encode()
-    stderr = logged.stderr.decode().splitlines()
-    assert len(stderr) == len(patterns)
-    assert all(map(re.fullmatch, (f"INFO:cantor_shrink\\.cli:{p}" for p in patterns), stderr))
+    assert_lines_match(child_log_lines(logged), patterns)
     assert quiet.stderr == b""
+
+
+def test_scheme_load_logs_what_it_read(work, caplog):
+    # the file's bytes, levels, cells, nonzero digits and largest scale, each
+    # counted here from the file itself
+    caplog.set_level(logging.INFO, logger="cantor_shrink.cli")
+    for name, command in (("od3", ["export", "ratio", "--sys"]), ("wm2", ["verify", "cover", "--graph"])):
+        caplog.clear()
+        assert run([*command, str(work[name])])[0] == 0
+        text = work[name].read_text()
+        obj = json.loads(text)
+        strings = [lvl[key] for lvl in obj["levels"] for key in ("scale", "a", "b")]
+        strings += [x for lvl in obj["levels"] for c in lvl["cells"] for x in c["A"] + c["D"]]
+        digits = len(re.findall(r"[+-]", "".join(strings)))
+        bits = max(digits_to_int(lvl["scale"], SCALE_BITS_LIMIT).bit_length() for lvl in obj["levels"])
+        cells = sum(len(lvl["cells"]) for lvl in obj["levels"])
+        load, audit, *_, peak = cli_log_lines(caplog)
+        assert re.fullmatch(
+            rf"loaded {re.escape(str(work[name]))}: {len(text.encode())} bytes, {len(obj['levels'])} levels, "
+            rf"{cells} cells, {digits} signed digits, largest scale {bits} bits in \d+\.\d\ds",
+            load,
+        )
+        assert re.fullmatch(rf"audit of {re.escape(str(work[name]))}: pass in \d+\.\d\ds", audit)
+        assert re.fullmatch(PEAK_LINE, peak)
+
+
+def test_failing_audit_and_bad_input_are_logged(work, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="cantor_shrink.cli")
+    bad = _write_mutated(work, tmp_path / "bad.json", _swap_core_and_carrier)
+    assert run(["verify", "derivative", "--scheme", str(bad)])[0] == 1
+    assert_lines_match(cli_log_lines(caplog), [
+        scheme_log_lines(bad)[0], rf"audit of {re.escape(str(bad))}: fail in \d+\.\d\ds", PEAK_LINE,
+    ])
+    # input refused as bad logs no load, but still its peak RSS
+    caplog.clear()
+    bad = _write_mutated(work, tmp_path / "old.json", lambda obj: obj.update(format=3))
+    code, out, err = run(["verify", "derivative", "--scheme", str(bad)])
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert_lines_match(cli_log_lines(caplog), [PEAK_LINE])
 
 
 def test_verify_lrs_log_counts_match_the_report(work, caplog):
@@ -208,8 +273,9 @@ def test_verify_lrs_log_counts_match_the_report(work, caplog):
     assert code == 0
     subs = json.loads(out)["reports"][1:]
     lines = cli_log_lines(caplog)
-    assert len(lines) == len(subs) + 1
-    for sub, line in zip(subs, lines):
+    assert len(lines) == len(subs) + 4
+    assert_lines_match(lines[:2], scheme_log_lines(work["wm2"]))
+    for sub, line in zip(subs, lines[2:]):
         reasons = [e["reason"] for e in sub["excluded"]]
         counts = ", ".join(f"{reasons.count(r)} {r}" for r in sorted(set(reasons)))
         prefix = (
@@ -217,7 +283,8 @@ def test_verify_lrs_log_counts_match_the_report(work, caplog):
             f"{len(reasons)} excluded ({counts}) in "
         )
         assert line.startswith(prefix) and "successors split across parents" in counts
-    assert lines[-1] == f"lrs report over depths [0, 1]: pass, {len(out)} bytes"
+    assert lines[-2] == f"lrs report over depths [0, 1]: pass, {len(out)} bytes"
+    assert re.fullmatch(PEAK_LINE, lines[-1])
 
 
 def test_verify_lrs_depth_one_scheme_is_unusable(work):
@@ -230,12 +297,12 @@ def test_verify_cover_weakly_mixing(work, caplog):
     caplog.set_level(logging.INFO, logger="cantor_shrink.cli")
     code, out, _ = run(["verify", "cover", "--graph", str(work["wm2"])])
     assert code == 0
-    [line] = cli_log_lines(caplog)
-    assert re.fullmatch(
+    assert_lines_match(cli_log_lines(caplog), [
+        *scheme_log_lines(work["wm2"]),
         r"cover certificates for the weakly-mixing tower over 2 levels "
         r"\(minimality, weak_mixing\): pass in \d+\.\d\ds",
-        line,
-    )
+        PEAK_LINE,
+    ])
     report = json.loads(out)
     assert report["pass"] is True
     assert report["certificates"] == {"minimality": True, "weak_mixing": True}
@@ -272,8 +339,9 @@ def test_verify_oracle_small(work, caplog):
     caplog.set_level(logging.INFO, logger="cantor_shrink.cli")
     code, out, _ = run(["verify", "oracle", "--trials", "50", "--seed", "3"])
     assert code == 0
-    [line] = cli_log_lines(caplog)
-    assert re.fullmatch(r"shrinking oracle over 50 trials with seed 3: pass in \d+\.\d\ds", line)
+    assert_lines_match(cli_log_lines(caplog), [
+        r"shrinking oracle over 50 trials with seed 3: pass in \d+\.\d\ds", PEAK_LINE,
+    ])
     report = json.loads(out)
     assert report["pass"] is True and report["trials"] == 50
     # same seed, same bytes
@@ -377,8 +445,8 @@ def _set_endpoint(obj, text):
 
 
 def _inflate(obj):
-    """Every scale and endpoint near 2^(2^22): a file of under 2 KB that
-    would ask for tens of MB unless its scales are checked first."""
+    """Every scale, a, b, offset and width near 2^(2^22): a file of under
+    2 KB that would ask for tens of MB unless its scales are checked first."""
     for level in obj["levels"]:
         level.update(scale="+4194300", a="+4194290", b="+4194280")
         for cell in level["cells"]:
@@ -399,6 +467,9 @@ SCHEME_MUTATIONS = {
     "depth-string": (lambda obj: obj["levels"][0].update(n="1"), "'n'"),
     "endpoint-not-hex": (lambda obj: _set_endpoint(obj, "0x1g"), "'A'"),
     "old-format": (lambda obj: obj.pop("format"), "rebuild"),
+    "format-3": (
+        lambda obj: obj.update(format=3), "field 'format' is 3, not 4: rebuild the file with `cantor-shrink build`"
+    ),
     "scales-near-2^2^22": (_inflate, "levels[0]: field 'scale'"),
 }
 
@@ -435,9 +506,18 @@ def _drop_last_depth3_cell(obj):
     obj["levels"][2]["cells"].pop()
 
 
+def _swap_intervals(cell):
+    """Give a file cell its core as carrier and its carrier as core.  In the
+    file's offsets, with A = [offset, width] and D = [inset, core width],
+    that is A = [offset + inset, core width] and D = [-inset, width]; the
+    cell's children, offsets from its core start, move with it."""
+    (offset, width), (inset, core_width) = ([digits_to_int(t, SCALE_BITS_LIMIT) for t in cell[k]] for k in "AD")
+    cell["A"] = [int_to_digits(offset + inset), int_to_digits(core_width)]
+    cell["D"] = [int_to_digits(-inset), int_to_digits(width)]
+
+
 def _swap_core_and_carrier(obj):
-    cell = obj["levels"][1]["cells"][1]
-    cell["A"], cell["D"] = cell["D"], cell["A"]
+    _swap_intervals(obj["levels"][1]["cells"][1])
 
 
 @pytest.mark.parametrize(
@@ -531,7 +611,9 @@ def test_mutated_system_is_a_one_line_usage_error(work, tmp_path, mutation):
     assert named in line
 
 
-# the INFO line each command that builds or loads a finite system logs
+# the INFO line each command that builds or loads a finite system logs, after
+# the load and audit lines of the scheme it reads, if any, and before its
+# peak RSS
 SYSTEM_LOG_LINES = {
     "build-system": (
         ["build", "system", "--scheme", "{od3}", "--depth", "3"],
@@ -553,15 +635,15 @@ def test_finite_system_commands_log_one_line(work, caplog, case):
     argv, pattern = SYSTEM_LOG_LINES[case]
     argv = [arg.format(**work) for arg in argv]
     caplog.set_level(logging.INFO, logger="cantor_shrink.cli")
+    patterns = [*(scheme_log_lines(work["od3"]) if "--scheme" in argv else []), pattern, PEAK_LINE]
     code, out, _ = run(argv)
     assert code == 0
-    [line] = cli_log_lines(caplog)
-    assert re.fullmatch(pattern, line)
-    # the line goes to stderr under CANTOR_SHRINK_LOG only, and the output
+    assert_lines_match(cli_log_lines(caplog), patterns)
+    # the lines go to stderr under CANTOR_SHRINK_LOG only, and the output
     # keeps its bytes either way
     logged, quiet = run_child(argv, log_level="INFO"), run_child(argv)
     assert logged.stdout == quiet.stdout == out.encode()
-    assert re.fullmatch(f"INFO:cantor_shrink\\.cli:{pattern}\n", logged.stderr.decode())
+    assert_lines_match(child_log_lines(logged), patterns)
     assert quiet.stderr == b""
 
 
@@ -593,10 +675,11 @@ def _non_canonical(text: str) -> str:
 
 @st.composite
 def single_mutations(draw, obj):
-    """Delete a value or retype it; in a scheme file also swap a cell's A and
-    D, shift one endpoint by one unit of its level scale, or rewrite one
-    digit string in a non-canonical form of its value.  Applied to ``obj``
-    in place; returns a description and whether the file must be refused."""
+    """Delete a value or retype it; in a scheme file also swap a cell's
+    carrier and core, shift one offset or width by one unit of its level
+    scale, or rewrite one digit string in a non-canonical form of its
+    value.  Applied to ``obj`` in place; returns a description and whether
+    the file must be refused."""
     kinds = ["delete", "retype"] + (["swap", "shift", "non-canonical"] if "levels" in obj else [])
     kind = draw(st.sampled_from(kinds))
     if kind in ("delete", "retype"):
@@ -617,8 +700,8 @@ def single_mutations(draw, obj):
     level = draw(st.sampled_from(obj["levels"]))
     cell = draw(st.sampled_from(level["cells"]))
     if kind == "swap":
-        cell["A"], cell["D"] = cell["D"], cell["A"]
-        return f"swap A/D of level {level['n']} label {cell['label']}", False
+        _swap_intervals(cell)
+        return f"swap carrier and core of level {level['n']} label {cell['label']}", False
     field, end, step = draw(st.sampled_from(["A", "D"])), draw(st.sampled_from([0, 1])), draw(st.sampled_from([-1, 1]))
     cell[field][end] = int_to_digits(digits_to_int(cell[field][end], SCALE_BITS_LIMIT) + step)
     return f"shift level {level['n']} label {cell['label']} {field}[{end}] by {step}", False
@@ -768,6 +851,15 @@ GOLDEN_VALUES = {
 }
 
 
+# sha256 of the format-4 scheme files themselves, so that the encoding of the
+# values pinned above cannot drift unnoticed
+GOLDEN_SCHEME_FILES = {
+    "od3": "8c49eca3adef42ee1d79c8f5fd640a980ffa23a846ca348be66d2cb2db6ae95f",
+    "wm2": "5a21f80bae54ce1b3dc4c3fef2c46d8d7726bc08ef2c4b011cb85f02c94bdf61",
+    "tr2": "b77d849ac5a999a90a999dc4cec4efb7060c1bde8de8ddd847cd31aa31b12fb8",
+}
+
+
 # sha256 of the pair lines (:func:`_pair_lines`) of each ``verify lrs``
 # report in GOLDEN_STDOUT, pinned before margins were written as signed
 # binary digits: the values hold whatever the encoding
@@ -845,6 +937,11 @@ def test_scheme_geometry_matches_the_pinned_digest(work, name):
     assert sha256(text) == GOLDEN_GEOMETRY[name]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCHEME_FILES))
+def test_scheme_file_bytes_match_the_pinned_digest(work, name):
+    assert hashlib.sha256(work[name].read_bytes()).hexdigest() == GOLDEN_SCHEME_FILES[name]
+
+
 def _value_lines(scheme) -> str:
     return "".join(
         f"{lvl.n} {c.label} {' '.join(map(int_to_digits, (lvl.scale, *c.carrier, *c.core)))}\n"
@@ -900,9 +997,9 @@ def test_scheme_commands_load_only_the_layers_they_run(work, source, command):
     assert proc.stderr == b""
     logged = run_python(["-c", code], log_level="INFO")
     assert logged.stdout.decode() == f"0 {layers}\n{sorted(stdlib + ['logging'])}\n", logged.stderr.decode()
-    lines = logged.stderr.decode().splitlines()
-    assert lines and all(line.startswith("INFO:cantor_shrink.cli:") for line in lines)
-    assert re.fullmatch(rf"INFO:cantor_shrink\.cli:wrote {re.escape(os.devnull)} \(\d+ bytes\)", lines[-1])
+    lines = child_log_lines(logged)
+    assert_lines_match(lines[:2], scheme_log_lines(work[source]))
+    assert_lines_match(lines[-2:], [rf"wrote {re.escape(os.devnull)} \(\d+ bytes\)", PEAK_LINE])
 
 
 def test_module_entry_point_and_logging(work):
@@ -915,10 +1012,11 @@ def test_module_entry_point_and_logging(work):
     # the log goes to stderr only: the report is the in-process report, byte for byte
     assert logged.stdout == report.encode()
     assert json.loads(logged.stdout)["pass"] is True
-    assert re.fullmatch(
-        r"INFO:cantor_shrink\.cli:derivative ratios over depths \[1, 2\]: pass in \d+\.\d\ds\n",
-        logged.stderr.decode(),
-    )
+    assert_lines_match(child_log_lines(logged), [
+        *scheme_log_lines(work["od3"]),
+        r"derivative ratios over depths \[1, 2\]: pass in \d+\.\d\ds",
+        PEAK_LINE,
+    ])
 
     quiet = run_child(argv)
     assert quiet.returncode == 0

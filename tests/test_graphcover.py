@@ -10,8 +10,7 @@ from cantor_shrink.graphcover import (
     Graph,
     TwoCycleLevel,
     base_vertex,
-    build_transitive_sequence,
-    build_weakly_mixing_sequence,
+    build_sequence,
     canonical_vertices,
     check_bidirectional,
     check_edge_surjective,
@@ -30,12 +29,12 @@ from cantor_shrink.graphcover import (
 
 @pytest.fixture(scope="module")
 def wm4():
-    return build_weakly_mixing_sequence(4)
+    return build_sequence("weakly-mixing", 4)
 
 
 @pytest.fixture(scope="module")
 def tr2():
-    return build_transitive_sequence(2)
+    return build_sequence("transitive", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,7 @@ def test_base_preimages_canonical_order(wm4):
 
 def test_build_rejects_zero_levels():
     with pytest.raises(ValueError):
-        build_weakly_mixing_sequence(0)
+        build_sequence("weakly-mixing", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +218,7 @@ def test_closed_path_mask_matches_subset_sums(lengths, bound):
 
 
 def test_weak_mixing_certificate_matches_subset_sums(wm4):
-    tr3 = build_transitive_sequence(3)
+    tr3 = build_sequence("transitive", 3)
     verdicts = {}
     for name, seq in [("wm4", wm4), ("tr3", tr3), ("tr3-cycle-1", invariant_subsystem(tr3))]:
         verdicts[name] = [check_weak_mixing_certificate(seq, n) for n in range(seq.top + 1)]

@@ -1,5 +1,7 @@
 import json
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import hypothesis as h
 import hypothesis.strategies as st
@@ -357,11 +359,53 @@ def test_scheme_json_roundtrip_is_byte_identical(od248, wm_scheme):
         assert audit_scheme(again).passed
 
 
+def _small_scheme(kind, tower, depth):
+    if kind == "odometer":
+        return build_odometer_scheme(OdometerSpec.from_list(list(accumulate(tower, mul))), depth)
+    return build_graph_scheme(build_sequence(tower, depth), depth)
+
+
+@h.given(st.one_of(
+    # 2 to 4 moduli, given by their branching factors, to depth 5 at most
+    st.tuples(st.just("odometer"), st.lists(st.integers(2, 4), min_size=2, max_size=4), st.integers(1, 5)),
+    st.tuples(st.just("graph"), st.sampled_from(["weakly-mixing", "transitive"]), st.integers(1, 2)),
+))
+@h.example(("odometer", [4, 4, 4, 4], 5))
+@h.example(("graph", "weakly-mixing", 2))
+@h.example(("graph", "transitive", 2))
+@h.settings(derandomize=True, deadline=None, max_examples=40)
+def test_scheme_files_roundtrip(case):
+    scheme = _small_scheme(*case)
+    blob = canonical_dumps(scheme_to_json(scheme))
+    again = scheme_from_json(json.loads(blob))
+    assert again.levels == scheme.levels
+    assert canonical_dumps(scheme_to_json(again)) == blob
+    assert audit_scheme(again).passed
+
+
 def test_loaded_scheme_keeps_file_intervals(od248):
+    # the core width that puts the core's right end at 1/2
     obj = scheme_to_json(od248)
-    obj["levels"][0]["cells"][0]["D"][1] = int_to_digits(od248.level(1).scale // 2)
+    cell = od248.level(1).cells[0]
+    obj["levels"][0]["cells"][0]["D"][1] = int_to_digits(od248.level(1).scale // 2 - cell.core[0])
     loaded = scheme_from_json(obj)
     assert loaded.level(1).cells[0].D.hi == Fraction(1, 2)
+    assert not audit_scheme(loaded).passed
+
+
+def test_loaded_offsets_count_from_the_parent_core(od248):
+    # one unit more on level-1 cell 1's core inset moves that core, and every
+    # descendant of the cell (the odd labels), by 1 / S_1; nothing else moves
+    obj = scheme_to_json(od248)
+    inset = obj["levels"][0]["cells"][1]["D"]
+    inset[0] = int_to_digits(digits_to_int(inset[0], 64) + 1)
+    loaded = scheme_from_json(obj)
+    for lvl, built in zip(loaded.levels, od248.levels):
+        shift = lvl.scale // od248.level(1).scale
+        for label, cell in lvl.cells.items():
+            want, moved = built.cells[label], label % 2 == 1
+            assert cell.core == tuple(x + shift * moved for x in want.core)
+            assert cell.carrier == tuple(x + shift * (moved and lvl.n > 1) for x in want.carrier)
     assert not audit_scheme(loaded).passed
 
 
@@ -382,11 +426,28 @@ def test_scheme_from_json_wants_the_current_format(od248):
     del obj["format"]
     with pytest.raises(ValueError, match=r"rebuild .*\{\"rule\":\"list\",\"s\":\[2,4,8\]\}"):
         scheme_from_json(obj)
-    # a format-2 file, hex endpoints and all, is told to rebuild before any is read
-    obj.update(format=2)
-    obj["levels"][0]["cells"][0]["A"] = ["0", "3p40"]
-    with pytest.raises(ValueError, match=r"field 'format' is 2, not 3: rebuild"):
+    # a format-2 file, hex endpoints and all, and a format-3 file, whose
+    # absolute endpoints would read as offsets, are told to rebuild before
+    # any endpoint is read
+    cell = od248.level(1).cells[0]
+    absolute = [[int_to_digits(x) for x in pair] for pair in (cell.carrier, cell.core)]
+    for version, endpoints in ((2, [["0", "3p40"], ["1p38", "1p39"]]), (3, absolute)):
+        obj.update(format=version)
+        obj["levels"][0]["cells"][0]["A"], obj["levels"][0]["cells"][0]["D"] = endpoints
+        with pytest.raises(ValueError, match=rf"field 'format' is {version}, not 4: rebuild"):
+            scheme_from_json(obj)
+
+
+@pytest.mark.parametrize("field", ["A", "D"])
+def test_negative_width_is_refused(od248, field):
+    # offsets may be negative, widths not: a carrier or core with its ends
+    # out of order is refused as bad input, before the audit
+    obj = scheme_to_json(od248)
+    obj["levels"][1]["cells"][2][field][1] = "-3"
+    with pytest.raises(ValueError, match=rf"^levels\[1\] label 2: field '{field}': width < 0$"):
         scheme_from_json(obj)
+    obj["levels"][1]["cells"][2][field] = ["-3", "0"]
+    assert scheme_from_json(obj).level(2).cells[2]
 
 
 def test_scheme_from_json_wants_scales_that_refine(od248):
@@ -444,8 +505,8 @@ def test_scale_steps_give_the_built_scales(od248, wm_scheme):
 def test_scale_the_descriptor_cannot_give_is_refused_before_any_endpoint(od248):
     import tracemalloc
 
-    # every scale and endpoint near 2^(2^22): a small file that asked the
-    # loader for tens of MB before its audit refused it
+    # every scale, a, b, offset and width near 2^(2^22): a small file that
+    # asked the loader for tens of MB before its audit refused it
     obj = scheme_to_json(od248)
     for level in obj["levels"]:
         level.update(scale="+4194300", a="+4194290", b="+4194280")
@@ -466,6 +527,27 @@ def test_scale_the_descriptor_cannot_give_is_refused_before_any_endpoint(od248):
     obj["levels"][2]["scale"] = int_to_digits(od248.level(3).scale + 1)
     with pytest.raises(ValueError, match=r"^levels\[2\]: field 'scale' is not \+\d+.*, the scale its source gives$"):
         scheme_from_json(obj)
+
+
+def test_claimed_levels_build_no_cover_level_the_file_does_not_hold():
+    import tracemalloc
+
+    # wm1 with six junk levels and a descriptor that claims them: a 2 KB
+    # file that built the 7-level cover tower (25 MB traced) before its
+    # third level was read
+    obj = scheme_to_json(build_graph_scheme(build_sequence("weakly-mixing", 1), 1))
+    obj["levels"] += [{"n": 0, "scale": "0", "a": "0", "b": "0", "cells": []} for _ in range(6)]
+    obj["source"]["levels"] = 7
+    text = canonical_dumps(obj)
+    assert len(text) < 2500
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^levels\[2\]: field 'n' must be 2$"):
+            scheme_from_json(json.loads(text))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_descriptor_asking_for_a_huge_scale_is_refused_from_its_size(od248):
