@@ -29,6 +29,7 @@ from cantor_shrink.interval_embed import (
     ratio_csv,
     render_svg,
     scheme_from_json,
+    scheme_signed_digits,
     scheme_to_json,
     verify_derivative_ratios,
     verify_lrs_pairs,
@@ -87,13 +88,6 @@ def _naming(path: str):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _signed_digits(obj: dict) -> int:
-    """The nonzero digits of every signed-digit string of a scheme file."""
-    texts = [text for level in obj["levels"] for text in (level["scale"], level["a"], level["b"])]
-    texts += [text for level in obj["levels"] for c in level["cells"] for text in (*c["A"], *c["D"])]
-    return sum(text.count("+") + text.count("-") for text in texts)
-
-
 def _load_scheme(path: str):
     t0 = time.perf_counter()
     with _naming(path):
@@ -107,7 +101,7 @@ def _load_scheme(path: str):
         _info(
             "loaded %s: %d bytes, %d levels, %d cells, %d signed digits, largest scale %d bits in %.2fs",
             path, os.path.getsize(path), len(scheme.levels), sum(len(lvl.cells) for lvl in scheme.levels),
-            _signed_digits(obj), max(lvl.scale.bit_length() for lvl in scheme.levels), seconds,
+            scheme_signed_digits(obj), max(lvl.scale.bit_length() for lvl in scheme.levels), seconds,
         )
     return scheme
 

@@ -155,10 +155,8 @@ def digits_to_int(text: str, max_bits: int) -> int:
         raise ValueError(f"{text!r:.40} is not a signed-digit string")
     x = e = 0  # the value so far is x 2^e, e the last exponent read
     base = None  # set past the Horner run: the digits left lie below 2^base
-    # the strings of a scheme file have a few digits, listed in one call; a
-    # long string is read as it goes, in memory that does not grow with it
-    terms = _TERM.findall(text) if len(text) <= 1024 else map(re.Match.groups, _TERM.finditer(text))
-    for k, (sign, digits) in enumerate(terms):
+    for k, term in enumerate(_TERM.finditer(text)):
+        sign, digits = term.groups()
         f = int(digits)
         if not x:  # the leading digit
             if f > max_bits:

@@ -762,6 +762,15 @@ def _offset_width(value, decode) -> tuple[int, int]:
     return offset, width
 
 
+def scheme_signed_digits(obj: dict) -> int:
+    """The nonzero digits of every signed-digit string of a scheme file that
+    :func:`scheme_from_json` has read: the work its load decoded."""
+    levels = obj["levels"]
+    texts = [text for level in levels for text in (level["scale"], level["a"], level["b"])]
+    texts += [text for level in levels for c in level["cells"] for text in (*c["A"], *c["D"])]
+    return sum(text.count("+") + text.count("-") for text in texts)
+
+
 def scheme_from_json(obj: dict) -> EmbeddingScheme:
     """Rebuild a scheme from its format-4 JSON form, geometry taken verbatim.
 
