@@ -10,7 +10,6 @@ errors.  Set CANTOR_SHRINK_LOG=INFO (or DEBUG) for progress logging.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -34,11 +33,10 @@ from cantor_shrink.interval_embed import (
     verify_derivative_ratios,
     verify_lrs_pairs,
 )
-from cantor_shrink.odometer import OdometerSpec
 
-# cantor_shrink.graphcover and cantor_shrink.metric_systems are imported
-# inside the commands that use them, so that each command loads only the
-# layers it runs
+# cantor_shrink.graphcover, cantor_shrink.metric_systems and
+# cantor_shrink.odometer are imported inside the commands that use them, and
+# csv where CSV is written, so that each command loads only the layers it runs
 
 
 def _info(message: str, *args) -> None:
@@ -156,6 +154,8 @@ _fraction_list = _comma_list(Fraction, "rational")
 
 
 def cmd_build_odometer(args) -> int:
+    from cantor_shrink.odometer import OdometerSpec
+
     spec = OdometerSpec.from_list(args.s)
     t0 = time.perf_counter()
     scheme = build_odometer_scheme(spec, args.depth)
@@ -410,6 +410,8 @@ def cmd_export_svg(args) -> int:
 
 
 def cmd_export_entropy(args) -> int:
+    import csv
+
     from cantor_shrink.metric_systems import entropy_estimate, system_from_json
 
     t0 = time.perf_counter()

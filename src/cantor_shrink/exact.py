@@ -105,14 +105,19 @@ def int_to_digits(x: int) -> str:
     """The non-adjacent form of x: its nonzero signed binary digits, highest
     first, as ``+e`` or ``-e`` for ±2^e; ``"0"`` for zero.
 
-    With h = |x| >> 1, the bits of (|x| + h) ^ h that are set in |x| + h are
-    the digits +1 and those set in h the digits -1, so the digits come out of
-    a few C-level operations on the whole integer; the loop then only visits
-    the ones that are nonzero.
+    The form of |x| = m 2^k, m odd, is the form of m with k added to every
+    exponent, so only m is worked on: every value the loop builds is the
+    size of m, not of x (a scheme offset's odd part can be a few bits of a
+    77k-bit integer).  With h = m >> 1, the bits of (m + h) ^ h that are set
+    in m + h are the digits +1 and those set in h the digits -1, so the
+    digits come out of a few C-level operations on the whole integer; the
+    loop then only visits the ones that are nonzero.
     """
     if not x:
         return "0"
     m = abs(x)
+    k = (m & -m).bit_length() - 1
+    m >>= k
     half = m >> 1
     three_halves = m + half
     change = half ^ three_halves
@@ -124,10 +129,10 @@ def int_to_digits(x: int) -> str:
         p, q = plus.bit_length(), minus.bit_length()
         if p > q:
             plus ^= 1 << p - 1
-            terms.append(f"+{p - 1}")
+            terms.append(f"+{p - 1 + k}")
         else:
             minus ^= 1 << q - 1
-            terms.append(f"-{q - 1}")
+            terms.append(f"-{q - 1 + k}")
     return "".join(terms)
 
 

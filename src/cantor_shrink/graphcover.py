@@ -4,12 +4,19 @@ Each level is a wedge of two directed cycles sharing a base vertex; a covering
 map sends the cycles of level n+1 around formal words in the cycles of level n.
 The inverse limit of such a tower is a Cantor dynamical system; everything here
 works with the finite truncations, where branching at the base is explicit.
+
+The level and word records (:class:`TwoCycleLevel`, :class:`CycleLevel`,
+:class:`CycleExpr`) are ``typing.NamedTuple`` subclasses that validate in
+``__new__``, as does their ``_make`` (which ``_replace`` calls), and
+:class:`CoverSequence` is a plain class: every graph scheme command imports
+this module, and ``dataclasses`` would load ``inspect`` (with ``ast``,
+``dis`` and ``tokenize``) into each launch.  Being tuples, the records
+compare equal to plain tuples of their fields.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import Counter
 from typing import NamedTuple
 
 # structured vertex ids: (level, cycle, index); the base vertex is (n, 0, 0)
@@ -92,16 +99,24 @@ def base_vertex(n: int) -> Vertex:
     return (n, 0, 0)
 
 
-@dataclass(frozen=True)
-class TwoCycleLevel:
-    """Wedge of two directed cycles at a shared base vertex."""
-
+class _TwoCycle(NamedTuple):
     n: int
     lengths: tuple[int, int]
 
-    def __post_init__(self):
-        if any(length < 2 for length in self.lengths):
-            raise ValueError(f"cycle lengths must be >= 2, got {self.lengths}")
+
+class TwoCycleLevel(_TwoCycle):
+    """Wedge of two directed cycles at a shared base vertex."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, lengths):
+        if any(length < 2 for length in lengths):
+            raise ValueError(f"cycle lengths must be >= 2, got {lengths}")
+        return super().__new__(cls, n, lengths)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def base(self) -> Vertex:
@@ -135,16 +150,24 @@ class TwoCycleLevel:
         return Graph(vertices, edges)
 
 
-@dataclass(frozen=True)
-class CycleLevel:
-    """Single directed cycle (appears as the restricted invariant tower)."""
-
+class _Cycle(NamedTuple):
     n: int
     length: int
 
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError(f"cycle length must be positive, got {self.length}")
+
+class CycleLevel(_Cycle):
+    """Single directed cycle (appears as the restricted invariant tower)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, length):
+        if length < 1:
+            raise ValueError(f"cycle length must be positive, got {length}")
+        return super().__new__(cls, n, length)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def base(self) -> Vertex:
@@ -173,17 +196,25 @@ class CycleLevel:
         return Graph(path[:-1], list(zip(path, path[1:])))
 
 
-@dataclass(frozen=True)
-class CycleExpr:
-    """Formal sum a_1·c_{e_1} + a_2·c_{e_2} + … read left to right."""
-
+class _Word(NamedTuple):
     terms: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple((int(a), int(c)) for a, c in self.terms))
-        for mult, _ in self.terms:
+
+class CycleExpr(_Word):
+    """Formal sum a_1·c_{e_1} + a_2·c_{e_2} + … read left to right."""
+
+    __slots__ = ()
+
+    def __new__(cls, terms):
+        terms = tuple((int(a), int(c)) for a, c in terms)
+        for mult, _ in terms:
             if mult < 1:
                 raise ValueError(f"multiplicity must be positive, got {mult}")
+        return super().__new__(cls, terms)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def length(self, cycle_lengths) -> int:
         return sum(a * cycle_lengths[c - 1] for a, c in self.terms)
@@ -210,14 +241,24 @@ def expand_cycle_expr(level, expr: CycleExpr) -> list[Vertex]:
 # cover sequences
 
 
-@dataclass
 class CoverSequence:
-    """Tower of levels with covering vertex maps homs[n]: V_{n+1} -> V_n."""
+    """Tower of levels with covering vertex maps homs[n]: V_{n+1} -> V_n.
 
-    levels: list
-    homs: list[dict]
-    variant: str | None = None
-    _graphs: dict = field(default_factory=dict, repr=False, compare=False)
+    Each level's graph is built once, on first use; two sequences are equal
+    when their levels, maps and variant are.
+    """
+
+    def __init__(self, levels: list, homs: list[dict], variant: str | None = None):
+        self.levels, self.homs, self.variant = levels, homs, variant
+        self._graphs: dict[int, Graph] = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.levels, self.homs, self.variant) == (other.levels, other.homs, other.variant)
+
+    def __repr__(self):
+        return f"CoverSequence(levels={self.levels!r}, homs={self.homs!r}, variant={self.variant!r})"
 
     @property
     def top(self) -> int:
@@ -406,22 +447,28 @@ def invariant_subsystem(seq: CoverSequence) -> CoverSequence:
 
 
 def minimal_cycle_length(g: Graph) -> int:
-    """Length of the shortest closed path through any vertex (directed girth)."""
+    """Length of the shortest closed path through any vertex (directed girth).
+
+    A breadth-first search from each vertex v, one layer of path length at a
+    time, stops at the first layer that reaches v again, or at the length of
+    the shortest closed path found so far, which no longer path can beat.
+    """
+    out = g._out
     best = None
     for v in g.vertices:
-        # shortest path back to v from each out-neighbor
-        dist = {u: 1 for u in g.out_neighbors(v)}
-        queue = deque(g.out_neighbors(v))
-        while queue:
-            u = queue.popleft()
-            if u == v:
-                continue
-            for w in g.out_neighbors(u):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if v in dist and (best is None or dist[v] < best):
-            best = dist[v]
+        frontier, seen, length = [v], set(), 0
+        while frontier and (best is None or length + 1 < best):
+            length += 1
+            layer = []
+            for u in frontier:
+                for w in out[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        layer.append(w)
+            if v in seen:
+                best = length
+                break
+            frontier = layer
     if best is None:
         raise ValueError("graph has no closed path")
     return best
@@ -459,10 +506,14 @@ def canonical_vertices(level) -> list[Vertex]:
     return out
 
 
-def preimages(seq: CoverSequence, n: int, v: Vertex) -> list[Vertex]:
-    """Preimages of a level-n vertex under homs[n], in canonical order."""
+def fibres(seq: CoverSequence, n: int) -> dict[Vertex, list[Vertex]]:
+    """Level-n vertex -> its preimages under homs[n], in canonical order,
+    for every level-n vertex that has one; one pass over level n+1."""
     hom = seq.homs[n]
-    return [w for w in canonical_vertices(seq.levels[n + 1]) if hom[w] == v]
+    out: dict[Vertex, list[Vertex]] = {}
+    for w in canonical_vertices(seq.levels[n + 1]):
+        out.setdefault(hom[w], []).append(w)
+    return out
 
 
 def preimage_counts(seq: CoverSequence, n: int) -> Counter:

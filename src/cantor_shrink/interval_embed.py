@@ -11,11 +11,16 @@ cell per level.
 Each level stores its endpoints as integers over one scale S_n, a multiple
 of S_{n-1}, so certificates compare integers (rescaled by S_{n+1}/S_n across
 levels) instead of normalising fractions with denominators of 10^4+ bits.
-Both builders make every level factor S_{n+1}/S_n a small odd number times
-2^k (k_{n+1} 2^(n + E_{n+1}) for the odometer, 3 * 2^(e + 1) for graph
-covers), and the odometer's core widths are powers of two.  Products of
-scheme integers therefore go through :func:`_mul`, which multiplies the odd
-parts and shifts the product back: a dense product by 2^9207 becomes a shift.
+Both builders make every level factor S_{n+1}/S_n a small number m times
+2^e (k_{n+1} 2^(n + E_{n+1}) for the odometer, 3 * 2^(e + 1) for graph
+covers), and the source descriptor gives each level's (m, e)
+(:func:`_level_factors`).  A level's integers are carried to the next
+level's scale as ``x * m << e``, a product by a small int and a shift, with
+(m, e) worked out once per level pair: no per-cell product by the dense
+factor, and no division of one scale by the other.  The odometer's core
+widths are powers of two, so the one product of two scheme integers, the
+derivative ratio's cross-multiplication, goes through :func:`_mul`, which
+multiplies the odd parts and shifts the product back.
 Files and pair-margin reports write those integers, and the scale, as
 signed binary digits (:func:`~cantor_shrink.exact.int_to_digits`).  A
 scheme file (format 4) writes each cell as offsets over its level's scale:
@@ -43,7 +48,6 @@ launch.
 
 from __future__ import annotations
 
-import csv
 import io
 from fractions import Fraction
 from functools import partial
@@ -60,12 +64,12 @@ from cantor_shrink.exact import (
     scalar_to_json,
     scaled_fraction,
 )
-from cantor_shrink.odometer import OdometerSpec
-
-# the graph functions import cantor_shrink.graphcover where they run, so that
-# odometer commands do not load it
+# cantor_shrink.graphcover and cantor_shrink.odometer are imported where a
+# cover or an odometer is built or loaded, and csv where CSV is written, so
+# that each command loads only the layers it runs
 if TYPE_CHECKING:
     from cantor_shrink.graphcover import CoverSequence
+    from cantor_shrink.odometer import OdometerSpec
 
 
 SLOTS_PER_CORE = 12
@@ -169,7 +173,7 @@ def _mul(x: int, y: int) -> int:
 
 def _cell(label: int, lo: int, width: int, half: int, parent: int | None, scale: int) -> Cell:
     """Carrier [lo, lo + width] with a concentric core of half-length ``half``."""
-    mid = lo + width // 2
+    mid = lo + (width >> 1)
     return Cell(label, (lo, lo + width), (mid - half, mid + half), parent, scale)
 
 
@@ -224,11 +228,10 @@ def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
         s_n, s_next = spec.extended_modulus(n), spec.extended_modulus(n + 1)
         k_next, e, rung = steps[n]
         bottom = e - n  # E_{n+1}
-        refine = k_next << e
-        scale = _mul(prev.scale, refine)
+        scale = prev.scale * k_next << e
         children: dict[int, Cell] = {}
         for i, cell in prev.cells.items():
-            lo = _mul(cell.core[0], refine)
+            lo = cell.core[0] * k_next << e
             step = _width(cell.core) << e  # a k_next-th of the core over the new scale
             for m in range(k_next):
                 j = i + m * s_n
@@ -295,7 +298,7 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
     2^-e a_n / 6 and b_{n+1} = 2^(-s_{n+1}^2) a_{n+1} (as e >= 2 s_{n+1}^2)
     are integers.
     """
-    from cantor_shrink.graphcover import canonical_vertices, preimages, signed_index
+    from cantor_shrink.graphcover import canonical_vertices, fibres, signed_index
 
     if depth < 0:
         raise ValueError("depth must be at least 0")
@@ -315,19 +318,19 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
         m, e, exponents = steps[n + 1]
         s_next = len(exponents)
         top = e - 1  # the largest core exponent of level n + 1
-        refine = m << e
-        scale = _mul(prev.scale, refine)
+        scale = prev.scale * m << e
         unit = prev.a << top  # a_n / 6 over the new scale
         children: dict[int, Cell] = {}
+        fibre_of = fibres(seq, n)
         for v in canonical_vertices(seq.levels[n]):
             i = signed_index(v)
-            fibre = preimages(seq, n, v)
+            fibre = fibre_of.get(v, [])
             if len(fibre) > SLOTS_PER_CORE:
                 raise ValueError(
                     f"vertex {v} has {len(fibre)} preimages; only "
                     f"{SLOTS_PER_CORE} slots per core are available"
                 )
-            lo = _mul(prev.cells[i].core[0], refine)
+            lo = prev.cells[i].core[0] * m << e
             step = _width(prev.cells[i].core) << top - 1  # a twelfth of the core over the new scale
             for t, w in enumerate(fibre):
                 j = signed_index(w)
@@ -336,6 +339,19 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
         levels.append(SchemeLevel(n + 1, scale, a_next, a_next >> s_next**2, dict(sorted(children.items()))))
 
     return EmbeddingScheme("graph", seq.descriptor(), levels, cover=seq)
+
+
+def _level_factors(scheme: EmbeddingScheme) -> dict[int, tuple[int, int]]:
+    """Depth n -> (m, e) for every level of ``scheme``, as its source
+    descriptor gives them (:func:`_odometer_scale_steps`,
+    :func:`_graph_scale_steps`): S_n = S_{n-1} m 2^e, and 1 is the scale
+    above the first level.  A level's integers come to the scale of the level
+    below as ``x * m << e``."""
+    if scheme.kind == "odometer":
+        first, steps = 1, _odometer_scale_steps(scheme.spec, scheme.max_depth)
+    else:
+        first, steps = 0, _graph_scale_steps(scheme.cover, scheme.max_depth)
+    return {n: (m, e) for n, (m, e, _) in enumerate(steps, start=first)}
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +450,14 @@ def derivative_ratio_bound(scheme: EmbeddingScheme, depth: int) -> Fraction:
     """
     child_map = children_of(scheme, depth)
     level = scheme.level(depth)
-    refine = scheme.level(depth + 1).scale // level.scale
+    m, e = _level_factors(scheme)[depth + 1]
     skip = exceptional_labels(scheme, depth)
     widths = _core_widths(level)
     best: tuple[int, int] | None = None  # numerator, denominator over the child scale
     for label in level.cells:
         if label in skip or not child_map[label]:
             continue
-        image = _mul(max(widths[m] for m in _image_labels(scheme, depth, label)), refine)
+        image = max(widths[j] for j in _image_labels(scheme, depth, label)) * m << e
         narrowest = min(_width(c.carrier) for c in child_map[label])
         if best is None or _mul(image, best[1]) > _mul(best[0], narrowest):
             best = (image, narrowest)
@@ -502,12 +518,6 @@ def verify_derivative_ratios(scheme: EmbeddingScheme) -> VerifyReport:
     )
 
 
-def _image_parent_labels(scheme: EmbeddingScheme, depth: int, label: int) -> set[int]:
-    """Parents (one level up) of the successor cells of a depth-``depth`` cell."""
-    level = scheme.level(depth)
-    return {level.cells[m].parent for m in _image_labels(scheme, depth, label)}
-
-
 def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
     """Locally-radially-shrinking certificate over sibling pairs at ``depth``.
 
@@ -519,16 +529,18 @@ def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
     than failed: the construction only promises shrinking away from them.
     Every quantity is an integer over the depth-(depth+1) scale, which the
     report declares once; margins, sups and infs are written as signed
-    binary digits over it.
+    binary digits over it.  Each child's successor cells are looked up once,
+    for the hull of their carriers and the set of their parents.
     """
     child_map = children_of(scheme, depth)
     skip = exceptional_labels(scheme, depth)
     child_level = scheme.level(depth + 1)
     cells = child_level.cells
-
-    def image_hull(label: int) -> tuple[int, int]:
-        images = [cells[m].carrier for m in _image_labels(scheme, depth + 1, label)]
-        return min(lo for lo, _ in images), max(hi for _, hi in images)
+    hulls, targets = {}, {}
+    for label in cells:
+        images = [cells[j] for j in _image_labels(scheme, depth + 1, label)]
+        hulls[label] = min(c.carrier[0] for c in images), max(c.carrier[1] for c in images)
+        targets[label] = {c.parent for c in images}
 
     margins = []
     witnesses = []
@@ -541,14 +553,10 @@ def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
             if parent in skip:
                 excluded.append({**pair, "reason": "exceptional parent"})
                 continue
-            if scheme.kind == "graph":
-                targets = _image_parent_labels(scheme, depth + 1, cu.label) | _image_parent_labels(
-                    scheme, depth + 1, cv.label
-                )
-                if len(targets) > 1:
-                    excluded.append({**pair, "reason": "successors split across parents"})
-                    continue
-            (u_lo, u_hi), (v_lo, v_hi) = image_hull(cu.label), image_hull(cv.label)
+            if scheme.kind == "graph" and len(targets[cu.label] | targets[cv.label]) > 1:
+                excluded.append({**pair, "reason": "successors split across parents"})
+                continue
+            (u_lo, u_hi), (v_lo, v_hi) = hulls[cu.label], hulls[cv.label]
             sup = max(v_hi - u_lo, u_hi - v_lo)
             left, right = sorted((cu.core, cv.core))
             inf = right[0] - left[1]
@@ -591,12 +599,24 @@ def _audit_level_geometry(lvl: SchemeLevel, witnesses: list) -> None:
             witnesses.append({"depth": lvl.n, "label": nxt.label, "reason": "cores not separated"})
 
 
-def _encloses(outer: tuple[int, int], refine: int, inner: tuple[int, int]) -> bool:
-    """Whether ``outer`` (one level up, so scaled by ``refine``) contains ``inner``."""
-    return _mul(outer[0], refine) <= inner[0] and inner[1] <= _mul(outer[1], refine)
+def _encloses(outer: tuple[int, int], m: int, e: int, inner: tuple[int, int]) -> bool:
+    """Whether ``outer`` (one level up, so scaled by m 2^e) contains ``inner``."""
+    return outer[0] * m << e <= inner[0] and inner[1] <= outer[1] * m << e
 
 
-def _audit_odometer(scheme: EmbeddingScheme, witnesses: list) -> None:
+def _audit_scales(scheme: EmbeddingScheme, factors: dict, witnesses: list) -> None:
+    """Each level's scale must be the level above's times the factor that
+    the source descriptor gives, so that the other checks, which carry
+    integers across levels by that factor, compare over the stored scales."""
+    above = 1
+    for lvl in scheme.levels:
+        m, e = factors[lvl.n]
+        if lvl.scale != above * m << e:
+            witnesses.append({"depth": lvl.n, "reason": "scale is not the one its source gives"})
+        above = lvl.scale
+
+
+def _audit_odometer(scheme: EmbeddingScheme, factors: dict, witnesses: list) -> None:
     spec = scheme.spec
     for lvl in scheme.levels:
         n = lvl.n
@@ -627,17 +647,17 @@ def _audit_odometer(scheme: EmbeddingScheme, witnesses: list) -> None:
                     )
     for lvl, nxt in zip(scheme.levels, scheme.levels[1:]):
         s_n = spec.extended_modulus(lvl.n)
-        refine = nxt.scale // lvl.scale
+        m, e = factors[nxt.n]
         for j, cell in nxt.cells.items():
             if cell.parent != j % s_n:
                 witnesses.append({"depth": nxt.n, "label": j, "reason": "parent is not j mod s_n"})
-            elif not _encloses(lvl.cells[cell.parent].core, refine, cell.carrier):
+            elif not _encloses(lvl.cells[cell.parent].core, m, e, cell.carrier):
                 witnesses.append(
                     {"depth": nxt.n, "label": j, "reason": "carrier leaves parent core"}
                 )
 
 
-def _audit_graph(scheme: EmbeddingScheme, witnesses: list) -> None:
+def _audit_graph(scheme: EmbeddingScheme, factors: dict, witnesses: list) -> None:
     from cantor_shrink.graphcover import canonical_vertices, signed_index, vertex_with_signed_index
 
     seq = scheme.cover
@@ -664,7 +684,7 @@ def _audit_graph(scheme: EmbeddingScheme, witnesses: list) -> None:
                 )
     for lvl, nxt in zip(scheme.levels, scheme.levels[1:]):
         hom = seq.homs[lvl.n]
-        refine = nxt.scale // lvl.scale
+        m, e = factors[nxt.n]
         for j, cell in nxt.cells.items():
             v = vertex_with_signed_index(seq.levels[nxt.n], j)
             if cell.parent != signed_index(hom[v]):
@@ -672,12 +692,12 @@ def _audit_graph(scheme: EmbeddingScheme, witnesses: list) -> None:
                     {"depth": nxt.n, "label": j, "reason": "parent is not the covering image"}
                 )
                 continue
-            parent = lvl.cells[cell.parent]
-            if _width(cell.carrier) * SLOTS_PER_CORE != _mul(_width(parent.core), refine):
+            core = lvl.cells[cell.parent].core
+            if _width(cell.carrier) * SLOTS_PER_CORE != _width(core) * m << e:
                 witnesses.append(
                     {"depth": nxt.n, "label": j, "reason": "carrier is not a twelfth of the core"}
                 )
-            if not _encloses(parent.core, refine, cell.carrier):
+            if not _encloses(core, m, e, cell.carrier):
                 witnesses.append(
                     {"depth": nxt.n, "label": j, "reason": "carrier leaves parent core"}
                 )
@@ -686,18 +706,21 @@ def _audit_graph(scheme: EmbeddingScheme, witnesses: list) -> None:
 def audit_scheme(scheme: EmbeddingScheme) -> VerifyReport:
     """Re-check every structural invariant of a built (or loaded) scheme.
 
-    Covers concentricity, disjointness, nesting, label bookkeeping, the level
-    scales a and b, and the per-kind core-diameter ladders.  Runs on the
-    intervals exactly as stored, so a corrupted file fails here even though
-    its source descriptor is intact.
+    Covers concentricity, disjointness, nesting, label bookkeeping, the
+    scale of each level against its source descriptor, the level scales a
+    and b, and the per-kind core-diameter ladders.  Runs on the intervals
+    exactly as stored, so a corrupted file fails here even though its source
+    descriptor is intact.
     """
     witnesses: list = []
+    factors = _level_factors(scheme)
+    _audit_scales(scheme, factors, witnesses)
     for lvl in scheme.levels:
         _audit_level_geometry(lvl, witnesses)
     if scheme.kind == "odometer":
-        _audit_odometer(scheme, witnesses)
+        _audit_odometer(scheme, factors, witnesses)
     else:
-        _audit_graph(scheme, witnesses)
+        _audit_graph(scheme, factors, witnesses)
     stats = {
         "kind": scheme.kind,
         "depths": [lvl.n for lvl in scheme.levels],
@@ -720,12 +743,13 @@ def scheme_to_json(scheme: EmbeddingScheme) -> dict:
     parent's core, so an offset has the few digits below the parent's, where
     an absolute endpoint repeats all of them."""
     levels = []
+    factors = _level_factors(scheme)
     for above, lvl in zip([None, *scheme.levels], scheme.levels):
-        refine = None if above is None else lvl.scale // above.scale
+        m, e = factors[lvl.n]
         cells = []
         for c in lvl.cells.values():
             (lo, hi), (core_lo, core_hi) = c.carrier, c.core
-            start = lo if c.parent is None else lo - _mul(above.cells[c.parent].core[0], refine)
+            start = lo if c.parent is None else lo - (above.cells[c.parent].core[0] * m << e)
             cells.append({
                 "label": c.label,
                 "A": [int_to_digits(start), int_to_digits(hi - lo)],
@@ -807,6 +831,8 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
             and isinstance(source.get("s"), list) and all(type(v) is int for v in source["s"]),
             "field 'source' must be {\"rule\": \"list\", \"s\": [integers]}",
         )
+        from cantor_shrink.odometer import OdometerSpec
+
         symbolic = {"spec": OdometerSpec.from_descriptor(source)}
         steps = _odometer_scale_steps(symbolic["spec"], height + 1)
     else:
@@ -834,7 +860,6 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
         if bits > SCALE_BITS_LIMIT:
             raise ValueError(f"{where}: field 'scale': the source descriptor gives a scale of {bits} bits, "
                              f"past the limit of {SCALE_BITS_LIMIT}")
-        refine = m << e
         scale = scale * m << e
         declared = _field(entry, "scale", where, partial(digits_to_int, max_bits=scale.bit_length()))
         if declared != scale:
@@ -858,7 +883,7 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
             here = f"{where} label {label}"
             offset, width = _field(c, "A", here, pair)
             inset, core_width = _field(c, "D", here, pair)
-            lo = offset if parent is None else _mul(above[parent].core[0], refine) + offset
+            lo = offset if parent is None else (above[parent].core[0] * m << e) + offset
             core_lo = lo + inset
             cells[label] = Cell(label, (lo, lo + width), (core_lo, core_lo + core_width), parent, scale)
         a, b = (_field(entry, key, where, decode) for key in "ab")
@@ -869,6 +894,8 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
 
 def ratio_csv(scheme: EmbeddingScheme) -> str:
     """CSV table of computed ratios per depth with exact numerator/denominator."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["depth", "max_ratio_num", "max_ratio_den", "bound", "float_approx"])

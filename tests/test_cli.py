@@ -971,34 +971,42 @@ def test_unknown_subcommand_exits_two():
 
 
 @pytest.mark.parametrize("source, command", [
-    ("od3", ["verify", "derivative", "--scheme"]),
-    ("od3", ["export", "ratio", "--sys"]),
-    ("wm2", ["verify", "derivative", "--scheme"]),
+    ("od3", ["verify", "derivative", "--scheme", "<file>"]),
+    ("od3", ["export", "ratio", "--sys", "<file>"]),
+    ("wm2", ["verify", "derivative", "--scheme", "<file>"]),
+    ("wm2", ["verify", "lrs", "--scheme", "<file>", "--depth", "1"]),
+    ("wm2", ["build", "graph", "--variant", "weakly-mixing", "--levels", "2"]),
 ])
 def test_scheme_commands_load_only_the_layers_they_run(work, source, command):
     # only build extension/system, verify oracle and export entropy need
-    # cantor_shrink.metric_systems, and only graph schemes need graphcover;
-    # no scheme command loads dataclasses (with inspect) or logging, unless
-    # CANTOR_SHRINK_LOG asks for the log, and graphcover keeps its dataclasses
+    # cantor_shrink.metric_systems, only graph schemes need graphcover and
+    # only odometer schemes need odometer; only CSV exports load csv, and no
+    # scheme command loads dataclasses (with inspect) or logging, unless
+    # CANTOR_SHRINK_LOG asks for the log
+    argv = [str(work[source]) if part == "<file>" else part for part in command]
     code = (
         "import sys\n"
         "from cantor_shrink.cli import main\n"
-        f"status = main({command + [str(work[source]), '--out', os.devnull]!r})\n"
+        f"status = main({argv + ['--out', os.devnull]!r})\n"
         "print(status, sorted(m for m in sys.modules if m.startswith('cantor_shrink.')))\n"
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'logging') if m in sys.modules))\n"
+        "print(sorted(m for m in ('csv', 'dataclasses', 'inspect', 'logging') if m in sys.modules))\n"
     )
-    layers = ["cantor_shrink.cli", "cantor_shrink.exact", "cantor_shrink.interval_embed", "cantor_shrink.odometer"]
-    stdlib = []
+    layers = ["cantor_shrink.cli", "cantor_shrink.exact", "cantor_shrink.interval_embed"]
     if source == "wm2":
         layers.insert(2, "cantor_shrink.graphcover")
-        stdlib = ["dataclasses", "inspect"]
+    else:
+        layers.append("cantor_shrink.odometer")
+    stdlib = ["csv"] if command[0] == "export" else []
     proc = run_python(["-c", code])
     assert proc.stdout.decode() == f"0 {layers}\n{stdlib}\n", proc.stderr.decode()
     assert proc.stderr == b""
     logged = run_python(["-c", code], log_level="INFO")
     assert logged.stdout.decode() == f"0 {layers}\n{sorted(stdlib + ['logging'])}\n", logged.stderr.decode()
     lines = child_log_lines(logged)
-    assert_lines_match(lines[:2], scheme_log_lines(work[source]))
+    if "<file>" in command:
+        assert_lines_match(lines[:2], scheme_log_lines(work[source]))
+    else:
+        assert_lines_match(lines[:1], [r"graph depth 2 built in \d+\.\d\ds"])
     assert_lines_match(lines[-2:], [rf"wrote {re.escape(os.devnull)} \(\d+ bytes\)", PEAK_LINE])
 
 

@@ -156,6 +156,56 @@ def test_digits_roundtrip(x):
     assert (text == "0") == (x == 0)
 
 
+def reference_int_to_digits(x: int) -> str:
+    """The non-adjacent form worked out on the whole of |x|, trailing zeros
+    and all."""
+    if not x:
+        return "0"
+    m = abs(x)
+    half = m >> 1
+    three_halves = m + half
+    change = half ^ three_halves
+    plus, minus = three_halves & change, half & change
+    if x < 0:
+        plus, minus = minus, plus
+    terms = []
+    while plus or minus:
+        p, q = plus.bit_length(), minus.bit_length()
+        if p > q:
+            plus ^= 1 << p - 1
+            terms.append(f"+{p - 1}")
+        else:
+            minus ^= 1 << q - 1
+            terms.append(f"-{q - 1}")
+    return "".join(terms)
+
+
+@st.composite
+def digit_spans(draw):
+    """0, and integers of up to 200k bits whose digits span a narrow window
+    (a random value of up to 300 bits, shifted anywhere) or a wide one (a
+    few signed powers of two anywhere, adjacent ones included)."""
+    kind = draw(st.sampled_from(["zero", "narrow", "wide"]))
+    if kind == "zero":
+        return 0
+    if kind == "narrow":
+        odd = draw(st.integers(-(1 << 300), 1 << 300))
+        return odd << draw(st.integers(0, 200_000 - 301))
+    powers = st.tuples(st.sampled_from([1, -1]), st.integers(0, 200_000))
+    return sum(sign << e for sign, e in draw(st.lists(powers, min_size=1, max_size=8)))
+
+
+@h.given(digit_spans())
+@h.example(0)
+@h.example(-1)
+@h.example(-(3 << 199_990))
+@h.example((1 << 200_000) - (1 << 199_999))
+@h.example(-(1 << 77_000) + 12)
+@h.settings(derandomize=True, deadline=None, max_examples=200)
+def test_digits_of_the_odd_part_match_the_whole_integer_form(x):
+    assert int_to_digits(x) == reference_int_to_digits(x)
+
+
 def test_digits_form():
     assert int_to_digits(0) == "0"
     assert int_to_digits(1) == "+0"

@@ -1,3 +1,5 @@
+from collections import deque
+
 import hypothesis as h
 import hypothesis.strategies as st
 import pytest
@@ -17,11 +19,11 @@ from cantor_shrink.graphcover import (
     check_minimality_certificate,
     check_weak_mixing_certificate,
     expand_cycle_expr,
+    fibres,
     invariant_subsystem,
     minimal_cycle_length,
     periodic_point_free_certificate,
     preimage_counts,
-    preimages,
     signed_index,
     vertex_with_signed_index,
 )
@@ -101,6 +103,32 @@ def test_expand_cycle_expr_paths():
         CycleExpr(((0, 1),))
 
 
+def test_records_compare_as_tuples_and_replace_validates():
+    # _replace builds through _make, which validates as the constructor does
+    lvl = TwoCycleLevel(0, (2, 3))
+    assert lvl == (0, (2, 3)) and lvl._replace(lengths=(9, 10)) == TwoCycleLevel(0, (9, 10))
+    with pytest.raises(ValueError, match="cycle lengths"):
+        lvl._replace(lengths=(1, 3))
+    assert CycleLevel(0, 2)._replace(length=6) == (0, 6)
+    with pytest.raises(ValueError, match="cycle length"):
+        CycleLevel(0, 2)._replace(length=0)
+    word = CycleExpr(((2, 1), (1, 2)))
+    assert word._replace(terms=[(3, 1)]).terms == ((3, 1),)
+    with pytest.raises(ValueError, match="multiplicity"):
+        word._replace(terms=((0, 1),))
+
+
+def test_cover_sequences_compare_on_levels_maps_and_variant(tr2):
+    again = build_sequence("transitive", 2)
+    again.graph(2)  # the graph cache takes no part in equality
+    assert again == tr2 and again is not tr2
+    assert CoverSequence(tr2.levels, tr2.homs, None) != tr2
+    assert CoverSequence(tr2.levels[:2], tr2.homs[:1], "transitive") != tr2
+    assert repr(CoverSequence([CycleLevel(0, 2)], [])) == (
+        "CoverSequence(levels=[CycleLevel(n=0, length=2)], homs=[], variant=None)"
+    )
+
+
 # ---------------------------------------------------------------------------
 # the two towers
 
@@ -153,7 +181,7 @@ def test_preimage_bound(wm4):
 
 
 def test_base_preimages_canonical_order(wm4):
-    pres = preimages(wm4, 0, base_vertex(0))
+    pres = fibres(wm4, 0)[base_vertex(0)]
     assert len(pres) == 7
     assert pres[0] == base_vertex(1)
     # cycle-1 preimages precede cycle-2 preimages
@@ -280,6 +308,63 @@ class _GraphLevel:
 def test_minimal_cycle_length_girth():
     lvl = TwoCycleLevel(3, (5, 8))
     assert minimal_cycle_length(lvl.graph) == 5
+
+
+def reference_girth(g: Graph) -> int:
+    """A full breadth-first search from every vertex, with no cutoff."""
+    best = None
+    for v in g.vertices:
+        dist = {u: 1 for u in g.out_neighbors(v)}
+        queue = deque(g.out_neighbors(v))
+        while queue:
+            u = queue.popleft()
+            if u == v:
+                continue
+            for w in g.out_neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if v in dist and (best is None or dist[v] < best):
+            best = dist[v]
+    if best is None:
+        raise ValueError("graph has no closed path")
+    return best
+
+
+@st.composite
+def digraphs(draw):
+    """Random digraphs on up to 12 vertices: any edges (self-loops too), or
+    only edges from a lower to a higher index, which leave no closed path."""
+    size = draw(st.integers(1, 12))
+    vertices = [(0, 1, i) for i in range(size)]
+    pairs = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    edges = draw(st.lists(pairs, max_size=3 * size))
+    if draw(st.booleans()):
+        edges = [(i, j) for i, j in edges if i < j]
+    return Graph(vertices, [(vertices[i], vertices[j]) for i, j in edges])
+
+
+@h.given(digraphs())
+@h.example(Graph([(0, 1, 0)], [((0, 1, 0), (0, 1, 0))]))
+@h.example(Graph([(0, 1, 0), (0, 1, 1)], [((0, 1, 0), (0, 1, 1))]))
+@h.example(TwoCycleLevel(2, (37, 38)).graph)
+@h.settings(derandomize=True, deadline=None, max_examples=300)
+def test_minimal_cycle_length_matches_the_full_search(g):
+    try:
+        want = reference_girth(g)
+    except ValueError:
+        with pytest.raises(ValueError, match="no closed path"):
+            minimal_cycle_length(g)
+    else:
+        assert minimal_cycle_length(g) == want
+
+
+def test_fibres_are_the_preimages_in_canonical_order(wm4, tr2):
+    for seq in (wm4, tr2):
+        for n in range(seq.top):
+            upper = canonical_vertices(seq.levels[n + 1])
+            scan = {v: [w for w in upper if seq.homs[n][w] == v] for v in seq.graph(n).vertices}
+            assert fibres(seq, n) == {v: ws for v, ws in scan.items() if ws}
 
 
 # ---------------------------------------------------------------------------

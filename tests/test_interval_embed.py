@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import mul
 
 import hypothesis as h
@@ -180,6 +180,27 @@ def test_audit_catches_a_carrier_past_its_parent_core(request, scheme_name, end)
         assert (child.label, "carrier is not a twelfth of the core") in reasons
 
 
+@pytest.fixture(scope="module")
+def tr2_scheme():
+    return build_graph_scheme(build_sequence("transitive", 2), 2)
+
+
+@pytest.mark.parametrize("delta", [-3, -1, 1, 3])
+@pytest.mark.parametrize("scheme_name", ["od248", "tr2_scheme"])
+def test_audit_refuses_a_scale_its_source_does_not_give(request, scheme_name, delta):
+    # the factor from one level's scale to the next is the one the source
+    # descriptor gives, so a scale moved by a unit or three fails the audit
+    # at its own depth, the deepest level's too
+    scheme = request.getfixturevalue(scheme_name)
+    assert audit_scheme(scheme).passed
+    for i, lvl in enumerate(scheme.levels):
+        levels = list(scheme.levels)
+        levels[i] = lvl._replace(scale=lvl.scale + delta)
+        report = audit_scheme(scheme._replace(levels=levels))
+        assert not report.passed
+        assert {"depth": lvl.n, "reason": "scale is not the one its source gives"} in report.witnesses
+
+
 def test_audit_passes_and_counts_cells(od248):
     report = audit_scheme(od248)
     assert report.passed and report.witnesses == []
@@ -337,8 +358,9 @@ def test_mul_is_the_product(x, y):
     lambda: build_graph_scheme(build_sequence("weakly-mixing", 2), 2),
 ], ids=["od9", "tr3", "wm2"])
 def test_level_factors_are_a_small_odd_part_times_a_power_of_two(build):
-    # the premise of _mul's speed: the factor between two level scales is a
-    # power of two times an odd part of a few bits
+    # the premise of carrying integers across levels as x * m << e: the
+    # factor between two level scales is a power of two times an odd part of
+    # a few bits
     scheme = build()
     for lvl, nxt in zip(scheme.levels, scheme.levels[1:]):
         refine, rest = divmod(nxt.scale, lvl.scale)
@@ -381,6 +403,72 @@ def test_scheme_files_roundtrip(case):
     assert again.levels == scheme.levels
     assert canonical_dumps(scheme_to_json(again)) == blob
     assert audit_scheme(again).passed
+
+
+def reference_lrs_report(scheme, depth) -> dict:
+    """The sibling-pair sweep that looks up a child's successor cells again
+    for every pair the child is in, as a report's JSON form."""
+    child_map = children_of(scheme, depth)
+    skip = exceptional_labels(scheme, depth)
+    level = scheme.level(depth + 1)
+
+    def successors(label):
+        image = induced_map_label(scheme, depth + 1, label)
+        return [level.cells[j] for j in ([image] if isinstance(image, int) else image)]
+
+    margins, witnesses, excluded, checked = [], [], [], 0
+    for parent in sorted(child_map):
+        for cu, cv in combinations(sorted(child_map[parent], key=lambda c: c.label), 2):
+            pair = {"parent": parent, "pair": [cu.label, cv.label]}
+            if parent in skip:
+                excluded.append({**pair, "reason": "exceptional parent"})
+                continue
+            if scheme.kind == "graph" and len({c.parent for c in successors(cu.label) + successors(cv.label)}) > 1:
+                excluded.append({**pair, "reason": "successors split across parents"})
+                continue
+            (u_lo, u_hi), (v_lo, v_hi) = (
+                (min(c.carrier[0] for c in successors(x)), max(c.carrier[1] for c in successors(x)))
+                for x in (cu.label, cv.label)
+            )
+            sup = max(v_hi - u_lo, u_hi - v_lo)
+            left, right = sorted((cu.core, cv.core))
+            inf = right[0] - left[1]
+            checked += 1
+            if sup < inf:
+                margins.append({**pair, "margin": int_to_digits(inf - sup)})
+            else:
+                witnesses.append({**pair, "sup": int_to_digits(sup), "inf": int_to_digits(inf)})
+    out = {"check": "lrs-pairs", "pass": not witnesses, "witnesses": witnesses, "margins": margins,
+           "scale": int_to_digits(level.scale)}
+    if excluded:
+        out["excluded"] = excluded
+    return {**out, "stats": {"depth": depth, "pairs_checked": checked}}
+
+
+@h.given(
+    st.one_of(
+        st.tuples(st.just("odometer"), st.lists(st.integers(2, 4), min_size=2, max_size=4), st.integers(2, 5)),
+        st.tuples(st.just("graph"), st.sampled_from(["weakly-mixing", "transitive"]), st.integers(1, 2)),
+    ),
+    st.data(),
+)
+@h.example(("odometer", [4, 4, 4, 4], 5), None)
+@h.example(("graph", "weakly-mixing", 2), None)
+@h.example(("graph", "transitive", 2), None)
+@h.settings(derandomize=True, deadline=None, max_examples=40)
+def test_lrs_report_matches_the_per_pair_sweep(case, data):
+    scheme = _small_scheme(*case)
+    if data is not None and data.draw(st.booleans(), label="widen a core"):
+        # a child core blown up to its carrier, so that some pairs fail
+        i = data.draw(st.integers(1, len(scheme.levels) - 1), label="level")
+        levels = list(scheme.levels)
+        cells = dict(levels[i].cells)
+        label = data.draw(st.sampled_from(sorted(cells)), label="cell")
+        cells[label] = cells[label]._replace(core=cells[label].carrier)
+        levels[i] = levels[i]._replace(cells=cells)
+        scheme = scheme._replace(levels=levels)
+    for depth in range(scheme.min_depth, scheme.max_depth):
+        assert verify_lrs_pairs(scheme, depth).to_json() == reference_lrs_report(scheme, depth)
 
 
 def test_loaded_scheme_keeps_file_intervals(od248):
