@@ -202,6 +202,8 @@ def cmd_build_system(args) -> int:
     if (args.scheme is None) == (args.shift is None):
         raise ValueError("give exactly one of --scheme (with --depth) or --shift")
     if args.shift is not None:
+        if args.depth is not None:
+            raise ValueError("--shift takes no --depth: the shift's word length is the --shift value")
         t0 = time.perf_counter()
         system = full_shift_midpoint_system(args.shift)
     else:
@@ -242,6 +244,10 @@ def cmd_verify_lrs(args) -> int:
     # pair margins at depth d compare the children at depth d+1, so the
     # deepest checkable pair level is one short of the built depth
     feasible = scheme.max_depth - 1
+    if args.depth < scheme.min_depth:
+        raise ValueError(
+            f"{args.scheme}: --depth {args.depth} is before the scheme's first depth {scheme.min_depth}"
+        )
     depths = [d for d in range(scheme.min_depth, args.depth + 1) if d <= feasible]
     if not depths:
         raise ValueError(
@@ -279,94 +285,22 @@ def cmd_verify_lrs(args) -> int:
 
 
 def cmd_verify_cover(args) -> int:
-    from cantor_shrink.graphcover import (
-        check_bidirectional,
-        check_edge_surjective,
-        check_minimality_certificate,
-        check_transitivity_certificate,
-        check_weak_mixing_certificate,
-        invariant_subsystem,
-        minimality_witness,
-        periodic_point_free_certificate,
-    )
+    from cantor_shrink.graphcover import certify_cover
 
     scheme = _load_scheme(args.graph)
     if scheme.kind != "graph":
         raise ValueError("verify cover expects a graph scheme file")
     if _audit_fails(args.graph, scheme):
         return 1
-    seq = scheme.cover
-    variant = seq.variant
     t0 = time.perf_counter()
-    steps = []
-    ok = True
-    for n in range(seq.top):
-        entry: dict = {"step": n}
-        try:
-            entry["bidirectional"] = check_bidirectional(
-                seq.homs[n], seq.graph(n + 1), seq.graph(n)
-            )
-            entry["homomorphism"] = True
-        except ValueError as exc:
-            entry["homomorphism"] = False
-            entry["error"] = str(exc)
-            entry["bidirectional"] = False
-        entry["edge_surjective"] = check_edge_surjective(seq.graph(n))
-        minimal = check_minimality_certificate(seq, n)
-        entry["minimality"] = minimal
-        if not minimal:
-            witness = minimality_witness(seq, n)
-            entry["minimality_witness"] = {
-                "cycle": witness["cycle"],
-                "missed": [list(v) for v in witness["missed"]],
-            }
-        if variant == "transitive":
-            entry["transitivity"] = check_transitivity_certificate(seq, n)
-        steps.append(entry)
-        ok = ok and entry["homomorphism"] and entry["bidirectional"] and entry["edge_surjective"]
-    ok = ok and check_edge_surjective(seq.graph(seq.top))
-    certificates: dict = {}
-    if variant == "weakly-mixing":
-        certificates["minimality"] = all(s["minimality"] for s in steps)
-        certificates["weak_mixing"] = check_weak_mixing_certificate(seq, seq.top)
-        ok = ok and certificates["minimality"] and certificates["weak_mixing"]
-    elif variant == "transitive":
-        certificates["transitivity"] = all(s["transitivity"] for s in steps)
-        # the designed failure: no single cycle tower is minimal here, and the
-        # certificate must come back with the concrete missed vertices
-        certificates["minimality_fails_with_witness"] = all(
-            not s["minimality"] and "minimality_witness" in s for s in steps
-        )
-        restricted = invariant_subsystem(seq)
-        lengths = [lvl.cycle_lengths[0] for lvl in restricted.levels]
-        certificates["restricted_cycle_lengths"] = lengths
-        certificates["restricted_is_doubling_triple"] = lengths == [
-            2 * 3**n for n in range(len(lengths))
-        ]
-        free = periodic_point_free_certificate(seq, seq.top)
-        certificates["periodic_point_free"] = free.ok
-        certificates["minimal_closed_path_lengths"] = list(free.minima)
-        ok = (
-            ok
-            and certificates["transitivity"]
-            and certificates["minimality_fails_with_witness"]
-            and certificates["restricted_is_doubling_triple"]
-            and certificates["periodic_point_free"]
-        )
+    report = certify_cover(scheme.cover)
     _info(
         "cover certificates for the %s tower over %d levels (%s): %s in %.2fs",
-        variant, seq.top, ", ".join(certificates), _verdict(ok), time.perf_counter() - t0,
+        report["variant"], report["levels"], ", ".join(report["certificates"]),
+        _verdict(report["pass"]), time.perf_counter() - t0,
     )
-    combined = {
-        "command": "verify-cover",
-        "variant": variant,
-        "levels": seq.top,
-        "pass": ok,
-        "steps": steps,
-        "certificates": certificates,
-    }
-    _emit(canonical_dumps(combined), args.out)
-    return 0 if ok else 1
+    _emit(canonical_dumps({"command": "verify-cover", **report}), args.out)
+    return 0 if report["pass"] else 1
 
 
 def cmd_verify_oracle(args) -> int:

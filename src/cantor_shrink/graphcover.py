@@ -16,7 +16,6 @@ compare equal to plain tuples of their fields.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 # structured vertex ids: (level, cycle, index); the base vertex is (n, 0, 0)
@@ -335,35 +334,29 @@ def build_sequence(variant: str, levels: int) -> CoverSequence:
 # certificates
 
 
-def check_minimality_certificate(seq: CoverSequence, n: int) -> bool:
-    """True iff every level-(n+1) cycle's image visits all of V_n.
-
-    Raises:
-        ValueError: if there is no covering map above level n.
-    """
-    if n + 1 > seq.top:
+def _missed(seq: CoverSequence, n: int) -> list[list[Vertex]]:
+    """For each level-(n+1) cycle, in cycle order, the sorted level-n
+    vertices that its covering image misses: the one computation behind the
+    minimality, transitivity and witness checks, which raise its ValueError
+    when no covering map lies above level n."""
+    if not 0 <= n < seq.top:
         raise ValueError(f"no cover above level {n} (top is {seq.top})")
     hom = seq.homs[n]
     all_vertices = set(seq.graph(n).vertices)
-    for path in seq.levels[n + 1].cycles:
-        if {hom[w] for w in path} != all_vertices:
-            return False
-    return True
+    return [sorted(all_vertices.difference(map(hom.__getitem__, path))) for path in seq.levels[n + 1].cycles]
+
+
+def check_minimality_certificate(seq: CoverSequence, n: int) -> bool:
+    """True iff every level-(n+1) cycle's image visits all of V_n."""
+    return not any(_missed(seq, n))
 
 
 def check_transitivity_certificate(seq: CoverSequence, n: int) -> bool:
     """True iff the last level-(n+1) cycle's image alone visits all of V_n.
 
     Weaker than minimality: one sweeping cycle is enough for a dense orbit.
-
-    Raises:
-        ValueError: if there is no covering map above level n.
     """
-    if n + 1 > seq.top:
-        raise ValueError(f"no cover above level {n} (top is {seq.top})")
-    hom = seq.homs[n]
-    path = seq.levels[n + 1].cycles[-1]
-    return {hom[w] for w in path} == set(seq.graph(n).vertices)
+    return not _missed(seq, n)[-1]
 
 
 def minimality_witness(seq: CoverSequence, n: int):
@@ -372,10 +365,7 @@ def minimality_witness(seq: CoverSequence, n: int):
     Returns the cycle id together with the sorted missed vertices — the
     concrete obstruction when the minimality certificate fails.
     """
-    hom = seq.homs[n]
-    all_vertices = set(seq.graph(n).vertices)
-    for cycle_id, path in enumerate(seq.levels[n + 1].cycles, start=1):
-        missed = sorted(all_vertices - {hom[w] for w in path})
+    for cycle_id, missed in enumerate(_missed(seq, n), start=1):
         if missed:
             return {"level": n, "cycle": cycle_id, "missed": missed}
     return None
@@ -494,6 +484,56 @@ def periodic_point_free_certificate(seq: CoverSequence, n: int) -> PeriodicFreeR
     return PeriodicFreeReport(ok, minima[-1], minima)
 
 
+def certify_cover(seq: CoverSequence) -> dict:
+    """The covering-tower certificate of ``seq``, the report that ``verify
+    cover`` prints less its command name.
+
+    Step n records whether homs[n] is a bidirectional homomorphism onto an
+    edge-surjective level n, its minimality (with a witness when it fails)
+    and, in the transitive tower, its transitivity.  ``pass`` needs every
+    step and the variant's certificates: minimal and weakly mixing; or
+    transitive, never minimal, restricting to the doubling triple 2·3^n on
+    its first cycles, and periodic-point free.
+    """
+    variant = seq.variant
+    steps = []
+    for n in range(seq.top):
+        entry: dict = {"step": n, "homomorphism": True, "edge_surjective": check_edge_surjective(seq.graph(n))}
+        try:
+            entry["bidirectional"] = check_bidirectional(seq.homs[n], seq.graph(n + 1), seq.graph(n))
+        except ValueError as exc:
+            entry.update(homomorphism=False, bidirectional=False, error=str(exc))
+        witness = minimality_witness(seq, n)
+        entry["minimality"] = witness is None
+        if witness is not None:
+            missed = [list(v) for v in witness["missed"]]
+            entry["minimality_witness"] = {"cycle": witness["cycle"], "missed": missed}
+        if variant == "transitive":
+            entry["transitivity"] = check_transitivity_certificate(seq, n)
+        steps.append(entry)
+    ok = check_edge_surjective(seq.graph(seq.top)) and all(
+        s["homomorphism"] and s["bidirectional"] and s["edge_surjective"] for s in steps
+    )
+    certificates: dict = {}
+    if variant == "weakly-mixing":
+        certificates["minimality"] = all(s["minimality"] for s in steps)
+        certificates["weak_mixing"] = check_weak_mixing_certificate(seq, seq.top)
+    elif variant == "transitive":
+        certificates["transitivity"] = all(s["transitivity"] for s in steps)
+        # the designed failure: no single cycle tower is minimal here, and the
+        # certificate must come back with the concrete missed vertices
+        certificates["minimality_fails_with_witness"] = not any(s["minimality"] for s in steps)
+        lengths = [lvl.cycle_lengths[0] for lvl in invariant_subsystem(seq).levels]
+        certificates["restricted_cycle_lengths"] = lengths
+        certificates["restricted_is_doubling_triple"] = lengths == [2 * 3**n for n in range(len(lengths))]
+        free = periodic_point_free_certificate(seq, seq.top)
+        certificates["periodic_point_free"] = free.ok
+        certificates["minimal_closed_path_lengths"] = list(free.minima)
+    # the two list-valued entries are data, not verdicts
+    ok = ok and all(v for v in certificates.values() if type(v) is bool)
+    return {"variant": variant, "levels": seq.top, "pass": ok, "steps": steps, "certificates": certificates}
+
+
 # ---------------------------------------------------------------------------
 # structural helpers
 
@@ -514,10 +554,6 @@ def fibres(seq: CoverSequence, n: int) -> dict[Vertex, list[Vertex]]:
     for w in canonical_vertices(seq.levels[n + 1]):
         out.setdefault(hom[w], []).append(w)
     return out
-
-
-def preimage_counts(seq: CoverSequence, n: int) -> Counter:
-    return Counter(seq.homs[n].values())
 
 
 def signed_index(v: Vertex) -> int:

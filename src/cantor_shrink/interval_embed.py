@@ -171,6 +171,26 @@ def _mul(x: int, y: int) -> int:
     return (x >> ex) * (y >> ey) << ex + ey
 
 
+def _next_scale(scale: int, m: int, e: int, where: str) -> int:
+    """S m 2^e, the scale of the level below one of scale S, refused before
+    it is formed when it would pass SCALE_BITS_LIMIT bits."""
+    bits = scale.bit_length() + m.bit_length() + e
+    if bits > SCALE_BITS_LIMIT:
+        raise ValueError(f"{where}: the source descriptor gives a scale of {bits} bits, "
+                         f"past the limit of {SCALE_BITS_LIMIT}")
+    return scale * m << e
+
+
+def _scales(steps: list, first: int) -> list[int]:
+    """The scales of a builder's levels ``first``, ``first`` + 1, … from
+    their (m, e, …) steps, each refused as a reader would refuse it."""
+    scales, scale = [], 1
+    for n, (m, e, _) in enumerate(steps, start=first):
+        scale = _next_scale(scale, m, e, f"depth {n}")
+        scales.append(scale)
+    return scales
+
+
 def _cell(label: int, lo: int, width: int, half: int, parent: int | None, scale: int) -> Cell:
     """Carrier [lo, lo + width] with a concentric core of half-length ``half``."""
     mid = lo + (width >> 1)
@@ -215,8 +235,9 @@ def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     steps = list(_odometer_scale_steps(spec, depth))
-    m, bottom, rung = steps[0]
-    scale = m << bottom  # a_1 = 1/2
+    scales = _scales(steps, 1)
+    _, bottom, rung = steps[0]
+    scale = scales[0]  # a_1 = 1/2
     cells = {
         i: _cell(i, i * scale, 6 << bottom, 1 << rung * ((1 - i) % spec.s(1)), None, scale)
         for i in range(spec.s(1))
@@ -228,7 +249,7 @@ def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
         s_n, s_next = spec.extended_modulus(n), spec.extended_modulus(n + 1)
         k_next, e, rung = steps[n]
         bottom = e - n  # E_{n+1}
-        scale = prev.scale * k_next << e
+        scale = scales[n]
         children: dict[int, Cell] = {}
         for i, cell in prev.cells.items():
             lo = cell.core[0] * k_next << e
@@ -306,8 +327,9 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
         raise ValueError(f"depth {depth} exceeds the cover tower height {seq.top}")
 
     steps = list(_graph_scale_steps(seq, depth))
-    m, bottom, exponents = steps[0]
-    scale = m << bottom  # a_0 = 1/2, and a core of exponent e has half-length 2^-e / 12
+    scales = _scales(steps, 0)
+    _, bottom, exponents = steps[0]
+    scale = scales[0]  # a_0 = 1/2, and a core of exponent e has half-length 2^-e / 12
     a = 6 << bottom
     s_0 = len(exponents)
     cells = {j: _cell(j, j * scale, a, 1 << bottom - e, None, scale) for j, e in sorted(exponents.items())}
@@ -318,7 +340,7 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
         m, e, exponents = steps[n + 1]
         s_next = len(exponents)
         top = e - 1  # the largest core exponent of level n + 1
-        scale = prev.scale * m << e
+        scale = scales[n + 1]
         unit = prev.a << top  # a_n / 6 over the new scale
         children: dict[int, Cell] = {}
         fibre_of = fibres(seq, n)
@@ -856,11 +878,7 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
         if kind == "graph" and i:
             extend_sequence(symbolic["cover"])  # the tower's level i, which the scale step reads
         m, e, _ = next(steps)
-        bits = scale.bit_length() + m.bit_length() + e
-        if bits > SCALE_BITS_LIMIT:
-            raise ValueError(f"{where}: field 'scale': the source descriptor gives a scale of {bits} bits, "
-                             f"past the limit of {SCALE_BITS_LIMIT}")
-        scale = scale * m << e
+        scale = _next_scale(scale, m, e, f"{where}: field 'scale'")
         declared = _field(entry, "scale", where, partial(digits_to_int, max_bits=scale.bit_length()))
         if declared != scale:
             raise ValueError(f"{where}: field 'scale' is not {int_to_digits(scale)}, the scale its source gives")
@@ -914,13 +932,13 @@ def ratio_csv(scheme: EmbeddingScheme) -> str:
     return buf.getvalue()
 
 
-def render_svg(scheme: EmbeddingScheme, width: int = 960, row_height: int = 56) -> str:
+def render_svg(scheme: EmbeddingScheme) -> str:
     """Approximate picture of the scheme: carriers outlined, cores filled.
 
     Intended for eyeballing the nesting only; endpoints are rounded to float
     and widths are clamped to stay visible, so nothing here is exact.
     """
-    pad = 20.0
+    width, row_height, pad = 960, 56, 20.0
     lo = min(approx_float(c.A.lo) for c in scheme.levels[0].cells.values())
     hi = max(approx_float(c.A.hi) for c in scheme.levels[0].cells.values())
     span = max(hi - lo, 1e-9)

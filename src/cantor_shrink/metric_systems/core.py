@@ -407,7 +407,7 @@ def product_system(sys1: FinitePointSystem, sys2: FinitePointSystem) -> FinitePo
     return FinitePointSystem(pts, scale, dist, step, eps=eps, source=source)
 
 
-def midpoint_system(scheme: EmbeddingScheme, depth: int, with_radii: bool = True) -> FinitePointSystem:
+def midpoint_system(scheme: EmbeddingScheme, depth: int) -> FinitePointSystem:
     """Depth-``depth`` core midpoints of an odometer scheme, map = +1 mod s."""
     if scheme.kind != "odometer":
         raise ValueError("midpoint systems need an odometer scheme (graphs branch)")
@@ -421,8 +421,7 @@ def midpoint_system(scheme: EmbeddingScheme, depth: int, with_radii: bool = True
         "depth": depth,
     }
     sys = FinitePointSystem.from_positions(positions, step, source=source)
-    if with_radii:
-        sys.eps = computed_radii(sys)
+    sys.eps = computed_radii(sys)
     return sys
 
 

@@ -16,18 +16,7 @@ import pytest
 
 from cantor_shrink.cli import main as cli_main
 from cantor_shrink.exact import canonical_dumps, pow2
-from cantor_shrink.graphcover import (
-    build_sequence,
-    check_bidirectional,
-    check_edge_surjective,
-    check_minimality_certificate,
-    check_transitivity_certificate,
-    check_weak_mixing_certificate,
-    invariant_subsystem,
-    minimality_witness,
-    periodic_point_free_certificate,
-    preimage_counts,
-)
+from cantor_shrink.graphcover import build_sequence, certify_cover, fibres
 from cantor_shrink.interval_embed import (
     EmbeddingScheme,
     audit_scheme,
@@ -174,13 +163,9 @@ def test_criterion_04_weakly_mixing_tower():
     with criterion(4, "4-level weakly-mixing tower certificates") as info:
         t0 = time.perf_counter()
         seq = build_sequence("weakly-mixing", 4)
-        for n in range(seq.top):
-            assert check_bidirectional(seq.homs[n], seq.graph(n + 1), seq.graph(n))
-            assert check_edge_surjective(seq.graph(n))
-            assert check_minimality_certificate(seq, n)
-        assert check_edge_surjective(seq.graph(seq.top))
-        assert check_weak_mixing_certificate(seq, seq.top)
-        assert max(max(preimage_counts(seq, n).values()) for n in range(seq.top)) == 7 <= 12
+        report = certify_cover(seq)
+        assert report["pass"] and report["certificates"] == {"minimality": True, "weak_mixing": True}
+        assert max(len(f) for n in range(seq.top) for f in fibres(seq, n).values()) == 7 <= 12
         # length recursion c1' = 3a + b, c2' = 2a + 2b keeps the cycles
         # consecutive through level 6, beyond the built tower
         a, b = 2, 3
@@ -196,21 +181,19 @@ def test_criterion_04_weakly_mixing_tower():
 
 def test_criterion_05_transitive_tower():
     with criterion(5, "transitive tower: transitive, not minimal, periodic-free") as info:
-        seq = build_sequence("transitive", 3)
-        for n in range(seq.top):
-            assert check_transitivity_certificate(seq, n)
-            assert not check_minimality_certificate(seq, n)
-            witness = minimality_witness(seq, n)
-            assert witness is not None and witness["cycle"] == 1
+        report = certify_cover(build_sequence("transitive", 3))
+        assert report["pass"]
+        for step in report["steps"]:
+            assert step["transitivity"] and not step["minimality"]
+            witness = step["minimality_witness"]
+            assert witness["cycle"] == 1
             # the first cycle misses exactly interior vertices of the second
-            assert all(v[1] == 2 for v in witness["missed"])
-        restricted = invariant_subsystem(seq)
-        lengths = [lvl.cycle_lengths[0] for lvl in restricted.levels]
-        assert lengths == [2 * 3**n for n in range(4)]
-        free = periodic_point_free_certificate(seq, seq.top)
-        assert free.ok
-        assert list(free.minima) == sorted(set(free.minima))
-        info["note"] = f"minimal closed paths {list(free.minima)}"
+            assert witness["missed"] and all(v[1] == 2 for v in witness["missed"])
+        certs = report["certificates"]
+        assert certs["restricted_cycle_lengths"] == [2 * 3**n for n in range(4)]
+        minima = certs["minimal_closed_path_lengths"]
+        assert certs["periodic_point_free"] and minima == sorted(set(minima))
+        info["note"] = f"minimal closed paths {minima}"
 
 
 def test_criterion_06_graph_scheme_depth3(wm3):
@@ -272,6 +255,8 @@ def test_criterion_08_shrinking_oracle():
         report = shrinking_propositions_oracle(trials=1000, max_size=8, seed=0)
         assert report["trials"] == 1000
         assert report["counterexamples"] == []
+        # a run that meets no shrinking system checks nothing
+        assert report["shrinking_systems"] > 0
         assert shrinking_propositions_oracle(trials=1000, max_size=8, seed=0) == report
         info["note"] = f"{report['shrinking_systems']} shrinking systems seen"
 

@@ -53,15 +53,16 @@ def run_child(argv, log_level=None):
     return run_python(["-m", "cantor_shrink.cli", *argv], log_level)
 
 
-def run_python(args, log_level=None):
-    """Run ``python *args`` in a child process set up as :func:`run_child` says."""
+def run_python(args, log_level=None, timeout=None):
+    """Run ``python *args`` in a child process set up as :func:`run_child`
+    says, killed after ``timeout`` seconds when that is given."""
     env = dict(os.environ)
     src_root = str(Path(cantor_shrink.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src_root, env.get("PYTHONPATH")) if p)
     env.pop("CANTOR_SHRINK_LOG", None)
     if log_level is not None:
         env["CANTOR_SHRINK_LOG"] = log_level
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=timeout)
 
 
 def cli_log_lines(caplog):
@@ -156,6 +157,39 @@ def test_build_system_shortest_shift():
     code, out, _ = run(["build", "system", "--shift", "1"])
     assert code == 0
     assert json.loads(out)["points"] == ["0", "1"]
+
+
+def test_build_system_refuses_a_depth_with_the_shift():
+    code, out, err = run(["build", "system", "--shift", "3", "--depth", "9"])
+    assert (code, out) == (2, "")
+    assert err == "error: --shift takes no --depth: the shift's word length is the --shift value\n"
+
+
+@pytest.mark.parametrize("argv, depth", [
+    (["build", "graph", "--variant", "weakly-mixing", "--levels", "5"], 5),
+    (["build", "odometer", "--s", "2,4,8", "--depth", "18"], 18),
+])
+def test_build_refuses_a_scale_no_reader_loads(argv, depth):
+    # the child is capped at 1 GB of address space, and builds nothing: the
+    # refusal comes from the scale steps, before any cell is made
+    code = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from cantor_shrink.cli import main\n"
+        "t0 = time.perf_counter()\n"
+        f"status = main({argv + ['--out', os.devnull]!r})\n"
+        "print(status, time.perf_counter() - t0)\n"
+    )
+    proc = run_python(["-c", code], timeout=60)
+    status, seconds = proc.stdout.decode().split()
+    assert status == "2" and float(seconds) < 1
+    errors = [line for line in proc.stderr.decode().splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    match = re.fullmatch(
+        rf"error: depth {depth}: the source descriptor gives a scale of (\d+) bits, past the limit of {SCALE_BITS_LIMIT}",
+        errors[0],
+    )
+    assert match and int(match[1]) > SCALE_BITS_LIMIT
 
 
 def test_build_system_needs_exactly_one_source(work):
@@ -291,6 +325,12 @@ def test_verify_lrs_depth_one_scheme_is_unusable(work):
     code, _, err = run(["verify", "lrs", "--scheme", str(work["od1"]), "--depth", "3"])
     assert code == 2
     assert "no pair depth is checkable" in err
+
+
+def test_verify_lrs_refuses_a_depth_before_the_first(work):
+    code, out, err = run(["verify", "lrs", "--scheme", str(work["od3"]), "--depth", "0"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {work['od3']}: --depth 0 is before the scheme's first depth 1\n"
 
 
 def test_verify_cover_weakly_mixing(work, caplog):
@@ -975,6 +1015,7 @@ def test_unknown_subcommand_exits_two():
     ("od3", ["export", "ratio", "--sys", "<file>"]),
     ("wm2", ["verify", "derivative", "--scheme", "<file>"]),
     ("wm2", ["verify", "lrs", "--scheme", "<file>", "--depth", "1"]),
+    ("wm2", ["verify", "cover", "--graph", "<file>"]),
     ("wm2", ["build", "graph", "--variant", "weakly-mixing", "--levels", "2"]),
 ])
 def test_scheme_commands_load_only_the_layers_they_run(work, source, command):

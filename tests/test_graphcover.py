@@ -6,6 +6,7 @@ import pytest
 
 from cantor_shrink.graphcover import (
     _closed_path_lengths,
+    COVER_WORDS,
     CoverSequence,
     CycleExpr,
     CycleLevel,
@@ -14,16 +15,18 @@ from cantor_shrink.graphcover import (
     base_vertex,
     build_sequence,
     canonical_vertices,
+    certify_cover,
     check_bidirectional,
     check_edge_surjective,
     check_minimality_certificate,
+    check_transitivity_certificate,
     check_weak_mixing_certificate,
     expand_cycle_expr,
     fibres,
     invariant_subsystem,
     minimal_cycle_length,
+    minimality_witness,
     periodic_point_free_certificate,
-    preimage_counts,
     signed_index,
     vertex_with_signed_index,
 )
@@ -174,7 +177,7 @@ def test_tower_homs_are_bidirectional_and_surjective(wm4, tr2):
 
 def test_preimage_bound(wm4):
     for n in range(wm4.top):
-        counts = preimage_counts(wm4, n)
+        counts = {v: len(ws) for v, ws in fibres(wm4, n).items()}
         assert max(counts.values()) <= 12
         assert counts[base_vertex(n)] == 7
         assert max(counts, key=counts.get) == base_vertex(n)
@@ -204,6 +207,62 @@ def test_minimality_certificate(wm4, tr2):
     assert not check_minimality_certificate(tr2, 1)
     with pytest.raises(ValueError):
         check_minimality_certificate(wm4, 4)  # no cover above the top
+
+
+@pytest.mark.parametrize("check", [check_minimality_certificate, check_transitivity_certificate, minimality_witness])
+def test_cycle_image_checks_need_a_cover_above_the_level(tr2, check):
+    for n in (-1, tr2.top):
+        with pytest.raises(ValueError, match=rf"^no cover above level {n} \(top is 2\)$"):
+            check(tr2, n)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+@pytest.mark.parametrize("variant", sorted(COVER_WORDS))
+def test_certify_cover_steps_agree_with_the_per_level_checks(variant, levels):
+    seq = build_sequence(variant, levels)
+    report = certify_cover(seq)
+    assert (report["variant"], report["levels"], report["pass"]) == (variant, levels, True)
+    assert [step["step"] for step in report["steps"]] == list(range(levels))
+    for n, step in enumerate(report["steps"]):
+        assert step["homomorphism"] and step["bidirectional"] and step["edge_surjective"]
+        minimal = check_minimality_certificate(seq, n)
+        witness = minimality_witness(seq, n)
+        assert step["minimality"] is minimal is (witness is None)
+        if witness is None:
+            assert "minimality_witness" not in step
+        else:
+            # the missed vertices, recomputed from the covering image of the cycle
+            path = seq.levels[n + 1].cycles[witness["cycle"] - 1]
+            missed = sorted(set(seq.graph(n).vertices) - {seq.homs[n][w] for w in path})
+            assert witness == {"level": n, "cycle": witness["cycle"], "missed": missed}
+            assert step["minimality_witness"] == {"cycle": witness["cycle"], "missed": [list(v) for v in missed]}
+        if variant == "transitive":
+            assert step["transitivity"] is check_transitivity_certificate(seq, n)
+        else:
+            assert "transitivity" not in step
+
+
+def test_certify_cover_fails_on_a_map_that_is_no_homomorphism():
+    wm2 = build_sequence("weakly-mixing", 2)
+    homs = [dict(hom) for hom in wm2.homs]
+    # the edge from the base to (1, 1, 1) now lands on the non-edge from the
+    # base to (0, 2, 2)
+    homs[0][(1, 1, 1)] = (0, 2, 2)
+    report = certify_cover(CoverSequence(list(wm2.levels), homs, "weakly-mixing"))
+    step = report["steps"][0]
+    assert (step["homomorphism"], step["bidirectional"]) == (False, False)
+    assert step["error"] == "not a homomorphism: edge ((1, 0, 0), (1, 1, 1)) maps to non-edge ((0, 0, 0), (0, 2, 2))"
+    assert report["steps"][1]["homomorphism"] is True
+    assert report["pass"] is False
+
+
+def test_certify_cover_fails_on_a_tower_under_the_wrong_variant():
+    tr3 = build_sequence("transitive", 3)
+    report = certify_cover(CoverSequence(list(tr3.levels), list(tr3.homs), "weakly-mixing"))
+    assert all(step["homomorphism"] and step["bidirectional"] for step in report["steps"])
+    assert not any(step["minimality"] for step in report["steps"])
+    assert report["certificates"]["minimality"] is False
+    assert report["pass"] is False
 
 
 def test_weak_mixing_certificate(wm4, tr2):

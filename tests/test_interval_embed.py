@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 
 from cantor_shrink.exact import canonical_dumps, digits_to_int, int_to_digits, pow2
-from cantor_shrink.graphcover import base_vertex, build_sequence, preimage_counts
+from cantor_shrink.graphcover import base_vertex, build_sequence, fibres
 from cantor_shrink.interval_embed import (
     _mul,
     audit_scheme,
@@ -264,7 +264,7 @@ def test_graph_slots_are_twelfths(wm_scheme):
 
 def test_graph_fibre_takes_leftmost_slots(wm_scheme):
     seq = wm_scheme.cover
-    assert preimage_counts(seq, 0)[base_vertex(0)] == 7
+    assert len(fibres(seq, 0)[base_vertex(0)]) == 7
     kids = sorted(children_of(wm_scheme, 0)[0], key=lambda c: c.A.lo)
     base_core = wm_scheme.level(0).cells[0].D
     # seven preimages occupy slots 0..6 of twelve; the rightmost five stay empty
