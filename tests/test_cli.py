@@ -16,7 +16,7 @@ import pytest
 
 import cantor_shrink
 from cantor_shrink.cli import main
-from cantor_shrink.exact import canonical_dumps, digits_to_int, int_to_digits
+from cantor_shrink.exact import canonical_dumps, digits_to_int, int_to_digits, scalar_from_json
 from cantor_shrink.interval_embed import (
     SCALE_BITS_LIMIT,
     audit_scheme,
@@ -910,8 +910,37 @@ GOLDEN_PAIR_VALUES = {
 }
 
 
+# sha256 of the value lines (:func:`_finite_value_lines`) of the finite-system
+# file, the extension file and the two certificate reports above, pinned
+# while they wrote {mantissa, pow2, pow3} and {num, den} scalars: the values
+# hold whatever the encoding
+GOLDEN_FINITE_VALUES = {
+    "od3-build-system": "1858d81e38d3d5d7a265d5e8bebc292ff40ec9fe9fe70e62336cbf3d76638f8b",
+    "od3-build-extension": "9068fc0cbd6d610d5f5e148de5b93b66058a8d69a4541226302cd5e77a25e2ee",
+    "extension-lrs": "ba3c0d8f0b4f461cebba9644a3acc1b96c1e9acc9e94f6d50e7676cdc505eda7",
+    "deformed-lrs": "405a0e6f4385457d8fa53056a4ee6ff0e1a3c4af97f0c85d8121060b25573768",
+}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _finite_value_lines(obj: dict) -> str:
+    """One line per value of a finite-system file, an extension file or an
+    extension or deformed report: each distance and eps by point index, each
+    slack, each point's x and y by id, and each margin with its kind and
+    index, every value as a reduced fraction."""
+    value = scalar_from_json
+    lines = [f"distance {i} {j} {value(v)}" for i, row in enumerate(obj.get("distances", [])) for j, v in enumerate(row)]
+    lines += [f"eps {i} {value(v)}" for i, v in enumerate(obj.get("eps", []))]
+    lines += [f"slack {n} {value(v)}" for n, v in enumerate(obj.get("slack", obj.get("stats", {}).get("slack", [])), 1)]
+    lines += [f"point {p['id']} {value(p['x'])} {value(p['y'])}" for p in obj.get("points", []) if isinstance(p, dict)]
+    for entry in obj.get("margins", []) + obj.get("witnesses", []):
+        if "margin" in entry:
+            index = [entry[key] for key in ("n", "j", "t", "id") if key in entry]
+            lines.append(f"{entry['kind']} {index} {value(entry['margin'])}")
+    return "".join(line + "\n" for line in lines)
 
 
 def _pair_lines(report: dict) -> str:
@@ -959,6 +988,17 @@ def test_pair_values_match_the_pinned_digests(work, case):
     code, out, _ = run([arg.format(**work) for arg in argv])
     assert code == 0
     assert sha256(_pair_lines(json.loads(out))) == GOLDEN_PAIR_VALUES[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FINITE_VALUES))
+def test_finite_values_match_the_pinned_digests(work, case):
+    if case in GOLDEN_CERTIFICATES:
+        obj = _certificate_report(case).to_json()
+    else:
+        code, out, _ = run([arg.format(**work) for arg in GOLDEN_STDOUT[case][0]])
+        assert code == 0
+        obj = json.loads(out)
+    assert sha256(_finite_value_lines(obj)) == GOLDEN_FINITE_VALUES[case]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CERTIFICATES))
