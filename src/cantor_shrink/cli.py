@@ -25,6 +25,7 @@ from cantor_shrink.interval_embed import (
     audit_scheme,
     build_graph_scheme,
     build_odometer_scheme,
+    graph_scales,
     ratio_csv,
     render_svg,
     scheme_from_json,
@@ -167,13 +168,14 @@ def cmd_build_odometer(args) -> int:
 def cmd_build_graph(args) -> int:
     from cantor_shrink.graphcover import build_sequence
 
+    seq = build_sequence(args.variant, args.levels)
     if args.levels > GRAPH_FEASIBLE_LEVELS:
+        graph_scales(seq, args.levels)  # a scale no reader loads is refused before the warning
         print(
             f"warning: graph schemes beyond depth {GRAPH_FEASIBLE_LEVELS} need "
             "astronomically long dyadic scales; expect very long runtimes",
             file=sys.stderr,
         )
-    seq = build_sequence(args.variant, args.levels)
     t0 = time.perf_counter()
     scheme = build_graph_scheme(seq, args.levels)
     _info("graph depth %d built in %.2fs", args.levels, time.perf_counter() - t0)

@@ -4,17 +4,18 @@ Every certified quantity in this package is exact: a `fractions.Fraction`,
 or an integer over a known integer scale; floats appear only in explicitly
 approximate export paths.
 
-Integers over a scale that a file declares once (scheme geometry and
-sibling-pair margins) are written as one canonical string of signed binary
-digits in non-adjacent form, ``"+84370-84366+12"`` for 2^84370 - 2^84366 +
-2^12, by :func:`int_to_digits` and read back by :func:`digits_to_int`.
-The level-scale integers have a few dozen nonzero digits at most, and the
-offsets that scheme files write in place of absolute endpoints one or two
-(format 4), so the strings stay short whatever the size of the integer,
-and each digit costs one linear-time operation to write or read.
-Other scalars are JSON objects (:func:`scalar_to_json`) whose decimal terms
-are converted by divide and conquer instead of ``str``/``int`` (CPython's
-conversions are quadratic and capped by ``sys.int_max_str_digits``).
+Files and reports write exact values as integers over a scale they declare
+once (:func:`common_scale` gives the least one): scheme geometry, pair
+margins, finite systems, extensions and their certificates.  Each integer
+is one canonical string of signed binary digits in non-adjacent form,
+``"+84370-84366+12"`` for 2^84370 - 2^84366 + 2^12, written by
+:func:`int_to_digits` and read back by :func:`digits_to_int`.  The
+level-scale integers have a few dozen nonzero digits at most, and scheme
+offsets (format 4) one or two, so the strings stay short whatever the size
+of the integer, and each digit costs one linear-time operation to write or
+read.  Only the derivative-ratio report and the entropy rows write JSON
+scalar objects (:func:`scalar_to_json`), with ``str`` terms: their values
+are k 2^a 3^b with small k, or fractions typed on the command line.
 
 :class:`ClosedInterval` is a ``typing.NamedTuple`` rather than a dataclass:
 every command imports this module, and ``dataclasses`` would load
@@ -26,7 +27,6 @@ compares equal to the plain tuple ``(lo, hi)``.
 
 from __future__ import annotations
 
-import decimal
 import json
 import math
 import re
@@ -46,12 +46,6 @@ def pow2(exponent: int) -> Fraction:
     return Fraction(1, 1 << (-exponent))
 
 
-def pow3(exponent: int) -> Fraction:
-    if exponent >= 0:
-        return Fraction(3**exponent)
-    return Fraction(1, 3 ** (-exponent))
-
-
 def approx_float(value: Rational) -> float:
     """Nearest float to an exact value; only for human-facing export columns."""
     value = Fraction(value)
@@ -61,37 +55,6 @@ def approx_float(value: Rational) -> float:
         return float(value)
     except OverflowError:
         return 0.0 if abs(value) < 1 else float("inf") * (1 if value > 0 else -1)
-
-
-# ---------------------------------------------------------------------------
-# fast decimal conversion
-
-def _to_decimal(n: int, bits: int, powers: dict) -> decimal.Decimal:
-    if bits <= 4096:  # small enough to convert directly
-        return decimal.Decimal(n)
-    half = bits >> 1
-    hi = n >> half
-    if half not in powers:
-        powers[half] = decimal.Decimal(2) ** half
-    return _to_decimal(hi, bits - half, powers) * powers[half] + _to_decimal(n - (hi << half), half, powers)
-
-
-def int_to_decimal(n: int) -> str:
-    """Decimal string of an arbitrary-size integer in subquadratic time: the
-    binary digits are split in halves and recombined in `decimal` arithmetic,
-    whose multiplication is subquadratic (``str`` divides, in quadratic time)."""
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True  # exact, or an error
-        text = str(_to_decimal(abs(n), n.bit_length(), {}))
-    return "-" + text if n < 0 else text
-
-
-def decimal_to_int(text: str) -> int:
-    """Parse a decimal integer string of any length (inverse of int_to_decimal)."""
-    if not isinstance(text, str) or not re.fullmatch(r"\s*[-+]?[0-9]+\s*", text):
-        raise ValueError(f"not a decimal integer: {text!r:.32}")
-    return int(decimal.Decimal(text))  # exact whatever the context's precision
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +146,13 @@ def digits_to_int(text: str, max_bits: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scalar JSON encoding
+# scales and scalars
 #
-# Two interchangeable encodings:
+# Scalar objects take one of two forms:
 #   {"num": "<decimal>", "den": "<decimal>"}                exact fraction
 #   {"mantissa": "<decimal>", "pow2": e2, "pow3": e3}       mantissa·2^e2·3^e3
-# The factored form keeps deep-level lengths compact (mantissa coprime to 6);
-# values whose mantissa would be astronomical fall back to num/den.
+# The factored form keeps deep-level ratios compact (mantissa coprime to 6);
+# other values are written as num/den.
 
 _MANTISSA_LIMIT = 1 << 64
 
@@ -245,42 +208,28 @@ def scaled_fraction(num: int, scale: int) -> Fraction:
     return value
 
 
+def common_scale(values, scale: int = 1) -> tuple[int, list[int]]:
+    """``(S, [v S for v in values])``: S the least multiple of ``scale`` over
+    which every value is an integer, the least common multiple of ``scale``
+    and the values' denominators."""
+    values = list(values)
+    scale = math.lcm(scale, *{v.denominator for v in values})
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def scalar_to_json(value: Rational) -> dict:
     """Encode an exact rational as a JSON-ready dict.
 
     Uses the factored mantissa·2^a·3^b form when the mantissa is small enough
-    to stay readable, otherwise explicit num/den decimal strings.
+    to stay readable, otherwise explicit num/den strings.
     """
     value = Fraction(value)
     if value == 0:
         return {"num": "0", "den": "1"}
     m, d, e2, e3 = _lowest_terms(value.numerator, value.denominator)
     if d == 1 and abs(m) < _MANTISSA_LIMIT:
-        return {"mantissa": int_to_decimal(m), "pow2": e2, "pow3": e3}
-    return {"num": int_to_decimal(value.numerator), "den": int_to_decimal(value.denominator)}
-
-
-def scalar_from_json(obj: dict) -> Fraction:
-    """Decode either scalar encoding.
-
-    Raises:
-        ValueError: if the object matches neither encoding or carries a key
-            outside it.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError(f"scalar must be a JSON object, got {type(obj).__name__}")
-    keys = set(obj)
-    if keys == {"num", "den"}:
-        den = decimal_to_int(obj["den"])
-        if den == 0:
-            raise ValueError("scalar denominator is zero")
-        return Fraction(decimal_to_int(obj["num"]), den)
-    if "mantissa" in keys and keys <= {"mantissa", "pow2", "pow3"}:
-        exponents = obj.get("pow2", 0), obj.get("pow3", 0)
-        if any(type(e) is not int for e in exponents):
-            raise ValueError(f"scalar exponents must be integers, got {exponents!r:.40}")
-        return Fraction(decimal_to_int(obj["mantissa"])) * pow2(exponents[0]) * pow3(exponents[1])
-    raise ValueError(f"unrecognized scalar encoding: keys {sorted(obj)}")
+        return {"mantissa": str(m), "pow2": e2, "pow3": e3}
+    return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
 def canonical_dumps(obj) -> str:

@@ -304,6 +304,12 @@ def _graph_scale_steps(seq: CoverSequence, depth: int) -> Iterator[tuple[int, in
         yield (12, top, exponents) if n == 0 else (3, top + 1, exponents)
 
 
+def graph_scales(seq: CoverSequence, depth: int) -> list[int]:
+    """The scales of levels 0..``depth`` of a graph scheme over ``seq``, each
+    refused as a reader would refuse it, with no cell built."""
+    return _scales(list(_graph_scale_steps(seq, depth)), 0)
+
+
 def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
     """Embed the inverse limit of ``seq`` down to level ``depth``.
 
@@ -381,28 +387,22 @@ def _level_factors(scheme: EmbeddingScheme) -> dict[int, tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def induced_map_label(scheme: EmbeddingScheme, depth: int, label: int):
-    """Where the induced dynamics sends a depth-``depth`` cell.
-
-    Odometer cells step to ``label + 1 (mod s_depth)`` and an int is
-    returned; graph cells may branch, so the sorted tuple of successor labels
-    is returned.
+def induced_map_label(scheme: EmbeddingScheme, depth: int, label: int) -> tuple[int, ...]:
+    """Where the induced dynamics sends a depth-``depth`` cell, as the sorted
+    tuple of successor labels: ``label + 1 (mod s_depth)`` alone for an
+    odometer cell, and one label per out-neighbour for a graph cell, which
+    may branch.
     """
     level = scheme.level(depth)
     level.cell(label)
     if scheme.kind == "odometer":
-        return (label + 1) % scheme.spec.extended_modulus(depth)
+        return ((label + 1) % scheme.spec.extended_modulus(depth),)
     from cantor_shrink.graphcover import signed_index, vertex_with_signed_index
 
     v = vertex_with_signed_index(scheme.cover.levels[depth], label)
     if v is None:
         raise KeyError(f"no vertex with signed index {label} at level {depth}")
     return tuple(sorted(signed_index(w) for w in scheme.cover.graph(depth).out_neighbors(v)))
-
-
-def _image_labels(scheme: EmbeddingScheme, depth: int, label: int) -> list[int]:
-    image = induced_map_label(scheme, depth, label)
-    return [image] if isinstance(image, int) else list(image)
 
 
 def exceptional_labels(scheme: EmbeddingScheme, depth: int) -> set[int]:
@@ -479,7 +479,7 @@ def derivative_ratio_bound(scheme: EmbeddingScheme, depth: int) -> Fraction:
     for label in level.cells:
         if label in skip or not child_map[label]:
             continue
-        image = max(widths[j] for j in _image_labels(scheme, depth, label)) * m << e
+        image = max(widths[j] for j in induced_map_label(scheme, depth, label)) * m << e
         narrowest = min(_width(c.carrier) for c in child_map[label])
         if best is None or _mul(image, best[1]) > _mul(best[0], narrowest):
             best = (image, narrowest)
@@ -560,7 +560,7 @@ def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
     cells = child_level.cells
     hulls, targets = {}, {}
     for label in cells:
-        images = [cells[j] for j in _image_labels(scheme, depth + 1, label)]
+        images = [cells[j] for j in induced_map_label(scheme, depth + 1, label)]
         hulls[label] = min(c.carrier[0] for c in images), max(c.carrier[1] for c in images)
         targets[label] = {c.parent for c in images}
 

@@ -11,7 +11,8 @@ of integers D, indexed by point position, with d(x_i, x_j) = D[i][j] / S.
 The constructors put their inputs over one common denominator once, and the
 triangle check and every certificate compare integers over S; reduced
 ``Fraction``s appear only where a distance, radius or margin leaves the
-module, built by :func:`~cantor_shrink.exact.scaled_fraction`.
+module, built by :func:`~cantor_shrink.exact.scaled_fraction`.  A system
+file writes every distance and radius as an integer over one declared scale.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from operator import sub
 from typing import NamedTuple
 
-from cantor_shrink.exact import scalar_from_json, scalar_to_json, scaled_fraction
-from cantor_shrink.interval_embed import EmbeddingScheme
+from cantor_shrink.exact import common_scale, digits_to_int, int_to_digits, scalar_to_json, scaled_fraction
+from cantor_shrink.interval_embed import SCALE_BITS_LIMIT, EmbeddingScheme
 
 
 @dataclass
@@ -101,8 +104,9 @@ class FinitePointSystem:
             tuple(map(Fraction, p)) if isinstance(p, tuple) else (Fraction(p),)
             for p in positions.values()
         ]
-        scale = math.lcm(*{c.denominator for p in coords for c in p})
-        ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in coords]
+        scale, flat = common_scale(c for p in coords for c in p)
+        ints = iter(flat)
+        ints = [tuple(islice(ints, len(p))) for p in coords]
         return cls._from_coordinates(list(positions), scale, ints, step, eps=eps, source=source)
 
     @classmethod
@@ -176,6 +180,18 @@ def check_lrs(sys: FinitePointSystem) -> LrsResult:
         if worst is None or least < worst:
             worst = least
     return LrsResult(True, None, None if worst is None else scaled_fraction(worst, scale))
+
+
+def split_margins(checks: list, extra=()) -> tuple[int, list, list, list]:
+    """The least common denominator of the margins of (entry, margin) checks
+    and of ``extra``; the entries with positive margins and the others, each
+    margin written over it as signed digits; and the digits of ``extra``."""
+    scale, ints = common_scale([*(margin for _, margin in checks), *extra])
+    digits = [int_to_digits(x) for x in ints]
+    passed, failed = [], []
+    for (entry, margin), text in zip(checks, digits):
+        (passed if margin > 0 else failed).append({**entry, "margin": text})
+    return scale, passed, failed, digits[len(checks):]
 
 
 def check_shrinking(sys: FinitePointSystem) -> bool:
@@ -468,32 +484,40 @@ def _decode_id(x):
 
 
 def system_to_json(sys: FinitePointSystem) -> dict:
+    """The system's JSON form: one ``scale``, the least multiple of the
+    system's over which every radius is an integer, and each distance and
+    radius as signed binary digits over it."""
+    scale, eps = common_scale([] if sys.eps is None else [sys.eps[x] for x in sys.points], sys.scale)
+    up = scale // sys.scale
     out = {
         "kind": "finite-system",
         "points": [_encode_id(x) for x in sys.points],
         "metric": "explicit",
-        "distances": [[scalar_to_json(scaled_fraction(d, sys.scale)) for d in row] for row in sys.dist],
+        "scale": int_to_digits(scale),
+        "distances": [[int_to_digits(d * up) for d in row] for row in sys.dist],
         "map": list(sys.succ),
     }
     if sys.eps is not None:
-        out["eps"] = [scalar_to_json(sys.eps[x]) for x in sys.points]
+        out["eps"] = [int_to_digits(e) for e in eps]
     if sys.source is not None:
         out["source"] = sys.source
     return out
 
 
-def _scalars(values, name: str, n: int) -> list:
-    """A list of ``n`` scalars from field ``name``, decoded, or a ValueError naming it."""
+def _integers(values, name: str, n: int, decode) -> list:
+    """``n`` signed-digit strings from field ``name``, decoded, or a ValueError naming it."""
     if not isinstance(values, list) or len(values) != n:
         raise ValueError(f"field {name!r} must list {n} entries, one per point")
     try:
-        return [scalar_from_json(v) for v in values]
+        return [decode(v) for v in values]
     except ValueError as exc:
-        raise ValueError(f"field {name!r}: {exc}") from exc
+        raise ValueError(f"field {name!r}: {exc}") from None
 
 
 def system_from_json(obj: dict) -> FinitePointSystem:
-    """Rebuild a system from its JSON form, every distance put over one scale.
+    """Rebuild a system from its JSON form, every distance and radius an
+    integer over the declared scale, refused from the text, as in scheme
+    files, past SCALE_BITS_LIMIT bits and each entry past 64 bits more.
 
     Raises:
         ValueError: naming the field, on any entry that is missing, mistyped
@@ -503,6 +527,12 @@ def system_from_json(obj: dict) -> FinitePointSystem:
         raise ValueError(f"a finite-system file holds a JSON object, not a {type(obj).__name__}")
     if obj.get("kind") != "finite-system" or obj.get("metric") != "explicit":
         raise ValueError("not a finite-system descriptor")
+    if "scale" not in obj:
+        raise ValueError("field 'scale' is missing: rebuild the file with `cantor-shrink build system`")
+    [scale] = _integers([obj["scale"]], "scale", 1, partial(digits_to_int, max_bits=SCALE_BITS_LIMIT))
+    if scale <= 0:
+        raise ValueError(f"field 'scale' must be positive, not {obj['scale']!r:.40}")
+    decode = partial(digits_to_int, max_bits=scale.bit_length() + 64)
     if not isinstance(obj.get("points"), list):
         raise ValueError("field 'points' must be a list of point ids")
     pts = [_decode_id(x) for x in obj["points"]]
@@ -510,9 +540,7 @@ def system_from_json(obj: dict) -> FinitePointSystem:
     rows = obj.get("distances")
     if not isinstance(rows, list) or len(rows) != n:
         raise ValueError(f"field 'distances' must hold {n} rows, one per point")
-    values = [_scalars(row, "distances", n) for row in rows]
-    scale = math.lcm(*{v.denominator for row in values for v in row})
-    dist = [[v.numerator * (scale // v.denominator) for v in row] for row in values]
+    dist = [_integers(row, "distances", n, decode) for row in rows]
     targets = obj.get("map")
     if not isinstance(targets, list) or len(targets) != n:
         raise ValueError(f"field 'map' must list {n} point indices, one per point")
@@ -520,5 +548,7 @@ def system_from_json(obj: dict) -> FinitePointSystem:
         if type(t) is not int or not 0 <= t < n:
             raise ValueError(f"field 'map': {t!r:.40} is not a point index below {n}")
     step = {x: pts[t] for x, t in zip(pts, targets)}
-    eps = dict(zip(pts, _scalars(obj["eps"], "eps", n))) if "eps" in obj else None
+    eps = None
+    if "eps" in obj:
+        eps = {x: scaled_fraction(e, scale) for x, e in zip(pts, _integers(obj["eps"], "eps", n, decode))}
     return FinitePointSystem(pts, scale, dist, step, eps=eps, source=obj.get("source"))

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cantor_shrink.exact import scalar_to_json
 from cantor_shrink.interval_embed import EmbeddingScheme, VerifyReport
-from cantor_shrink.metric_systems.core import FinitePointSystem, check_lrs, periodic_points
+from cantor_shrink.metric_systems.core import FinitePointSystem, check_lrs, periodic_points, split_margins
 from cantor_shrink.metric_systems.extension import ExtensionSystem
 
 OMEGA = ("omega",)
@@ -124,8 +123,8 @@ def build_fixed_point_system(
 def verify_deformed_lrs(dts: DeformedTripleSystem) -> VerifyReport:
     """Certify the collapse: seam agreement, middle contraction beating the
     outer stretch threefold, strict approach to omega, a radial-shrinking
-    sweep, and uniqueness of the periodic point."""
-    margins = []
+    sweep, and uniqueness of the periodic point.  The report declares one
+    scale, and writes every margin as signed binary digits over it."""
     witnesses = []
     seam = [u for u in dts.ids if u != OMEGA and u[2] == 0]
     seam_pairs = 0
@@ -135,28 +134,28 @@ def verify_deformed_lrs(dts: DeformedTripleSystem) -> VerifyReport:
             if dts.distance(u, v) != dts.plain_distance(u, v):
                 witnesses.append({"kind": "seam", "pair": [list(u), list(v)]})
 
+    checks = []  # (entry, margin): the entry passes when its margin is positive
     for t in range(dts.truncation + 1):
         y = dts.grid[t]
         y_next = dts.grid[t + 1] if t < dts.truncation else Fraction(0)
-        margin = abs(y) - 3 * abs(y_next)
-        entry = {"kind": "middle-contraction", "t": t, "margin": scalar_to_json(margin)}
-        (margins if margin > 0 else witnesses).append(entry)
+        checks.append(({"kind": "middle-contraction", "t": t}, abs(y) - 3 * abs(y_next)))
 
     for u in dts.ids:
         if u == OMEGA:
             continue
         drop = dts.distance(OMEGA, u) - dts.distance(OMEGA, dts.map[u])
-        entry = {"kind": "collapse-approach", "id": list(u), "margin": scalar_to_json(drop)}
-        (margins if drop > 0 else witnesses).append(entry)
+        checks.append(({"kind": "collapse-approach", "id": list(u)}, drop))
 
     sys = dts.as_system()
     sweep = check_lrs(sys)
+    if sweep.ok and sweep.min_margin is not None:
+        checks.append(({"kind": "sweep"}, sweep.min_margin))
+    scale, margins, failed, _ = split_margins(checks)
+    witnesses += failed
     if not sweep.ok:
         witnesses.append(
             {"kind": "sweep", "pair": [list(sweep.witness[0]), list(sweep.witness[1])]}
         )
-    elif sweep.min_margin is not None:
-        margins.append({"kind": "sweep", "margin": scalar_to_json(sweep.min_margin)})
 
     periodic = periodic_points(sys)
     if periodic != [OMEGA]:
@@ -174,4 +173,5 @@ def verify_deformed_lrs(dts: DeformedTripleSystem) -> VerifyReport:
             "seam_pairs": seam_pairs,
             "periodic_points": len(periodic),
         },
+        scale=scale,
     )

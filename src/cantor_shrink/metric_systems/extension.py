@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cantor_shrink.exact import scalar_to_json, scaled_fraction
+from cantor_shrink.exact import common_scale, int_to_digits, scaled_fraction
 from cantor_shrink.interval_embed import EmbeddingScheme, VerifyReport
-from cantor_shrink.metric_systems.core import FinitePointSystem, check_lrs
+from cantor_shrink.metric_systems.core import FinitePointSystem, check_lrs, split_margins
 from cantor_shrink.odometer import predecessor
 
 
@@ -209,10 +209,11 @@ def verify_extension_lrs(ext: ExtensionSystem) -> VerifyReport:
     Checks, in order: the critical repellor pairs ((z,-1), y_{-k_n}); strict
     isolation of every orbit point; monotone approach of the tail to the
     repellor sheet away from return times, and to the attractor sheet beyond
-    -k_1; and a full radial-shrinking sweep of the truncated system.
+    -k_1; and a full radial-shrinking sweep of the truncated system.  The
+    report declares one scale, and writes every margin and slack as signed
+    binary digits over it.
     """
-    margins = []
-    witnesses = []
+    checks = []  # (entry, margin): the entry passes when its margin is positive
     system = ext.as_system()  # rho, the sum metric on the two coordinates
     spec = ext.scheme.spec
     s_m = spec.extended_modulus(ext.refine)
@@ -221,51 +222,48 @@ def verify_extension_lrs(ext: ExtensionSystem) -> VerifyReport:
         anchor = ("y", -ext.k[n])
         before = system.d(z_sheet, anchor)
         after = system.d(ext.map[z_sheet], ext.map[anchor])
-        entry = {"kind": "critical-pair", "n": n, "margin": scalar_to_json(before - after)}
-        (margins if after < before else witnesses).append(entry)
+        checks.append(({"kind": "critical-pair", "n": n}, before - after))
 
     orbit = [system.index[u] for u in ext.ids if u[0] == "y"]
     isolation = scaled_fraction(
         min(min(d for v, d in enumerate(system.dist[u]) if v != u) for u in orbit), system.scale
     )
-    entry = {"kind": "isolation", "margin": scalar_to_json(isolation)}
-    (margins if isolation > 0 else witnesses).append(entry)
+    checks.append(({"kind": "isolation"}, isolation))
 
     returns = {-ext.k[n] for n in range(1, ext.levels + 1)}
     for j in range(-ext.k[ext.levels], -ext.k[1]):
         if j in returns:
             continue
         drop = (ext.pi2(j) + 1) - (ext.pi2(j + 1) + 1)
-        entry = {"kind": "repellor-monotone", "j": j, "margin": scalar_to_json(drop)}
-        (margins if drop > 0 else witnesses).append(entry)
+        checks.append(({"kind": "repellor-monotone", "j": j}, drop))
     for j in range(-ext.k[1], ext.tail):
         rise = ext.pi2(j + 1) - ext.pi2(j)
-        entry = {"kind": "attractor-monotone", "j": j, "margin": scalar_to_json(rise)}
-        (margins if rise > 0 else witnesses).append(entry)
+        checks.append(({"kind": "attractor-monotone", "j": j}, rise))
 
     sweep = check_lrs(system)
+    if sweep.ok and sweep.min_margin is not None:
+        checks.append(({"kind": "sweep"}, sweep.min_margin))
+    scale, margins, witnesses, slack = split_margins(checks, ext.slack[1:])
     if not sweep.ok:
         witnesses.append({"kind": "sweep", "pair": [list(sweep.witness[0]), list(sweep.witness[1])]})
-    elif sweep.min_margin is not None:
-        margins.append({"kind": "sweep", "margin": scalar_to_json(sweep.min_margin)})
 
     return VerifyReport(
         check="extension-lrs",
         passed=not witnesses,
         witnesses=witnesses,
         margins=margins,
-        stats={
-            "points": len(ext.ids),
-            "k": ext.k[1:],
-            "slack": [scalar_to_json(a) for a in ext.slack[1:]],
-        },
+        stats={"points": len(ext.ids), "k": ext.k[1:], "slack": slack},
+        scale=scale,
     )
 
 
 def extension_to_json(ext: ExtensionSystem) -> dict:
-    def encode(u):
-        return list(u)
-
+    """The extension's JSON form: one ``scale``, and every slack and every
+    point's coordinates x and y as signed binary digits over it."""
+    slack = ext.slack[1:]
+    scale, ints = common_scale([*slack, *(c for u in ext.ids for c in ext.positions[u])])
+    digits = [int_to_digits(x) for x in ints]
+    xy = iter(digits[len(slack):])
     return {
         "kind": "extension",
         "source": ext.scheme.source,
@@ -275,14 +273,8 @@ def extension_to_json(ext: ExtensionSystem) -> dict:
         "refine": ext.refine,
         "rate": ext.rate,
         "k": ext.k[1:],
-        "slack": [scalar_to_json(a) for a in ext.slack[1:]],
-        "points": [
-            {
-                "id": encode(u),
-                "x": scalar_to_json(ext.positions[u][0]),
-                "y": scalar_to_json(ext.positions[u][1]),
-            }
-            for u in ext.ids
-        ],
-        "map": [[encode(u), encode(ext.map[u])] for u in ext.ids],
+        "scale": int_to_digits(scale),
+        "slack": digits[: len(slack)],
+        "points": [{"id": list(u), "x": x, "y": y} for u, x, y in zip(ext.ids, xy, xy)],
+        "map": [[list(u), list(ext.map[u])] for u in ext.ids],
     }

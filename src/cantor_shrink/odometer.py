@@ -59,10 +59,6 @@ class OdometerSpec(_Tower):
             raise ValueError(f"depth {n} exceeds the {len(self.values)} listed moduli")
         return self.values[n - 1]
 
-    def k(self, n: int) -> int:
-        """Branching factor k_n = s_n / s_{n-1} (k_1 = s_1)."""
-        return self.s(n) // self.s(n - 1)
-
     def extended_modulus(self, n: int) -> int:
         """s_n, continuing the listed tower geometrically past its last entry.
 

@@ -71,3 +71,32 @@ def test_benchmark_reads_the_reports(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode() == "[]\n"
+
+
+# Run in a child next to the benchmark's modules: the finite-systems
+# workload's in-process steps, then its checks on the files they wrote,
+# printing the name of every check that fails.
+FINITE_SYSTEMS = """
+import json, sys
+from pathlib import Path
+
+import workloads
+from tracing import Tracer
+
+work, seed = Path(sys.argv[1]), 7
+workloads.finite_inprocess(Tracer("tier-1", enabled=False), work, seed)
+print(json.dumps([name for name, ok in workloads.finite_check(work, seed) if not ok]))
+"""
+
+
+def test_benchmark_checks_the_finite_systems(tmp_path):
+    """The benchmark's finite-systems checks read the extension, deformed,
+    product, oracle and entropy reports the package writes, and every one
+    of them holds."""
+    src_root = str(Path(cantor_shrink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_root, str(PERFBENCH)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FINITE_SYSTEMS, str(tmp_path)], capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == "[]\n"

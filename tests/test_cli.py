@@ -16,7 +16,7 @@ import pytest
 
 import cantor_shrink
 from cantor_shrink.cli import main
-from cantor_shrink.exact import canonical_dumps, digits_to_int, int_to_digits, scalar_from_json
+from cantor_shrink.exact import canonical_dumps, digits_to_int, int_to_digits
 from cantor_shrink.interval_embed import (
     SCALE_BITS_LIMIT,
     audit_scheme,
@@ -171,7 +171,9 @@ def test_build_system_refuses_a_depth_with_the_shift():
 ])
 def test_build_refuses_a_scale_no_reader_loads(argv, depth):
     # the child is capped at 1 GB of address space, and builds nothing: the
-    # refusal comes from the scale steps, before any cell is made
+    # refusal comes from the scale steps, before any cell is made, and before
+    # the warning that graph builds past 4 levels take long, so stderr is the
+    # error line alone
     code = (
         "import resource, sys, time\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -183,11 +185,10 @@ def test_build_refuses_a_scale_no_reader_loads(argv, depth):
     proc = run_python(["-c", code], timeout=60)
     status, seconds = proc.stdout.decode().split()
     assert status == "2" and float(seconds) < 1
-    errors = [line for line in proc.stderr.decode().splitlines() if line.startswith("error:")]
-    assert len(errors) == 1
+    [line] = proc.stderr.decode().splitlines()
     match = re.fullmatch(
         rf"error: depth {depth}: the source descriptor gives a scale of (\d+) bits, past the limit of {SCALE_BITS_LIMIT}",
-        errors[0],
+        line,
     )
     assert match and int(match[1]) > SCALE_BITS_LIMIT
 
@@ -622,10 +623,23 @@ def _setting(value, *path):
     return mutate
 
 
-THIRD = {"num": "1", "den": "3"}
+def _nudge_distance(i, j):
+    """Add one unit of the file's scale to distance (i, j) alone: a valid
+    digit string whose matrix is no longer a metric."""
+    def mutate(obj):
+        row = obj["distances"][i]
+        row[j] = int_to_digits(digits_to_int(row[j], SCALE_BITS_LIMIT) + 1)
+    return mutate
 
-# single mutations of the depth-3 midpoint system file, each with the field its
-# error line must name; each must be caught as bad input
+
+def _distance_past_the_scale(obj):
+    bits = digits_to_int(obj["scale"], SCALE_BITS_LIMIT).bit_length()
+    obj["distances"][0][1] = f"+{bits + 65}"
+
+
+# single mutations of the depth-3 midpoint system file, each with the text its
+# error line must name, from the check that refuses it; each must be caught as
+# bad input
 SYSTEM_MUTATIONS = {
     "map-index-out-of-range": (_setting(8, "map", 0), "'map'"),
     "map-entry-string": (_setting("1", "map", 0), "'map'"),
@@ -633,8 +647,13 @@ SYSTEM_MUTATIONS = {
     "points-not-a-list": (_setting(5, "points"), "'points'"),
     "short-eps": (lambda obj: obj["eps"].pop(), "'eps'"),
     "top-level-list": (lambda obj: [obj], "JSON object"),
-    "asymmetric": (_setting(THIRD, "distances", 1, 0), "distances"),
-    "nonzero-diagonal": (_setting(THIRD, "distances", 2, 2), "distances"),
+    "asymmetric": (_nudge_distance(1, 0), "distances must be positive and symmetric off the diagonal"),
+    "nonzero-diagonal": (_nudge_distance(2, 2), "distances must vanish on the diagonal"),
+    "zero-scale": (_setting("0", "scale"), "field 'scale' must be positive"),
+    "scale-past-the-limit": (
+        _setting(f"+{SCALE_BITS_LIMIT + 1}", "scale"), f"field 'scale': '+{SCALE_BITS_LIMIT + 1}' exceeds"
+    ),
+    "distance-past-the-scale": (_distance_past_the_scale, "field 'distances': '+"),
 }
 
 
@@ -649,6 +668,20 @@ def test_mutated_system_is_a_one_line_usage_error(work, tmp_path, mutation):
     [line] = err.splitlines()
     assert line.startswith(f"error: {bad}: ")
     assert named in line
+
+
+def test_system_file_without_a_scale_is_told_to_rebuild(tmp_path):
+    # the form of every finite-system file written before they declared one
+    # scale: a JSON scalar object per distance and radius
+    half, zero = {"mantissa": "1", "pow2": -1, "pow3": 0}, {"num": "0", "den": "1"}
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({
+        "kind": "finite-system", "metric": "explicit", "points": [0, 1], "map": [1, 0],
+        "distances": [[zero, half], [half, zero]], "eps": [half, half],
+    }))
+    code, out, err = run(["export", "entropy", "--sys", str(old), "--eps", "1/4", "--n", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {old}: field 'scale' is missing: rebuild the file with `cantor-shrink build system`\n"
 
 
 # the INFO line each command that builds or loads a finite system logs, after
@@ -804,7 +837,10 @@ def test_single_mutations_of_a_system_file_exit_cleanly(work, data):
 # sha256 of stdout, pinned before scheme geometry became integers over a
 # per-level scale: the reports must not move by a byte.  The three verify lrs
 # entries were re-pinned when margins became signed binary digits over a
-# declared scale; GOLDEN_PAIR_VALUES holds their values across that switch
+# declared scale; GOLDEN_PAIR_VALUES holds their values across that switch.
+# od3-build-system and od3-build-extension were re-pinned when finite systems
+# and extensions became signed binary digits over a declared scale;
+# GOLDEN_FINITE_VALUES holds their values across that switch
 GOLDEN_STDOUT = {
     "od3-verify-derivative": (
         ["verify", "derivative", "--scheme", "{od3}"],
@@ -836,11 +872,11 @@ GOLDEN_STDOUT = {
     ),
     "od3-build-system": (
         ["build", "system", "--scheme", "{od3}", "--depth", "2"],
-        "d5c9a53c23efa5982b075d2f7509f63155563aa111dce3eb8ec3efd8b2648a8e",
+        "89024bc61ebfa5db862dd109e63b63efc44cb50fcde9c7447975f5786968f0fe",
     ),
     "od3-build-extension": (
         ["build", "extension", "--scheme", "{od3}", "--levels", "1", "--tail", "4", "--refine", "3"],
-        "3ffea6bdf9c91682b0c9ea5c5398ca08952261abf5bf3b70a97633d1a67f6027",
+        "492c5588d8b32679b19187c30253884b4ef6504192d23736ac9ebe80489b17e9",
     ),
     # pinned before finite systems became integer distance matrices over one scale
     "verify-oracle-200-seed-7": (
@@ -859,10 +895,11 @@ GOLDEN_STDOUT = {
 
 # sha256 of the canonical JSON of the extension and deformed-triple reports on
 # the finite-systems benchmark inputs, pinned at the same commit as the three
-# entries above
+# entries above, and re-pinned with od3-build-system when their margins
+# became signed binary digits over a declared scale
 GOLDEN_CERTIFICATES = {
-    "extension-lrs": "36bf07eab2a16d11bed24c112069b4c55cc1c9b989c38c4e0d868ebfdd549d0c",
-    "deformed-lrs": "0a61047e7d4711fcf495059e7150d6aa05cbe168d619f92296d1d18d155deafd",
+    "extension-lrs": "db9278da837776d294237f7f0ec3467ebdcf5ee95be1bde5065015ee58e36d5d",
+    "deformed-lrs": "fb96de299541afef182002d36df0b1a52c86ee9be3534a931c4f2653de922ff7",
 }
 
 # sha256 of "n label A.lo A.hi D.lo D.hi" lines, one per cell in file order,
@@ -912,8 +949,9 @@ GOLDEN_PAIR_VALUES = {
 
 # sha256 of the value lines (:func:`_finite_value_lines`) of the finite-system
 # file, the extension file and the two certificate reports above, pinned
-# while they wrote {mantissa, pow2, pow3} and {num, den} scalars: the values
-# hold whatever the encoding
+# while they wrote {mantissa, pow2, pow3} and {num, den} scalars, before
+# they became signed binary digits over a declared scale: the values hold
+# whatever the encoding
 GOLDEN_FINITE_VALUES = {
     "od3-build-system": "1858d81e38d3d5d7a265d5e8bebc292ff40ec9fe9fe70e62336cbf3d76638f8b",
     "od3-build-extension": "9068fc0cbd6d610d5f5e148de5b93b66058a8d69a4541226302cd5e77a25e2ee",
@@ -931,7 +969,11 @@ def _finite_value_lines(obj: dict) -> str:
     extension or deformed report: each distance and eps by point index, each
     slack, each point's x and y by id, and each margin with its kind and
     index, every value as a reduced fraction."""
-    value = scalar_from_json
+    scale = digits_to_int(obj["scale"], SCALE_BITS_LIMIT)
+
+    def value(text):
+        return Fraction(digits_to_int(text, scale.bit_length() + 64), scale)
+
     lines = [f"distance {i} {j} {value(v)}" for i, row in enumerate(obj.get("distances", [])) for j, v in enumerate(row)]
     lines += [f"eps {i} {value(v)}" for i, v in enumerate(obj.get("eps", []))]
     lines += [f"slack {n} {value(v)}" for n, v in enumerate(obj.get("slack", obj.get("stats", {}).get("slack", [])), 1)]

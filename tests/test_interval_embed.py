@@ -113,7 +113,7 @@ def test_ratio_requires_child_level(od248):
 def test_ratio_closed_form_any_geometric_tower(first, base, depth):
     tower = OdometerSpec.from_list([first * base**i for i in range(depth + 1)])
     scheme = build_odometer_scheme(tower, depth + 1)
-    k = scheme.spec.k(depth + 1)
+    k = scheme.spec.extended_k(depth + 1)
     computed = derivative_ratio_bound(scheme, depth)
     assert computed == k * pow2(-depth * k)
     assert computed <= closed_form_ratio_bound(scheme, depth)
@@ -221,8 +221,8 @@ def test_listed_tower_extends_for_top_level():
 
 
 def test_induced_map_label_steps_residue(od248):
-    assert induced_map_label(od248, 2, 3) == 0
-    assert induced_map_label(od248, 3, 5) == 6
+    assert induced_map_label(od248, 2, 3) == (0,)
+    assert induced_map_label(od248, 3, 5) == (6,)
     with pytest.raises(KeyError):
         induced_map_label(od248, 2, 17)
 
@@ -413,8 +413,7 @@ def reference_lrs_report(scheme, depth) -> dict:
     level = scheme.level(depth + 1)
 
     def successors(label):
-        image = induced_map_label(scheme, depth + 1, label)
-        return [level.cells[j] for j in ([image] if isinstance(image, int) else image)]
+        return [level.cells[j] for j in induced_map_label(scheme, depth + 1, label)]
 
     margins, witnesses, excluded, checked = [], [], [], 0
     for parent in sorted(child_map):

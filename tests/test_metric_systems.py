@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import itertools
+import json
 import math
 import operator
 import random
@@ -10,7 +11,7 @@ import hypothesis as h
 import hypothesis.strategies as st
 import pytest
 
-from cantor_shrink.exact import canonical_dumps
+from cantor_shrink.exact import canonical_dumps, digits_to_int
 from cantor_shrink.graphcover import build_sequence
 from cantor_shrink.interval_embed import build_graph_scheme, build_odometer_scheme
 from cantor_shrink.metric_systems import (
@@ -401,6 +402,46 @@ def test_system_json_roundtrip_with_tuple_ids(od248):
     assert again.map == prod.map
     assert again.eps == prod.eps
     assert canonical_dumps(system_to_json(again)) == canonical_dumps(system_to_json(prod))
+
+
+@st.composite
+def small_systems(draw):
+    """Points on the line at multiples of 1/8, a random self-map, and radii
+    that are often off the distance scale (1/7, 1/3, ...), or none."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    xs = draw(st.lists(st.integers(-16, 16), min_size=n, max_size=n, unique=True))
+    step = {i: draw(st.integers(0, n - 1)) for i in range(n)}
+    eps = None
+    if draw(st.booleans()):
+        radius = st.fractions(min_value=Fraction(1, 9), max_value=4, max_denominator=9)
+        eps = {i: draw(radius) for i in range(n)}
+    return FinitePointSystem.from_positions({i: Fraction(x, 8) for i, x in enumerate(xs)}, step, eps=eps)
+
+
+@h.given(small_systems())
+@h.settings(derandomize=True, max_examples=100, deadline=None)
+def test_system_json_roundtrip(system):
+    """A loaded system has the same distances, map and radii, and writes the
+    same bytes again; the file's one scale also puts each radius over it."""
+    obj = system_to_json(system)
+    again = system_from_json(json.loads(canonical_dumps(obj)))
+    assert again.points == system.points and again.map == system.map
+    assert all(again.d(x, y) == system.d(x, y) for x in system.points for y in system.points)
+    assert again.eps == system.eps
+    assert canonical_dumps(system_to_json(again)) == canonical_dumps(obj)
+    if system.eps is not None:
+        scale = digits_to_int(obj["scale"], 64)
+        assert scale == math.lcm(system.scale, *(e.denominator for e in system.eps.values()))
+
+
+def test_system_json_puts_radii_off_the_distance_scale_over_one_scale():
+    system = FinitePointSystem.from_positions(
+        {0: Fraction(0), 1: Fraction(1, 8)}, {0: 0, 1: 0}, eps={0: Fraction(1, 7), 1: Fraction(1, 8)}
+    )
+    obj = system_to_json(system)
+    # 56 = 64 - 8: the distance 1/8 is 7/56 and the radii are 8/56 and 7/56
+    assert (obj["scale"], obj["distances"], obj["eps"]) == ("+6-3", [["0", "+3-0"], ["+3-0", "0"]], ["+3", "+3-0"])
+    assert system_from_json(obj).eps == {0: Fraction(1, 7), 1: Fraction(1, 8)}
 
 
 # ---------------------------------------------------------------------------

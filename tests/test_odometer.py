@@ -41,7 +41,7 @@ def test_tower_validation():
 
 def test_rule_towers():
     listed = OdometerSpec.from_list((2, 4, 8))
-    assert listed.s(0) == 1 and listed.k(1) == 2
+    assert listed.s(0) == 1 and listed.extended_k(1) == 2
     with pytest.raises(ValueError):
         listed.s(4)
 
