@@ -193,7 +193,8 @@ def cmd_build_extension(args) -> int:
     ext = build_attractor_repellor(
         scheme, levels=args.levels, tail=args.tail, refine=args.refine, rate=args.rate
     )
-    _log_system("extension", ext.as_system(), t0)
+    if _logging():  # the line's counts need the whole system, built and triangle-checked
+        _log_system("extension", ext.as_system(), t0)
     _emit(canonical_dumps(extension_to_json(ext)), args.out)
     return 0
 

@@ -145,7 +145,9 @@ class EmbeddingScheme(NamedTuple):
 
     def level(self, n: int) -> SchemeLevel:
         """The depth-n level; depths run consecutively from ``min_depth``."""
-        if not self.min_depth <= n <= self.max_depth:
+        if n < self.min_depth:
+            raise ValueError(f"depth {n} is before the scheme's first depth {self.min_depth}")
+        if n > self.max_depth:
             raise ValueError(
                 f"depth {n} not built (have {self.min_depth}..{self.max_depth}); "
                 "rebuild the scheme with a larger depth"
@@ -238,9 +240,10 @@ def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
     scales = _scales(steps, 1)
     _, bottom, rung = steps[0]
     scale = scales[0]  # a_1 = 1/2
+    s_1 = spec.extended_modulus(1)
     cells = {
-        i: _cell(i, i * scale, 6 << bottom, 1 << rung * ((1 - i) % spec.s(1)), None, scale)
-        for i in range(spec.s(1))
+        i: _cell(i, i * scale, 6 << bottom, 1 << rung * ((1 - i) % s_1), None, scale)
+        for i in range(s_1)
     }
     levels = [SchemeLevel(1, scale, 6 << bottom, 6, cells)]
 
@@ -793,12 +796,13 @@ def _check(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _field(obj: dict, key: str, where: str, parse):
-    """``parse(obj[key])``, naming the field in any ValueError it raises."""
+def _field(obj: dict, key: str, where: str | None, parse):
+    """``parse(obj[key])``, naming the field (and ``where`` it sits, below
+    the top level) in any ValueError it raises."""
     try:
         return parse(obj[key])
     except ValueError as exc:
-        raise ValueError(f"{where}: field {key!r}: {exc}") from None
+        raise ValueError(f"{where + ': ' if where else ''}field {key!r}: {exc}") from None
 
 
 def _offset_width(value, decode) -> tuple[int, int]:
@@ -855,7 +859,7 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
         )
         from cantor_shrink.odometer import OdometerSpec
 
-        symbolic = {"spec": OdometerSpec.from_descriptor(source)}
+        symbolic = {"spec": _field(obj, "source", None, lambda src: OdometerSpec(src["s"]))}
         steps = _odometer_scale_steps(symbolic["spec"], height + 1)
     else:
         _check(
@@ -865,7 +869,7 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
         from cantor_shrink.graphcover import cover_base, extend_sequence
 
         _check(height >= 1, f"need at least one covering level, got {height}")
-        symbolic = {"cover": cover_base(source["variant"])}
+        symbolic = {"cover": _field(obj, "source", None, lambda src: cover_base(src["variant"]))}
         steps = _graph_scale_steps(symbolic["cover"], height)
     first = 1 if kind == "odometer" else 0
     levels = []

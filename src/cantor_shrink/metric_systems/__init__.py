@@ -25,7 +25,6 @@ from cantor_shrink.metric_systems.deformed import (
 )
 from cantor_shrink.metric_systems.extension import (
     ExtensionSystem,
-    backward_return_time,
     build_attractor_repellor,
     certify_slack,
     extension_to_json,
@@ -53,7 +52,6 @@ __all__ = [
     "build_fixed_point_system",
     "verify_deformed_lrs",
     "ExtensionSystem",
-    "backward_return_time",
     "build_attractor_repellor",
     "certify_slack",
     "extension_to_json",

@@ -38,8 +38,6 @@ def _outer_positions(scheme: EmbeddingScheme) -> dict:
 class DeformedTripleSystem:
     """Finite triple system carrying both the plain and the deformed metric."""
 
-    scheme1: EmbeddingScheme
-    scheme2: EmbeddingScheme
     truncation: int
     rate: int
     grid: list
@@ -71,33 +69,17 @@ def build_fixed_point_system(
     ext: ExtensionSystem,
     scheme2: EmbeddingScheme,
     truncation: int,
-    grid: list | None = None,
 ) -> DeformedTripleSystem:
     """Assemble the deformed triple over a truncated middle orbit.
 
-    The middle grid defaults to -rate^-t for t = 0..truncation with the
-    extension's attractor rate; a custom grid must still start at -1 and climb
-    strictly toward the collapse point, else the fixed-point argument breaks
-    and the build refuses.
+    The middle grid is -rate^-t for t = 0..truncation with the extension's
+    attractor rate: it starts on the y = -1 seam and climbs strictly toward
+    the collapse point.
     """
     if truncation < 1:
         raise ValueError("need at least one contraction step before the collapse")
     rate = ext.rate
-    if grid is None:
-        grid = [Fraction(-1, rate**t) for t in range(truncation + 1)]
-    else:
-        grid = [Fraction(y) for y in grid]
-        if len(grid) != truncation + 1:
-            raise ValueError("grid length must be truncation + 1")
-        if grid[0] != -1:
-            raise ValueError("grid must start on the y = -1 seam")
-        if any(y >= 0 for y in grid) or any(
-            a >= b for a, b in zip(grid, grid[1:])
-        ):
-            raise ValueError(
-                "grid must stay negative and increase strictly toward 0: "
-                "monotone attraction to the collapse point fails"
-            )
+    grid = [Fraction(-1, rate**t) for t in range(truncation + 1)]
     xs = _outer_positions(scheme1)
     zs = _outer_positions(scheme2)
     s1 = scheme1.spec.extended_modulus(1)
@@ -117,7 +99,7 @@ def build_fixed_point_system(
                     if t < truncation
                     else OMEGA
                 )
-    return DeformedTripleSystem(scheme1, scheme2, truncation, rate, grid, ids, coords, step)
+    return DeformedTripleSystem(truncation, rate, grid, ids, coords, step)
 
 
 def verify_deformed_lrs(dts: DeformedTripleSystem) -> VerifyReport:

@@ -18,23 +18,6 @@ from fractions import Fraction
 from cantor_shrink.exact import common_scale, int_to_digits, scaled_fraction
 from cantor_shrink.interval_embed import EmbeddingScheme, VerifyReport
 from cantor_shrink.metric_systems.core import FinitePointSystem, check_lrs, split_margins
-from cantor_shrink.odometer import predecessor
-
-
-def backward_return_time(scheme: EmbeddingScheme, anchor_value: int, depth: int) -> int:
-    """First i > 0 with T^-i(z) back in z's depth-``depth`` cylinder.
-
-    Computed by honestly walking the backward orbit rather than assuming the
-    modulus; for an odometer the answer is s_depth.
-    """
-    spec = scheme.spec
-    z = spec.point(anchor_value, depth)
-    current = z
-    for i in range(1, spec.extended_modulus(depth) + 1):
-        current = predecessor(current)
-        if current.residues == z.residues:
-            return i
-    raise RuntimeError("backward orbit failed to return within one period")
 
 
 def certify_slack(scheme: EmbeddingScheme, n: int, refine: int, anchor_value: int = 0) -> Fraction:
@@ -165,11 +148,7 @@ def build_attractor_repellor(
             f"refinement {refine} too shallow for {levels} levels; need at least {levels + 2}"
         )
     spec = scheme.spec
-    k = [0] + [spec.extended_modulus(n) for n in range(1, levels + 1)]
-    for n in range(1, levels + 1):
-        observed = backward_return_time(scheme, anchor_value, n)
-        if observed != k[n]:
-            raise RuntimeError(f"first return at depth {n} is {observed}, expected {k[n]}")
+    k = [0] + [spec.extended_modulus(n) for n in range(1, levels + 1)]  # first return times
     slack = slack_sequence(scheme, levels, refine, anchor_value)
 
     level = scheme.level(refine)

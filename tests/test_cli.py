@@ -26,6 +26,7 @@ from cantor_shrink.interval_embed import (
 from cantor_shrink.metric_systems import (
     build_attractor_repellor,
     build_fixed_point_system,
+    ExtensionSystem,
     system_from_json,
     verify_deformed_lrs,
     verify_extension_lrs,
@@ -216,6 +217,42 @@ def test_build_extension_roundtrip(work, tmp_path):
     again = tmp_path / "ext2.json"
     assert run(args[:-1] + [str(again)])[0] == 0
     assert again.read_bytes() == out_path.read_bytes()
+
+
+def test_quiet_build_extension_builds_no_system(work, monkeypatch):
+    # the finite system of the extension feeds only the INFO line
+    argv = ["build", "extension", "--scheme", str(work["od3"]), "--levels", "1", "--tail", "4", "--refine", "3"]
+    code, out, _ = run(argv)
+
+    def refuse(self):
+        raise AssertionError("a quiet build extension built the extension's finite system")
+
+    monkeypatch.setattr(ExtensionSystem, "as_system", refuse)
+    assert run(argv) == (0, out, "")
+
+
+def test_build_extension_continues_the_listed_tower(tmp_path):
+    # return depths past the listed moduli read the geometric continuation,
+    # as the scheme build does, so a short list and its spelled-out tower
+    # give the same extension
+    extensions = []
+    for s in ("2,4,8", "2,4,8,16,32,64"):
+        scheme, ext = tmp_path / f"od-{s}.json", tmp_path / f"ext-{s}.json"
+        assert run(["build", "odometer", "--s", s, "--depth", "6", "--out", str(scheme)])[0] == 0
+        argv = ["build", "extension", "--scheme", str(scheme), "--levels", "4", "--tail", "2", "--refine", "6"]
+        assert run([*argv, "--out", str(ext)]) == (0, "", "")
+        extensions.append(json.loads(ext.read_text()))
+    short, spelled = extensions
+    assert short.pop("source") == {"rule": "list", "s": [2, 4, 8]}
+    assert spelled.pop("source") == {"rule": "list", "s": [2, 4, 8, 16, 32, 64]}
+    assert short == spelled and short["k"] == [2, 4, 8, 16]
+
+
+def test_build_system_refuses_a_depth_before_the_first(work):
+    code, out, err = run(["build", "system", "--scheme", str(work["od3"]), "--depth", "0"])
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line == "error: depth 0 is before the scheme's first depth 1"
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +549,17 @@ SCHEME_MUTATIONS = {
         lambda obj: obj.update(format=3), "field 'format' is 3, not 4: rebuild the file with `cantor-shrink build`"
     ),
     "scales-near-2^2^22": (_inflate, "levels[0]: field 'scale'"),
+    "s-not-dividing": (
+        lambda obj: obj["source"].update(s=[2, 3, 6]), "field 'source': modulus 3 does not properly extend 2"
+    ),
+    "s_1-below-2": (lambda obj: obj["source"].update(s=[1, 2]), "field 'source': s_1 must be at least 2, got 1"),
+    "s-empty": (lambda obj: obj["source"].update(s=[]), "field 'source': a modulus tower needs at least one modulus"),
+    "variant-spiral": (
+        lambda obj: obj["source"].update(variant="spiral"), "field 'source': unknown cover variant 'spiral'"
+    ),
 }
+# the file each mutation is made in, where it is not od3
+SCHEME_MUTATION_FILES = {"variant-spiral": "wm2"}
 
 SCHEME_COMMANDS = [
     ["verify", "derivative", "--scheme"],
@@ -533,7 +580,7 @@ def _write_mutated(work, path, mutate, source="od3"):
 @pytest.mark.parametrize("command", SCHEME_COMMANDS, ids=SCHEME_COMMAND_IDS)
 def test_mutated_scheme_is_a_one_line_usage_error(work, tmp_path, mutation, command):
     mutate, named = SCHEME_MUTATIONS[mutation]
-    bad = _write_mutated(work, tmp_path / f"{mutation}.json", mutate)
+    bad = _write_mutated(work, tmp_path / f"{mutation}.json", mutate, SCHEME_MUTATION_FILES.get(mutation, "od3"))
     # in-process, so a traceback would surface here as an uncaught exception
     code, out, err = run([*command, str(bad)])
     assert code == 2

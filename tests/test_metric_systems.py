@@ -18,7 +18,6 @@ from cantor_shrink.metric_systems import (
     OMEGA,
     FinitePointSystem,
     LrsResult,
-    backward_return_time,
     build_attractor_repellor,
     build_fixed_point_system,
     certify_slack,
@@ -449,10 +448,6 @@ def test_system_json_puts_radii_off_the_distance_scale_over_one_scale():
 # ---------------------------------------------------------------------------
 
 
-def test_backward_return_times_match_tower(od248):
-    assert [backward_return_time(od248, 0, n) for n in (1, 2, 3)] == [2, 4, 8]
-
-
 def test_certified_slack_frozen_values(od248):
     assert certify_slack(od248, 1, 2) == Fraction(165, 32768)
     assert certify_slack(od248, 1, 3) == Fraction(6063420080063, 211106232532992)
@@ -608,20 +603,6 @@ def test_rate2_control_is_detected(od248):
 
 def test_grid_override_contracts(od248):
     ext = build_attractor_repellor(od248, levels=1, tail=4, refine=3, rate=4)
-    ok = build_fixed_point_system(
-        od248, ext, od248, 2, grid=[Fraction(-1), Fraction(-1, 5), Fraction(-1, 30)]
-    )
-    assert len(ok.ids) == 13
-    with pytest.raises(ValueError, match="length"):
-        build_fixed_point_system(od248, ext, od248, 2, grid=[Fraction(-1), Fraction(-1, 5)])
-    with pytest.raises(ValueError, match="seam"):
-        build_fixed_point_system(
-            od248, ext, od248, 2, grid=[Fraction(-1, 2), Fraction(-1, 4), Fraction(-1, 8)]
-        )
-    with pytest.raises(ValueError, match="monotone attraction"):
-        build_fixed_point_system(
-            od248, ext, od248, 2, grid=[Fraction(-1), Fraction(-1, 30), Fraction(-1, 5)]
-        )
     with pytest.raises(ValueError, match="at least one contraction"):
         build_fixed_point_system(od248, ext, od248, 0)
 
