@@ -4,7 +4,7 @@ export tables and pictures.
 Every artifact is canonical JSON (sorted keys, fixed separators), so the same
 descriptor always yields byte-identical files.  Exit status is 0 when all
 requested checks pass, 1 on a verification failure, and 2 on usage or input
-errors.  Set CANTOR_SHRINK_LOG=INFO (or DEBUG) for progress logging.
+errors.  Set CANTOR_SHRINK_LOG=INFO (or DEBUG) for one timed line per stage.
 """
 
 from __future__ import annotations
@@ -40,42 +40,62 @@ from cantor_shrink.interval_embed import (
 # csv where CSV is written, so that each command loads only the layers it runs
 
 
-def _info(message: str, *args) -> None:
-    """Log an INFO line to the ``cantor_shrink.cli`` logger.
+def _logger():
+    """The ``cantor_shrink.cli`` logger when its INFO lines go anywhere, else None.
 
-    Without a handler the line goes nowhere, so ``logging`` is not imported
-    for it: the line is passed on only when something has loaded ``logging``
+    Without a handler a line goes nowhere, so ``logging`` is not imported
+    for it: lines are passed on only when something has loaded ``logging``
     already (a test runner, an embedding program, or :func:`main` under
     CANTOR_SHRINK_LOG).
     """
-    if _logging():
-        sys.modules["logging"].getLogger("cantor_shrink.cli").info(message, *args)
-
-
-def _logging() -> bool:
-    """Whether an INFO line of ``cantor_shrink.cli`` goes anywhere, so that
-    a line whose numbers cost work to gather can skip gathering them."""
     logging = sys.modules.get("logging")
-    return logging is not None and logging.getLogger("cantor_shrink.cli").isEnabledFor(logging.INFO)
+    if logging is not None:
+        logger = logging.getLogger("cantor_shrink.cli")
+        if logger.isEnabledFor(logging.INFO):
+            return logger
+    return None
+
+
+@contextmanager
+def _stage(message: str, values):
+    """Time the block as one stage and, when it ends without raising, log
+    ``message`` with ``values()`` and `` in X.XXs``.  ``values`` is called
+    after the clock stops, and only when the line goes somewhere, so a quiet
+    run gathers no counts."""
+    start = time.perf_counter()
+    yield
+    seconds = time.perf_counter() - start
+    logger = _logger()
+    if logger:
+        logger.info(message + " in %.2fs", *values(), seconds)
+
+
+SYSTEM_LINE = "%s: %d points, %d-bit scale, %d triangle triples checked"
+
+
+def _system_values(what: str, system) -> tuple:
+    n = len(system.points)
+    return what, n, system.scale.bit_length(), n * (n - 1) * (n - 2)
+
 
 GRAPH_FEASIBLE_LEVELS = 4
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(render, out: str | None, message: str = "serialised %d bytes", *values) -> None:
+    """Write the text ``render()`` to the file ``out``, or to stdout without
+    one.  The render is one stage, logged as ``message`` with ``values`` and
+    the text's length; the write to a file is another."""
+    with _stage(message, lambda: (*values, len(text))):
+        text = render()
     if out:
-        Path(out).write_text(text)
-        _info("wrote %s (%d bytes)", out, len(text))
+        with _stage("wrote %s (%d bytes)", lambda: (out, len(text))):
+            Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
 def _verdict(passed: bool) -> str:
     return "pass" if passed else "fail"
-
-
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 @contextmanager
@@ -87,36 +107,33 @@ def _naming(path: str):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _load_scheme(path: str):
-    t0 = time.perf_counter()
+def _read(path: str, decode) -> tuple:
+    """``(obj, decode(obj))`` for the JSON value ``obj`` in the file at
+    ``path``, with the path in front of a ValueError: a missing field, or
+    nesting too deep for the parser or the decoder, is malformed input too."""
     with _naming(path):
         try:
-            obj = _load_json(path)
-            scheme = scheme_from_json(obj)
+            with open(path) as fh:
+                obj = json.load(fh)
+            return obj, decode(obj)
         except KeyError as exc:
-            raise ValueError(f"scheme file is missing field {exc}") from exc
-    if _logging():
-        seconds = time.perf_counter() - t0
-        _info(
-            "loaded %s: %d bytes, %d levels, %d cells, %d signed digits, largest scale %d bits in %.2fs",
-            path, os.path.getsize(path), len(scheme.levels), sum(len(lvl.cells) for lvl in scheme.levels),
-            scheme_signed_digits(obj), max(lvl.scale.bit_length() for lvl in scheme.levels), seconds,
-        )
+            raise ValueError(f"file is missing field {exc}") from exc
+        except RecursionError:
+            raise ValueError("nested too deep to read") from None
+
+
+def _load_scheme(path: str):
+    with _stage("loaded %s: %d bytes, %d levels, %d cells, %d signed digits, largest scale %d bits", lambda: (
+        path, os.path.getsize(path), len(scheme.levels), sum(len(lvl.cells) for lvl in scheme.levels),
+        scheme_signed_digits(obj), max(lvl.scale.bit_length() for lvl in scheme.levels),
+    )):
+        obj, scheme = _read(path, scheme_from_json)
     return scheme
 
 
-def _log_system(what: str, system, t0: float) -> None:
-    n = len(system.points)
-    _info(
-        "%s: %d points, %d-bit scale, %d triangle triples checked in %.2fs",
-        what, n, system.scale.bit_length(), n * (n - 1) * (n - 2), time.perf_counter() - t0,
-    )
-
-
 def _audit(path: str, scheme):
-    t0 = time.perf_counter()
-    report = audit_scheme(scheme)
-    _info("audit of %s: %s in %.2fs", path, _verdict(report.passed), time.perf_counter() - t0)
+    with _stage("audit of %s: %s", lambda: (path, _verdict(report.passed))):
+        report = audit_scheme(scheme)
     return report
 
 
@@ -158,28 +175,26 @@ def cmd_build_odometer(args) -> int:
     from cantor_shrink.odometer import OdometerSpec
 
     spec = OdometerSpec.from_list(args.s)
-    t0 = time.perf_counter()
-    scheme = build_odometer_scheme(spec, args.depth)
-    _info("odometer depth %d built in %.2fs", args.depth, time.perf_counter() - t0)
-    _emit(canonical_dumps(scheme_to_json(scheme)), args.out)
+    with _stage("odometer depth %d built", lambda: (args.depth,)):
+        scheme = build_odometer_scheme(spec, args.depth)
+    _emit(lambda: canonical_dumps(scheme_to_json(scheme)), args.out)
     return 0
 
 
 def cmd_build_graph(args) -> int:
     from cantor_shrink.graphcover import build_sequence
 
-    seq = build_sequence(args.variant, args.levels)
-    if args.levels > GRAPH_FEASIBLE_LEVELS:
-        graph_scales(seq, args.levels)  # a scale no reader loads is refused before the warning
-        print(
-            f"warning: graph schemes beyond depth {GRAPH_FEASIBLE_LEVELS} need "
-            "astronomically long dyadic scales; expect very long runtimes",
-            file=sys.stderr,
-        )
-    t0 = time.perf_counter()
-    scheme = build_graph_scheme(seq, args.levels)
-    _info("graph depth %d built in %.2fs", args.levels, time.perf_counter() - t0)
-    _emit(canonical_dumps(scheme_to_json(scheme)), args.out)
+    with _stage("graph depth %d built", lambda: (args.levels,)):
+        seq = build_sequence(args.variant, args.levels)
+        if args.levels > GRAPH_FEASIBLE_LEVELS:
+            graph_scales(seq, args.levels)  # a scale no reader loads is refused before the warning
+            print(
+                f"warning: graph schemes beyond depth {GRAPH_FEASIBLE_LEVELS} need "
+                "astronomically long dyadic scales; expect very long runtimes",
+                file=sys.stderr,
+            )
+        scheme = build_graph_scheme(seq, args.levels)
+    _emit(lambda: canonical_dumps(scheme_to_json(scheme)), args.out)
     return 0
 
 
@@ -189,13 +204,10 @@ def cmd_build_extension(args) -> int:
     scheme = _load_scheme(args.scheme)
     if _audit_fails(args.scheme, scheme):
         return 1
-    t0 = time.perf_counter()
-    ext = build_attractor_repellor(
-        scheme, levels=args.levels, tail=args.tail, refine=args.refine, rate=args.rate
-    )
-    if _logging():  # the line's counts need the whole system, built and triangle-checked
-        _log_system("extension", ext.as_system(), t0)
-    _emit(canonical_dumps(extension_to_json(ext)), args.out)
+    # the line's counts need the whole system, built and triangle-checked
+    with _stage(SYSTEM_LINE, lambda: _system_values("extension", ext.as_system())):
+        ext = build_attractor_repellor(scheme, levels=args.levels, tail=args.tail, refine=args.refine, rate=args.rate)
+    _emit(lambda: canonical_dumps(extension_to_json(ext)), args.out)
     return 0
 
 
@@ -207,18 +219,17 @@ def cmd_build_system(args) -> int:
     if args.shift is not None:
         if args.depth is not None:
             raise ValueError("--shift takes no --depth: the shift's word length is the --shift value")
-        t0 = time.perf_counter()
-        system = full_shift_midpoint_system(args.shift)
+        with _stage(SYSTEM_LINE, lambda: _system_values("system", system)):
+            system = full_shift_midpoint_system(args.shift)
     else:
         if args.depth is None:
             raise ValueError("--scheme needs --depth")
         scheme = _load_scheme(args.scheme)
         if _audit_fails(args.scheme, scheme):
             return 1
-        t0 = time.perf_counter()
-        system = midpoint_system(scheme, args.depth)
-    _log_system("system", system, t0)
-    _emit(canonical_dumps(system_to_json(system)), args.out)
+        with _stage(SYSTEM_LINE, lambda: _system_values("system", system)):
+            system = midpoint_system(scheme, args.depth)
+    _emit(lambda: canonical_dumps(system_to_json(system)), args.out)
     return 0
 
 
@@ -231,15 +242,19 @@ def cmd_verify_derivative(args) -> int:
     scheme = _load_scheme(args.scheme)
     if _audit_fails(args.scheme, scheme):
         return 1
-    t0 = time.perf_counter()
-    with _naming(args.scheme):
+    with _stage(
+        "derivative ratios over depths %s: %s", lambda: (report.stats["depths"], _verdict(report.passed))
+    ), _naming(args.scheme):
         report = verify_derivative_ratios(scheme)
-    _info(
-        "derivative ratios over depths %s: %s in %.2fs",
-        report.stats["depths"], _verdict(report.passed), time.perf_counter() - t0,
-    )
-    _emit(canonical_dumps({"command": "verify-derivative", **report.to_json()}), args.out)
+    _emit(lambda: canonical_dumps({"command": "verify-derivative", **report.to_json()}), args.out)
     return 0 if report.passed else 1
+
+
+def _pairs_values(depth: int, report) -> tuple:
+    counts = Counter(e["reason"] for e in report.excluded)
+    reasons = ", ".join(f"{n} {reason}" for reason, n in sorted(counts.items()))
+    return (depth, _verdict(report.passed), report.stats["pairs_checked"], len(report.excluded),
+            f" ({reasons})" if reasons else "")
 
 
 def cmd_verify_lrs(args) -> int:
@@ -258,33 +273,19 @@ def cmd_verify_lrs(args) -> int:
             "no pair depth is checkable — rebuild deeper"
         )
     audit = _audit(args.scheme, scheme)
-    reports = [audit.to_json()]
-    for d in depths if audit.passed else []:
-        t0 = time.perf_counter()
-        report = verify_lrs_pairs(scheme, d)
-        reports.append(report.to_json())
-        counts = Counter(e["reason"] for e in report.excluded)
-        reasons = ", ".join(f"{n} {reason}" for reason, n in sorted(counts.items()))
-        _info(
-            "lrs pairs at depth %d: %s, %d checked, %d excluded%s in %.2fs",
-            d, _verdict(report.passed), report.stats["pairs_checked"], len(report.excluded),
-            f" ({reasons})" if reasons else "", time.perf_counter() - t0,
-        )
-    combined = {
-        "command": "verify-lrs",
-        "requested_depth": args.depth,
-        # no pair margin is computed on geometry that fails its audit
-        "depths_checked": depths if audit.passed else [],
-        "pass": all(r["pass"] for r in reports),
-        "reports": reports,
-    }
-    text = canonical_dumps(combined)
-    _info(
-        "lrs report over depths %s: %s, %d bytes",
-        combined["depths_checked"], _verdict(combined["pass"]), len(text),
-    )
-    _emit(text, args.out)
-    return 0 if combined["pass"] else 1
+    if not audit.passed:
+        depths = []  # no pair margin is computed on geometry that fails its audit
+    reports = [audit]
+    for d in depths:
+        with _stage("lrs pairs at depth %d: %s, %d checked, %d excluded%s", lambda: _pairs_values(d, report)):
+            report = verify_lrs_pairs(scheme, d)
+        reports.append(report)
+    passed = all(r.passed for r in reports)
+    _emit(lambda: canonical_dumps({
+        "command": "verify-lrs", "requested_depth": args.depth, "depths_checked": depths, "pass": passed,
+        "reports": [r.to_json() for r in reports],
+    }), args.out, "lrs report over depths %s: %s, %d bytes", depths, _verdict(passed))
+    return 0 if passed else 1
 
 
 def cmd_verify_cover(args) -> int:
@@ -295,32 +296,25 @@ def cmd_verify_cover(args) -> int:
         raise ValueError("verify cover expects a graph scheme file")
     if _audit_fails(args.graph, scheme):
         return 1
-    t0 = time.perf_counter()
-    report = certify_cover(scheme.cover)
-    _info(
-        "cover certificates for the %s tower over %d levels (%s): %s in %.2fs",
-        report["variant"], report["levels"], ", ".join(report["certificates"]),
-        _verdict(report["pass"]), time.perf_counter() - t0,
-    )
-    _emit(canonical_dumps({"command": "verify-cover", **report}), args.out)
+    with _stage("cover certificates for the %s tower over %d levels (%s): %s", lambda: (
+        report["variant"], report["levels"], ", ".join(report["certificates"]), _verdict(report["pass"]),
+    )):
+        report = certify_cover(scheme.cover)
+    _emit(lambda: canonical_dumps({"command": "verify-cover", **report}), args.out)
     return 0 if report["pass"] else 1
 
 
 def cmd_verify_oracle(args) -> int:
     from cantor_shrink.metric_systems import shrinking_propositions_oracle
 
-    t0 = time.perf_counter()
-    report = shrinking_propositions_oracle(trials=args.trials, seed=args.seed)
-    vacuous = not report["shrinking_systems"]
-    if vacuous:
-        print(f"fail: no shrinking system in {args.trials} trials; nothing was checked", file=sys.stderr)
-    payload = {"command": "verify-oracle", "pass": not vacuous and not report["counterexamples"], **report}
-    _info(
-        "shrinking oracle over %d trials with seed %d: %s in %.2fs",
-        args.trials, args.seed, _verdict(payload["pass"]), time.perf_counter() - t0,
-    )
-    _emit(canonical_dumps(payload), args.out)
-    return 0 if payload["pass"] else 1
+    with _stage("shrinking oracle over %d trials with seed %d: %s", lambda: (args.trials, args.seed, _verdict(passed))):
+        report = shrinking_propositions_oracle(trials=args.trials, seed=args.seed)
+        vacuous = not report["shrinking_systems"]
+        if vacuous:
+            print(f"fail: no shrinking system in {args.trials} trials; nothing was checked", file=sys.stderr)
+        passed = not vacuous and not report["counterexamples"]
+    _emit(lambda: canonical_dumps({"command": "verify-oracle", "pass": passed, **report}), args.out)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +327,7 @@ def cmd_export_ratio(args) -> int:
     if _audit_fails(args.sys, scheme):
         return 1
     with _naming(args.sys):
-        table = ratio_csv(scheme)
-    _emit(table, args.out)
+        _emit(lambda: ratio_csv(scheme), args.out)
     return 0
 
 
@@ -342,7 +335,7 @@ def cmd_export_svg(args) -> int:
     scheme = _load_scheme(args.sys)
     if _audit_fails(args.sys, scheme):
         return 1
-    _emit(render_svg(scheme), args.out)
+    _emit(lambda: render_svg(scheme), args.out)
     return 0
 
 
@@ -351,18 +344,20 @@ def cmd_export_entropy(args) -> int:
 
     from cantor_shrink.metric_systems import entropy_estimate, system_from_json
 
-    t0 = time.perf_counter()
-    with _naming(args.sys):
-        system = system_from_json(_load_json(args.sys))
-    _log_system(f"loaded {args.sys}", system, t0)
-    rows = entropy_estimate(system, args.eps, args.n)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["eps", "n", "count", "estimate_float"])
-    # rows come out eps-major in the order requested
-    for eps, row in zip((e for e in args.eps for _ in args.n), rows):
-        writer.writerow([str(eps), row["n"], row["count"], repr(row["estimate"])])
-    _emit(buf.getvalue(), args.out)
+    with _stage(SYSTEM_LINE, lambda: _system_values(f"loaded {args.sys}", system)):
+        _, system = _read(args.sys, system_from_json)
+
+    def table() -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["eps", "n", "count", "estimate_float"])
+        # rows come out eps-major in the order requested
+        rows = entropy_estimate(system, args.eps, args.n)
+        for eps, row in zip((e for e in args.eps for _ in args.n), rows):
+            writer.writerow([str(eps), row["n"], row["count"], repr(row["estimate"])])
+        return buf.getvalue()
+
+    _emit(table, args.out)
     return 0
 
 
@@ -467,15 +462,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     finally:
-        if _logging():
+        logger = _logger()
+        if logger:
             import resource
 
             # ru_maxrss is in KiB on Linux
-            _info("peak RSS %.1f MB", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+            logger.info("peak RSS %.1f MB", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 
 if __name__ == "__main__":

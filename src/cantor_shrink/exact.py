@@ -13,9 +13,9 @@ is one canonical string of signed binary digits in non-adjacent form,
 level-scale integers have a few dozen nonzero digits at most, and scheme
 offsets (format 4) one or two, so the strings stay short whatever the size
 of the integer, and each digit costs one linear-time operation to write or
-read.  Only the derivative-ratio report and the entropy rows write JSON
-scalar objects (:func:`scalar_to_json`), with ``str`` terms: their values
-are k 2^a 3^b with small k, or fractions typed on the command line.
+read.  Only the derivative-ratio report writes JSON scalar objects
+(:func:`scalar_to_json`), with ``str`` terms: its values are k 2^a 3^b
+with small k.
 
 :class:`ClosedInterval` is a ``typing.NamedTuple`` rather than a dataclass:
 every command imports this module, and ``dataclasses`` would load

@@ -26,7 +26,7 @@ from itertools import islice
 from operator import sub
 from typing import NamedTuple
 
-from cantor_shrink.exact import common_scale, digits_to_int, int_to_digits, scalar_to_json, scaled_fraction
+from cantor_shrink.exact import common_scale, digits_to_int, int_to_digits, scaled_fraction
 from cantor_shrink.interval_embed import SCALE_BITS_LIMIT, EmbeddingScheme
 
 
@@ -386,14 +386,7 @@ def entropy_estimate(sys: FinitePointSystem, eps_list, n_list) -> list[dict]:
     for eps in eps_list:
         for n in n_list:
             count = separated_count(sys, n, eps)
-            rows.append(
-                {
-                    "eps": scalar_to_json(Fraction(eps)),
-                    "n": n,
-                    "count": count,
-                    "estimate": math.log(count) / n,
-                }
-            )
+            rows.append({"n": n, "count": count, "estimate": math.log(count) / n})
     return rows
 
 

@@ -93,6 +93,11 @@ def scheme_log_lines(path) -> list[str]:
     ]
 
 
+def serialised_line(text: str) -> str:
+    """Pattern of the line a command logs on rendering ``text``, its artifact."""
+    return rf"serialised {len(text)} bytes in \d+\.\d\ds"
+
+
 # the last line every command logs
 PEAK_LINE = r"peak RSS \d+\.\d MB"
 
@@ -138,6 +143,23 @@ def test_stdout_matches_file_output(work):
     assert code == 0
     assert out == work["od3"].read_text()
     assert out.endswith("\n")
+
+
+def test_build_logs_the_build_the_serialise_and_the_write(tmp_path):
+    out_path = tmp_path / "od3.json"
+    argv = ["build", "odometer", "--s", "2,4,8", "--depth", "3", "--out", str(out_path)]
+    logged = run_child(argv, log_level="INFO")
+    assert (logged.returncode, logged.stdout) == (0, b"")
+    size = out_path.stat().st_size
+    assert_lines_match(child_log_lines(logged), [
+        r"odometer depth 3 built in \d+\.\d\ds",
+        rf"serialised {size} bytes in \d+\.\d\ds",
+        rf"wrote {re.escape(str(out_path))} \({size} bytes\) in \d+\.\d\ds",
+        PEAK_LINE,
+    ])
+    quiet = run_child(argv)
+    assert (quiet.returncode, quiet.stdout, quiet.stderr) == (0, b"", b"")
+    assert out_path.stat().st_size == size
 
 
 def test_build_system_shift(tmp_path):
@@ -287,7 +309,7 @@ def test_verify_lrs_logs_each_depth_and_the_report_size(work, caplog):
         *scheme_log_lines(work["od3"]),
         r"lrs pairs at depth 1: pass, 1 checked, 1 excluded \(1 exceptional parent\) in \d+\.\d\ds",
         r"lrs pairs at depth 2: pass, 3 checked, 1 excluded \(1 exceptional parent\) in \d+\.\d\ds",
-        rf"lrs report over depths \[1, 2\]: pass, {len(out)} bytes",
+        rf"lrs report over depths \[1, 2\]: pass, {len(out)} bytes in \d+\.\d\ds",
         PEAK_LINE,
     ]
     assert_lines_match(cli_log_lines(caplog), patterns)
@@ -355,7 +377,7 @@ def test_verify_lrs_log_counts_match_the_report(work, caplog):
             f"{len(reasons)} excluded ({counts}) in "
         )
         assert line.startswith(prefix) and "successors split across parents" in counts
-    assert lines[-2] == f"lrs report over depths [0, 1]: pass, {len(out)} bytes"
+    assert re.fullmatch(rf"lrs report over depths \[0, 1\]: pass, {len(out)} bytes in \d+\.\d\ds", lines[-2])
     assert re.fullmatch(PEAK_LINE, lines[-1])
 
 
@@ -379,6 +401,7 @@ def test_verify_cover_weakly_mixing(work, caplog):
         *scheme_log_lines(work["wm2"]),
         r"cover certificates for the weakly-mixing tower over 2 levels "
         r"\(minimality, weak_mixing\): pass in \d+\.\d\ds",
+        serialised_line(out),
         PEAK_LINE,
     ])
     report = json.loads(out)
@@ -418,7 +441,7 @@ def test_verify_oracle_small(work, caplog):
     code, out, _ = run(["verify", "oracle", "--trials", "50", "--seed", "3"])
     assert code == 0
     assert_lines_match(cli_log_lines(caplog), [
-        r"shrinking oracle over 50 trials with seed 3: pass in \d+\.\d\ds", PEAK_LINE,
+        r"shrinking oracle over 50 trials with seed 3: pass in \d+\.\d\ds", serialised_line(out), PEAK_LINE,
     ])
     report = json.loads(out)
     assert report["pass"] is True and report["trials"] == 50
@@ -508,6 +531,41 @@ def test_malformed_json_is_a_usage_error(tmp_path):
     code, _, err = run(["verify", "derivative", "--scheme", str(bad)])
     assert code == 2
     assert err.startswith("error:")
+
+
+def _nested_point_system(path):
+    """A one-point system file whose point id is a list nested 500 deep:
+    within the parser's depth, past the recursion of a recursive decoder."""
+    point = 0
+    for _ in range(500):
+        point = [point]
+    path.write_text(json.dumps({
+        "kind": "finite-system", "metric": "explicit", "scale": "+0", "points": [point],
+        "distances": [["0"]], "map": [0],
+    }))
+
+
+@pytest.mark.parametrize("argv, write", [
+    (["verify", "derivative", "--scheme", "<file>"], lambda path: path.write_text("[" * 100_000)),
+    (["export", "entropy", "--sys", "<file>", "--eps", "1/4", "--n", "1"], lambda path: path.write_text("[" * 100_000)),
+    (["export", "entropy", "--sys", "<file>", "--eps", "1/4", "--n", "1"], _nested_point_system),
+])
+def test_deeply_nested_input_is_a_usage_error(tmp_path, argv, write):
+    deep = tmp_path / "deep.json"
+    write(deep)
+    # in-process, so a RecursionError would surface here as an uncaught exception
+    code, out, err = run([str(deep) if arg == "<file>" else arg for arg in argv])
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line == f"error: {deep}: nested too deep to read"
+
+
+def test_out_of_memory_is_one_line(monkeypatch):
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("cantor_shrink.cli.build_graph_scheme", exhaust)
+    assert run(["build", "graph", "--variant", "transitive", "--levels", "2"]) == (2, "", "error: out of memory\n")
 
 
 def test_missing_scheme_field_names_the_file(tmp_path):
@@ -732,8 +790,8 @@ def test_system_file_without_a_scale_is_told_to_rebuild(tmp_path):
 
 
 # the INFO line each command that builds or loads a finite system logs, after
-# the load and audit lines of the scheme it reads, if any, and before its
-# peak RSS
+# the load and audit lines of the scheme it reads, if any, and before the
+# line of its serialise and its peak RSS
 SYSTEM_LOG_LINES = {
     "build-system": (
         ["build", "system", "--scheme", "{od3}", "--depth", "3"],
@@ -755,9 +813,11 @@ def test_finite_system_commands_log_one_line(work, caplog, case):
     argv, pattern = SYSTEM_LOG_LINES[case]
     argv = [arg.format(**work) for arg in argv]
     caplog.set_level(logging.INFO, logger="cantor_shrink.cli")
-    patterns = [*(scheme_log_lines(work["od3"]) if "--scheme" in argv else []), pattern, PEAK_LINE]
     code, out, _ = run(argv)
     assert code == 0
+    patterns = [
+        *(scheme_log_lines(work["od3"]) if "--scheme" in argv else []), pattern, serialised_line(out), PEAK_LINE,
+    ]
     assert_lines_match(cli_log_lines(caplog), patterns)
     # the lines go to stderr under CANTOR_SHRINK_LOG only, and the output
     # keeps its bytes either way
@@ -1177,7 +1237,17 @@ def test_scheme_commands_load_only_the_layers_they_run(work, source, command):
         assert_lines_match(lines[:2], scheme_log_lines(work[source]))
     else:
         assert_lines_match(lines[:1], [r"graph depth 2 built in \d+\.\d\ds"])
-    assert_lines_match(lines[-2:], [rf"wrote {re.escape(os.devnull)} \(\d+ bytes\)", PEAK_LINE])
+    # the artifact, as the command writes it to stdout in-process
+    size = len(run(argv)[1])
+    if "lrs" in command:
+        serialise = rf"lrs report over depths \[0, 1\]: pass, {size} bytes"
+    else:
+        serialise = f"serialised {size} bytes"
+    assert_lines_match(lines[-3:], [
+        rf"{serialise} in \d+\.\d\ds",
+        rf"wrote {re.escape(os.devnull)} \({size} bytes\) in \d+\.\d\ds",
+        PEAK_LINE,
+    ])
 
 
 def test_module_entry_point_and_logging(work):
@@ -1193,6 +1263,7 @@ def test_module_entry_point_and_logging(work):
     assert_lines_match(child_log_lines(logged), [
         *scheme_log_lines(work["od3"]),
         r"derivative ratios over depths \[1, 2\]: pass in \d+\.\d\ds",
+        serialised_line(report),
         PEAK_LINE,
     ])
 

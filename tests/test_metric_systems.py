@@ -370,6 +370,7 @@ def test_shift6_estimate_is_exactly_log2_at_full_depth():
 def test_entropy_table_decreases_along_cap(od248):
     m3 = midpoint_system(od248, 3)
     rows = entropy_estimate(m3, [Fraction(1, 10**9)], [1, 2, 3, 4])
+    assert all(r.keys() == {"n", "count", "estimate"} for r in rows)
     assert [r["count"] for r in rows] == [8, 8, 8, 8]
     ests = [r["estimate"] for r in rows]
     assert all(a > b for a, b in zip(ests, ests[1:]))
