@@ -172,6 +172,93 @@ def test_triangle_check_matches_brute_force(m):
                 assert (got.numerator, got.denominator) == (m[i][j].numerator, m[i][j].denominator)
 
 
+def reference_constructor_error(points, dist, step):
+    """The first ValueError text of the constructor's metric checks, run as
+    per-pair loops over the matrix (the sliced abs-difference pass for the
+    triangle), or None when every check passes."""
+    index = {x: i for i, x in enumerate(points)}
+    n = len(points)
+    if not points or len(index) != n:
+        return "points must be nonempty and distinct"
+    for x in points:
+        if step.get(x) not in index:
+            return f"map must send {x!r} to a point of the system"
+    for i, row in enumerate(dist):
+        if row[i] != 0:
+            return f"distances must vanish on the diagonal; not at {points[i]!r}"
+        for j in range(i + 1, n):
+            if row[j] <= 0 or row[j] != dist[j][i]:
+                return f"distances must be positive and symmetric off the diagonal; not on {(points[i], points[j])!r}"
+    for i, row in enumerate(dist):
+        for j in range(i + 1, n):
+            if max(map(abs, map(operator.sub, row[i + 1 :], dist[j][i + 1 :]))) > row[j]:
+                x, y, z = next(
+                    (x, y, z)
+                    for x, xrow in enumerate(dist)
+                    for y, yrow in enumerate(dist)
+                    for z in range(n)
+                    if xrow[z] - yrow[z] > xrow[y]
+                )
+                return f"triangle inequality fails on {(points[x], points[y], points[z])!r}"
+    return None
+
+
+FAULTS = ("triangle", "asymmetric", "not-positive", "missing-target", "duplicate-point", "diagonal")
+
+
+@st.composite
+def faulty_systems(draw):
+    """The L1 metric of up to nine distinct integer points on the line or in
+    the plane under a random map, with one or two faults from FAULTS planted
+    (a fault needing more points than drawn is skipped), so that the order
+    of the checks is pinned as well as their texts."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    dim = draw(st.integers(min_value=1, max_value=2))
+    coords = draw(st.lists(st.tuples(*[st.integers(-20, 20)] * dim), min_size=n, max_size=n, unique=True))
+    dist = [[sum(abs(a - b) for a, b in zip(p, q)) for q in coords] for p in coords]
+    points = [f"p{i}" for i in range(n)]
+    step = {x: points[draw(st.integers(0, n - 1))] for x in points}
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    for fault in draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2)):
+        if fault == "diagonal":
+            i = draw(st.integers(0, n - 1))
+            dist[i][i] = draw(st.integers(-5, 5).filter(bool))
+        elif fault == "not-positive" and n > 1:
+            i, j = draw(pair)
+            dist[i][j] = draw(st.integers(-5, 0))
+            if draw(st.booleans()):
+                dist[j][i] = dist[i][j]
+        elif fault == "asymmetric" and n > 1:
+            i, j = draw(pair)
+            dist[i][j] += draw(st.integers(-3, 3).filter(bool))
+        elif fault == "duplicate-point" and n > 1:
+            i, j = draw(pair)
+            points[i] = points[j]
+        elif fault == "missing-target":
+            x = draw(st.sampled_from(points))
+            if draw(st.booleans()):
+                step.pop(x, None)
+            else:
+                step[x] = "q"
+        elif fault == "triangle" and n > 2:
+            i, j, k = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
+            dist[i][j] = dist[j][i] = dist[i][k] + dist[k][j] + draw(st.integers(1, 3))
+    return points, dist, step
+
+
+@h.given(case=faulty_systems())
+@h.settings(derandomize=True, max_examples=400, deadline=None)
+def test_constructor_names_the_first_fault_as_the_per_pair_loops_do(case):
+    points, dist, step = case
+    want = reference_constructor_error(points, dist, step)
+    try:
+        FinitePointSystem(points, 1, dist, step)
+    except ValueError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+
+
 @st.composite
 def small_systems(draw):
     """Systems of up to six distinct plane points (L1 metric) under a random
