@@ -307,7 +307,10 @@ def cmd_verify_cover(args) -> int:
 def cmd_verify_oracle(args) -> int:
     from cantor_shrink.metric_systems import shrinking_propositions_oracle
 
-    with _stage("shrinking oracle over %d trials with seed %d: %s", lambda: (args.trials, args.seed, _verdict(passed))):
+    with _stage(
+        "shrinking oracle over %d trials with seed %d: %d shrinking systems checked, %d counterexamples: %s",
+        lambda: (args.trials, args.seed, report["shrinking_systems"], len(report["counterexamples"]), _verdict(passed)),
+    ):
         report = shrinking_propositions_oracle(trials=args.trials, seed=args.seed)
         vacuous = not report["shrinking_systems"]
         if vacuous:

@@ -31,7 +31,7 @@ from cantor_shrink.metric_systems import (
     verify_deformed_lrs,
     verify_extension_lrs,
 )
-from cantor_shrink.metric_systems.core import SHIFT_DEPTH_LIMIT
+from cantor_shrink.metric_systems.core import MIDPOINT_POINTS_LIMIT, SHIFT_DEPTH_LIMIT
 from cantor_shrink.odometer import OdometerSpec
 
 
@@ -277,6 +277,15 @@ def test_build_system_refuses_a_depth_before_the_first(work):
     assert line == "error: depth 0 is before the scheme's first depth 1"
 
 
+def test_build_system_refuses_a_level_past_the_point_bound(tmp_path):
+    scheme = tmp_path / "wide.json"
+    n = MIDPOINT_POINTS_LIMIT + 1
+    assert run(["build", "odometer", "--s", str(n), "--depth", "1", "--out", str(scheme)])[0] == 0
+    code, out, err = run(["build", "system", "--scheme", str(scheme), "--depth", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: depth 1 has {n} points; a midpoint system takes at most {MIDPOINT_POINTS_LIMIT}\n"
+
+
 # ---------------------------------------------------------------------------
 # verify: exit codes and report shapes
 
@@ -441,10 +450,12 @@ def test_verify_oracle_small(work, caplog):
     code, out, _ = run(["verify", "oracle", "--trials", "50", "--seed", "3"])
     assert code == 0
     assert_lines_match(cli_log_lines(caplog), [
-        r"shrinking oracle over 50 trials with seed 3: pass in \d+\.\d\ds", serialised_line(out), PEAK_LINE,
+        r"shrinking oracle over 50 trials with seed 3: 31 shrinking systems checked, 0 counterexamples: "
+        r"pass in \d+\.\d\ds",
+        serialised_line(out), PEAK_LINE,
     ])
     report = json.loads(out)
-    assert report["pass"] is True and report["trials"] == 50
+    assert report["pass"] is True and report["trials"] == 50 and report["shrinking_systems"] == 31
     # same seed, same bytes
     assert run(["verify", "oracle", "--trials", "50", "--seed", "3"])[1] == out
 

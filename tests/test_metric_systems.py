@@ -38,7 +38,8 @@ from cantor_shrink.metric_systems import (
     verify_deformed_lrs,
     verify_extension_lrs,
 )
-from cantor_shrink.metric_systems.core import _random_system
+from cantor_shrink.metric_systems import core
+from cantor_shrink.metric_systems.core import _random_system, _shrinking_claims, _vanishing_step
 from cantor_shrink.odometer import OdometerSpec
 
 
@@ -420,9 +421,72 @@ def test_oracle_5000_trials_pinned(seed):
     assert hashlib.sha256(report.encode()).hexdigest() == ORACLE_5000_SHA256[seed]
 
 
+def preimage_lists(succ):
+    lists = [[] for _ in succ]
+    for y, x in enumerate(succ):
+        lists[x].append(y)
+    return lists
+
+
+def scanning_vanishing_step(succ, x):
+    """The preimage walk that scans every point for preimages at each step."""
+    pts = range(len(succ))
+    level, steps = {x}, 0
+    while level and steps <= len(pts):
+        level = {y for y in pts if succ[y] in level}
+        steps += 1
+    return None if level else steps
+
+
+@pytest.mark.parametrize(
+    "succ, found",
+    [([1, 0], (True, ["surjective", "unique-fixed-point"], 0)), ([0, 1, 1], (False, ["unique-fixed-point"], 0))],
+    ids=["two-cycle", "two-fixed-points"],
+)
+def test_maps_that_break_the_propositions_are_named(succ, found):
+    assert _shrinking_claims(succ) == found
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_preimages_of_a_halving_chain_vanish(n):
+    succ = [max(i - 1, 0) for i in range(n)]
+    steps = [_vanishing_step(preimage_lists(succ), x) for x in range(1, n)]
+    # point i is the image of point i + 1 alone, so its preimages are gone
+    # after n - i steps
+    assert steps == [scanning_vanishing_step(succ, x) for x in range(1, n)] == list(range(n - 1, 0, -1))
+    assert _shrinking_claims(succ) == (n == 1, [], n - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_preimages_on_a_cycle_never_vanish(n):
+    succ = [(i + 1) % n for i in range(n)]
+    assert [_vanishing_step(preimage_lists(succ), x) for x in range(n)] == [None] * n
+    assert [scanning_vanishing_step(succ, x) for x in range(n)] == [None] * n
+
+
+def test_oracle_reports_every_broken_claim(monkeypatch):
+    """With every system taken as shrinking, the random maps that are not
+    contractions land in the report under their trial, claim by claim."""
+    monkeypatch.setattr(core, "check_shrinking", lambda sys: True)
+    report = shrinking_propositions_oracle(trials=40, max_size=5, seed=2)
+    rng = random.Random(2)
+    claims = [_shrinking_claims(_random_system(rng, 5).succ)[1] for _ in range(40)]
+    assert report["shrinking_systems"] == 40
+    assert report["counterexamples"] == [{"trial": t, "claim": c} for t, cs in enumerate(claims) for c in cs]
+    assert {c["claim"] for c in report["counterexamples"]} == {"surjective", "unique-fixed-point"}
+
+
 # ---------------------------------------------------------------------------
 # separated sets, entropy, midpoint systems
 # ---------------------------------------------------------------------------
+
+
+def test_midpoint_system_takes_a_level_up_to_the_point_bound(od248, monkeypatch):
+    monkeypatch.setattr(core, "MIDPOINT_POINTS_LIMIT", 8)
+    assert len(midpoint_system(od248, 3).points) == 8
+    monkeypatch.setattr(core, "MIDPOINT_POINTS_LIMIT", 7)
+    with pytest.raises(ValueError, match=r"^depth 3 has 8 points; a midpoint system takes at most 7$"):
+        midpoint_system(od248, 3)
 
 
 def test_separated_count_validates_input(od248):
