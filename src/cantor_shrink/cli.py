@@ -20,14 +20,14 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from cantor_shrink.exact import canonical_dumps
+from cantor_shrink.exact import canonical_dumps, dense_bytes
 from cantor_shrink.interval_embed import (
     audit_scheme,
     build_graph_scheme,
     build_odometer_scheme,
-    graph_scales,
     ratio_csv,
     render_svg,
+    scheme_bytes,
     scheme_from_json,
     scheme_signed_digits,
     scheme_to_json,
@@ -70,15 +70,12 @@ def _stage(message: str, values):
         logger.info(message + " in %.2fs", *values(), seconds)
 
 
-SYSTEM_LINE = "%s: %d points, %d-bit scale, %d triangle triples checked"
+SYSTEM_LINE = "%s: %d points, %d-bit scale, predicted %d bytes, %d triangle triples checked"
 
 
 def _system_values(what: str, system) -> tuple:
-    n = len(system.points)
-    return what, n, system.scale.bit_length(), n * (n - 1) * (n - 2)
-
-
-GRAPH_FEASIBLE_LEVELS = 4
+    n, bits = len(system.points), system.scale.bit_length()
+    return what, n, bits, dense_bytes(n * n, bits), n * (n - 1) * (n - 2)
 
 
 def _emit(render, out: str | None, message: str = "serialised %d bytes", *values) -> None:
@@ -122,12 +119,16 @@ def _read(path: str, decode) -> tuple:
             raise ValueError("nested too deep to read") from None
 
 
-def _load_scheme(path: str):
-    with _stage("loaded %s: %d bytes, %d levels, %d cells, %d signed digits, largest scale %d bits", lambda: (
+def _load_scheme(path: str, kind: str | None = None, needs: str = ""):
+    """The scheme in the file at ``path``, refused unless of ``kind`` (if given), as ``needs`` says."""
+    line = "loaded %s: %d bytes, %d levels, %d cells, %d signed digits, largest scale %d bits, predicted %d bytes"
+    with _stage(line, lambda: (
         path, os.path.getsize(path), len(scheme.levels), sum(len(lvl.cells) for lvl in scheme.levels),
-        scheme_signed_digits(obj), max(lvl.scale.bit_length() for lvl in scheme.levels),
+        scheme_signed_digits(obj), max(lvl.scale.bit_length() for lvl in scheme.levels), scheme_bytes(scheme),
     )):
         obj, scheme = _read(path, scheme_from_json)
+    if kind is not None and scheme.kind != kind:
+        raise ValueError(f"{path}: field 'kind' is {scheme.kind!r}, not {kind!r}: {needs}")
     return scheme
 
 
@@ -175,25 +176,15 @@ def cmd_build_odometer(args) -> int:
     from cantor_shrink.odometer import OdometerSpec
 
     spec = OdometerSpec.from_list(args.s)
-    with _stage("odometer depth %d built", lambda: (args.depth,)):
+    with _stage("odometer depth %d built, predicted %d bytes", lambda: (args.depth, scheme_bytes(scheme))):
         scheme = build_odometer_scheme(spec, args.depth)
     _emit(lambda: canonical_dumps(scheme_to_json(scheme)), args.out)
     return 0
 
 
 def cmd_build_graph(args) -> int:
-    from cantor_shrink.graphcover import build_sequence
-
-    with _stage("graph depth %d built", lambda: (args.levels,)):
-        seq = build_sequence(args.variant, args.levels)
-        if args.levels > GRAPH_FEASIBLE_LEVELS:
-            graph_scales(seq, args.levels)  # a scale no reader loads is refused before the warning
-            print(
-                f"warning: graph schemes beyond depth {GRAPH_FEASIBLE_LEVELS} need "
-                "astronomically long dyadic scales; expect very long runtimes",
-                file=sys.stderr,
-            )
-        scheme = build_graph_scheme(seq, args.levels)
+    with _stage("graph depth %d built, predicted %d bytes", lambda: (args.levels, scheme_bytes(scheme))):
+        scheme = build_graph_scheme(args.variant, args.levels)
     _emit(lambda: canonical_dumps(scheme_to_json(scheme)), args.out)
     return 0
 
@@ -201,7 +192,7 @@ def cmd_build_graph(args) -> int:
 def cmd_build_extension(args) -> int:
     from cantor_shrink.metric_systems import build_attractor_repellor, extension_to_json
 
-    scheme = _load_scheme(args.scheme)
+    scheme = _load_scheme(args.scheme, "odometer", "the extension construction starts from an odometer scheme")
     if _audit_fails(args.scheme, scheme):
         return 1
     # the line's counts need the whole system, built and triangle-checked
@@ -224,7 +215,7 @@ def cmd_build_system(args) -> int:
     else:
         if args.depth is None:
             raise ValueError("--scheme needs --depth")
-        scheme = _load_scheme(args.scheme)
+        scheme = _load_scheme(args.scheme, "odometer", "midpoint systems need an odometer scheme (graphs branch)")
         if _audit_fails(args.scheme, scheme):
             return 1
         with _stage(SYSTEM_LINE, lambda: _system_values("system", system)):
@@ -291,9 +282,7 @@ def cmd_verify_lrs(args) -> int:
 def cmd_verify_cover(args) -> int:
     from cantor_shrink.graphcover import certify_cover
 
-    scheme = _load_scheme(args.graph)
-    if scheme.kind != "graph":
-        raise ValueError("verify cover expects a graph scheme file")
+    scheme = _load_scheme(args.graph, "graph", "verify cover expects a graph scheme file")
     if _audit_fails(args.graph, scheme):
         return 1
     with _stage("cover certificates for the %s tower over %d levels (%s): %s", lambda: (

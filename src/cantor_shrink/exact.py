@@ -99,6 +99,13 @@ def int_to_digits(x: int) -> str:
     return "".join(terms)
 
 
+def digits_bits(text: str) -> int:
+    """At most the bits of the integer a signed-digit string writes, read off its leading digit."""
+    if not (isinstance(text, str) and _DIGITS.fullmatch(text)):
+        raise ValueError(f"{text!r:.40} is not a signed-digit string")
+    return 0 if text == "0" else int(_TERM.match(text)[2]) + 1
+
+
 _HORNER_RUN = 64  # digits of a string read by Horner's rule; the rest are set as bits
 
 
@@ -119,16 +126,14 @@ def digits_to_int(text: str, max_bits: int) -> int:
             exponent exceeds ``max_bits``; both are found before any power
             of two is built.
     """
-    if not (isinstance(text, str) and _DIGITS.fullmatch(text)):
-        raise ValueError(f"{text!r:.40} is not a signed-digit string")
+    if digits_bits(text) > max_bits + 1:
+        raise ValueError(f"{text[:40]!r} exceeds {max_bits} bits")
     x = e = 0  # the value so far is x 2^e, e the last exponent read
     base = None  # set past the Horner run: the digits left lie below 2^base
     for k, term in enumerate(_TERM.finditer(text)):
         sign, digits = term.groups()
         f = int(digits)
         if not x:  # the leading digit
-            if f > max_bits:
-                raise ValueError(f"{text[:40]!r} exceeds {max_bits} bits")
             x = 1 if sign == "+" else -1
         elif e - f < 2:
             raise ValueError(f"{text[:40]!r} is not canonical: exponents must fall by at least 2")
@@ -143,6 +148,28 @@ def digits_to_int(text: str, max_bits: int) -> int:
     if base is None:
         return x << e
     return (x << base) + int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
+
+
+# ---------------------------------------------------------------------------
+# predicted memory
+#
+# Scheme geometry and finite systems are dense integers over scales that grow
+# like 2^(s_n^2), so builders and readers predict their bytes (within about
+# 15 % of measured peaks) and refuse work past MEMORY_BOUND before it starts:
+# it admits wm4 and od13, the largest schemes that build today, not tr5 or od14.
+MEMORY_BOUND = 1 << 32
+
+
+def dense_bytes(count: int, bits: int) -> int:
+    """Predicted bytes of ``count`` integers of up to ``bits`` bits each."""
+    return count * -(-bits // 8)
+
+
+def check_memory(predicted: int, where: str) -> int:
+    """``predicted`` bytes, refused with a ValueError naming ``where`` past MEMORY_BOUND."""
+    if predicted > MEMORY_BOUND:
+        raise ValueError(f"{where}: predicted {predicted} bytes of integers, past the bound of {MEMORY_BOUND}")
+    return predicted
 
 
 # ---------------------------------------------------------------------------

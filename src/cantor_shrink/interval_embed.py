@@ -35,9 +35,9 @@ the same verification battery (:func:`verify_derivative_ratios`,
 :func:`verify_lrs_pairs`, :func:`audit_scheme`) and the same canonical JSON
 serialization, so a scheme written to disk can be re-audited verbatim.  A
 loaded level's scale must be the one its source descriptor gives
-(:func:`_odometer_scale_steps`, :func:`_graph_scale_steps`), and a graph
-descriptor's cover tower grows one level per level read, so a file cannot
-ask for more memory than its construction would use.
+(:func:`_odometer_scale_steps`, :func:`_graph_scale_steps`), and builders
+and the reader admit each level by its predicted bytes (:func:`_next_scale`)
+before it is made, growing a graph cover tower one admitted level at a time.
 
 The records (:class:`Cell`, :class:`SchemeLevel`, :class:`EmbeddingScheme`)
 are ``typing.NamedTuple``s and :class:`VerifyReport` is a plain class, not
@@ -58,6 +58,8 @@ from cantor_shrink.exact import (
     ClosedInterval,
     approx_float,
     canonical_dumps,
+    check_memory,
+    dense_bytes,
     digits_to_int,
     int_to_digits,
     pow2,
@@ -74,10 +76,6 @@ if TYPE_CHECKING:
 
 SLOTS_PER_CORE = 12
 SCHEME_FORMAT = 4
-# wm4's level scale has 3.2 M bits; a scale past this bound would not fit its
-# level's endpoints in memory as integers, so a file whose source descriptor
-# gives one is refused
-SCALE_BITS_LIMIT = 1 << 24
 
 
 class Cell(NamedTuple):
@@ -173,24 +171,31 @@ def _mul(x: int, y: int) -> int:
     return (x >> ex) * (y >> ey) << ex + ey
 
 
-def _next_scale(scale: int, m: int, e: int, where: str) -> int:
-    """S m 2^e, the scale of the level below one of scale S, refused before
-    it is formed when it would pass SCALE_BITS_LIMIT bits."""
-    bits = scale.bit_length() + m.bit_length() + e
-    if bits > SCALE_BITS_LIMIT:
-        raise ValueError(f"{where}: the source descriptor gives a scale of {bits} bits, "
-                         f"past the limit of {SCALE_BITS_LIMIT}")
-    return scale * m << e
+def _level_bytes(cells: int, bits: int) -> int:
+    """Per cell, carrier and core endpoints; per level, scale, a and b."""
+    return dense_bytes(4 * cells + 3, bits)
 
 
-def _scales(steps: list, first: int) -> list[int]:
-    """The scales of a builder's levels ``first``, ``first`` + 1, … from
-    their (m, e, …) steps, each refused as a reader would refuse it."""
-    scales, scale = [], 1
-    for n, (m, e, _) in enumerate(steps, start=first):
-        scale = _next_scale(scale, m, e, f"depth {n}")
-        scales.append(scale)
-    return scales
+def scheme_bytes(scheme: EmbeddingScheme) -> int:
+    """The predicted bytes its builder or reader admitted the scheme by."""
+    return sum(_level_bytes(len(lvl.cells), lvl.scale.bit_length()) for lvl in scheme.levels)
+
+
+def _next_scale(scale: int, m: int, e: int, cells: int, total: int, where: str) -> tuple[int, int]:
+    """S m 2^e, the scale below S, and ``total``, the predicted bytes of the levels above, plus
+    this level's of ``cells`` cells: refused, naming ``where``, before the scale is formed."""
+    total = check_memory(total + _level_bytes(cells, (scale * m).bit_length() + e), where)
+    return scale * m << e, total
+
+
+def _admit(steps: Iterator, first: int, cells) -> list[tuple]:
+    """A builder's steps for levels ``first``, ``first`` + 1, …, each with its level's scale appended, and
+    each level admitted with ``cells(n, step)`` cells (:func:`_next_scale`) before the next step is worked out."""
+    admitted, scale, total = [], 1, 0
+    for n, step in enumerate(steps, start=first):
+        scale, total = _next_scale(scale, step[0], step[1], cells(n, step), total, f"depth {n}")
+        admitted.append((*step, scale))
+    return admitted
 
 
 def _cell(label: int, lo: int, width: int, half: int, parent: int | None, scale: int) -> Cell:
@@ -213,7 +218,7 @@ def _odometer_scale_steps(spec: OdometerSpec, depth: int) -> Iterator[tuple[int,
     has half-length 2^(r ((s_{n-1} - j) mod s_n)), from 2^E_n, E_n =
     r (s_n - 1), down to 1.  The scales are S_n = S_{n-1} m 2^e (S_0 = 1),
     S_1 = 12 * 2^E_1 and S_{n+1} = S_n k_{n+1} 2^(n + E_{n+1}), so e =
-    n - 1 + E_n on every level.  Lazy, so that a reader can refuse a scale
+    n - 1 + E_n on every level.  Lazy, so that a level can be refused
     before the steps of deeper levels are worked out.
     """
     for n in range(1, depth + 1):
@@ -236,10 +241,8 @@ def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    steps = list(_odometer_scale_steps(spec, depth))
-    scales = _scales(steps, 1)
-    _, bottom, rung = steps[0]
-    scale = scales[0]  # a_1 = 1/2
+    steps = _admit(_odometer_scale_steps(spec, depth), 1, lambda n, _: spec.extended_modulus(n))
+    _, bottom, rung, scale = steps[0]  # a_1 = 1/2
     s_1 = spec.extended_modulus(1)
     cells = {
         i: _cell(i, i * scale, 6 << bottom, 1 << rung * ((1 - i) % s_1), None, scale)
@@ -250,9 +253,8 @@ def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
     for n in range(1, depth):
         prev = levels[-1]
         s_n, s_next = spec.extended_modulus(n), spec.extended_modulus(n + 1)
-        k_next, e, rung = steps[n]
+        k_next, e, rung, scale = steps[n]
         bottom = e - n  # E_{n+1}
-        scale = scales[n]
         children: dict[int, Cell] = {}
         for i, cell in prev.cells.items():
             lo = cell.core[0] * k_next << e
@@ -300,21 +302,21 @@ def _graph_scale_steps(seq: CoverSequence, depth: int) -> Iterator[tuple[int, in
     (:func:`_graph_core_exponents`) and its scale S_n = S_{n-1} m 2^e
     (S_{-1} = 1), S_0 = 12 * 2^e_0 and S_{n+1} = S_n * 3 * 2^(e_{n+1} + 1),
     with e_n the largest core exponent of level n.  Lazy, as
-    :func:`_odometer_scale_steps` is."""
+    :func:`_odometer_scale_steps` is, and ``seq`` grows by a level when
+    its step is asked for."""
+    from cantor_shrink.graphcover import extend_sequence
+
     for n in range(depth + 1):
+        if n > seq.top:
+            extend_sequence(seq)
         exponents = _graph_core_exponents(seq, n)
         top = max(exponents.values())
         yield (12, top, exponents) if n == 0 else (3, top + 1, exponents)
 
 
-def graph_scales(seq: CoverSequence, depth: int) -> list[int]:
-    """The scales of levels 0..``depth`` of a graph scheme over ``seq``, each
-    refused as a reader would refuse it, with no cell built."""
-    return _scales(list(_graph_scale_steps(seq, depth)), 0)
-
-
-def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
-    """Embed the inverse limit of ``seq`` down to level ``depth``.
+def build_graph_scheme(seq: CoverSequence | str, depth: int) -> EmbeddingScheme:
+    """Embed the inverse limit of ``seq``, a cover tower or a variant name
+    whose tower grows as levels are admitted, down to level ``depth``.
 
     Level 0 places one unit-spaced carrier [j, j + 1/2] per vertex at its
     signed index j.  Each deeper level cuts every core into twelve equal
@@ -328,17 +330,17 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
     2^-e a_n / 6 and b_{n+1} = 2^(-s_{n+1}^2) a_{n+1} (as e >= 2 s_{n+1}^2)
     are integers.
     """
-    from cantor_shrink.graphcover import canonical_vertices, fibres, signed_index
+    from cantor_shrink.graphcover import canonical_vertices, cover_base, fibres, signed_index
 
-    if depth < 0:
-        raise ValueError("depth must be at least 0")
-    if depth > seq.top:
+    if depth < 1:  # a scheme of one level has no ratio or pair depth, and its file is refused
+        raise ValueError(f"need at least one covering level, got {depth}")
+    if isinstance(seq, str):
+        seq = cover_base(seq)
+    elif depth > seq.top:
         raise ValueError(f"depth {depth} exceeds the cover tower height {seq.top}")
 
-    steps = list(_graph_scale_steps(seq, depth))
-    scales = _scales(steps, 0)
-    _, bottom, exponents = steps[0]
-    scale = scales[0]  # a_0 = 1/2, and a core of exponent e has half-length 2^-e / 12
+    steps = _admit(_graph_scale_steps(seq, depth), 0, lambda n, step: len(step[2]))
+    _, bottom, exponents, scale = steps[0]  # a_0 = 1/2, and a core of exponent e has half-length 2^-e / 12
     a = 6 << bottom
     s_0 = len(exponents)
     cells = {j: _cell(j, j * scale, a, 1 << bottom - e, None, scale) for j, e in sorted(exponents.items())}
@@ -346,10 +348,9 @@ def build_graph_scheme(seq: CoverSequence, depth: int) -> EmbeddingScheme:
 
     for n in range(depth):
         prev = levels[-1]
-        m, e, exponents = steps[n + 1]
+        m, e, exponents, scale = steps[n + 1]
         s_next = len(exponents)
         top = e - 1  # the largest core exponent of level n + 1
-        scale = scales[n + 1]
         unit = prev.a << top  # a_n / 6 over the new scale
         children: dict[int, Cell] = {}
         fibre_of = fibres(seq, n)
@@ -828,9 +829,10 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
     structure is available, but no interval is recomputed: each endpoint is
     its file offset added onto the parent's core start (:func:`scheme_to_json`),
     and verification then applies to exactly what the file says.  Depths
-    count up from the kind's first depth, each scale is the one the
-    descriptor gives (and is refused before any endpoint is read when it is
-    not), labels are distinct integers within a level, each parent is a
+    count up from the kind's first depth, each level is admitted by the
+    length of its ``cells`` list (:func:`_next_scale`) and its scale must be
+    the one the descriptor gives, both before any endpoint is read, labels
+    are distinct integers within a level, each parent is a
     label of the level above (null on the first level), each scale, a, b,
     offset and width is a canonical signed-digit string whose exponents stay
     within the bounds, and no width is negative.  A graph descriptor's cover
@@ -866,7 +868,7 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
             isinstance(source, dict) and type(source.get("levels")) is int and source["levels"] == height,
             f"field 'source' must be {{\"variant\": ..., \"levels\": {height}}} for {height + 1} levels",
         )
-        from cantor_shrink.graphcover import cover_base, extend_sequence
+        from cantor_shrink.graphcover import cover_base
 
         _check(height >= 1, f"need at least one covering level, got {height}")
         symbolic = {"cover": _field(obj, "source", None, lambda src: cover_base(src["variant"]))}
@@ -874,22 +876,20 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
     first = 1 if kind == "odometer" else 0
     levels = []
     above: dict = {None: None}  # the cells of the level above, by label
-    scale = 1
+    scale, total = 1, 0  # the scale above the first level, and the bytes predicted so far
     for i, entry in enumerate(obj["levels"]):
         where = f"levels[{i}]"
         _check(isinstance(entry, dict), f"{where} must be a JSON object")
         _check(type(entry["n"]) is int and entry["n"] == first + i, f"{where}: field 'n' must be {first + i}")
-        if kind == "graph" and i:
-            extend_sequence(symbolic["cover"])  # the tower's level i, which the scale step reads
         m, e, _ = next(steps)
-        scale = _next_scale(scale, m, e, f"{where}: field 'scale'")
+        _check(isinstance(entry["cells"], list), f"{where}: field 'cells' must be a list")
+        scale, total = _next_scale(scale, m, e, len(entry["cells"]), total, f"{where}: field 'cells'")
         declared = _field(entry, "scale", where, partial(digits_to_int, max_bits=scale.bit_length()))
         if declared != scale:
             raise ValueError(f"{where}: field 'scale' is not {int_to_digits(scale)}, the scale its source gives")
         # no offset or width lies 2^64 scales from zero
         decode = partial(digits_to_int, max_bits=scale.bit_length() + 64)
         pair = partial(_offset_width, decode=decode)
-        _check(isinstance(entry["cells"], list), f"{where}: field 'cells' must be a list")
         cells = {}
         for c in entry["cells"]:
             if not isinstance(c, dict):

@@ -26,8 +26,9 @@ from itertools import islice
 from operator import add
 from typing import NamedTuple
 
-from cantor_shrink.exact import common_scale, digits_to_int, int_to_digits, scaled_fraction
-from cantor_shrink.interval_embed import SCALE_BITS_LIMIT, EmbeddingScheme
+from cantor_shrink.exact import check_memory, common_scale, dense_bytes, digits_bits, digits_to_int, int_to_digits
+from cantor_shrink.exact import scaled_fraction
+from cantor_shrink.interval_embed import EmbeddingScheme
 
 
 @dataclass
@@ -531,8 +532,9 @@ def _integers(values, name: str, n: int, decode) -> list:
 
 def system_from_json(obj: dict) -> FinitePointSystem:
     """Rebuild a system from its JSON form, every distance and radius an
-    integer over the declared scale, refused from the text, as in scheme
-    files, past SCALE_BITS_LIMIT bits and each entry past 64 bits more.
+    integer over the declared scale, each refused from the text past 64
+    bits more than it; n points predict n^2 integers of the scale's size,
+    checked against the bound before any integer is decoded.
 
     Raises:
         ValueError: naming the field, on any entry that is missing, mistyped
@@ -544,14 +546,16 @@ def system_from_json(obj: dict) -> FinitePointSystem:
         raise ValueError("not a finite-system descriptor")
     if "scale" not in obj:
         raise ValueError("field 'scale' is missing: rebuild the file with `cantor-shrink build system`")
-    [scale] = _integers([obj["scale"]], "scale", 1, partial(digits_to_int, max_bits=SCALE_BITS_LIMIT))
-    if scale <= 0:
-        raise ValueError(f"field 'scale' must be positive, not {obj['scale']!r:.40}")
-    decode = partial(digits_to_int, max_bits=scale.bit_length() + 64)
     if not isinstance(obj.get("points"), list):
         raise ValueError("field 'points' must be a list of point ids")
     pts = [_decode_id(x) for x in obj["points"]]
     n = len(pts)
+    [bits] = _integers([obj["scale"]], "scale", 1, digits_bits)
+    check_memory(dense_bytes(n * n, bits), f"field 'points': {n} points over a {bits}-bit scale")
+    [scale] = _integers([obj["scale"]], "scale", 1, partial(digits_to_int, max_bits=bits))
+    if scale <= 0:
+        raise ValueError(f"field 'scale' must be positive, not {obj['scale']!r:.40}")
+    decode = partial(digits_to_int, max_bits=scale.bit_length() + 64)
     rows = obj.get("distances")
     if not isinstance(rows, list) or len(rows) != n:
         raise ValueError(f"field 'distances' must hold {n} rows, one per point")

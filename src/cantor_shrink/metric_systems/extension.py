@@ -62,11 +62,11 @@ def certify_slack(scheme: EmbeddingScheme, n: int, refine: int, anchor_value: in
     return scaled_fraction(worst, 2 * level.scale)
 
 
-def slack_sequence(scheme: EmbeddingScheme, levels: int, refine: int, anchor_value: int = 0) -> list:
+def slack_sequence(scheme: EmbeddingScheme, levels: int, refine: int) -> list:
     """a_1..a_{levels+1} (index 0 unused), capped to halve at every step."""
     slack: list = [None]
     for n in range(1, levels + 2):
-        candidate = certify_slack(scheme, n, refine, anchor_value)
+        candidate = certify_slack(scheme, n, refine)
         if n == 1:
             slack.append(min(candidate, Fraction(1, 4)))
         else:
@@ -79,7 +79,6 @@ class ExtensionSystem:
     """Finite truncation of the extension: two sheets plus an isolated orbit."""
 
     scheme: EmbeddingScheme
-    anchor_value: int
     levels: int
     tail: int
     refine: int
@@ -124,12 +123,7 @@ def _second_coordinate(k: list, slack: list, rate: int, j: int) -> Fraction:
 
 
 def build_attractor_repellor(
-    scheme: EmbeddingScheme,
-    levels: int,
-    tail: int,
-    refine: int,
-    anchor_value: int = 0,
-    rate: int = 2,
+    scheme: EmbeddingScheme, levels: int, tail: int, refine: int, rate: int = 2
 ) -> ExtensionSystem:
     """Truncate the extension to return depths 1..levels and a forward tail.
 
@@ -149,37 +143,25 @@ def build_attractor_repellor(
         )
     spec = scheme.spec
     k = [0] + [spec.extended_modulus(n) for n in range(1, levels + 1)]  # first return times
-    slack = slack_sequence(scheme, levels, refine, anchor_value)
+    slack = slack_sequence(scheme, levels, refine)
 
     level = scheme.level(refine)
     s_m = spec.extended_modulus(refine)
     mid = {label: cell.D.midpoint for label, cell in level.cells.items()}
-    z = anchor_value % s_m
 
+    # the orbit runs along the thread of the anchor z = 0
     ids: list = [("y", j) for j in range(-k[levels], tail + 1)]
     positions: dict = {}
     step: dict = {}
     for j in range(-k[levels], tail + 1):
-        positions[("y", j)] = (mid[(z + j) % s_m], _second_coordinate(k, slack, rate, j))
-        step[("y", j)] = ("y", j + 1) if j < tail else ("sheet", (z + tail + 1) % s_m, 1)
+        positions[("y", j)] = (mid[j % s_m], _second_coordinate(k, slack, rate, j))
+        step[("y", j)] = ("y", j + 1) if j < tail else ("sheet", (tail + 1) % s_m, 1)
     for label in sorted(mid):
         for sign in (1, -1):
             ids.append(("sheet", label, sign))
             positions[("sheet", label, sign)] = (mid[label], Fraction(sign))
             step[("sheet", label, sign)] = ("sheet", (label + 1) % s_m, sign)
-    return ExtensionSystem(
-        scheme,
-        anchor_value,
-        levels,
-        tail,
-        refine,
-        rate,
-        k,
-        slack,
-        ids,
-        positions,
-        step,
-    )
+    return ExtensionSystem(scheme, levels, tail, refine, rate, k, slack, ids, positions, step)
 
 
 def verify_extension_lrs(ext: ExtensionSystem) -> VerifyReport:
@@ -194,9 +176,7 @@ def verify_extension_lrs(ext: ExtensionSystem) -> VerifyReport:
     """
     checks = []  # (entry, margin): the entry passes when its margin is positive
     system = ext.as_system()  # rho, the sum metric on the two coordinates
-    spec = ext.scheme.spec
-    s_m = spec.extended_modulus(ext.refine)
-    z_sheet = ("sheet", ext.anchor_value % s_m, -1)
+    z_sheet = ("sheet", 0, -1)  # the anchor's point on the repellor
     for n in range(1, ext.levels + 1):
         anchor = ("y", -ext.k[n])
         before = system.d(z_sheet, anchor)
@@ -246,7 +226,7 @@ def extension_to_json(ext: ExtensionSystem) -> dict:
     return {
         "kind": "extension",
         "source": ext.scheme.source,
-        "anchor": ext.anchor_value,
+        "anchor": 0,
         "levels": ext.levels,
         "tail": ext.tail,
         "refine": ext.refine,

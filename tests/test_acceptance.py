@@ -1,4 +1,4 @@
-"""End-to-end acceptance run: eleven certified claims, one line printed each.
+"""End-to-end acceptance run: twelve certified claims, one line printed each.
 
 Each test covers one acceptance claim and emits a single PASS/FAIL line;
 the lines are gathered by conftest into an "acceptance criteria" section at
@@ -99,7 +99,7 @@ def rate4_triple(od3):
 
 
 # ---------------------------------------------------------------------------
-# the eleven claims
+# the twelve claims
 # ---------------------------------------------------------------------------
 
 
@@ -301,3 +301,48 @@ def test_criterion_11_byte_identical_rebuilds(od3, tmp_path):
             assert code == 0
         assert first.read_bytes() == second.read_bytes()
         info["note"] = "scheme, extension, and CLI graph build"
+
+
+def _certify_deeper(scheme, expected: dict) -> str:
+    """Audit ``scheme``, check its derivative ratios against their closed-form
+    bounds, and check non-empty pair margins at every pair depth with the
+    ``expected`` depth -> (pairs checked, pairs excluded); then widen one
+    core of a checked pair at the deepest depth and demand a witness."""
+    assert audit_scheme(scheme).passed
+    ratios = verify_derivative_ratios(scheme)
+    assert ratios.passed and ratios.stats["depths"] == list(expected)
+    for depth, (checked, excluded) in expected.items():
+        report = verify_lrs_pairs(scheme, depth)
+        assert report.passed and not report.witnesses and report.margins
+        assert (report.stats["pairs_checked"], len(report.excluded)) == (checked, excluded)
+    # negative control, as in criterion 7, one level down from the last depth;
+    # the widening, about a twentieth of the scale, is a power of two, so the
+    # witness's sup and inf have few binary digits to write
+    u, v = report.margins[0]["pair"]
+    deepest = scheme.levels[-1]
+    lo, hi = deepest.cells[u].core
+    w = 1 << deepest.scale.bit_length() - 5
+    widened = deepest.cells[u]._replace(core=(lo - w, hi + w))
+    corrupted = scheme._replace(levels=[*scheme.levels[:-1], deepest._replace(cells={**deepest.cells, u: widened})])
+    bad = verify_lrs_pairs(corrupted, depth)
+    assert not bad.passed and [u, v] in [w["pair"] for w in bad.witnesses]
+    return f"{sum(c for c, _ in expected.values())} pairs, witness {[u, v]}"
+
+
+def test_criterion_12_one_level_deeper():
+    with criterion(12, "tr4 and od11 audit, ratios under their bounds, pair margins at every depth") as info:
+        t0 = time.perf_counter()
+        # tr4's counts are the package's own output (26 pairs split across
+        # parents at each depth); od11's follow from the tower: at depth d
+        # each of the s_d parents but the exceptional one has C(k_{d+1}, 2)
+        # sibling pairs
+        notes = [_certify_deeper(
+            build_graph_scheme("transitive", 4), {0: (12, 26), 1: (81, 26), 2: (291, 26), 3: (927, 26)}
+        )]
+        spec = OdometerSpec.from_list([2, 4, 8])
+        pairs = {d: spec.extended_k(d + 1) * (spec.extended_k(d + 1) - 1) // 2 for d in range(1, 11)}
+        notes.append(_certify_deeper(
+            build_odometer_scheme(spec, 11),
+            {d: ((spec.extended_modulus(d) - 1) * n, n) for d, n in pairs.items()},
+        ))
+        info["note"] = f"{time.perf_counter() - t0:.1f}s; tr4 {notes[0]}; od11 {notes[1]}"

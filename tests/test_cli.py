@@ -16,9 +16,8 @@ import pytest
 
 import cantor_shrink
 from cantor_shrink.cli import main
-from cantor_shrink.exact import canonical_dumps, digits_to_int, int_to_digits
+from cantor_shrink.exact import MEMORY_BOUND, canonical_dumps, digits_to_int, int_to_digits
 from cantor_shrink.interval_embed import (
-    SCALE_BITS_LIMIT,
     audit_scheme,
     build_odometer_scheme,
     scheme_from_json,
@@ -33,6 +32,10 @@ from cantor_shrink.metric_systems import (
 )
 from cantor_shrink.metric_systems.core import MIDPOINT_POINTS_LIMIT, SHIFT_DEPTH_LIMIT
 from cantor_shrink.odometer import OdometerSpec
+
+# the leading exponent a test accepts when it decodes a digit string of a
+# file it built: more than any of them holds
+BITS = 1 << 24
 
 
 def run(argv):
@@ -88,7 +91,8 @@ def scheme_log_lines(path) -> list[str]:
     that passes its audit: the load, then the audit."""
     name = re.escape(str(path))
     return [
-        rf"loaded {name}: \d+ bytes, \d+ levels, \d+ cells, \d+ signed digits, largest scale \d+ bits in \d+\.\d\ds",
+        rf"loaded {name}: \d+ bytes, \d+ levels, \d+ cells, \d+ signed digits, largest scale \d+ bits, "
+        rf"predicted \d+ bytes in \d+\.\d\ds",
         rf"audit of {name}: pass in \d+\.\d\ds",
     ]
 
@@ -152,7 +156,7 @@ def test_build_logs_the_build_the_serialise_and_the_write(tmp_path):
     assert (logged.returncode, logged.stdout) == (0, b"")
     size = out_path.stat().st_size
     assert_lines_match(child_log_lines(logged), [
-        r"odometer depth 3 built in \d+\.\d\ds",
+        r"odometer depth 3 built, predicted \d+ bytes in \d+\.\d\ds",
         rf"serialised {size} bytes in \d+\.\d\ds",
         rf"wrote {re.escape(str(out_path))} \({size} bytes\) in \d+\.\d\ds",
         PEAK_LINE,
@@ -188,15 +192,24 @@ def test_build_system_refuses_a_depth_with_the_shift():
     assert err == "error: --shift takes no --depth: the shift's word length is the --shift value\n"
 
 
+# the first depth at which a build's predicted bytes, the level's and those
+# of the levels above, pass the bound: level 5 of either graph tower (7.6 GB
+# transitive, 126 GB weakly mixing), depth 14 of the (2, 4, 8) odometer (9.1 GB)
+FIRST_REFUSED = {"graph": 5, "odometer": 14}
+
+
 @pytest.mark.parametrize("argv, depth", [
     (["build", "graph", "--variant", "weakly-mixing", "--levels", "5"], 5),
     (["build", "odometer", "--s", "2,4,8", "--depth", "18"], 18),
+    (["build", "graph", "--variant", "transitive", "--levels", "5"], 5),
+    (["build", "odometer", "--s", "2,4,8", "--depth", "14"], 14),
+    (["build", "graph", "--variant", "weakly-mixing", "--levels", "12"], 12),
 ])
 def test_build_refuses_a_scale_no_reader_loads(argv, depth):
     # the child is capped at 1 GB of address space, and builds nothing: the
-    # refusal comes from the scale steps, before any cell is made, and before
-    # the warning that graph builds past 4 levels take long, so stderr is the
-    # error line alone
+    # refusal comes from the predicted bytes of the scale steps, level by
+    # level, before any cell is made (and before a graph tower grows past
+    # the refused level), so stderr is the error line alone
     code = (
         "import resource, sys, time\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -209,11 +222,11 @@ def test_build_refuses_a_scale_no_reader_loads(argv, depth):
     status, seconds = proc.stdout.decode().split()
     assert status == "2" and float(seconds) < 1
     [line] = proc.stderr.decode().splitlines()
+    refused = min(depth, FIRST_REFUSED[argv[1]])
     match = re.fullmatch(
-        rf"error: depth {depth}: the source descriptor gives a scale of (\d+) bits, past the limit of {SCALE_BITS_LIMIT}",
-        line,
+        rf"error: depth {refused}: predicted (\d+) bytes of integers, past the bound of {MEMORY_BOUND}", line
     )
-    assert match and int(match[1]) > SCALE_BITS_LIMIT
+    assert match and int(match[1]) > MEMORY_BOUND
 
 
 def test_build_system_needs_exactly_one_source(work):
@@ -331,8 +344,9 @@ def test_verify_lrs_logs_each_depth_and_the_report_size(work, caplog):
 
 
 def test_scheme_load_logs_what_it_read(work, caplog):
-    # the file's bytes, levels, cells, nonzero digits and largest scale, each
-    # counted here from the file itself
+    # the file's bytes, levels, cells, nonzero digits, largest scale and
+    # predicted bytes, each counted here from the file itself: a level
+    # predicts 4 integers per cell and 3 more, each of its scale's bytes
     caplog.set_level(logging.INFO, logger="cantor_shrink.cli")
     for name, command in (("od3", ["export", "ratio", "--sys"]), ("wm2", ["verify", "cover", "--graph"])):
         caplog.clear()
@@ -342,12 +356,14 @@ def test_scheme_load_logs_what_it_read(work, caplog):
         strings = [lvl[key] for lvl in obj["levels"] for key in ("scale", "a", "b")]
         strings += [x for lvl in obj["levels"] for c in lvl["cells"] for x in c["A"] + c["D"]]
         digits = len(re.findall(r"[+-]", "".join(strings)))
-        bits = max(digits_to_int(lvl["scale"], SCALE_BITS_LIMIT).bit_length() for lvl in obj["levels"])
+        sizes = [digits_to_int(lvl["scale"], BITS).bit_length() for lvl in obj["levels"]]
+        predicted = sum((4 * len(lvl["cells"]) + 3) * -(-b // 8) for lvl, b in zip(obj["levels"], sizes))
         cells = sum(len(lvl["cells"]) for lvl in obj["levels"])
         load, audit, *_, peak = cli_log_lines(caplog)
         assert re.fullmatch(
             rf"loaded {re.escape(str(work[name]))}: {len(text.encode())} bytes, {len(obj['levels'])} levels, "
-            rf"{cells} cells, {digits} signed digits, largest scale {bits} bits in \d+\.\d\ds",
+            rf"{cells} cells, {digits} signed digits, largest scale {max(sizes)} bits, predicted {predicted} bytes "
+            rf"in \d+\.\d\ds",
             load,
         )
         assert re.fullmatch(rf"audit of {re.escape(str(work[name]))}: pass in \d+\.\d\ds", audit)
@@ -439,10 +455,29 @@ def test_verify_cover_transitive(work):
         assert witness["cycle"] == 1 and witness["missed"]
 
 
-def test_verify_cover_rejects_odometer_scheme(work):
-    code, _, err = run(["verify", "cover", "--graph", str(work["od3"])])
-    assert code == 2
-    assert "graph scheme" in err
+# commands that need one kind of scheme, given the other, with what their
+# error line says after naming the file and the field
+WRONG_KIND = {
+    "verify-cover": (
+        ["verify", "cover", "--graph", "{od3}"],
+        "field 'kind' is 'odometer', not 'graph': verify cover expects a graph scheme file",
+    ),
+    "build-system": (
+        ["build", "system", "--depth", "1", "--scheme", "{wm2}"],
+        "field 'kind' is 'graph', not 'odometer': midpoint systems need an odometer scheme (graphs branch)",
+    ),
+    "build-extension": (
+        ["build", "extension", "--levels", "1", "--tail", "4", "--refine", "3", "--scheme", "{wm2}"],
+        "field 'kind' is 'graph', not 'odometer': the extension construction starts from an odometer scheme",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KIND))
+def test_scheme_of_the_wrong_kind_is_a_one_line_usage_error(work, case):
+    argv, reason = WRONG_KIND[case]
+    argv = [arg.format(**work) for arg in argv]
+    assert run(argv) == (2, "", f"error: {argv[-1]}: {reason}\n")
 
 
 def test_verify_oracle_small(work, caplog):
@@ -668,7 +703,7 @@ def _swap_intervals(cell):
     file's offsets, with A = [offset, width] and D = [inset, core width],
     that is A = [offset + inset, core width] and D = [-inset, width]; the
     cell's children, offsets from its core start, move with it."""
-    (offset, width), (inset, core_width) = ([digits_to_int(t, SCALE_BITS_LIMIT) for t in cell[k]] for k in "AD")
+    (offset, width), (inset, core_width) = ([digits_to_int(t, BITS) for t in cell[k]] for k in "AD")
     cell["A"] = [int_to_digits(offset + inset), int_to_digits(core_width)]
     cell["D"] = [int_to_digits(-inset), int_to_digits(width)]
 
@@ -744,12 +779,12 @@ def _nudge_distance(i, j):
     digit string whose matrix is no longer a metric."""
     def mutate(obj):
         row = obj["distances"][i]
-        row[j] = int_to_digits(digits_to_int(row[j], SCALE_BITS_LIMIT) + 1)
+        row[j] = int_to_digits(digits_to_int(row[j], BITS) + 1)
     return mutate
 
 
 def _distance_past_the_scale(obj):
-    bits = digits_to_int(obj["scale"], SCALE_BITS_LIMIT).bit_length()
+    bits = digits_to_int(obj["scale"], BITS).bit_length()
     obj["distances"][0][1] = f"+{bits + 65}"
 
 
@@ -766,8 +801,12 @@ SYSTEM_MUTATIONS = {
     "asymmetric": (_nudge_distance(1, 0), "distances must be positive and symmetric off the diagonal"),
     "nonzero-diagonal": (_nudge_distance(2, 2), "distances must vanish on the diagonal"),
     "zero-scale": (_setting("0", "scale"), "field 'scale' must be positive"),
+    # 8 points: the distances of a scale of more than 2^29 bits take more
+    # than MEMORY_BOUND bytes
     "scale-past-the-limit": (
-        _setting(f"+{SCALE_BITS_LIMIT + 1}", "scale"), f"field 'scale': '+{SCALE_BITS_LIMIT + 1}' exceeds"
+        _setting("+536870912", "scale"),
+        f"field 'points': 8 points over a 536870913-bit scale: predicted 4294967360 bytes of integers, "
+        f"past the bound of {MEMORY_BOUND}",
     ),
     "distance-past-the-scale": (_distance_past_the_scale, "field 'distances': '+"),
 }
@@ -806,15 +845,16 @@ def test_system_file_without_a_scale_is_told_to_rebuild(tmp_path):
 SYSTEM_LOG_LINES = {
     "build-system": (
         ["build", "system", "--scheme", "{od3}", "--depth", "3"],
-        r"system: 8 points, 21-bit scale, 336 triangle triples checked in \d+\.\d\ds",
+        r"system: 8 points, 21-bit scale, predicted 192 bytes, 336 triangle triples checked in \d+\.\d\ds",
     ),
     "build-extension": (
         ["build", "extension", "--scheme", "{od3}", "--levels", "1", "--tail", "4", "--refine", "3"],
-        r"extension: 23 points, 49-bit scale, 10626 triangle triples checked in \d+\.\d\ds",
+        r"extension: 23 points, 49-bit scale, predicted 3703 bytes, 10626 triangle triples checked in \d+\.\d\ds",
     ),
     "export-entropy": (
         ["export", "entropy", "--sys", "{sys3}", "--eps", "1/4", "--n", "1,2"],
-        r"loaded \S+sys3\.json: 8 points, 21-bit scale, 336 triangle triples checked in \d+\.\d\ds",
+        r"loaded \S+sys3\.json: 8 points, 21-bit scale, predicted 192 bytes, 336 triangle triples checked "
+        r"in \d+\.\d\ds",
     ),
 }
 
@@ -894,7 +934,7 @@ def single_mutations(draw, obj):
         _swap_intervals(cell)
         return f"swap carrier and core of level {level['n']} label {cell['label']}", False
     field, end, step = draw(st.sampled_from(["A", "D"])), draw(st.sampled_from([0, 1])), draw(st.sampled_from([-1, 1]))
-    cell[field][end] = int_to_digits(digits_to_int(cell[field][end], SCALE_BITS_LIMIT) + step)
+    cell[field][end] = int_to_digits(digits_to_int(cell[field][end], BITS) + step)
     return f"shift level {level['n']} label {cell['label']} {field}[{end}] by {step}", False
 
 
@@ -1087,7 +1127,7 @@ def _finite_value_lines(obj: dict) -> str:
     extension or deformed report: each distance and eps by point index, each
     slack, each point's x and y by id, and each margin with its kind and
     index, every value as a reduced fraction."""
-    scale = digits_to_int(obj["scale"], SCALE_BITS_LIMIT)
+    scale = digits_to_int(obj["scale"], BITS)
 
     def value(text):
         return Fraction(digits_to_int(text, scale.bit_length() + 64), scale)
@@ -1110,7 +1150,7 @@ def _pair_lines(report: dict) -> str:
     lines = []
     for sub in report["reports"][1:]:
         depth = sub["stats"]["depth"]
-        scale = digits_to_int(sub["scale"], SCALE_BITS_LIMIT)
+        scale = digits_to_int(sub["scale"], BITS)
 
         def value(text):
             return Fraction(digits_to_int(text, scale.bit_length() + 64), scale)
@@ -1247,7 +1287,7 @@ def test_scheme_commands_load_only_the_layers_they_run(work, source, command):
     if "<file>" in command:
         assert_lines_match(lines[:2], scheme_log_lines(work[source]))
     else:
-        assert_lines_match(lines[:1], [r"graph depth 2 built in \d+\.\d\ds"])
+        assert_lines_match(lines[:1], [r"graph depth 2 built, predicted \d+ bytes in \d+\.\d\ds"])
     # the artifact, as the command writes it to stdout in-process
     size = len(run(argv)[1])
     if "lrs" in command:

@@ -7,7 +7,7 @@ import hypothesis as h
 import hypothesis.strategies as st
 import pytest
 
-from cantor_shrink.exact import canonical_dumps, digits_to_int, int_to_digits, pow2
+from cantor_shrink.exact import MEMORY_BOUND, canonical_dumps, digits_to_int, int_to_digits, pow2
 from cantor_shrink.graphcover import base_vertex, build_sequence, fibres
 from cantor_shrink.interval_embed import (
     _mul,
@@ -21,6 +21,7 @@ from cantor_shrink.interval_embed import (
     induced_map_label,
     ratio_csv,
     render_svg,
+    scheme_bytes,
     scheme_from_json,
     scheme_to_json,
     verify_derivative_ratios,
@@ -316,6 +317,10 @@ def test_graph_depth_cannot_exceed_tower():
     seq = build_sequence("weakly-mixing", 1)
     with pytest.raises(ValueError, match="tower height"):
         build_graph_scheme(seq, 2)
+    # a variant's name grows its tower as the levels are admitted
+    grown = build_graph_scheme("weakly-mixing", 2)
+    assert grown.cover == build_sequence("weakly-mixing", 2)
+    assert scheme_to_json(grown) == scheme_to_json(build_graph_scheme(build_sequence("weakly-mixing", 2), 2))
 
 
 def test_transitive_variant_also_audits():
@@ -639,11 +644,86 @@ def test_claimed_levels_build_no_cover_level_the_file_does_not_hold():
 
 def test_descriptor_asking_for_a_huge_scale_is_refused_from_its_size(od248):
     # s_2 = 2^40 gives the depth-1 core ladder a bottom shift of 2^39: the
-    # loader refuses the scale from its bit count, without building it
+    # loader refuses the level from the predicted bytes of its two cells
+    # over that scale, without building it
     obj = scheme_to_json(od248)
-    obj["source"]["s"] = [2, 1 << 40]
-    with pytest.raises(ValueError, match=r"^levels\[0\]: field 'scale': the source descriptor gives a scale of \d+ bits"):
+    obj["source"] = {**obj["source"], "s": [2, 1 << 40]}  # a new dict: the scheme's own is shared
+    predicted = (4 * 2 + 3) * ((1 << 36) + 1)  # 12 * 2^(2^39) has 2^39 + 4 bits
+    with pytest.raises(ValueError, match=rf"^levels\[0\]: field 'cells': predicted {predicted} bytes of integers, "
+                                         rf"past the bound of {MEMORY_BOUND}$"):
         scheme_from_json(obj)
+
+
+def restated_bytes(steps, cells) -> list[int]:
+    """The running totals of predicted bytes of the levels that the (m, e, …)
+    scale steps give, with ``cells`` cells each, restated here from the
+    rule: 4 integers per cell and 3 more, each of its scale's bytes."""
+    totals, total, scale = [], 0, 1
+    for (m, e, *_), count in zip(steps, cells, strict=True):
+        scale = scale * m << e
+        total += (4 * count + 3) * -(-scale.bit_length() // 8)
+        totals.append(total)
+    return totals
+
+
+def test_predicted_bytes_admit_wm4_and_od13_and_refuse_tr5_and_od14():
+    from cantor_shrink.interval_embed import _graph_scale_steps, _odometer_scale_steps
+
+    # from the scale steps alone, without building a cell: od13 and wm4
+    # stay under the bound, od14 and tr5 (and wm5) pass it
+    spec = OdometerSpec.from_list([2, 4, 8])
+    od = restated_bytes(_odometer_scale_steps(spec, 14), [spec.extended_modulus(n) for n in range(1, 15)])
+    graph = {}
+    for variant in ("weakly-mixing", "transitive"):
+        steps = list(_graph_scale_steps(build_sequence(variant, 5), 5))
+        graph[variant] = restated_bytes(steps, [len(exponents) for _, _, exponents in steps])
+    assert od[12] <= MEMORY_BOUND < od[13]
+    assert graph["weakly-mixing"][4] <= MEMORY_BOUND < graph["weakly-mixing"][5]
+    assert graph["transitive"][4] <= MEMORY_BOUND < graph["transitive"][5]
+    # each builder refuses at the first such level, so it admitted the
+    # levels above, and names the total restated here
+    for build, total in (
+        (lambda: build_odometer_scheme(spec, 14), od[13]),
+        (lambda: build_graph_scheme("transitive", 5), graph["transitive"][5]),
+        (lambda: build_graph_scheme("weakly-mixing", 12), graph["weakly-mixing"][5]),
+    ):
+        depth = 14 if total == od[13] else 5
+        with pytest.raises(ValueError, match=rf"^depth {depth}: predicted {total} bytes of integers, "
+                                             rf"past the bound of {MEMORY_BOUND}$"):
+            build()
+
+
+def test_built_and_loaded_schemes_predict_the_bytes_their_steps_give(od248, wm_scheme):
+    from cantor_shrink.interval_embed import _graph_scale_steps, _odometer_scale_steps
+
+    for scheme, steps in (
+        (od248, _odometer_scale_steps(od248.spec, 3)),
+        (wm_scheme, _graph_scale_steps(wm_scheme.cover, wm_scheme.max_depth)),
+    ):
+        expected = restated_bytes(steps, [len(lvl.cells) for lvl in scheme.levels])[-1]
+        assert scheme_bytes(scheme) == expected
+        assert scheme_bytes(scheme_from_json(json.loads(canonical_dumps(scheme_to_json(scheme))))) == expected
+
+
+def test_scheme_file_past_the_bound_is_refused_from_its_cells_count(od248):
+    import tracemalloc
+
+    # s_2 = 2^30 gives level 1 a scale of 2^29 + 4 bits: its 2 cells predict
+    # 0.7 GB, but a cells list of 400 entries predicts 108 GB, and the file
+    # is refused from the list's length, before any entry of it is read
+    obj = scheme_to_json(od248)
+    obj["source"] = {**obj["source"], "s": [2, 1 << 30]}
+    obj["levels"][0]["cells"] = ["not a cell"] * 400
+    text = canonical_dumps(obj)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^levels\[0\]: field 'cells': predicted \d+ bytes of integers, "
+                                             rf"past the bound of {MEMORY_BOUND}$"):
+            scheme_from_json(json.loads(text))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_scheme_from_json_rejects_unknown_kind():

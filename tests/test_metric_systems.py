@@ -556,7 +556,7 @@ def test_system_json_roundtrip_with_tuple_ids(od248):
 
 
 @st.composite
-def small_systems(draw):
+def line_systems(draw):
     """Points on the line at multiples of 1/8, a random self-map, and radii
     that are often off the distance scale (1/7, 1/3, ...), or none."""
     n = draw(st.integers(min_value=1, max_value=5))
@@ -569,7 +569,7 @@ def small_systems(draw):
     return FinitePointSystem.from_positions({i: Fraction(x, 8) for i, x in enumerate(xs)}, step, eps=eps)
 
 
-@h.given(small_systems())
+@h.given(line_systems())
 @h.settings(derandomize=True, max_examples=100, deadline=None)
 def test_system_json_roundtrip(system):
     """A loaded system has the same distances, map and radii, and writes the
@@ -583,6 +583,30 @@ def test_system_json_roundtrip(system):
     if system.eps is not None:
         scale = digits_to_int(obj["scale"], 64)
         assert scale == math.lcm(system.scale, *(e.denominator for e in system.eps.values()))
+
+
+def test_system_file_past_the_bound_is_refused_before_its_distances():
+    import tracemalloc
+
+    # 1000 points over a scale of 2^22 bits predict 524 GB of distances: the
+    # file is refused from its point count and the scale's leading digit,
+    # before the scale or any distance (here not even a digit string) is read
+    obj = {
+        "kind": "finite-system", "metric": "explicit", "scale": "+4194303", "points": list(range(1000)),
+        "distances": [["junk"] * 1000] * 1000, "map": [0] * 1000,
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^field 'points': 1000 points over a 4194304-bit scale: "
+                                             rf"predicted {10**6 << 19} bytes of integers, past the bound of 4294967296$"):
+            system_from_json(obj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # the same file over a 1-bit scale passes the bound, and its distances are read
+    with pytest.raises(ValueError, match=r"^field 'distances': 'junk' is not a signed-digit string$"):
+        system_from_json({**obj, "scale": "+0"})
 
 
 def test_system_json_puts_radii_off_the_distance_scale_over_one_scale():
