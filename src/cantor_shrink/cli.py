@@ -75,7 +75,9 @@ SYSTEM_LINE = "%s: %d points, %d-bit scale, predicted %d bytes, %d triangle trip
 
 def _system_values(what: str, system) -> tuple:
     n, bits = len(system.points), system.scale.bit_length()
-    return what, n, bits, dense_bytes(n * n, bits), n * (n - 1) * (n - 2)
+    # a system built from coordinates is a metric by theorem: its constructor checks no triangle
+    triples = 0 if system.coords is not None else n * (n - 1) * (n - 2)
+    return what, n, bits, dense_bytes(n * n, bits), triples
 
 
 def _emit(render, out: str | None, message: str = "serialised %d bytes", *values) -> None:
@@ -195,7 +197,7 @@ def cmd_build_extension(args) -> int:
     scheme = _load_scheme(args.scheme, "odometer", "the extension construction starts from an odometer scheme")
     if _audit_fails(args.scheme, scheme):
         return 1
-    # the line's counts need the whole system, built and triangle-checked
+    # the line's counts need the whole system, built from its coordinates
     with _stage(SYSTEM_LINE, lambda: _system_values("extension", ext.as_system())):
         ext = build_attractor_repellor(scheme, levels=args.levels, tail=args.tail, refine=args.refine, rate=args.rate)
     _emit(lambda: canonical_dumps(extension_to_json(ext)), args.out)

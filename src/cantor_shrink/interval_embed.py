@@ -67,8 +67,8 @@ from cantor_shrink.exact import (
     scaled_fraction,
 )
 # cantor_shrink.graphcover and cantor_shrink.odometer are imported where a
-# cover or an odometer is built or loaded, and csv where CSV is written, so
-# that each command loads only the layers it runs
+# cover or an odometer is built or loaded, csv where CSV is written and copy
+# where a scheme is, so that each command loads only the layers it runs
 if TYPE_CHECKING:
     from cantor_shrink.graphcover import CoverSequence
     from cantor_shrink.odometer import OdometerSpec
@@ -768,6 +768,8 @@ def scheme_to_json(scheme: EmbeddingScheme) -> dict:
     carrier starts on the first level counting from 0.  A carrier sits in its
     parent's core, so an offset has the few digits below the parent's, where
     an absolute endpoint repeats all of them."""
+    from copy import deepcopy
+
     levels = []
     factors = _level_factors(scheme)
     for above, lvl in zip([None, *scheme.levels], scheme.levels):
@@ -789,7 +791,7 @@ def scheme_to_json(scheme: EmbeddingScheme) -> dict:
             "b": int_to_digits(lvl.b),
             "cells": cells,
         })
-    return {"format": SCHEME_FORMAT, "kind": scheme.kind, "source": scheme.source, "levels": levels}
+    return {"format": SCHEME_FORMAT, "kind": scheme.kind, "source": deepcopy(scheme.source), "levels": levels}
 
 
 def _check(ok: bool, message: str) -> None:

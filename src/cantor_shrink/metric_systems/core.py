@@ -1,15 +1,16 @@
 """Finite metric dynamical systems with exact rational distances.
 
 Everything here is desk scale on purpose: systems are finite point sets whose
-metric is validated exactly (symmetry, positivity, every ordered triangle) at
-construction time, so any certificate computed downstream — local radial
-shrinking, separated-set counts, entropy estimates — is a statement about a
-genuine metric space and not about unchecked tables.
+metric is exactly a metric: by theorem when built from integer coordinates,
+by a check of symmetry, positivity and every triangle when given as a matrix.
+So any certificate computed downstream — local radial shrinking, separated-set
+counts, entropy estimates — is a statement about a genuine metric space and
+not about unchecked tables.
 
 A system stores its metric as one positive integer scale S and an n×n matrix
 of integers D, indexed by point position, with d(x_i, x_j) = D[i][j] / S.
 The constructors put their inputs over one common denominator once, and the
-triangle check and every certificate compare integers over S; reduced
+metric checks and every certificate compare integers over S; reduced
 ``Fraction``s appear only where a distance, radius or margin leaves the
 module, built by :func:`~cantor_shrink.exact.scaled_fraction`.  A system
 file writes every distance and radius as an integer over one declared scale.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from copy import deepcopy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -31,6 +33,10 @@ from cantor_shrink.exact import scaled_fraction
 from cantor_shrink.interval_embed import EmbeddingScheme
 
 
+def _pair_fault(points: list, i: int, j: int) -> ValueError:
+    return ValueError(f"distances must be positive and symmetric off the diagonal; not on {(points[i], points[j])!r}")
+
+
 @dataclass
 class FinitePointSystem:
     """Point ids, exact metric as integers over one scale, total self-map.
@@ -39,19 +45,30 @@ class FinitePointSystem:
     ``points[j]``.  ``eps`` optionally assigns each point the radius inside
     which shrinking is demanded; ``source`` records where the system came
     from (used by label bookkeeping, never by the metric checks).
+
+    A system is given by exactly one of ``dist`` and ``coords``, one integer
+    tuple per point over ``scale``.  Coordinates give ``dist`` as their
+    coordinate-sum (L1) distance, which is a metric once the tuples are
+    distinct, so only that is checked: each axis |p - q| is symmetric and
+    obeys the triangle inequality, so does a sum of them, and the sum is
+    positive exactly when the tuples differ.  An explicit ``dist`` has its
+    symmetry, positivity and every triangle checked.
     """
 
     points: list
     scale: int
-    dist: list
+    dist: list | None
     map: dict
     eps: dict | None = None
     source: dict | None = None
+    coords: list | None = None
     index: dict = field(init=False, repr=False)
     succ: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        pts, dist, n = self.points, self.dist, len(self.points)
+        pts, n = self.points, len(self.points)
+        if (self.dist is None) == (self.coords is None):
+            raise ValueError("a system takes exactly one of distances and coordinates")
         self.index = index = {x: i for i, x in enumerate(pts)}
         if not pts or len(index) != n:
             raise ValueError("points must be nonempty and distinct")
@@ -61,6 +78,36 @@ class FinitePointSystem:
             raise ValueError(f"map must send {x!r} to a point of the system")
         if type(self.scale) is not int or self.scale <= 0:
             raise ValueError(f"scale must be a positive integer, not {self.scale!r:.40}")
+        if self.coords is None:
+            self._check_metric()
+        else:
+            self.dist = self._l1_distances()
+        if self.eps is not None:
+            for x in pts:
+                if self.eps.get(x, Fraction(0)) <= 0:
+                    raise ValueError(f"eps radius at {x!r} must be positive")
+
+    def _l1_distances(self) -> list:
+        """The coordinate-sum matrix of ``coords``, refused on a repeated
+        tuple with the line the explicit check gives for the first such pair."""
+        coords, n = self.coords, len(self.points)
+        if len(coords) != n or len(set(map(len, coords))) > 1:
+            raise ValueError(f"coordinates must be {n} tuples of one length")
+        if len(set(coords)) < n:
+            first = {}
+            pairs = [(first[c], j) for j, c in enumerate(coords) if first.setdefault(c, j) != j]
+            raise _pair_fault(self.points, *min(pairs))
+        axes = list(zip(*coords)) or [(0,) * n]
+        dist = [[abs(p - q) for q in axes[0]] for p in axes[0]]
+        for xs in axes[1:]:
+            # summed into the rows in place, so no second matrix is held
+            for row, p in zip(dist, xs):
+                row[:] = [d + abs(p - q) for d, q in zip(row, xs)]
+        return dist
+
+    def _check_metric(self) -> None:
+        """Zero diagonal, positive and symmetric off it, every triangle."""
+        pts, dist, n = self.points, self.dist, len(self.points)
         if len(dist) != n or any(len(row) != n for row in dist):
             raise ValueError(f"distances must form a {n}x{n} matrix")
         for i, row in enumerate(dist):
@@ -68,10 +115,7 @@ class FinitePointSystem:
                 raise ValueError(f"distances must vanish on the diagonal; not at {pts[i]!r}")
             for j in range(i + 1, n):
                 if row[j] <= 0 or row[j] != dist[j][i]:
-                    raise ValueError(
-                        f"distances must be positive and symmetric off the diagonal; "
-                        f"not on {(pts[i], pts[j])!r}"
-                    )
+                    raise _pair_fault(pts, i, j)
         # the triangle inequality d(x, y) <= d(x, z) + d(z, y), checked over
         # whole rows: for each pair x < y, the least D[x][z] + D[y][z] over
         # every z, symmetry having made D[y][z] = D[z][y]
@@ -88,10 +132,6 @@ class FinitePointSystem:
                         if xrow[z] - yrow[z] > xrow[y]
                     )
                     raise ValueError(f"triangle inequality fails on {(pts[x], pts[y], pts[z])!r}")
-        if self.eps is not None:
-            for x in pts:
-                if self.eps.get(x, Fraction(0)) <= 0:
-                    raise ValueError(f"eps radius at {x!r} must be positive")
 
     @classmethod
     def from_positions(cls, positions: dict, step: dict, eps=None, source=None):
@@ -104,19 +144,7 @@ class FinitePointSystem:
         scale, flat = common_scale(c for p in coords for c in p)
         ints = iter(flat)
         ints = [tuple(islice(ints, len(p))) for p in coords]
-        return cls._from_coordinates(list(positions), scale, ints, step, eps=eps, source=source)
-
-    @classmethod
-    def _from_coordinates(cls, points: list, scale: int, coords: list, step: dict, eps=None, source=None):
-        """Coordinate-sum (L1) metric from integer coordinate tuples over
-        ``scale``, one tuple per point in the order of ``points``."""
-        axes = list(zip(*coords)) or [(0,) * len(coords)]
-        dist = [[abs(p - q) for q in axes[0]] for p in axes[0]]
-        for xs in axes[1:]:
-            # summed into the rows in place, so no second matrix is held
-            for row, p in zip(dist, xs):
-                row[:] = [d + abs(p - q) for d, q in zip(row, xs)]
-        return cls(points, scale, dist, dict(step), eps=eps, source=source)
+        return cls(list(positions), scale, None, dict(step), eps=eps, source=source, coords=ints)
 
     def d(self, x, y) -> Fraction:
         return scaled_fraction(self.dist[self.index[x]][self.index[y]], self.scale)
@@ -230,12 +258,12 @@ def _random_system(rng: random.Random, max_size: int) -> FinitePointSystem:
     its positions share: 997, 3989, or 997·49·2^(n-1) for the halving chain."""
     kind = rng.randrange(3)
     if kind == 0:
-        return FinitePointSystem._from_coordinates([0], 997, [(rng.randrange(1, 1000),)], {0: 0})
+        return FinitePointSystem([0], 997, None, {0: 0}, coords=[(rng.randrange(1, 1000),)])
     n = rng.randint(2, max_size)
     if kind == 1:
         values = rng.sample(range(1, 4000), n)
         step = {i: rng.randrange(n) for i in range(n)}
-        return FinitePointSystem._from_coordinates(list(range(n)), 3989, [(v,) for v in values], step)
+        return FinitePointSystem(list(range(n)), 3989, None, step, coords=[(v,) for v in values])
     # halving chain onto a fixed endpoint: strictly shrinking, never
     # surjective (the fixed point sits on the same geometric ladder so that
     # every pair, not just interior ones, contracts strictly).  Point i sits
@@ -244,7 +272,7 @@ def _random_system(rng: random.Random, max_size: int) -> FinitePointSystem:
     offset = rng.choice([-1, 1]) * rng.randrange(1, 50) * 997
     coords = [(centre + (offset << i),) for i in range(n)]
     step = {i: max(i - 1, 0) for i in range(n)}
-    return FinitePointSystem._from_coordinates(list(range(n)), (997 * 49) << (n - 1), coords, step)
+    return FinitePointSystem(list(range(n)), (997 * 49) << (n - 1), None, step, coords=coords)
 
 
 def _vanishing_step(preimages: list, x: int) -> int | None:
@@ -408,12 +436,17 @@ def product_system(sys1: FinitePointSystem, sys2: FinitePointSystem) -> FinitePo
 
     Radii combine as the componentwise minimum when both factors carry
     radii, which is exactly what makes local shrinking survive the product.
+    When both factors carry coordinates, so does the product: each factor's
+    tuple over the common scale, concatenated.
     """
     pts = [(p, q) for p in sys1.points for q in sys2.points]
     scale = math.lcm(sys1.scale, sys2.scale)
-    rows1 = [[d * (scale // sys1.scale) for d in row] for row in sys1.dist]
-    rows2 = [[d * (scale // sys2.scale) for d in row] for row in sys2.dist]
-    dist = [[u + v for u in r1 for v in r2] for r1 in rows1 for r2 in rows2]
+    up1, up2 = scale // sys1.scale, scale // sys2.scale
+    dist = coords = None
+    if sys1.coords is not None and sys2.coords is not None:
+        coords = [tuple(u * up1 for u in c1) + tuple(v * up2 for v in c2) for c1 in sys1.coords for c2 in sys2.coords]
+    else:
+        dist = [[u * up1 + v * up2 for u in r1 for v in r2] for r1 in sys1.dist for r2 in sys2.dist]
     step = {(p, q): (sys1.f(p), sys2.f(q)) for p, q in pts}
     eps = None
     if sys1.eps is not None and sys2.eps is not None:
@@ -421,12 +454,13 @@ def product_system(sys1: FinitePointSystem, sys2: FinitePointSystem) -> FinitePo
     source = None
     if sys1.source is not None and sys2.source is not None:
         source = {"kind": "product", "factors": [sys1.source, sys2.source]}
-    return FinitePointSystem(pts, scale, dist, step, eps=eps, source=source)
+    return FinitePointSystem(pts, scale, dist, step, eps=eps, source=source, coords=coords)
 
 
-# the triangle check covers every triple, over a scale that grows with the
-# depth: depth 8 of the (2, 4, 8) odometer (256 points, 3,052-bit scale)
-# builds in about 3 s, depth 9 (512 points) took 42 s and 351 MB
+# a midpoint system is built from coordinates in well under a second, but
+# its file is an explicit matrix, whose reader checks every triangle and
+# searches cliques: 256 points of depth 8 of the (2, 4, 8) odometer load in
+# about 3 s, and each doubling of the points costs the load 8 times more
 MIDPOINT_POINTS_LIMIT = 256
 
 
@@ -457,8 +491,9 @@ def midpoint_system(scheme: EmbeddingScheme, depth: int) -> FinitePointSystem:
     return sys
 
 
-# 2^depth points and a triangle check over all triples: depth 8 builds in
-# 0.5 s, depth 9 in 4 s to a 9.7 MB file, and each depth more costs 8 times
+# 2^depth points: depth 9 builds in under a second, and its 2.5 MB file
+# loads in about 6 s of triangle checks, 8 times more with each depth, before
+# the entropy table's clique search
 SHIFT_DEPTH_LIMIT = 9
 
 
@@ -516,7 +551,7 @@ def system_to_json(sys: FinitePointSystem) -> dict:
     if sys.eps is not None:
         out["eps"] = [int_to_digits(e) for e in eps]
     if sys.source is not None:
-        out["source"] = sys.source
+        out["source"] = deepcopy(sys.source)
     return out
 
 

@@ -12,6 +12,7 @@ build fails loudly when the refinement is too shallow to certify them.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,7 +226,7 @@ def extension_to_json(ext: ExtensionSystem) -> dict:
     xy = iter(digits[len(slack):])
     return {
         "kind": "extension",
-        "source": ext.scheme.source,
+        "source": deepcopy(ext.scheme.source),
         "anchor": 0,
         "levels": ext.levels,
         "tail": ext.tail,

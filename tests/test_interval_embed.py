@@ -647,11 +647,24 @@ def test_descriptor_asking_for_a_huge_scale_is_refused_from_its_size(od248):
     # loader refuses the level from the predicted bytes of its two cells
     # over that scale, without building it
     obj = scheme_to_json(od248)
-    obj["source"] = {**obj["source"], "s": [2, 1 << 40]}  # a new dict: the scheme's own is shared
+    obj["source"]["s"] = [2, 1 << 40]
     predicted = (4 * 2 + 3) * ((1 << 36) + 1)  # 12 * 2^(2^39) has 2^39 + 4 bits
     with pytest.raises(ValueError, match=rf"^levels\[0\]: field 'cells': predicted {predicted} bytes of integers, "
                                          rf"past the bound of {MEMORY_BOUND}$"):
         scheme_from_json(obj)
+
+
+def test_written_source_is_a_copy_of_the_schemes(od248):
+    # editing the written object, in place and below its top level, leaves
+    # the scheme's descriptor and what it writes and reloads as they were
+    before = canonical_dumps(scheme_to_json(od248))
+    obj = scheme_to_json(od248)
+    obj["source"]["s"].append(16)
+    obj["source"]["rule"] = "edited"
+    assert od248.source == {"rule": "list", "s": [2, 4, 8]}
+    again = scheme_from_json(scheme_to_json(od248))
+    assert again.source == od248.source
+    assert canonical_dumps(scheme_to_json(again)) == canonical_dumps(scheme_to_json(od248)) == before
 
 
 def restated_bytes(steps, cells) -> list[int]:
@@ -712,7 +725,7 @@ def test_scheme_file_past_the_bound_is_refused_from_its_cells_count(od248):
     # 0.7 GB, but a cells list of 400 entries predicts 108 GB, and the file
     # is refused from the list's length, before any entry of it is read
     obj = scheme_to_json(od248)
-    obj["source"] = {**obj["source"], "s": [2, 1 << 30]}
+    obj["source"]["s"] = [2, 1 << 30]
     obj["levels"][0]["cells"] = ["not a cell"] * 400
     text = canonical_dumps(obj)
     tracemalloc.start()

@@ -341,6 +341,67 @@ def test_integer_certificates_match_the_fraction_loops(case):
         assert separated_count(system, n, eps) == reference_separated_count(system, n, eps)
 
 
+@st.composite
+def l1_points(draw):
+    """Up to eight integer tuples of one to three axes, distinct or drawn
+    freely (and then often repeating one), under a random map over a random
+    scale, with radii or none."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    axes = draw(st.integers(min_value=1, max_value=3))
+    tuples = st.tuples(*[st.integers(-4, 4)] * axes)
+    coords = draw(st.lists(tuples, min_size=n, max_size=n, unique=draw(st.booleans())))
+    points = [f"p{i}" for i in range(n)]
+    step = {x: points[draw(st.integers(0, n - 1))] for x in points}
+    radius = st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12)
+    eps = draw(st.none() | st.fixed_dictionaries({x: radius for x in points}))
+    return points, draw(st.integers(min_value=1, max_value=12)), coords, step, eps
+
+
+@h.given(case=l1_points(), threshold=st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4))
+@h.settings(derandomize=True, max_examples=150, deadline=None)
+def test_coordinates_and_their_explicit_matrix_give_one_system(case, threshold):
+    """A system built from coordinates, checked for distinct tuples only,
+    certifies and writes exactly as their L1 matrix given explicitly, and is
+    refused on a repeated tuple with the same first-pair line."""
+    points, scale, coords, step, eps = case
+    dist = [[sum(abs(a - b) for a, b in zip(p, q)) for q in coords] for p in coords]
+    try:
+        built = FinitePointSystem(points, scale, None, step, eps=eps, coords=coords)
+    except ValueError as exc:
+        assert len(set(coords)) < len(coords)
+        with pytest.raises(ValueError) as explicit:
+            FinitePointSystem(points, scale, dist, step, eps=eps)
+        assert str(exc) == str(explicit.value)
+        assert str(exc).startswith("distances must be positive and symmetric off the diagonal; not on (")
+        return
+    given = FinitePointSystem(points, scale, dist, step, eps=eps)
+    assert built.dist == given.dist
+    assert check_lrs(built) == check_lrs(given)
+    assert computed_radii(built) == computed_radii(given)
+    assert check_shrinking(built) == check_shrinking(given)
+    assert periodic_points(built) == periodic_points(given)
+    for n in (1, 2):
+        assert separated_count(built, n, threshold) == separated_count(given, n, threshold)
+    assert canonical_dumps(system_to_json(built)) == canonical_dumps(system_to_json(given))
+    # a product of coordinate factors carries coordinates, and the same metric,
+    # here over a scale both factors' scales divide properly
+    by_coords = product_system(built, FinitePointSystem(points, scale + 1, None, step, coords=coords))
+    explicit = product_system(given, FinitePointSystem(points, scale + 1, dist, step))
+    assert by_coords.coords is not None and explicit.coords is None
+    assert canonical_dumps(system_to_json(by_coords)) == canonical_dumps(system_to_json(explicit))
+
+
+def test_system_takes_coordinates_or_distances_not_both():
+    points, step = [0, 1], {0: 0, 1: 0}
+    with pytest.raises(ValueError, match=r"^a system takes exactly one of distances and coordinates$"):
+        FinitePointSystem(points, 1, [[0, 1], [1, 0]], step, coords=[(0,), (1,)])
+    with pytest.raises(ValueError, match=r"^a system takes exactly one of distances and coordinates$"):
+        FinitePointSystem(points, 1, None, step)
+    with pytest.raises(ValueError, match=r"^coordinates must be 2 tuples of one length$"):
+        FinitePointSystem(points, 1, None, step, coords=[(0,), (1, 2)])
+    assert FinitePointSystem(points, 1, None, step, coords=[(0,), (1,)]).dist == [[0, 1], [1, 0]]
+
+
 def test_computed_radii_fallback_past_diameter():
     chain = halving_chain(4)
     radii = computed_radii(chain)
@@ -553,6 +614,14 @@ def test_system_json_roundtrip_with_tuple_ids(od248):
     assert again.map == prod.map
     assert again.eps == prod.eps
     assert canonical_dumps(system_to_json(again)) == canonical_dumps(system_to_json(prod))
+
+
+def test_system_and_extension_files_copy_the_source_they_write(od248, small_ext):
+    m2 = midpoint_system(od248, 2)
+    system_to_json(m2)["source"]["moduli"].append(16)
+    assert m2.source == {"kind": "odometer-midpoints", "moduli": [2, 4], "depth": 2}
+    extension_to_json(small_ext)["source"]["s"].append(16)
+    assert small_ext.scheme.source == od248.source == {"rule": "list", "s": [2, 4, 8]}
 
 
 @st.composite
