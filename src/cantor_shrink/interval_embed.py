@@ -49,6 +49,7 @@ launch.
 from __future__ import annotations
 
 import io
+import json
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -840,6 +841,8 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
     within the bounds, and no width is negative.  A graph descriptor's cover
     tower is built one level at a time as the file's levels are read, so a
     file that claims more levels than it holds builds no more than it holds.
+    The scheme keeps a copy of the descriptor, as the writer writes one, so
+    editing ``obj`` after the load edits no scheme.
 
     Raises:
         ValueError: naming the field, when the file does not fit the schema;
@@ -913,7 +916,7 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
         a, b = (_field(entry, key, where, decode) for key in "ab")
         levels.append(SchemeLevel(first + i, scale, a, b, cells))
         above = cells
-    return EmbeddingScheme(kind, source, levels, **symbolic)
+    return EmbeddingScheme(kind, json.loads(canonical_dumps(source)), levels, **symbolic)
 
 
 def ratio_csv(scheme: EmbeddingScheme) -> str:

@@ -316,12 +316,21 @@ def shrinking_propositions_oracle(trials: int = 1000, max_size: int = 8, seed: i
     steps.  Any violation lands in ``counterexamples`` (expected empty —
     these are theorems).
 
+    Every trial builds and checks its own system, but the propositions are
+    decided once per distinct map: they read only the successor list, so
+    systems with equal lists have equal claims.  Few distinct maps occur (a
+    single point is always ``[0]``, a halving chain's map is fixed by its
+    length, and few random maps shrink), so 5,000 trials meet a few dozen.
+
     Raises:
-        ValueError: if ``trials`` is below 1.
+        ValueError: if ``trials`` is below 1 or ``max_size`` below 2.
     """
     if trials < 1:
         raise ValueError(f"the oracle needs at least one trial, not {trials}")
+    if max_size < 2:
+        raise ValueError(f"the oracle's max_size must be at least 2, not {max_size}")
     rng = random.Random(seed)
+    decided: dict[tuple, tuple[bool, list, int]] = {}
     report = {
         "trials": trials,
         "max_size": max_size,
@@ -336,7 +345,10 @@ def shrinking_propositions_oracle(trials: int = 1000, max_size: int = 8, seed: i
         if not check_shrinking(sys):
             continue
         report["shrinking_systems"] += 1
-        surjective, claims, steps = _shrinking_claims(sys.succ)
+        key = tuple(sys.succ)
+        if key not in decided:
+            decided[key] = _shrinking_claims(sys.succ)
+        surjective, claims, steps = decided[key]
         report["surjective_shrinking"] += surjective
         report["counterexamples"] += [{"trial": t, "claim": claim} for claim in claims]
         report["max_preimage_vanishing_step"] = max(report["max_preimage_vanishing_step"], steps)
@@ -569,7 +581,9 @@ def system_from_json(obj: dict) -> FinitePointSystem:
     """Rebuild a system from its JSON form, every distance and radius an
     integer over the declared scale, each refused from the text past 64
     bits more than it; n points predict n^2 integers of the scale's size,
-    checked against the bound before any integer is decoded.
+    checked against the bound before any integer is decoded.  The system
+    keeps a copy of the file's ``source``, so editing ``obj`` after the load
+    edits no system.
 
     Raises:
         ValueError: naming the field, on any entry that is missing, mistyped
@@ -605,4 +619,4 @@ def system_from_json(obj: dict) -> FinitePointSystem:
     eps = None
     if "eps" in obj:
         eps = {x: scaled_fraction(e, scale) for x, e in zip(pts, _integers(obj["eps"], "eps", n, decode))}
-    return FinitePointSystem(pts, scale, dist, step, eps=eps, source=obj.get("source"))
+    return FinitePointSystem(pts, scale, dist, step, eps=eps, source=deepcopy(obj.get("source")))

@@ -667,6 +667,19 @@ def test_written_source_is_a_copy_of_the_schemes(od248):
     assert canonical_dumps(scheme_to_json(again)) == canonical_dumps(scheme_to_json(od248)) == before
 
 
+def test_loaded_source_is_a_copy_of_the_objects(od248):
+    # editing the object after the load, in place and below its top level,
+    # leaves the loaded scheme's descriptor and what it writes as they were
+    before = canonical_dumps(scheme_to_json(od248))
+    obj = scheme_to_json(od248)
+    loaded = scheme_from_json(obj)
+    obj["source"]["s"].append(16)
+    obj["source"]["rule"] = "edited"
+    assert loaded.source == {"rule": "list", "s": [2, 4, 8]}
+    assert loaded.spec.values == (2, 4, 8)
+    assert canonical_dumps(scheme_to_json(loaded)) == before
+
+
 def restated_bytes(steps, cells) -> list[int]:
     """The running totals of predicted bytes of the levels that the (m, e, …)
     scale steps give, with ``cells`` cells each, restated here from the

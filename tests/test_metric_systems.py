@@ -482,6 +482,65 @@ def test_oracle_5000_trials_pinned(seed):
     assert hashlib.sha256(report.encode()).hexdigest() == ORACLE_5000_SHA256[seed]
 
 
+def per_trial_oracle(trials, max_size, seed):
+    """The oracle as a loop that decides the propositions on every
+    shrinking trial, with no cache."""
+    rng = random.Random(seed)
+    report = {
+        "trials": trials,
+        "max_size": max_size,
+        "seed": seed,
+        "shrinking_systems": 0,
+        "surjective_shrinking": 0,
+        "max_preimage_vanishing_step": 0,
+        "counterexamples": [],
+    }
+    for t in range(trials):
+        sys = _random_system(rng, max_size)
+        if not check_shrinking(sys):
+            continue
+        report["shrinking_systems"] += 1
+        surjective, claims, steps = _shrinking_claims(sys.succ)
+        report["surjective_shrinking"] += surjective
+        report["counterexamples"] += [{"trial": t, "claim": claim} for claim in claims]
+        report["max_preimage_vanishing_step"] = max(report["max_preimage_vanishing_step"], steps)
+    return report
+
+
+@h.given(
+    seed=st.integers(min_value=0, max_value=2**64),
+    max_size=st.integers(min_value=2, max_value=12),
+    trials=st.integers(min_value=1, max_value=300),
+)
+@h.settings(derandomize=True, max_examples=100, deadline=None)
+def test_oracle_matches_the_per_trial_loop(seed, max_size, trials):
+    report = shrinking_propositions_oracle(trials=trials, max_size=max_size, seed=seed)
+    assert report == per_trial_oracle(trials, max_size, seed)
+
+
+@pytest.mark.parametrize("seed", sorted(ORACLE_5000_SHA256))
+def test_oracle_decides_each_distinct_map_once(seed, monkeypatch):
+    rng = random.Random(seed)
+    systems = (_random_system(rng, 8) for _ in range(5000))
+    distinct = {tuple(sys.succ) for sys in systems if check_shrinking(sys)}
+    calls = []
+
+    def counted(succ):
+        calls.append(tuple(succ))
+        return _shrinking_claims(succ)
+
+    monkeypatch.setattr(core, "_shrinking_claims", counted)
+    shrinking_propositions_oracle(trials=5000, seed=seed)
+    assert sorted(calls) == sorted(distinct)
+
+
+@pytest.mark.parametrize("max_size", [1, 0, -2])
+def test_oracle_refuses_max_size_below_two_before_any_trial(max_size, monkeypatch):
+    monkeypatch.setattr(core, "_random_system", None)  # a trial would call it
+    with pytest.raises(ValueError, match=rf"^the oracle's max_size must be at least 2, not {max_size}$"):
+        shrinking_propositions_oracle(trials=10, max_size=max_size)
+
+
 def preimage_lists(succ):
     lists = [[] for _ in succ]
     for y, x in enumerate(succ):
@@ -622,6 +681,16 @@ def test_system_and_extension_files_copy_the_source_they_write(od248, small_ext)
     assert m2.source == {"kind": "odometer-midpoints", "moduli": [2, 4], "depth": 2}
     extension_to_json(small_ext)["source"]["s"].append(16)
     assert small_ext.scheme.source == od248.source == {"rule": "list", "s": [2, 4, 8]}
+
+
+def test_loaded_system_source_is_a_copy_of_the_objects(od248):
+    m2 = midpoint_system(od248, 2)
+    obj = system_to_json(m2)
+    loaded = system_from_json(obj)
+    obj["source"]["moduli"].append(16)
+    obj["source"]["kind"] = "edited"
+    assert loaded.source == m2.source == {"kind": "odometer-midpoints", "moduli": [2, 4], "depth": 2}
+    assert canonical_dumps(system_to_json(loaded)) == canonical_dumps(system_to_json(m2))
 
 
 @st.composite
