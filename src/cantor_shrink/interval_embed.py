@@ -8,26 +8,24 @@ fast enough for the derivative-ratio and locally-radially-shrinking
 certificates to close at every finite depth, away from a single exceptional
 cell per level.
 
-Each level stores its endpoints as integers over one scale S_n, a multiple
-of S_{n-1}, so certificates compare integers (rescaled by S_{n+1}/S_n across
-levels) instead of normalising fractions with denominators of 10^4+ bits.
-Both builders make every level factor S_{n+1}/S_n a small number m times
-2^e (k_{n+1} 2^(n + E_{n+1}) for the odometer, 3 * 2^(e + 1) for graph
-covers), and the source descriptor gives each level's (m, e)
-(:func:`_level_factors`).  A level's integers are carried to the next
-level's scale as ``x * m << e``, a product by a small int and a shift, with
-(m, e) worked out once per level pair: no per-cell product by the dense
-factor, and no division of one scale by the other.  The odometer's core
-widths are powers of two, so the one product of two scheme integers, the
-derivative ratio's cross-multiplication, goes through :func:`_mul`, which
-multiplies the odd parts and shifts the product back.
-Files and pair-margin reports write those integers, and the scale, as
-signed binary digits (:func:`~cantor_shrink.exact.int_to_digits`).  A
-scheme file (format 4) writes each cell as offsets over its level's scale:
-the carrier's start from its parent's core start, the core's start from the
-carrier's, and the two widths.  A carrier lies in its parent's core, so an
-offset has only the digits below the parent's, and the reader adds the
-offsets back onto the parent's core start to rebuild the absolute integers.
+Each level's lengths are integers over one scale S_n = M 2^P, with M = 12
+times the small level factors m (S_n = S_{n-1} m 2^e: k_{n+1} 2^(n + E_{n+1})
+for the odometer, 3 * 2^(e + 1) for graph covers), and every integer is an
+:class:`~cantor_shrink.exact.Dyadic`: a few clusters c 2^l, never a dense
+integer the size of the scale.  A cell holds its carrier and its core as
+format 4 writes them: the carrier's start from its parent's core start (from
+0 on the first level), the carrier's width, the core's start from the
+carrier's start, and the core's width.  So a load only parses and a write only
+concatenates each value's digits.
+
+No certificate forms an absolute position, because each compares lengths
+inside one parent: sibling pairs share their parent, the images of an
+odometer pair share the parent label + 1, and a graph pair whose successors
+split across parents is excluded.  The audit checks disjointness parent by
+parent (:func:`_audit_geometry`).  Where a corrupted scheme leaves no
+common parent to measure from, that one check places the cells absolutely
+(:func:`_absolute_starts`), and ``Cell.A``/``Cell.D`` do so for readers that
+want fractions at desk depths.
 
 Two builders are provided: :func:`build_odometer_scheme` for adding machines
 and :func:`build_graph_scheme` for inverse limits of graph covers.  Both feed
@@ -38,6 +36,8 @@ loaded level's scale must be the one its source descriptor gives
 (:func:`_odometer_scale_steps`, :func:`_graph_scale_steps`), and builders
 and the reader admit each level by its predicted bytes (:func:`_next_scale`)
 before it is made, growing a graph cover tower one admitted level at a time.
+The prediction counts the dense integers the level would once have held,
+not the clusters it holds, so it refuses the same depths as before.
 
 The records (:class:`Cell`, :class:`SchemeLevel`, :class:`EmbeddingScheme`)
 are ``typing.NamedTuple``s and :class:`VerifyReport` is a plain class, not
@@ -53,15 +53,16 @@ import json
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from cantor_shrink.exact import (
     ClosedInterval,
+    Dyadic,
     approx_float,
     canonical_dumps,
     check_memory,
     dense_bytes,
-    digits_to_int,
     int_to_digits,
     pow2,
     scalar_to_json,
@@ -82,44 +83,53 @@ SCHEME_FORMAT = 4
 class Cell(NamedTuple):
     """One cylinder at one depth: carrier interval A, concentric core D.
 
-    ``carrier`` and ``core`` are (lo, hi) integers over the level ``scale``;
-    ``A`` and ``D`` are the same intervals in fractions, built on access.
-    ``parent`` is the label of the depth-(n-1) cell whose core contains A,
-    or None on the coarsest level.
+    ``start`` is the carrier's start less the parent's core start (less 0
+    on the coarsest level), ``width`` the carrier's width, ``inset`` the
+    core's start less the carrier's and ``core_width`` the core's width,
+    all over the level ``scale``.  ``parent`` is the label of the
+    depth-(n-1) cell whose core contains A, or None on the coarsest level,
+    and ``up`` is that cell.  ``A`` and ``D`` are the intervals from 0 in
+    fractions, formed on access through the chain of parents.
     """
 
     label: int
-    carrier: tuple[int, int]
-    core: tuple[int, int]
+    start: Dyadic
+    width: Dyadic
+    inset: Dyadic
+    core_width: Dyadic
     parent: int | None
-    scale: int
+    scale: Dyadic
+    up: Cell | None
 
     @property
     def A(self) -> ClosedInterval:
-        return ClosedInterval(*(scaled_fraction(x, self.scale) for x in self.carrier))
+        lo, scale = int(_carrier_start(self)), int(self.scale)
+        return ClosedInterval(scaled_fraction(lo, scale), scaled_fraction(lo + int(self.width), scale))
 
     @property
     def D(self) -> ClosedInterval:
-        return ClosedInterval(*(scaled_fraction(x, self.scale) for x in self.core))
+        lo, scale = int(_carrier_start(self) + self.inset), int(self.scale)
+        return ClosedInterval(scaled_fraction(lo, scale), scaled_fraction(lo + int(self.core_width), scale))
 
 
-def _width(pair: tuple[int, int]) -> int:
-    return pair[1] - pair[0]
-
-
-def _core_widths(level: SchemeLevel) -> dict[int, int]:
-    """Label -> core width of every cell of a level, each subtracted once."""
-    return {label: _width(c.core) for label, c in level.cells.items()}
+def _carrier_start(cell: Cell) -> Dyadic:
+    """The cell's carrier start from 0 over its scale, through ``up``; the
+    scales are one cluster each, so their ratio is (c / c', l - l')."""
+    up = cell.up
+    if up is None:
+        return cell.start
+    (c, l), (c_up, l_up) = cell.scale[0], up.scale[0]
+    return (_carrier_start(up) + up.inset).scaled(c // c_up, l - l_up) + cell.start
 
 
 class SchemeLevel(NamedTuple):
-    """All cells of one depth, keyed by label; the endpoints and the level
-    scales a, b are integers over ``scale``."""
+    """All cells of one depth, keyed by label; the level scales a, b are
+    integers over ``scale``."""
 
     n: int
-    scale: int
-    a: int
-    b: int
+    scale: Dyadic
+    a: Dyadic
+    b: Dyadic
     cells: dict[int, Cell]
 
     def cell(self, label: int) -> Cell:
@@ -162,18 +172,9 @@ class EmbeddingScheme(NamedTuple):
         return self.levels[-1].n
 
 
-def _mul(x: int, y: int) -> int:
-    """``x * y`` for any integers, as the product of their odd parts shifted
-    left by their trailing zero bits together."""
-    if not x or not y:
-        return 0
-    ex = (x & -x).bit_length() - 1
-    ey = (y & -y).bit_length() - 1
-    return (x >> ex) * (y >> ey) << ex + ey
-
-
 def _level_bytes(cells: int, bits: int) -> int:
-    """Per cell, carrier and core endpoints; per level, scale, a and b."""
+    """Per cell, carrier and core endpoints; per level, scale, a and b: the
+    dense integers of ``bits`` bits each that the level stands for."""
     return dense_bytes(4 * cells + 3, bits)
 
 
@@ -182,27 +183,27 @@ def scheme_bytes(scheme: EmbeddingScheme) -> int:
     return sum(_level_bytes(len(lvl.cells), lvl.scale.bit_length()) for lvl in scheme.levels)
 
 
-def _next_scale(scale: int, m: int, e: int, cells: int, total: int, where: str) -> tuple[int, int]:
+def _next_scale(scale: Dyadic, m: int, e: int, cells: int, total: int, where: str) -> tuple[Dyadic, int]:
     """S m 2^e, the scale below S, and ``total``, the predicted bytes of the levels above, plus
-    this level's of ``cells`` cells: refused, naming ``where``, before the scale is formed."""
-    total = check_memory(total + _level_bytes(cells, (scale * m).bit_length() + e), where)
-    return scale * m << e, total
+    this level's of ``cells`` cells: refused, naming ``where``, before any cell of it is made."""
+    scale = scale.scaled(m, e)
+    return scale, check_memory(total + _level_bytes(cells, scale.bit_length()), where)
 
 
 def _admit(steps: Iterator, first: int, cells) -> list[tuple]:
     """A builder's steps for levels ``first``, ``first`` + 1, …, each with its level's scale appended, and
     each level admitted with ``cells(n, step)`` cells (:func:`_next_scale`) before the next step is worked out."""
-    admitted, scale, total = [], 1, 0
+    admitted, scale, total = [], Dyadic.term(1), 0
     for n, step in enumerate(steps, start=first):
         scale, total = _next_scale(scale, step[0], step[1], cells(n, step), total, f"depth {n}")
         admitted.append((*step, scale))
     return admitted
 
 
-def _cell(label: int, lo: int, width: int, half: int, parent: int | None, scale: int) -> Cell:
-    """Carrier [lo, lo + width] with a concentric core of half-length ``half``."""
-    mid = lo + (width >> 1)
-    return Cell(label, (lo, lo + width), (mid - half, mid + half), parent, scale)
+def _cell(label: int, start: Dyadic, width: Dyadic, half: Dyadic, parent: Cell | None, scale: Dyadic) -> Cell:
+    """Carrier [start, start + width] with a concentric core of half-length ``half``."""
+    label_up = None if parent is None else parent.label
+    return Cell(label, start, width, (width >> 1) - half, half << 1, label_up, scale, parent)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +246,9 @@ def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
     steps = _admit(_odometer_scale_steps(spec, depth), 1, lambda n, _: spec.extended_modulus(n))
     _, bottom, rung, scale = steps[0]  # a_1 = 1/2
     s_1 = spec.extended_modulus(1)
-    cells = {
-        i: _cell(i, i * scale, 6 << bottom, 1 << rung * ((1 - i) % s_1), None, scale)
-        for i in range(s_1)
-    }
-    levels = [SchemeLevel(1, scale, 6 << bottom, 6, cells)]
+    a = Dyadic.term(6, bottom)
+    cells = {i: _cell(i, scale * i, a, Dyadic.term(1, rung * ((1 - i) % s_1)), None, scale) for i in range(s_1)}
+    levels = [SchemeLevel(1, scale, a, Dyadic.term(6), cells)]
 
     for n in range(1, depth):
         prev = levels[-1]
@@ -258,12 +257,11 @@ def build_odometer_scheme(spec: OdometerSpec, depth: int) -> EmbeddingScheme:
         bottom = e - n  # E_{n+1}
         children: dict[int, Cell] = {}
         for i, cell in prev.cells.items():
-            lo = cell.core[0] * k_next << e
-            step = _width(cell.core) << e  # a k_next-th of the core over the new scale
+            step = cell.core_width << e  # a k_next-th of the core over the new scale
             for m in range(k_next):
                 j = i + m * s_n
-                children[j] = _cell(j, lo + m * step, step, 1 << rung * ((s_n - j) % s_next), i, scale)
-        levels.append(SchemeLevel(n + 1, scale, 6 << bottom, 6, dict(sorted(children.items()))))
+                children[j] = _cell(j, step * m, step, Dyadic.term(1, rung * ((s_n - j) % s_next)), cell, scale)
+        levels.append(SchemeLevel(n + 1, scale, Dyadic.term(6, bottom), Dyadic.term(6), dict(sorted(children.items()))))
 
     return EmbeddingScheme("odometer", spec.descriptor(), levels, spec=spec)
 
@@ -342,14 +340,14 @@ def build_graph_scheme(seq: CoverSequence | str, depth: int) -> EmbeddingScheme:
 
     steps = _admit(_graph_scale_steps(seq, depth), 0, lambda n, step: len(step[2]))
     _, bottom, exponents, scale = steps[0]  # a_0 = 1/2, and a core of exponent e has half-length 2^-e / 12
-    a = 6 << bottom
+    a = Dyadic.term(6, bottom)
     s_0 = len(exponents)
-    cells = {j: _cell(j, j * scale, a, 1 << bottom - e, None, scale) for j, e in sorted(exponents.items())}
-    levels = [SchemeLevel(0, scale, a, a // 3 >> 2 * s_0 * s_0, cells)]
+    cells = {j: _cell(j, scale * j, a, Dyadic.term(1, bottom - e), None, scale) for j, e in sorted(exponents.items())}
+    levels = [SchemeLevel(0, scale, a, Dyadic.term(2, bottom - 2 * s_0 * s_0), cells)]  # b_0 = a_0 / 3 2^(-2 s_0^2)
 
     for n in range(depth):
         prev = levels[-1]
-        m, e, exponents, scale = steps[n + 1]
+        _, e, exponents, scale = steps[n + 1]
         s_next = len(exponents)
         top = e - 1  # the largest core exponent of level n + 1
         unit = prev.a << top  # a_n / 6 over the new scale
@@ -363,12 +361,11 @@ def build_graph_scheme(seq: CoverSequence | str, depth: int) -> EmbeddingScheme:
                     f"vertex {v} has {len(fibre)} preimages; only "
                     f"{SLOTS_PER_CORE} slots per core are available"
                 )
-            lo = prev.cells[i].core[0] * m << e
-            step = _width(prev.cells[i].core) << top - 1  # a twelfth of the core over the new scale
+            step = prev.cells[i].core_width << top - 1  # a twelfth of the core over the new scale
             for t, w in enumerate(fibre):
                 j = signed_index(w)
-                children[j] = _cell(j, lo + t * step, step, unit >> exponents[j], i, scale)
-        a_next = max(_width(c.carrier) for c in children.values())
+                children[j] = _cell(j, step * t, step, unit >> exponents[j], prev.cells[i], scale)
+        a_next = max(c.width for c in children.values())
         levels.append(SchemeLevel(n + 1, scale, a_next, a_next >> s_next**2, dict(sorted(children.items()))))
 
     return EmbeddingScheme("graph", seq.descriptor(), levels, cover=seq)
@@ -378,8 +375,8 @@ def _level_factors(scheme: EmbeddingScheme) -> dict[int, tuple[int, int]]:
     """Depth n -> (m, e) for every level of ``scheme``, as its source
     descriptor gives them (:func:`_odometer_scale_steps`,
     :func:`_graph_scale_steps`): S_n = S_{n-1} m 2^e, and 1 is the scale
-    above the first level.  A level's integers come to the scale of the level
-    below as ``x * m << e``."""
+    above the first level.  A length comes to the scale of the level below
+    as ``x.scaled(m, e)``."""
     if scheme.kind == "odometer":
         first, steps = 1, _odometer_scale_steps(scheme.spec, scheme.max_depth)
     else:
@@ -460,7 +457,7 @@ class VerifyReport:
             "margins": self.margins,
         }
         if self.scale is not None:
-            out["scale"] = int_to_digits(self.scale)
+            out["scale"] = self.scale.digits() if isinstance(self.scale, Dyadic) else int_to_digits(self.scale)
         if self.excluded:
             out["excluded"] = self.excluded
         if self.stats:
@@ -473,24 +470,30 @@ def derivative_ratio_bound(scheme: EmbeddingScheme, depth: int) -> Fraction:
 
     For every non-exceptional parent, take the widest core among its image
     labels at the same depth over the narrowest child carrier one level
-    down; return the maximum.  Requires depth+1 to be built.
+    down; return the maximum.  Requires depth+1 to be built.  Each width is
+    one cluster c 2^l, so each ratio is a fraction of small integers.
     """
     child_map = children_of(scheme, depth)
-    level = scheme.level(depth)
+    cells = scheme.level(depth).cells
     m, e = _level_factors(scheme)[depth + 1]
     skip = exceptional_labels(scheme, depth)
-    widths = _core_widths(level)
-    best: tuple[int, int] | None = None  # numerator, denominator over the child scale
-    for label in level.cells:
+    best: Fraction | None = None
+    for label in cells:
         if label in skip or not child_map[label]:
             continue
-        image = max(widths[j] for j in induced_map_label(scheme, depth, label)) * m << e
-        narrowest = min(_width(c.carrier) for c in child_map[label])
-        if best is None or _mul(image, best[1]) > _mul(best[0], narrowest):
-            best = (image, narrowest)
+        image = max(cells[j].core_width for j in induced_map_label(scheme, depth, label)).scaled(m, e)
+        ratio = _ratio(image, min(c.width for c in child_map[label]))
+        if best is None or ratio > best:
+            best = ratio
     if best is None:
         raise ValueError(f"no non-exceptional parents with children at depth {depth}")
-    return scaled_fraction(*best)
+    return best
+
+
+def _ratio(x: Dyadic, y: Dyadic) -> Fraction:
+    """x / y, over the bits the two span rather than over the scale."""
+    k = min(x[0][1], y[0][1]) if x else 0
+    return Fraction(int(x >> k), int(y >> k))
 
 
 def closed_form_ratio_bound(scheme: EmbeddingScheme, depth: int) -> Fraction:
@@ -556,18 +559,25 @@ def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
     than failed: the construction only promises shrinking away from them.
     Every quantity is an integer over the depth-(depth+1) scale, which the
     report declares once; margins, sups and infs are written as signed
-    binary digits over it.  Each child's successor cells are looked up once,
-    for the hull of their carriers and the set of their parents.
+    binary digits over it.
+
+    The cores of a pair are measured from their common parent's core start,
+    and the image hulls from the core start of the images' parent, which
+    the images of a checked pair share: each difference is formed inside
+    one parent.  Only an odometer pair whose images a corrupted file puts
+    under two parents has its hulls placed from 0 (:func:`_absolute_starts`).
     """
     child_map = children_of(scheme, depth)
     skip = exceptional_labels(scheme, depth)
     child_level = scheme.level(depth + 1)
     cells = child_level.cells
-    hulls, targets = {}, {}
+    images, targets, hulls = {}, {}, {}
     for label in cells:
-        images = [cells[j] for j in induced_map_label(scheme, depth + 1, label)]
-        hulls[label] = min(c.carrier[0] for c in images), max(c.carrier[1] for c in images)
-        targets[label] = {c.parent for c in images}
+        images[label] = induced_map_label(scheme, depth + 1, label)
+        targets[label] = {cells[j].parent for j in images[label]}
+        if len(targets[label]) == 1:
+            hulls[label] = _hull(cells, images[label])
+    starts = None  # the level's carrier starts from 0, formed when a pair's images have two parents
 
     margins = []
     witnesses = []
@@ -575,23 +585,31 @@ def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
     checked = 0
     for parent in sorted(child_map):
         kids = sorted(child_map[parent], key=lambda c: c.label)
+        cores = {c.label: _core(c) for c in kids}
         for cu, cv in combinations(kids, 2):
-            pair = {"parent": parent, "pair": [cu.label, cv.label]}
+            u, v = cu.label, cv.label
+            pair = {"parent": parent, "pair": [u, v]}
             if parent in skip:
                 excluded.append({**pair, "reason": "exceptional parent"})
                 continue
-            if scheme.kind == "graph" and len(targets[cu.label] | targets[cv.label]) > 1:
+            if len(targets[u] | targets[v]) == 1:
+                (u_lo, u_hi), (v_lo, v_hi) = hulls[u], hulls[v]
+            elif scheme.kind == "graph":
                 excluded.append({**pair, "reason": "successors split across parents"})
                 continue
-            (u_lo, u_hi), (v_lo, v_hi) = hulls[cu.label], hulls[cv.label]
+            else:
+                if starts is None:
+                    starts = _absolute_starts(scheme, _level_factors(scheme), depth + 1)
+                (u_lo, u_hi), (v_lo, v_hi) = (_hull(cells, images[x], starts) for x in (u, v))
             sup = max(v_hi - u_lo, u_hi - v_lo)
-            left, right = sorted((cu.core, cv.core))
-            inf = right[0] - left[1]
+            (u_core, u_end), (v_core, v_end) = cores[u], cores[v]
+            order = u_core.compare(v_core)  # the cores in the order ``sorted`` gives
+            inf = v_core - u_end if order < 0 or order == 0 and u_end <= v_end else u_core - v_end
             checked += 1
             if sup < inf:
-                margins.append({**pair, "margin": int_to_digits(inf - sup)})
+                margins.append({**pair, "margin": (inf - sup).digits()})
             else:
-                witnesses.append({**pair, "sup": int_to_digits(sup), "inf": int_to_digits(inf)})
+                witnesses.append({**pair, "sup": sup.digits(), "inf": inf.digits()})
     return VerifyReport(
         check="lrs-pairs",
         passed=not witnesses,
@@ -603,47 +621,157 @@ def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
     )
 
 
+def _core(cell: Cell) -> tuple[Dyadic, Dyadic]:
+    """The cell's core, from its parent's core start."""
+    lo = cell.start + cell.inset
+    return lo, lo + cell.core_width
+
+
+def _hull(cells: dict, labels, starts: dict | None = None) -> tuple[Dyadic, Dyadic]:
+    """The hull of the carriers of ``labels``, from their common parent's core
+    start, or from 0 given every cell's carrier start from 0 (``starts``)."""
+    if starts is None:
+        if len(labels) == 1:
+            cell = cells[labels[0]]
+            return cell.start, cell.start + cell.width
+        starts = {j: cells[j].start for j in labels}
+    return min(starts[j] for j in labels), max(starts[j] + cells[j].width for j in labels)
+
+
+def _absolute_starts(scheme: EmbeddingScheme, factors: dict, depth: int) -> dict[int, Dyadic]:
+    """Label -> carrier start from 0 over the level's scale, for every cell
+    at ``depth``: each start added onto its stated parent's, level by level.
+    Formed only where a check on a corrupted scheme has no common parent to
+    measure from; its clusters grow by about one per level."""
+    starts: dict = {}
+    above = None
+    for lvl in scheme.levels[:depth - scheme.min_depth + 1]:
+        if above is None:
+            starts = {label: c.start for label, c in lvl.cells.items()}
+        else:
+            m, e = factors[lvl.n]
+            bases = {p: (starts[p] + above.cells[p].inset).scaled(m, e) for p in above.cells}
+            starts = {label: bases[c.parent] + c.start for label, c in lvl.cells.items()}
+        above = lvl
+    return starts
+
+
+def absolute_level(scheme: EmbeddingScheme, depth: int) -> tuple[int, dict[int, tuple]]:
+    """``(S, {label: ((carrier lo, hi), (core lo, hi))})``, the depth's
+    cells from 0 as dense integers over its dense scale S: for readers at
+    desk depths, which build finite systems from them."""
+    level = scheme.level(depth)
+    starts = _absolute_starts(scheme, _level_factors(scheme), depth)
+    out = {}
+    for label, c in level.cells.items():
+        lo = int(starts[label])
+        core_lo = lo + int(c.inset)
+        out[label] = (lo, lo + int(c.width)), (core_lo, core_lo + int(c.core_width))
+    return int(level.scale), out
+
+
 # ---------------------------------------------------------------------------
 # structural audit
 # ---------------------------------------------------------------------------
 
 
-def _audit_level_geometry(lvl: SchemeLevel, witnesses: list) -> None:
-    cells = sorted(lvl.cells.values(), key=lambda c: c.carrier[0])
-    for c in cells:
-        left = c.core[0] - c.carrier[0]
-        right = c.carrier[1] - c.core[1]
-        if left != right:
-            witnesses.append({"depth": lvl.n, "label": c.label, "reason": "core not concentric"})
-        if left <= 0:
-            witnesses.append({"depth": lvl.n, "label": c.label, "reason": "core touches carrier"})
-    for prev, nxt in zip(cells, cells[1:]):
-        if nxt.carrier[0] < prev.carrier[1]:
-            witnesses.append(
-                {"depth": lvl.n, "label": nxt.label, "reason": "carrier interiors overlap"}
-            )
-        if nxt.core[0] <= prev.core[1]:
-            witnesses.append({"depth": lvl.n, "label": nxt.label, "reason": "cores not separated"})
+def _audit_geometry(scheme: EmbeddingScheme, factors: dict, witnesses: list) -> dict[int, dict[int, bool]]:
+    """Concentric cores inside carriers, disjoint carriers and strictly
+    separated cores on every level, in the order the cells lie on the line;
+    returns, per depth, whether each carrier lies in its parent's core.
+
+    The checks are made parent by parent, from each parent's core start, by
+    induction down the levels.  Suppose the cores of level n - 1 are
+    strictly separated.  If every carrier of level n lies in its parent's
+    core, and every core in its carrier, then the children of two parents
+    lie in two disjoint cores, in the order of those cores on the line: two
+    cells of different parents can neither overlap nor have touching
+    cores, and the line order of level n is its parents' order with each
+    parent's children sorted by start.  So only siblings that are
+    neighbours on the line are compared, and the cores of level n are
+    strictly separated exactly when no sibling pair finds otherwise.  On
+    the first level every cell counts as a sibling of every other.
+
+    A level where the premise fails (a carrier outside its parent's core, a
+    core outside its carrier, or parent cores that meet) has no such order,
+    and is checked as a whole with every cell placed from 0
+    (:func:`_absolute_starts`): this gives each witness, in the order, that
+    a check of the whole line gives.
+    """
+    inside: dict[int, dict[int, bool]] = {}
+    above, line, separated = None, [], True  # the level above, its labels in line order, its cores apart
+    for lvl in scheme.levels:
+        rows, here, local = {}, {}, True
+        if above is not None:
+            m, e = factors[lvl.n]
+            spans = {p: above.cells[p].core_width.scaled(m, e) for p in {c.parent for c in lvl.cells.values()}}
+        for label, c in lvl.cells.items():
+            end = c.start + c.width
+            core_lo = c.start + c.inset
+            core_hi = core_lo + c.core_width
+            right = end - core_hi
+            here[label] = above is None or (c.start.sign() >= 0 and end <= spans[c.parent])
+            local = local and here[label] and c.inset.sign() >= 0 and right.sign() >= 0
+            rows[label] = [c.start, end, core_lo, core_hi, right, c]
+        if above is None:
+            groups = [list(rows.values())]
+        elif local and separated:
+            by_parent = {p: [] for p in line}
+            for label, c in lvl.cells.items():
+                by_parent[c.parent].append(rows[label])
+            groups = [group for group in by_parent.values() if group]
+        else:
+            starts = _absolute_starts(scheme, factors, lvl.n)
+            for label, row in rows.items():
+                shift = starts[label] - row[0]
+                row[:4] = [x + shift for x in row[:4]]
+            groups = [list(rows.values())]
+        separated = _audit_line(lvl.n, groups, witnesses)
+        line = [row[5].label for group in groups for row in group]
+        inside[lvl.n] = here
+        above = lvl
+    return inside
 
 
-def _encloses(outer: tuple[int, int], m: int, e: int, inner: tuple[int, int]) -> bool:
-    """Whether ``outer`` (one level up, so scaled by m 2^e) contains ``inner``."""
-    return outer[0] * m << e <= inner[0] and inner[1] <= outer[1] * m << e
+def _audit_line(n: int, groups: list, witnesses: list) -> bool:
+    """The checks of one level over ``groups`` of rows [start, end, core
+    start, core end, carrier end less core end, cell], each group measured
+    from one origin and holding every pair that may meet: every cell in
+    line order, then neighbours within each group.  Returns whether the
+    level's cores are strictly separated."""
+    for group in groups:
+        group.sort(key=itemgetter(0))
+    for group in groups:
+        for row in group:
+            c = row[5]
+            if c.inset != row[4]:
+                witnesses.append({"depth": n, "label": c.label, "reason": "core not concentric"})
+            if c.inset.sign() <= 0:
+                witnesses.append({"depth": n, "label": c.label, "reason": "core touches carrier"})
+    separated = True
+    for group in groups:
+        for prev, nxt in zip(group, group[1:]):
+            if nxt[0] < prev[1]:
+                witnesses.append({"depth": n, "label": nxt[5].label, "reason": "carrier interiors overlap"})
+            if nxt[2] <= prev[3]:
+                witnesses.append({"depth": n, "label": nxt[5].label, "reason": "cores not separated"})
+                separated = False
+    return separated
 
 
 def _audit_scales(scheme: EmbeddingScheme, factors: dict, witnesses: list) -> None:
     """Each level's scale must be the level above's times the factor that
     the source descriptor gives, so that the other checks, which carry
-    integers across levels by that factor, compare over the stored scales."""
-    above = 1
+    lengths across levels by that factor, compare over the stored scales."""
+    above = Dyadic.term(1)
     for lvl in scheme.levels:
         m, e = factors[lvl.n]
-        if lvl.scale != above * m << e:
+        if lvl.scale != above.scaled(m, e):
             witnesses.append({"depth": lvl.n, "reason": "scale is not the one its source gives"})
         above = lvl.scale
 
 
-def _audit_odometer(scheme: EmbeddingScheme, factors: dict, witnesses: list) -> None:
+def _audit_odometer(scheme: EmbeddingScheme, inside: dict, witnesses: list) -> None:
     spec = scheme.spec
     for lvl in scheme.levels:
         n = lvl.n
@@ -657,15 +785,16 @@ def _audit_odometer(scheme: EmbeddingScheme, factors: dict, witnesses: list) -> 
         step = n * spec.extended_k(n + 1)
         if lvl.b << step * (s_n - 1) != lvl.a:
             witnesses.append({"depth": n, "reason": "stored b does not match its formula"})
-        widths = _core_widths(lvl)
+        widths = {label: c.core_width for label, c in lvl.cells.items()}
         ladder = [widths[(s_prev + z) % s_n] for z in range(1, s_n + 1)]
         if any(x <= y for x, y in zip(ladder, ladder[1:])):
             witnesses.append({"depth": n, "reason": "core ladder not strictly decreasing"})
         for i, cell in lvl.cells.items():
             d = widths[i]
-            if not lvl.a >= 3 * d >= lvl.b:
+            d3 = d * 3
+            if not lvl.a >= d3 >= lvl.b:
                 witnesses.append({"depth": n, "label": i, "reason": "core outside [b/3, a/3]"})
-            if n > 3 and 3 * d > _width(cell.carrier):
+            if n > 3 and d3 > cell.width:
                 witnesses.append({"depth": n, "label": i, "reason": "core above a third of carrier"})
             if i % s_n != s_prev % s_n:
                 if widths[(i + 1) % s_n] << step != d:
@@ -674,17 +803,16 @@ def _audit_odometer(scheme: EmbeddingScheme, factors: dict, witnesses: list) -> 
                     )
     for lvl, nxt in zip(scheme.levels, scheme.levels[1:]):
         s_n = spec.extended_modulus(lvl.n)
-        m, e = factors[nxt.n]
         for j, cell in nxt.cells.items():
             if cell.parent != j % s_n:
                 witnesses.append({"depth": nxt.n, "label": j, "reason": "parent is not j mod s_n"})
-            elif not _encloses(lvl.cells[cell.parent].core, m, e, cell.carrier):
+            elif not inside[nxt.n][j]:
                 witnesses.append(
                     {"depth": nxt.n, "label": j, "reason": "carrier leaves parent core"}
                 )
 
 
-def _audit_graph(scheme: EmbeddingScheme, factors: dict, witnesses: list) -> None:
+def _audit_graph(scheme: EmbeddingScheme, factors: dict, inside: dict, witnesses: list) -> None:
     from cantor_shrink.graphcover import canonical_vertices, signed_index, vertex_with_signed_index
 
     seq = scheme.cover
@@ -695,17 +823,17 @@ def _audit_graph(scheme: EmbeddingScheme, factors: dict, witnesses: list) -> Non
         if set(lvl.cells) != expected:
             witnesses.append({"depth": n, "reason": "labels do not match the level's vertices"})
             continue
-        if lvl.a != max(_width(c.carrier) for c in lvl.cells.values()):
+        if lvl.a != max(c.width for c in lvl.cells.values()):
             witnesses.append({"depth": n, "reason": "level scale is not the widest carrier"})
         if lvl.a << n > lvl.scale:
             witnesses.append({"depth": n, "reason": "level scale exceeds 2^-n"})
         if n > 0 and lvl.b << s_n * s_n != lvl.a:
             witnesses.append({"depth": n, "reason": "stored b does not match its formula"})
         for j, cell in lvl.cells.items():
-            d = _width(cell.core)
+            d = cell.core_width
             if d << s_n > lvl.a:
                 witnesses.append({"depth": n, "label": j, "reason": "core too wide for its level"})
-            if _width(cell.carrier) - d <= 2 * d:
+            if cell.width - d <= d * 2:
                 witnesses.append(
                     {"depth": n, "label": j, "reason": "core margin thinner than the core"}
                 )
@@ -719,12 +847,11 @@ def _audit_graph(scheme: EmbeddingScheme, factors: dict, witnesses: list) -> Non
                     {"depth": nxt.n, "label": j, "reason": "parent is not the covering image"}
                 )
                 continue
-            core = lvl.cells[cell.parent].core
-            if _width(cell.carrier) * SLOTS_PER_CORE != _width(core) * m << e:
+            if cell.width * SLOTS_PER_CORE != lvl.cells[cell.parent].core_width.scaled(m, e):
                 witnesses.append(
                     {"depth": nxt.n, "label": j, "reason": "carrier is not a twelfth of the core"}
                 )
-            if not _encloses(core, m, e, cell.carrier):
+            if not inside[nxt.n][j]:
                 witnesses.append(
                     {"depth": nxt.n, "label": j, "reason": "carrier leaves parent core"}
                 )
@@ -742,12 +869,11 @@ def audit_scheme(scheme: EmbeddingScheme) -> VerifyReport:
     witnesses: list = []
     factors = _level_factors(scheme)
     _audit_scales(scheme, factors, witnesses)
-    for lvl in scheme.levels:
-        _audit_level_geometry(lvl, witnesses)
+    inside = _audit_geometry(scheme, factors, witnesses)
     if scheme.kind == "odometer":
-        _audit_odometer(scheme, factors, witnesses)
+        _audit_odometer(scheme, inside, witnesses)
     else:
-        _audit_graph(scheme, factors, witnesses)
+        _audit_graph(scheme, factors, inside, witnesses)
     stats = {
         "kind": scheme.kind,
         "depths": [lvl.n for lvl in scheme.levels],
@@ -763,33 +889,28 @@ def audit_scheme(scheme: EmbeddingScheme) -> VerifyReport:
 
 def scheme_to_json(scheme: EmbeddingScheme) -> dict:
     """Format-4 JSON: each level's scale, a and b as signed binary digits
-    (:func:`int_to_digits`), the last two over that scale, and each cell as
-    offsets and widths over it: ``A`` is [carrier start - parent core start,
-    carrier width] and ``D`` is [core start - carrier start, core width],
-    carrier starts on the first level counting from 0.  A carrier sits in its
-    parent's core, so an offset has the few digits below the parent's, where
-    an absolute endpoint repeats all of them."""
+    (:meth:`~cantor_shrink.exact.Dyadic.digits`), the last two over that
+    scale, and each cell's four lengths over it, as the cell holds them:
+    ``A`` is [carrier start - parent core start, carrier width] and ``D`` is
+    [core start - carrier start, core width], carrier starts on the first
+    level counting from 0.  A carrier sits in its parent's core, so an
+    offset has the few digits below the parent's, where an absolute endpoint
+    repeats all of them."""
     from copy import deepcopy
 
     levels = []
-    factors = _level_factors(scheme)
-    for above, lvl in zip([None, *scheme.levels], scheme.levels):
-        m, e = factors[lvl.n]
-        cells = []
-        for c in lvl.cells.values():
-            (lo, hi), (core_lo, core_hi) = c.carrier, c.core
-            start = lo if c.parent is None else lo - (above.cells[c.parent].core[0] * m << e)
-            cells.append({
-                "label": c.label,
-                "A": [int_to_digits(start), int_to_digits(hi - lo)],
-                "D": [int_to_digits(core_lo - lo), int_to_digits(core_hi - core_lo)],
-                "parent": c.parent,
-            })
+    for lvl in scheme.levels:
+        cells = [{
+            "label": c.label,
+            "A": [c.start.digits(), c.width.digits()],
+            "D": [c.inset.digits(), c.core_width.digits()],
+            "parent": c.parent,
+        } for c in lvl.cells.values()]
         levels.append({
             "n": lvl.n,
-            "scale": int_to_digits(lvl.scale),
-            "a": int_to_digits(lvl.a),
-            "b": int_to_digits(lvl.b),
+            "scale": lvl.scale.digits(),
+            "a": lvl.a.digits(),
+            "b": lvl.b.digits(),
             "cells": cells,
         })
     return {"format": SCHEME_FORMAT, "kind": scheme.kind, "source": deepcopy(scheme.source), "levels": levels}
@@ -809,10 +930,21 @@ def _field(obj: dict, key: str, where: str | None, parse):
         raise ValueError(f"{where + ': ' if where else ''}field {key!r}: {exc}") from None
 
 
-def _offset_width(value, decode) -> tuple[int, int]:
+def _read_once(seen: dict, text, max_bits: int) -> Dyadic:
+    """``Dyadic.from_digits(text, max_bits)``, each distinct string read
+    once: a level's cells repeat about a third of their strings."""
+    if type(text) is not str:
+        return Dyadic.from_digits(text, max_bits)  # refused
+    value = seen.get(text)
+    if value is None:
+        value = seen[text] = Dyadic.from_digits(text, max_bits)
+    return value
+
+
+def _offset_width(value, decode) -> tuple[Dyadic, Dyadic]:
     _check(isinstance(value, list) and len(value) == 2, "not an [offset, width] pair")
     offset, width = decode(value[0]), decode(value[1])
-    _check(width >= 0, "width < 0")
+    _check(width.sign() >= 0, "width < 0")
     return offset, width
 
 
@@ -829,9 +961,9 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
     """Rebuild a scheme from its format-4 JSON form, geometry taken verbatim.
 
     The symbolic source is reconstructed from the descriptor so successor
-    structure is available, but no interval is recomputed: each endpoint is
-    its file offset added onto the parent's core start (:func:`scheme_to_json`),
-    and verification then applies to exactly what the file says.  Depths
+    structure is available, but no interval is recomputed: each cell holds
+    its four lengths as the file writes them (:func:`scheme_to_json`), and
+    verification then applies to exactly what the file says.  Depths
     count up from the kind's first depth, each level is admitted by the
     length of its ``cells`` list (:func:`_next_scale`) and its scale must be
     the one the descriptor gives, both before any endpoint is read, labels
@@ -881,7 +1013,7 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
     first = 1 if kind == "odometer" else 0
     levels = []
     above: dict = {None: None}  # the cells of the level above, by label
-    scale, total = 1, 0  # the scale above the first level, and the bytes predicted so far
+    scale, total = Dyadic.term(1), 0  # the scale above the first level, and the bytes predicted so far
     for i, entry in enumerate(obj["levels"]):
         where = f"levels[{i}]"
         _check(isinstance(entry, dict), f"{where} must be a JSON object")
@@ -889,11 +1021,11 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
         m, e, _ = next(steps)
         _check(isinstance(entry["cells"], list), f"{where}: field 'cells' must be a list")
         scale, total = _next_scale(scale, m, e, len(entry["cells"]), total, f"{where}: field 'cells'")
-        declared = _field(entry, "scale", where, partial(digits_to_int, max_bits=scale.bit_length()))
+        declared = _field(entry, "scale", where, partial(Dyadic.from_digits, max_bits=scale.bit_length()))
         if declared != scale:
-            raise ValueError(f"{where}: field 'scale' is not {int_to_digits(scale)}, the scale its source gives")
+            raise ValueError(f"{where}: field 'scale' is not {scale.digits()}, the scale its source gives")
         # no offset or width lies 2^64 scales from zero
-        decode = partial(digits_to_int, max_bits=scale.bit_length() + 64)
+        decode = partial(_read_once, {}, max_bits=scale.bit_length() + 64)
         pair = partial(_offset_width, decode=decode)
         cells = {}
         for c in entry["cells"]:
@@ -908,11 +1040,9 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
                     + ("null on the first level" if i == 0 else "a label of the level above")
                 )
             here = f"{where} label {label}"
-            offset, width = _field(c, "A", here, pair)
+            start, width = _field(c, "A", here, pair)
             inset, core_width = _field(c, "D", here, pair)
-            lo = offset if parent is None else (above[parent].core[0] * m << e) + offset
-            core_lo = lo + inset
-            cells[label] = Cell(label, (lo, lo + width), (core_lo, core_lo + core_width), parent, scale)
+            cells[label] = Cell(label, start, width, inset, core_width, parent, scale, above[parent])
         a, b = (_field(entry, key, where, decode) for key in "ab")
         levels.append(SchemeLevel(first + i, scale, a, b, cells))
         above = cells
@@ -948,8 +1078,8 @@ def render_svg(scheme: EmbeddingScheme) -> str:
     and widths are clamped to stay visible, so nothing here is exact.
     """
     width, row_height, pad = 960, 56, 20.0
-    lo = min(approx_float(c.A.lo) for c in scheme.levels[0].cells.values())
-    hi = max(approx_float(c.A.hi) for c in scheme.levels[0].cells.values())
+    first = [c.A for c in scheme.levels[0].cells.values()]
+    lo, hi = min(approx_float(A.lo) for A in first), max(approx_float(A.hi) for A in first)
     span = max(hi - lo, 1e-9)
     inner = width - 2 * pad
 
@@ -968,8 +1098,7 @@ def render_svg(scheme: EmbeddingScheme) -> str:
             f'<text x="4" y="{y + 14:.1f}" font-size="11" font-family="monospace">'
             f"n={lvl.n}</text>"
         )
-        for c in sorted(lvl.cells.values(), key=lambda c: c.carrier[0]):
-            A, D = c.A, c.D
+        for A, D in sorted(((c.A, c.D) for c in lvl.cells.values()), key=lambda AD: AD[0].lo):
             ax, aw = x(A.lo), max(x(A.hi) - x(A.lo), 0.7)
             dx, dw = x(D.lo), max(x(D.hi) - x(D.lo), 0.7)
             parts.append(

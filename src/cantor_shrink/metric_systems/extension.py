@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cantor_shrink.exact import common_scale, int_to_digits, scaled_fraction
-from cantor_shrink.interval_embed import EmbeddingScheme, VerifyReport
+from cantor_shrink.interval_embed import EmbeddingScheme, VerifyReport, absolute_level
 from cantor_shrink.metric_systems.core import FinitePointSystem, check_lrs, split_margins
 
 
@@ -36,18 +36,18 @@ def certify_slack(scheme: EmbeddingScheme, n: int, refine: int, anchor_value: in
     if refine < n + 1:
         raise ValueError("refinement must be deeper than the separating cylinder")
     spec = scheme.spec
-    level = scheme.level(refine)
+    scale, cells = absolute_level(scheme, refine)  # (carrier, core) of each cell
     s_n = spec.extended_modulus(n)
     s_next = spec.extended_modulus(n + 1)
     s_m = spec.extended_modulus(refine)
     z = anchor_value % s_m
-    z_lo, z_hi = level.cells[z].core
-    tz_lo, tz_hi = level.cells[(z + 1) % s_m].core
+    z_lo, z_hi = cells[z][1]
+    tz_lo, tz_hi = cells[(z + 1) % s_m][1]
     worst: int | None = None  # over the level's scale
-    for j, cell in level.cells.items():
+    for j, (carrier, _) in cells.items():
         if j % s_n != z % s_n or j % s_next == z % s_next:
             continue
-        (lo, hi), (t_lo, t_hi) = cell.carrier, level.cells[(j + 1) % s_m].carrier
+        (lo, hi), (t_lo, t_hi) = carrier, cells[(j + 1) % s_m][0]
         lower = max(lo - z_hi, z_lo - hi)  # gap from z's core to the carrier
         upper = max(t_hi - tz_lo, tz_hi - t_lo)  # widest spread from Tz's core
         slack = lower - upper
@@ -60,7 +60,7 @@ def certify_slack(scheme: EmbeddingScheme, n: int, refine: int, anchor_value: in
             f"slack at cylinder depth {n} is not positive at refinement {refine}; "
             "rebuild with a deeper refinement"
         )
-    return scaled_fraction(worst, 2 * level.scale)
+    return scaled_fraction(worst, 2 * scale)
 
 
 def slack_sequence(scheme: EmbeddingScheme, levels: int, refine: int) -> list:

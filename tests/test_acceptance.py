@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from cantor_shrink.cli import main as cli_main
-from cantor_shrink.exact import canonical_dumps, pow2
+from cantor_shrink.exact import Dyadic, canonical_dumps, pow2
 from cantor_shrink.graphcover import build_sequence, certify_cover, fibres
 from cantor_shrink.interval_embed import (
     EmbeddingScheme,
@@ -114,7 +114,7 @@ def test_criterion_01_odometer_depth8_audits():
         assert report.passed and not report.witnesses
         for lvl in scheme.levels:
             for cell in lvl.cells.values():
-                assert lvl.a >= 3 * (cell.core[1] - cell.core[0]) >= lvl.b
+                assert lvl.a >= 3 * cell.core_width >= lvl.b
 
 
 def test_criterion_02_derivative_ratio_decay(od9):
@@ -234,8 +234,8 @@ def test_criterion_07_lrs_margins_everywhere(od9, od3, wm3, rate4_triple):
         # negative control: widen one depth-2 core toward its sibling and the
         # certificate must fail with a concrete witness pair
         level2 = od3.level(2)
-        lo, hi = level2.cells[0].core
-        widened = level2.cells[0]._replace(core=(lo, hi + level2.scale // 20))
+        core_width = level2.cells[0].core_width
+        widened = level2.cells[0]._replace(core_width=core_width + Dyadic.term(int(level2.scale) // 20))
         corrupted_cells = dict(level2.cells)
         corrupted_cells[0] = widened
         # a fresh scheme object holding the corrupted level
@@ -320,9 +320,9 @@ def _certify_deeper(scheme, expected: dict) -> str:
     # witness's sup and inf have few binary digits to write
     u, v = report.margins[0]["pair"]
     deepest = scheme.levels[-1]
-    lo, hi = deepest.cells[u].core
-    w = 1 << deepest.scale.bit_length() - 5
-    widened = deepest.cells[u]._replace(core=(lo - w, hi + w))
+    cell = deepest.cells[u]
+    w = Dyadic.term(1, deepest.scale.bit_length() - 5)
+    widened = cell._replace(inset=cell.inset - w, core_width=cell.core_width + 2 * w)
     corrupted = scheme._replace(levels=[*scheme.levels[:-1], deepest._replace(cells={**deepest.cells, u: widened})])
     bad = verify_lrs_pairs(corrupted, depth)
     assert not bad.passed and [u, v] in [w["pair"] for w in bad.witnesses]

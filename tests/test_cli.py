@@ -18,6 +18,7 @@ import cantor_shrink
 from cantor_shrink.cli import main
 from cantor_shrink.exact import MEMORY_BOUND, canonical_dumps, digits_to_int, int_to_digits
 from cantor_shrink.interval_embed import (
+    absolute_level,
     audit_scheme,
     build_odometer_scheme,
     scheme_from_json,
@@ -1224,11 +1225,13 @@ def test_scheme_file_bytes_match_the_pinned_digest(work, name):
 
 
 def _value_lines(scheme) -> str:
-    return "".join(
-        f"{lvl.n} {c.label} {' '.join(map(int_to_digits, (lvl.scale, *c.carrier, *c.core)))}\n"
-        for lvl in scheme.levels
-        for c in lvl.cells.values()
-    )
+    # every endpoint from 0, as a dense integer over the level's scale
+    lines = []
+    for lvl in scheme.levels:
+        scale, cells = absolute_level(scheme, lvl.n)
+        lines += [f"{lvl.n} {label} {' '.join(map(int_to_digits, (scale, *carrier, *core)))}\n"
+                  for label, (carrier, core) in cells.items()]
+    return "".join(lines)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_VALUES))

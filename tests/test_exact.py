@@ -8,7 +8,9 @@ import hypothesis.strategies as st
 import pytest
 
 from cantor_shrink.exact import (
+    ZERO,
     ClosedInterval,
+    Dyadic,
     canonical_dumps,
     common_scale,
     digits_to_int,
@@ -260,6 +262,18 @@ def test_dense_digits_decode_in_linear_time():
     assert best(lambda: digits_to_int(text, 1 << 20)) < 10 * read + 0.05
 
 
+def test_dense_digits_encode_in_linear_time():
+    # 2^19 digits two apart in a 2^20-bit integer: clearing one digit at a
+    # time would copy the integer at each, about 70 GB here, where one scan
+    # of its binary string finds them all
+    x = 4 * (4 ** (1 << 19) - 1) // 5
+    start = time.perf_counter()
+    text = int_to_digits(x)
+    assert time.perf_counter() - start < 5
+    assert text == "".join(f"{'+-'[k % 2]}{2 * k}" for k in range(1 << 19, 0, -1))
+    assert int_to_digits(-x) == text.translate(str.maketrans("+-", "-+"))
+
+
 # strings of digits that are not the canonical form: leading zeros, stray
 # signs, ascending, repeated or adjacent exponents
 JUNK = ["3", "+03", "+3 ", "+3-", "+-3", "00", "-0+2", "+2+2", "+3+2", "+3-2", "+5+3+4", "+0-0", "+0+0"]
@@ -324,6 +338,105 @@ def test_digits_bound_the_exponent():
     # an exponent of more than twelve digits is not read at all
     with pytest.raises(ValueError, match="signed-digit"):
         digits_to_int("+9999999999999", 64)
+
+
+# ---------------------------------------------------------------------------
+# dyadic clusters
+
+
+@st.composite
+def dyadic_pairs(draw):
+    """(x, X): an integer and the Dyadic built from the same terms c 2^l by
+    the type's own sums, so that values of up to 10^6 bits cost only their
+    terms.  Terms land on, beside or far from one another, so that sums
+    carry across cluster boundaries, and a dense run gives long clusters."""
+    x, X = 0, ZERO
+    top = draw(st.sampled_from([0, 8, 64, 4_000, 1_000_000]), label="top")
+    for _ in range(draw(st.integers(0, 6), label="terms")):
+        kind = draw(st.sampled_from(["small", "adjacent", "run", "dense"]), label="kind")
+        l = draw(st.integers(0, top), label="l")
+        if kind == "small":
+            c = draw(st.integers(-17, 17), label="c")
+        elif kind == "adjacent":  # a carry chain: 2^k - 1, or its negative
+            c = draw(st.sampled_from([1, -1]), label="sign") * ((1 << draw(st.integers(1, 90), label="k")) - 1)
+        elif kind == "run":  # beside the last term, so that they merge
+            c, l = draw(st.sampled_from([1, -1, 3, -3]), label="c"), max(0, l - draw(st.integers(0, 3), label="gap"))
+        else:
+            c = draw(st.randoms(use_true_random=False), label="bits").getrandbits(draw(st.integers(1, 3_000))) or 1
+        x += c << l
+        X += Dyadic.term(c, l)
+    return x, X
+
+
+def assert_is(X: Dyadic, x: int) -> None:
+    """X is a Dyadic of value x in the documented form, and writes x's digits."""
+    assert type(X) is Dyadic and int(X) == x
+    assert all(c % 2 for c, _ in X)
+    # each cluster's leading non-adjacent digit lies 2 places or more below the next cluster
+    assert all(l + (3 * abs(c)).bit_length() <= l_up for (c, l), (_, l_up) in zip(X, X[1:]))
+    assert X.sign() == (x > 0) - (x < 0) and bool(X) == bool(x)
+    assert X.bit_length() == x.bit_length()
+    assert X.digits() == int_to_digits(x)
+
+
+@h.given(dyadic_pairs(), dyadic_pairs(), st.integers(-40, 40), st.integers(0, 2_000))
+@h.example((0, ZERO), (0, ZERO), 0, 0)
+@h.example((1, Dyadic.term(1)), (-1, Dyadic.term(-1)), 12, 5)
+@h.example((7, Dyadic.term(7)), (8, Dyadic.term(1, 3)), 3, 1)  # 7 + 8 carries into one cluster
+@h.example(((1 << 1_000_000) - 1, Dyadic.term(1, 1_000_000) - Dyadic.term(1)), (1 << 999_999, Dyadic.term(1, 999_999)), -1, 0)
+@h.settings(derandomize=True, deadline=None, max_examples=300)
+def test_dyadic_arithmetic_matches_python_ints(a, b, m, e):
+    (x, X), (y, Y) = a, b
+    assert_is(X, x)
+    assert_is(X + Y, x + y)
+    assert_is(X - Y, x - y)
+    assert_is(-X, -x)
+    assert_is(X.scaled(m, e), x * m << e)
+    assert_is(X * m, x * m)
+    assert_is(X << e, x << e)
+    assert_is((X << e) >> e, x)
+    assert (X < Y, X <= Y, X == Y, X != Y, X > Y, X >= Y) == (x < y, x <= y, x == y, x != y, x > y, x >= y)
+    assert X == Dyadic.term(x) and X != Dyadic.term(x + 1) and X != x
+    assert_is(Dyadic.from_digits(X.digits(), max(x.bit_length(), 1)), x)
+
+
+def test_dyadic_reads_what_digits_to_int_reads():
+    # the same strings, the same refusals with the same messages
+    for text in ["0", "-0", "+3-1", "+84370-84366+12", "+64-2"]:
+        assert int(Dyadic.from_digits(text, 84370)) == digits_to_int(text, 84370)
+    for text in [*JUNK, "+65", 5, None]:
+        with pytest.raises(ValueError) as dense:
+            digits_to_int(text, 64)
+        with pytest.raises(ValueError) as clusters:
+            Dyadic.from_digits(text, 64)
+        assert str(clusters.value) == str(dense.value)
+
+
+def test_dyadic_sums_on_a_dense_value_cost_integer_operations():
+    # a dense 2^20-bit value, as a corrupted file can hold, read as one
+    # cluster: a sum on it is one operation on a Python int, not a pass over
+    # some 100,000 clusters in Python
+    import random
+
+    x = random.Random(5).getrandbits(1 << 20) | 1
+    value, one = Dyadic.from_digits(int_to_digits(x), 1 << 20), Dyadic.term(1, 7)
+    start = time.perf_counter()
+    for _ in range(10):
+        moved = value + one
+        assert value < moved and moved - value == one and (value - moved).sign() < 0
+    assert time.perf_counter() - start < 0.3
+    assert int(moved) == x + 128
+
+
+def test_dyadic_reads_a_dense_string_in_linear_time():
+    # 2^17 digits two apart, as in test_dense_digits_decode_in_linear_time:
+    # digits join a cluster by Horner's rule only up to a bounded run
+    text = "".join(f"{'+-'[k % 2]}{2 * k}" for k in range(1 << 17, 0, -1))
+    start = time.perf_counter()
+    value = Dyadic.from_digits(text, 1 << 20)
+    assert time.perf_counter() - start < 2
+    assert value.digits() == text
+    assert int(value) == 4 * (4 ** (1 << 17) - 1) // 5
 
 
 def test_canonical_dumps_is_order_insensitive():

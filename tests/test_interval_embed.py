@@ -2,15 +2,18 @@ import json
 from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import mul
+from typing import NamedTuple
 
 import hypothesis as h
 import hypothesis.strategies as st
 import pytest
 
-from cantor_shrink.exact import MEMORY_BOUND, canonical_dumps, digits_to_int, int_to_digits, pow2
+from cantor_shrink.exact import MEMORY_BOUND, ZERO, Dyadic, canonical_dumps, digits_to_int, int_to_digits, pow2
 from cantor_shrink.graphcover import base_vertex, build_sequence, fibres
 from cantor_shrink.interval_embed import (
-    _mul,
+    SLOTS_PER_CORE,
+    _level_factors,
+    absolute_level,
     audit_scheme,
     build_graph_scheme,
     build_odometer_scheme,
@@ -55,8 +58,8 @@ def wm_scheme():
 
 def test_level_one_frozen_geometry(od248):
     lvl = od248.level(1)
-    assert Fraction(lvl.a, lvl.scale) == Fraction(1, 2)
-    assert Fraction(lvl.b, lvl.scale) == Fraction(1, 8)
+    assert Fraction(int(lvl.a), int(lvl.scale)) == Fraction(1, 2)
+    assert Fraction(int(lvl.b), int(lvl.scale)) == Fraction(1, 8)
     assert (lvl.cells[0].D.lo, lvl.cells[0].D.hi) == (Fraction(1, 6), Fraction(1, 3))
     assert (lvl.cells[1].D.lo, lvl.cells[1].D.hi) == (Fraction(59, 48), Fraction(61, 48))
     assert gap(lvl.cells[0].D, lvl.cells[1].D) == Fraction(43, 48)
@@ -64,8 +67,8 @@ def test_level_one_frozen_geometry(od248):
 
 def test_level_two_core_ladder(od248):
     lvl = od248.level(2)
-    assert Fraction(lvl.a, lvl.scale) == Fraction(1, 32)
-    assert Fraction(lvl.b, lvl.scale) == Fraction(1, 131072)
+    assert Fraction(int(lvl.a), int(lvl.scale)) == Fraction(1, 32)
+    assert Fraction(int(lvl.b), int(lvl.scale)) == Fraction(1, 131072)
     diameters = {j: lvl.cells[j].D.diameter for j in range(4)}
     assert diameters == {
         0: Fraction(1, 1536),
@@ -74,8 +77,8 @@ def test_level_two_core_ladder(od248):
         3: Fraction(1, 96),
     }
     # the ladder restarts at its top immediately after the exceptional label
-    assert diameters[3] == Fraction(lvl.a, 3 * lvl.scale)
-    assert diameters[2] == Fraction(lvl.b, 3 * lvl.scale)
+    assert diameters[3] == Fraction(int(lvl.a), 3 * int(lvl.scale))
+    assert diameters[2] == Fraction(int(lvl.b), 3 * int(lvl.scale))
 
 
 def test_carrier_nesting_iff_congruent(od248):
@@ -124,9 +127,9 @@ def test_lrs_depth_one_certificate_and_exclusion(od248):
     report = verify_lrs_pairs(od248, 1)
     assert report.passed
     # the margin 10837/2^18 over the depth-2 scale 3 * 2^18
-    assert report.scale == 3 << 18
+    assert int(report.scale) == 3 << 18
     assert report.margins == [{"parent": 0, "pair": [0, 2], "margin": "+15-8-0"}]
-    assert Fraction(digits_to_int("+15-8-0", 20), report.scale) == Fraction(10837, 2**18)
+    assert Fraction(digits_to_int("+15-8-0", 20), int(report.scale)) == Fraction(10837, 2**18)
     assert report.to_json()["scale"] == "+20-18"
     assert report.excluded == [{"parent": 1, "pair": [1, 3], "reason": "exceptional parent"}]
     assert report.stats["pairs_checked"] == 1
@@ -145,7 +148,7 @@ def test_lrs_fails_on_widened_core(od248):
     tampered = scheme_from_json(scheme_to_json(od248))
     lvl = tampered.level(2)
     bad = lvl.cells[0]
-    lvl.cells[0] = bad._replace(core=bad.carrier)  # core blown up to carrier
+    lvl.cells[0] = bad._replace(inset=ZERO, core_width=bad.width)  # core blown up to carrier
     report = verify_lrs_pairs(tampered, 1)
     assert not report.passed
     assert report.witnesses[0]["pair"] == [0, 2]
@@ -156,7 +159,7 @@ def test_audit_catches_off_center_core(od248):
     lvl = tampered.level(1)
     good = lvl.cells[0]
     # one unit of the level scale to the right
-    lvl.cells[0] = good._replace(core=(good.core[0] + 1, good.core[1] + 1))
+    lvl.cells[0] = good._replace(inset=good.inset + Dyadic.term(1))
     report = audit_scheme(tampered)
     assert not report.passed
     assert any(w["reason"] == "core not concentric" for w in report.witnesses)
@@ -169,12 +172,16 @@ def test_audit_catches_a_carrier_past_its_parent_core(request, scheme_name, end)
     scheme = request.getfixturevalue(scheme_name)
     tampered = scheme_from_json(scheme_to_json(scheme))
     upper, lower = tampered.levels[0], tampered.levels[1]
-    refine = lower.scale // upper.scale
-    kids = sorted((c for c in lower.cells.values() if c.parent == next(iter(upper.cells))), key=lambda c: c.carrier)
+    refine = int(lower.scale) // int(upper.scale)
+    kids = sorted((c for c in lower.cells.values() if c.parent == next(iter(upper.cells))), key=lambda c: c.start)
     child = kids[-end]
-    edge = _mul(upper.cells[child.parent].core[end], refine) + (1 if end else -1)
-    carrier = (edge, child.carrier[1]) if end == 0 else (child.carrier[0], edge)
-    lower.cells[child.label] = child._replace(carrier=carrier)
+    # the carrier's far end stays where it was, and so does its core
+    one = Dyadic.term(1)
+    if end == 0:  # the carrier starts one unit before its parent's core
+        moved = child._replace(start=-one, width=child.start + child.width + one, inset=child.inset + child.start + one)
+    else:  # the carrier ends one unit after its parent's core
+        moved = child._replace(width=upper.cells[child.parent].core_width * refine + one - child.start)
+    lower.cells[child.label] = moved
     reasons = {(w.get("label"), w["reason"]) for w in audit_scheme(tampered).witnesses}
     assert (child.label, "carrier leaves parent core") in reasons
     if scheme.kind == "graph":
@@ -196,7 +203,7 @@ def test_audit_refuses_a_scale_its_source_does_not_give(request, scheme_name, de
     assert audit_scheme(scheme).passed
     for i, lvl in enumerate(scheme.levels):
         levels = list(scheme.levels)
-        levels[i] = lvl._replace(scale=lvl.scale + delta)
+        levels[i] = lvl._replace(scale=lvl.scale + Dyadic.term(delta))
         report = audit_scheme(scheme._replace(levels=levels))
         assert not report.passed
         assert {"depth": lvl.n, "reason": "scale is not the one its source gives"} in report.witnesses
@@ -235,8 +242,8 @@ def test_induced_map_label_steps_residue(od248):
 def test_graph_level_zero_frozen(wm_scheme):
     lvl = wm_scheme.level(0)
     assert sorted(lvl.cells) == [-2, -1, 0, 1]
-    assert Fraction(lvl.a, lvl.scale) == Fraction(1, 2)
-    assert Fraction(lvl.b, lvl.scale) == pow2(-32) / 6
+    assert Fraction(int(lvl.a), int(lvl.scale)) == Fraction(1, 2)
+    assert Fraction(int(lvl.b), int(lvl.scale)) == pow2(-32) / 6
     assert lvl.cells[0].D.diameter == pow2(-32) / 6
     assert lvl.cells[1].D.diameter == pow2(-36) / 6
     assert lvl.cells[-1].D.diameter == pow2(-36) / 6
@@ -246,8 +253,8 @@ def test_graph_level_zero_frozen(wm_scheme):
 
 def test_graph_level_scales(wm_scheme):
     lvl = wm_scheme.level(1)
-    assert Fraction(lvl.a, lvl.scale) == pow2(-24) / 72
-    assert Fraction(lvl.b, lvl.scale) == pow2(-348) / 72
+    assert Fraction(int(lvl.a), int(lvl.scale)) == pow2(-24) / 72
+    assert Fraction(int(lvl.b), int(lvl.scale)) == pow2(-348) / 72
     assert wm_scheme.level(1).cells[0].D.diameter == pow2(-648) / 6
     assert len(wm_scheme.level(1).cells) == 18
     assert len(wm_scheme.level(2).cells) == 74
@@ -331,30 +338,7 @@ def test_transitive_variant_also_audits():
 
 
 # ---------------------------------------------------------------------------
-# products of scheme integers
-
-
-def _odd_shapes():
-    """±odd * 2^k, the shape of every scale, level factor and od9 width."""
-    return st.builds(
-        lambda odd, k, sign: sign * (2 * odd + 1) << k,
-        st.integers(0, 1 << 80), st.integers(0, 10**5), st.sampled_from([1, -1]),
-    )
-
-
-@h.given(
-    x=st.one_of(st.integers(-64, 64), st.integers(-(1 << 2000), 1 << 2000), _odd_shapes()),
-    y=st.one_of(st.integers(-64, 64), st.integers(-(1 << 2000), 1 << 2000), _odd_shapes()),
-)
-@h.example(x=0, y=0)
-@h.example(x=7 << 9, y=0)
-@h.example(x=-1, y=-1)
-@h.example(x=-12, y=3 << 9207)
-@h.example(x=-(3 << 99999), y=-(5 << 12))
-@h.settings(derandomize=True, deadline=None, max_examples=400)
-def test_mul_is_the_product(x, y):
-    assert _mul(x, y) == x * y
-    assert _mul(y, x) == x * y
+# level factors
 
 
 @pytest.mark.parametrize("build", [
@@ -363,12 +347,12 @@ def test_mul_is_the_product(x, y):
     lambda: build_graph_scheme(build_sequence("weakly-mixing", 2), 2),
 ], ids=["od9", "tr3", "wm2"])
 def test_level_factors_are_a_small_odd_part_times_a_power_of_two(build):
-    # the premise of carrying integers across levels as x * m << e: the
+    # the premise of carrying lengths across levels as x.scaled(m, e): the
     # factor between two level scales is a power of two times an odd part of
     # a few bits
     scheme = build()
     for lvl, nxt in zip(scheme.levels, scheme.levels[1:]):
-        refine, rest = divmod(nxt.scale, lvl.scale)
+        refine, rest = divmod(int(nxt.scale), int(lvl.scale))
         assert rest == 0
         assert refine >> (refine & -refine).bit_length() - 1 < 1 << 8
 
@@ -410,12 +394,148 @@ def test_scheme_files_roundtrip(case):
     assert audit_scheme(again).passed
 
 
-def reference_lrs_report(scheme, depth) -> dict:
-    """The sibling-pair sweep that looks up a child's successor cells again
-    for every pair the child is in, as a report's JSON form."""
-    child_map = children_of(scheme, depth)
+# ---------------------------------------------------------------------------
+# the dense reference: the reader, the audit and the pair sweep as they were
+# when every endpoint was one integer over its level's scale, each cell placed
+# from 0 and the whole level checked in line order
+
+
+class DenseCell(NamedTuple):
+    label: int
+    carrier: tuple[int, int]
+    core: tuple[int, int]
+    parent: int | None
+
+
+class DenseLevel(NamedTuple):
+    n: int
+    scale: int
+    a: int
+    b: int
+    cells: dict
+
+
+def dense_levels(obj: dict, factors: dict) -> list[DenseLevel]:
+    """A format-4 file's levels with each endpoint its offset added onto the
+    parent's core start, carried down by the level factor as ``x * m << e``."""
+    levels, above = [], {}
+    for entry in obj["levels"]:
+        m, e = factors[entry["n"]]
+        cells = {}
+        for c in entry["cells"]:
+            (offset, width), (inset, core_width) = ([digits_to_int(t, 1 << 30) for t in c[k]] for k in "AD")
+            lo = offset if c["parent"] is None else (above[c["parent"]].core[0] * m << e) + offset
+            cells[c["label"]] = DenseCell(c["label"], (lo, lo + width), (lo + inset, lo + inset + core_width), c["parent"])
+        scale, a, b = (digits_to_int(entry[key], 1 << 30) for key in ("scale", "a", "b"))
+        levels.append(DenseLevel(entry["n"], scale, a, b, cells))
+        above = cells
+    return levels
+
+
+def dense_audit(scheme, levels: list[DenseLevel], factors: dict) -> list:
+    """The audit's witnesses; ``scheme`` gives only the symbolic side."""
+    from cantor_shrink.graphcover import canonical_vertices, signed_index, vertex_with_signed_index
+
+    def width(pair):
+        return pair[1] - pair[0]
+
+    def encloses(outer, m, e, inner):
+        return outer[0] * m << e <= inner[0] and inner[1] <= outer[1] * m << e
+
+    witnesses = []
+    above = 1
+    for lvl in levels:
+        m, e = factors[lvl.n]
+        if lvl.scale != above * m << e:
+            witnesses.append({"depth": lvl.n, "reason": "scale is not the one its source gives"})
+        above = lvl.scale
+    for lvl in levels:
+        cells = sorted(lvl.cells.values(), key=lambda c: c.carrier[0])
+        for c in cells:
+            left, right = c.core[0] - c.carrier[0], c.carrier[1] - c.core[1]
+            if left != right:
+                witnesses.append({"depth": lvl.n, "label": c.label, "reason": "core not concentric"})
+            if left <= 0:
+                witnesses.append({"depth": lvl.n, "label": c.label, "reason": "core touches carrier"})
+        for prev, nxt in zip(cells, cells[1:]):
+            if nxt.carrier[0] < prev.carrier[1]:
+                witnesses.append({"depth": lvl.n, "label": nxt.label, "reason": "carrier interiors overlap"})
+            if nxt.core[0] <= prev.core[1]:
+                witnesses.append({"depth": lvl.n, "label": nxt.label, "reason": "cores not separated"})
+    if scheme.kind == "odometer":
+        spec = scheme.spec
+        for lvl in levels:
+            n, s_n, s_prev = lvl.n, spec.extended_modulus(lvl.n), spec.extended_modulus(lvl.n - 1)
+            if sorted(lvl.cells) != list(range(s_n)):
+                witnesses.append({"depth": n, "reason": "labels are not the residues mod s_n"})
+                continue
+            if lvl.a << n > lvl.scale:
+                witnesses.append({"depth": n, "reason": "level scale exceeds 2^-n"})
+            step = n * spec.extended_k(n + 1)
+            if lvl.b << step * (s_n - 1) != lvl.a:
+                witnesses.append({"depth": n, "reason": "stored b does not match its formula"})
+            widths = {label: width(c.core) for label, c in lvl.cells.items()}
+            ladder = [widths[(s_prev + z) % s_n] for z in range(1, s_n + 1)]
+            if any(x <= y for x, y in zip(ladder, ladder[1:])):
+                witnesses.append({"depth": n, "reason": "core ladder not strictly decreasing"})
+            for i, cell in lvl.cells.items():
+                d = widths[i]
+                if not lvl.a >= 3 * d >= lvl.b:
+                    witnesses.append({"depth": n, "label": i, "reason": "core outside [b/3, a/3]"})
+                if n > 3 and 3 * d > width(cell.carrier):
+                    witnesses.append({"depth": n, "label": i, "reason": "core above a third of carrier"})
+                if i % s_n != s_prev % s_n and widths[(i + 1) % s_n] << step != d:
+                    witnesses.append({"depth": n, "label": i, "reason": "successor core ratio off ladder step"})
+        for lvl, nxt in zip(levels, levels[1:]):
+            m, e = factors[nxt.n]
+            for j, cell in nxt.cells.items():
+                if cell.parent != j % spec.extended_modulus(lvl.n):
+                    witnesses.append({"depth": nxt.n, "label": j, "reason": "parent is not j mod s_n"})
+                elif not encloses(lvl.cells[cell.parent].core, m, e, cell.carrier):
+                    witnesses.append({"depth": nxt.n, "label": j, "reason": "carrier leaves parent core"})
+        return witnesses
+    seq = scheme.cover
+    for lvl in levels:
+        n, s_n = lvl.n, len(seq.graph(lvl.n).vertices)
+        if set(lvl.cells) != {signed_index(v) for v in canonical_vertices(seq.levels[n])}:
+            witnesses.append({"depth": n, "reason": "labels do not match the level's vertices"})
+            continue
+        if lvl.a != max(width(c.carrier) for c in lvl.cells.values()):
+            witnesses.append({"depth": n, "reason": "level scale is not the widest carrier"})
+        if lvl.a << n > lvl.scale:
+            witnesses.append({"depth": n, "reason": "level scale exceeds 2^-n"})
+        if n > 0 and lvl.b << s_n * s_n != lvl.a:
+            witnesses.append({"depth": n, "reason": "stored b does not match its formula"})
+        for j, cell in lvl.cells.items():
+            d = width(cell.core)
+            if d << s_n > lvl.a:
+                witnesses.append({"depth": n, "label": j, "reason": "core too wide for its level"})
+            if width(cell.carrier) - d <= 2 * d:
+                witnesses.append({"depth": n, "label": j, "reason": "core margin thinner than the core"})
+    for lvl, nxt in zip(levels, levels[1:]):
+        hom = seq.homs[lvl.n]
+        m, e = factors[nxt.n]
+        for j, cell in nxt.cells.items():
+            if cell.parent != signed_index(hom[vertex_with_signed_index(seq.levels[nxt.n], j)]):
+                witnesses.append({"depth": nxt.n, "label": j, "reason": "parent is not the covering image"})
+                continue
+            core = lvl.cells[cell.parent].core
+            if width(cell.carrier) * SLOTS_PER_CORE != width(core) * m << e:
+                witnesses.append({"depth": nxt.n, "label": j, "reason": "carrier is not a twelfth of the core"})
+            if not encloses(core, m, e, cell.carrier):
+                witnesses.append({"depth": nxt.n, "label": j, "reason": "carrier leaves parent core"})
+    return witnesses
+
+
+def dense_lrs_report(scheme, levels: list[DenseLevel], depth: int) -> dict:
+    """The sibling-pair sweep over endpoints from 0, looking up a child's
+    successor cells again for every pair the child is in, as a report's JSON
+    form; ``scheme`` gives only the symbolic side."""
     skip = exceptional_labels(scheme, depth)
-    level = scheme.level(depth + 1)
+    level = levels[depth + 1 - scheme.min_depth]
+    child_map = {label: [] for label in levels[depth - scheme.min_depth].cells}
+    for cell in level.cells.values():
+        child_map[cell.parent].append(cell)
 
     def successors(label):
         return [level.cells[j] for j in induced_map_label(scheme, depth + 1, label)]
@@ -449,6 +569,23 @@ def reference_lrs_report(scheme, depth) -> dict:
     return {**out, "stats": {"depth": depth, "pairs_checked": checked}}
 
 
+def assert_matches_the_dense_reference(obj: dict, scale_move: tuple | None = None) -> None:
+    """The package's audit witnesses, in order, and its pair reports at
+    every depth are the dense reference's, for the scheme file ``obj`` with
+    level i's scale moved by ``amount`` after the load (``scale_move``)."""
+    scheme = scheme_from_json(obj)
+    factors = _level_factors(scheme)
+    levels = dense_levels(obj, factors)
+    if scale_move is not None:
+        i, amount = scale_move
+        levels[i] = levels[i]._replace(scale=levels[i].scale + amount)
+        moved = scheme.levels[i]._replace(scale=scheme.levels[i].scale + Dyadic.term(amount))
+        scheme = scheme._replace(levels=[*scheme.levels[:i], moved, *scheme.levels[i + 1:]])
+    assert audit_scheme(scheme).witnesses == dense_audit(scheme, levels, factors)
+    for depth in range(scheme.min_depth, scheme.max_depth):
+        assert verify_lrs_pairs(scheme, depth).to_json() == dense_lrs_report(scheme, levels, depth)
+
+
 @h.given(
     st.one_of(
         st.tuples(st.just("odometer"), st.lists(st.integers(2, 4), min_size=2, max_size=4), st.integers(2, 5)),
@@ -461,25 +598,68 @@ def reference_lrs_report(scheme, depth) -> dict:
 @h.example(("graph", "transitive", 2), None)
 @h.settings(derandomize=True, deadline=None, max_examples=40)
 def test_lrs_report_matches_the_per_pair_sweep(case, data):
-    scheme = _small_scheme(*case)
+    obj = scheme_to_json(_small_scheme(*case))
     if data is not None and data.draw(st.booleans(), label="widen a core"):
         # a child core blown up to its carrier, so that some pairs fail
-        i = data.draw(st.integers(1, len(scheme.levels) - 1), label="level")
-        levels = list(scheme.levels)
-        cells = dict(levels[i].cells)
-        label = data.draw(st.sampled_from(sorted(cells)), label="cell")
-        cells[label] = cells[label]._replace(core=cells[label].carrier)
-        levels[i] = levels[i]._replace(cells=cells)
-        scheme = scheme._replace(levels=levels)
-    for depth in range(scheme.min_depth, scheme.max_depth):
-        assert verify_lrs_pairs(scheme, depth).to_json() == reference_lrs_report(scheme, depth)
+        entry = obj["levels"][data.draw(st.integers(1, len(obj["levels"]) - 1), label="level")]
+        cell = data.draw(st.sampled_from(entry["cells"]), label="cell")
+        cell["D"] = ["0", cell["A"][1]]
+    assert_matches_the_dense_reference(obj)
+
+
+CORRUPTED = {
+    "od248": lambda: build_odometer_scheme(OdometerSpec.from_list([2, 4, 8]), 3),
+    "od3612": lambda: build_odometer_scheme(OdometerSpec.from_list([3, 6, 12]), 3),
+    "wm2": lambda: build_graph_scheme("weakly-mixing", 2),
+    "tr2": lambda: build_graph_scheme("transitive", 2),
+}
+_CORRUPTED_FILES: dict = {}
+
+
+@st.composite
+def corrupted_files(draw):
+    """A scheme file with one field corrupted: one offset or width moved by
+    ±2^j, one cell given another parent, or one level's scale mis-stated."""
+    name = draw(st.sampled_from(sorted(CORRUPTED)), label="scheme")
+    if name not in _CORRUPTED_FILES:
+        _CORRUPTED_FILES[name] = canonical_dumps(scheme_to_json(CORRUPTED[name]()))
+    obj = json.loads(_CORRUPTED_FILES[name])
+    i = draw(st.integers(0, len(obj["levels"]) - 1), label="level")
+    bits = digits_to_int(obj["levels"][i]["scale"], 1 << 30).bit_length()
+    amount = draw(st.sampled_from([1, -1]), label="sign") << draw(st.integers(0, bits + 1), label="j")
+    kind = draw(st.sampled_from(["move", "parent", "scale"] if i else ["move", "scale"]), label="kind")
+    if kind == "scale":
+        return obj, (i, amount)
+    cell = draw(st.sampled_from(obj["levels"][i]["cells"]), label="cell")
+    if kind == "parent":
+        others = [c["label"] for c in obj["levels"][i - 1]["cells"] if c["label"] != cell["parent"]]
+        cell["parent"] = draw(st.sampled_from(others), label="parent")
+    else:
+        pair = cell[draw(st.sampled_from("AD"), label="field")]
+        k = draw(st.integers(0, 1), label="offset or width")
+        pair[k] = int_to_digits(digits_to_int(pair[k], 1 << 30) + amount)
+    return obj, None
+
+
+@h.given(corrupted_files())
+@h.settings(derandomize=True, deadline=None, max_examples=250)
+def test_corrupted_files_give_the_dense_witnesses(case):
+    # where a corruption leaves no common parent to measure from, the cells
+    # are placed from 0 for that check, and give the dense check's witnesses
+    obj, scale_move = case
+    try:
+        scheme_from_json(obj)
+    except ValueError as exc:  # a width moved below zero is refused before any check
+        assert str(exc).endswith("width < 0")
+        return
+    assert_matches_the_dense_reference(obj, scale_move)
 
 
 def test_loaded_scheme_keeps_file_intervals(od248):
     # the core width that puts the core's right end at 1/2
     obj = scheme_to_json(od248)
     cell = od248.level(1).cells[0]
-    obj["levels"][0]["cells"][0]["D"][1] = int_to_digits(od248.level(1).scale // 2 - cell.core[0])
+    obj["levels"][0]["cells"][0]["D"][1] = int_to_digits(int(od248.level(1).scale) // 2 - int(cell.start + cell.inset))
     loaded = scheme_from_json(obj)
     assert loaded.level(1).cells[0].D.hi == Fraction(1, 2)
     assert not audit_scheme(loaded).passed
@@ -492,22 +672,24 @@ def test_loaded_offsets_count_from_the_parent_core(od248):
     inset = obj["levels"][0]["cells"][1]["D"]
     inset[0] = int_to_digits(digits_to_int(inset[0], 64) + 1)
     loaded = scheme_from_json(obj)
-    for lvl, built in zip(loaded.levels, od248.levels):
-        shift = lvl.scale // od248.level(1).scale
-        for label, cell in lvl.cells.items():
-            want, moved = built.cells[label], label % 2 == 1
-            assert cell.core == tuple(x + shift * moved for x in want.core)
-            assert cell.carrier == tuple(x + shift * (moved and lvl.n > 1) for x in want.carrier)
+    for lvl in loaded.levels:
+        (scale, cells), (_, built) = absolute_level(loaded, lvl.n), absolute_level(od248, lvl.n)
+        shift = scale // int(od248.level(1).scale)
+        for label, (carrier, core) in cells.items():
+            (want_carrier, want_core), moved = built[label], label % 2 == 1
+            assert core == tuple(x + shift * moved for x in want_core)
+            assert carrier == tuple(x + shift * (moved and lvl.n > 1) for x in want_carrier)
     assert not audit_scheme(loaded).passed
 
 
 def test_level_scales_refine_and_factor(od248, wm_scheme):
     # graph scales are 2^p 3^q; the (2, 4, 8) odometer's are 2^p * 3
     for scheme in (od248, wm_scheme):
-        for lvl, nxt in zip(scheme.levels, scheme.levels[1:]):
-            assert nxt.scale % lvl.scale == 0
-        for lvl in scheme.levels:
-            rest, q = lvl.scale >> (lvl.scale & -lvl.scale).bit_length() - 1, 0
+        scales = [int(lvl.scale) for lvl in scheme.levels]
+        for scale, nxt in zip(scales, scales[1:]):
+            assert nxt % scale == 0
+        for scale in scales:
+            rest, q = scale >> (scale & -scale).bit_length() - 1, 0
             while rest % 3 == 0:
                 rest, q = rest // 3, q + 1
             assert rest == 1 and (q == 1 if scheme.kind == "odometer" else q >= 1)
@@ -521,8 +703,7 @@ def test_scheme_from_json_wants_the_current_format(od248):
     # a format-2 file, hex endpoints and all, and a format-3 file, whose
     # absolute endpoints would read as offsets, are told to rebuild before
     # any endpoint is read
-    cell = od248.level(1).cells[0]
-    absolute = [[int_to_digits(x) for x in pair] for pair in (cell.carrier, cell.core)]
+    absolute = [[int_to_digits(x) for x in pair] for pair in absolute_level(od248, 1)[1][0]]
     for version, endpoints in ((2, [["0", "3p40"], ["1p38", "1p39"]]), (3, absolute)):
         obj.update(format=version)
         obj["levels"][0]["cells"][0]["A"], obj["levels"][0]["cells"][0]["D"] = endpoints
@@ -591,7 +772,7 @@ def test_scale_steps_give_the_built_scales(od248, wm_scheme):
         scale = 1
         for lvl, (m, e, _) in zip(scheme.levels, steps, strict=True):
             scale = scale * m << e
-            assert lvl.scale == scale
+            assert int(lvl.scale) == scale
 
 
 def test_scale_the_descriptor_cannot_give_is_refused_before_any_endpoint(od248):
@@ -616,9 +797,27 @@ def test_scale_the_descriptor_cannot_give_is_refused_before_any_endpoint(od248):
     assert peak < 2_000_000
     # a scale of the right size but another value is refused too
     obj = scheme_to_json(od248)
-    obj["levels"][2]["scale"] = int_to_digits(od248.level(3).scale + 1)
+    obj["levels"][2]["scale"] = int_to_digits(int(od248.level(3).scale) + 1)
     with pytest.raises(ValueError, match=r"^levels\[2\]: field 'scale' is not \+\d+.*, the scale its source gives$"):
         scheme_from_json(obj)
+
+
+def test_tr4_geometry_is_held_as_clusters_through_write_read_audit_and_pairs():
+    import tracemalloc
+
+    # as dense integers over tr4's 834k-bit scale, these four steps peaked at
+    # about 280 MB of traced memory; as clusters, at about 2 MB
+    scheme = build_graph_scheme("transitive", 4)
+    tracemalloc.start()
+    try:
+        loaded = scheme_from_json(json.loads(canonical_dumps(scheme_to_json(scheme))))
+        assert audit_scheme(loaded).passed
+        report = verify_lrs_pairs(loaded, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.stats["pairs_checked"] == 927
+    assert peak < 8_000_000
 
 
 def test_claimed_levels_build_no_cover_level_the_file_does_not_hold():
