@@ -13,10 +13,11 @@ times the small level factors m (S_n = S_{n-1} m 2^e: k_{n+1} 2^(n + E_{n+1})
 for the odometer, 3 * 2^(e + 1) for graph covers), and every integer is an
 :class:`~cantor_shrink.exact.Dyadic`: a few clusters c 2^l, never a dense
 integer the size of the scale.  A cell holds its carrier and its core as
-format 4 writes them: the carrier's start from its parent's core start (from
+format 5 writes them: the carrier's start from its parent's core start (from
 0 on the first level), the carrier's width, the core's start from the
-carrier's start, and the core's width.  So a load only parses and a write only
-concatenates each value's digits.
+carrier's start, and the core's width.  A format-5 level writes each of these
+lengths as one list over its cells (:data:`COLUMNS`), so a load only parses
+and a write only concatenates each value's digits.
 
 No certificate forms an absolute position, because each compares lengths
 inside one parent: sibling pairs share their parent, the images of an
@@ -53,7 +54,7 @@ import json
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from cantor_shrink.exact import (
@@ -77,7 +78,11 @@ if TYPE_CHECKING:
 
 
 SLOTS_PER_CORE = 12
-SCHEME_FORMAT = 4
+SCHEME_FORMAT = 5
+# the lengths a cell holds over its level's scale, and every column a
+# format-5 level holds, each named as the field of :class:`Cell` it fills
+LENGTHS = ("start", "width", "inset", "core_width")
+COLUMNS = ("label", "parent", *LENGTHS)
 
 
 class Cell(NamedTuple):
@@ -888,31 +893,32 @@ def audit_scheme(scheme: EmbeddingScheme) -> VerifyReport:
 
 
 def scheme_to_json(scheme: EmbeddingScheme) -> dict:
-    """Format-4 JSON: each level's scale, a and b as signed binary digits
+    """Format-5 JSON: each level's scale, a and b as signed binary digits
     (:meth:`~cantor_shrink.exact.Dyadic.digits`), the last two over that
-    scale, and each cell's four lengths over it, as the cell holds them:
-    ``A`` is [carrier start - parent core start, carrier width] and ``D`` is
-    [core start - carrier start, core width], carrier starts on the first
-    level counting from 0.  A carrier sits in its parent's core, so an
-    offset has the few digits below the parent's, where an absolute endpoint
-    repeats all of them."""
+    scale, and its cells as parallel lists in the level's cell order, one
+    per :class:`Cell` field (:data:`COLUMNS`): ``label``, ``parent``, and
+    the four lengths over the scale as the cells hold them, ``start`` (the
+    carrier's start less its parent's core start, from 0 on the first
+    level), ``width``, ``inset`` (the core's start less the carrier's) and
+    ``core_width``.  A carrier sits in its parent's core, so a start has the
+    few digits below the parent's, where an absolute endpoint repeats all of
+    them; and a level names each column once, not once per cell."""
     from copy import deepcopy
 
     levels = []
     for lvl in scheme.levels:
-        cells = [{
-            "label": c.label,
-            "A": [c.start.digits(), c.width.digits()],
-            "D": [c.inset.digits(), c.core_width.digits()],
-            "parent": c.parent,
-        } for c in lvl.cells.values()]
-        levels.append({
+        cells = lvl.cells.values()
+        level = {
             "n": lvl.n,
             "scale": lvl.scale.digits(),
             "a": lvl.a.digits(),
             "b": lvl.b.digits(),
-            "cells": cells,
-        })
+            "label": list(lvl.cells),
+            "parent": [c.parent for c in cells],
+        }
+        for key in LENGTHS:
+            level[key] = [x.digits() for x in map(attrgetter(key), cells)]
+        levels.append(level)
     return {"format": SCHEME_FORMAT, "kind": scheme.kind, "source": deepcopy(scheme.source), "levels": levels}
 
 
@@ -932,7 +938,7 @@ def _field(obj: dict, key: str, where: str | None, parse):
 
 def _read_once(seen: dict, text, max_bits: int) -> Dyadic:
     """``Dyadic.from_digits(text, max_bits)``, each distinct string read
-    once: a level's cells repeat about a third of their strings."""
+    once: a level's columns repeat about a third of their strings."""
     if type(text) is not str:
         return Dyadic.from_digits(text, max_bits)  # refused
     value = seen.get(text)
@@ -941,44 +947,54 @@ def _read_once(seen: dict, text, max_bits: int) -> Dyadic:
     return value
 
 
-def _offset_width(value, decode) -> tuple[Dyadic, Dyadic]:
-    _check(isinstance(value, list) and len(value) == 2, "not an [offset, width] pair")
-    offset, width = decode(value[0]), decode(value[1])
-    _check(width.sign() >= 0, "width < 0")
-    return offset, width
+def _column(key: str, texts: list, labels: list, where: str, decode) -> list[Dyadic]:
+    """The length column ``key`` of a level decoded, naming the label of a
+    string it refuses, and of a negative value in a width column."""
+    values = []
+    for label, text in zip(labels, texts):
+        try:
+            values.append(decode(text))
+        except ValueError as exc:
+            raise ValueError(f"{where} label {label}: field {key!r}: {exc}") from None
+    if key.endswith("width"):
+        for label, value in zip(labels, values):
+            _check(value.sign() >= 0, f"{where} label {label}: field {key!r}: width < 0")
+    return values
 
 
 def scheme_signed_digits(obj: dict) -> int:
     """The nonzero digits of every signed-digit string of a scheme file that
     :func:`scheme_from_json` has read: the work its load decoded."""
     levels = obj["levels"]
-    texts = [text for level in levels for text in (level["scale"], level["a"], level["b"])]
-    texts += [text for level in levels for c in level["cells"] for text in (*c["A"], *c["D"])]
+    texts = [level[key] for level in levels for key in ("scale", "a", "b")]
+    texts += ["".join(level[key]) for level in levels for key in LENGTHS]
     return sum(text.count("+") + text.count("-") for text in texts)
 
 
 def scheme_from_json(obj: dict) -> EmbeddingScheme:
-    """Rebuild a scheme from its format-4 JSON form, geometry taken verbatim.
+    """Rebuild a scheme from its format-5 JSON form, geometry taken verbatim.
 
     The symbolic source is reconstructed from the descriptor so successor
     structure is available, but no interval is recomputed: each cell holds
     its four lengths as the file writes them (:func:`scheme_to_json`), and
     verification then applies to exactly what the file says.  Depths
-    count up from the kind's first depth, each level is admitted by the
-    length of its ``cells`` list (:func:`_next_scale`) and its scale must be
-    the one the descriptor gives, both before any endpoint is read, labels
-    are distinct integers within a level, each parent is a
-    label of the level above (null on the first level), each scale, a, b,
-    offset and width is a canonical signed-digit string whose exponents stay
-    within the bounds, and no width is negative.  A graph descriptor's cover
-    tower is built one level at a time as the file's levels are read, so a
-    file that claims more levels than it holds builds no more than it holds.
-    The scheme keeps a copy of the descriptor, as the writer writes one, so
-    editing ``obj`` after the load edits no scheme.
+    count up from the kind's first depth.  Before any string of a level is
+    decoded, each of its columns must be a list as long as ``label``, the
+    level is admitted by that length (:func:`_next_scale`) and its scale
+    must be the one the descriptor gives.  Labels are distinct integers
+    within a level, each parent is a label of the level above (null on the
+    first level), each scale, a, b, start and width is a canonical
+    signed-digit string whose exponents stay within the bounds, and no
+    width is negative.  A graph descriptor's cover tower is built one level
+    at a time as the file's levels are read, so a file that claims more
+    levels than it holds builds no more than it holds.  The scheme keeps a
+    copy of the descriptor, as the writer writes one, so editing ``obj``
+    after the load edits no scheme.
 
     Raises:
-        ValueError: naming the field, when the file does not fit the schema;
-            a file of another format is told to rebuild from its source.
+        ValueError: naming the field (and the level of a level's field),
+            when the file does not fit the schema; a file of another format
+            is told to rebuild from its source.
     """
     _check(isinstance(obj, dict), f"a scheme file holds a JSON object, not a {type(obj).__name__}")
     kind, source = obj["kind"], obj.get("source")
@@ -1017,32 +1033,36 @@ def scheme_from_json(obj: dict) -> EmbeddingScheme:
     for i, entry in enumerate(obj["levels"]):
         where = f"levels[{i}]"
         _check(isinstance(entry, dict), f"{where} must be a JSON object")
-        _check(type(entry["n"]) is int and entry["n"] == first + i, f"{where}: field 'n' must be {first + i}")
+        missing = next((key for key in ("n", "scale", "a", "b", *COLUMNS) if key not in entry), None)
+        _check(missing is None, f"{where}: file is missing field {missing!r}")
+        n, labels, parents, *lengths = (entry[key] for key in ("n", *COLUMNS))
+        _check(type(n) is int and n == first + i, f"{where}: field 'n' must be {first + i}")
         m, e, _ = next(steps)
-        _check(isinstance(entry["cells"], list), f"{where}: field 'cells' must be a list")
-        scale, total = _next_scale(scale, m, e, len(entry["cells"]), total, f"{where}: field 'cells'")
+        for key, column in zip(COLUMNS, (labels, parents, *lengths)):
+            _check(isinstance(column, list), f"{where}: field {key!r} must be a list")
+            _check(len(column) == len(labels), f"{where}: field {key!r} holds {len(column)} entries, "
+                                               f"not the {len(labels)} of 'label'")
+        scale, total = _next_scale(scale, m, e, len(labels), total, f"{where}: field 'label'")
         declared = _field(entry, "scale", where, partial(Dyadic.from_digits, max_bits=scale.bit_length()))
         if declared != scale:
             raise ValueError(f"{where}: field 'scale' is not {scale.digits()}, the scale its source gives")
-        # no offset or width lies 2^64 scales from zero
-        decode = partial(_read_once, {}, max_bits=scale.bit_length() + 64)
-        pair = partial(_offset_width, decode=decode)
-        cells = {}
-        for c in entry["cells"]:
-            if not isinstance(c, dict):
-                raise ValueError(f"{where}: each cell must be a JSON object")
-            label, parent = c["label"], c["parent"]
-            if type(label) is not int or label in cells:
+        distinct = set()
+        for label, parent in zip(labels, parents):
+            if type(label) is not int or label in distinct:
                 raise ValueError(f"{where}: field 'label' {label!r} is not a distinct integer")
+            distinct.add(label)
             if type(parent) not in (int, type(None)) or parent not in above:
                 raise ValueError(
                     f"{where} label {label}: field 'parent' {parent!r} is not "
                     + ("null on the first level" if i == 0 else "a label of the level above")
                 )
-            here = f"{where} label {label}"
-            start, width = _field(c, "A", here, pair)
-            inset, core_width = _field(c, "D", here, pair)
-            cells[label] = Cell(label, start, width, inset, core_width, parent, scale, above[parent])
+        # no start or width lies 2^64 scales from zero
+        decode = partial(_read_once, {}, max_bits=scale.bit_length() + 64)
+        columns = [_column(key, texts, labels, where, decode) for key, texts in zip(LENGTHS, lengths)]
+        cells = {
+            label: Cell(label, start, width, inset, core_width, parent, scale, above[parent])
+            for label, parent, start, width, inset, core_width in zip(labels, parents, *columns)
+        }
         a, b = (_field(entry, key, where, decode) for key in "ab")
         levels.append(SchemeLevel(first + i, scale, a, b, cells))
         above = cells

@@ -355,11 +355,11 @@ def test_scheme_load_logs_what_it_read(work, caplog):
         text = work[name].read_text()
         obj = json.loads(text)
         strings = [lvl[key] for lvl in obj["levels"] for key in ("scale", "a", "b")]
-        strings += [x for lvl in obj["levels"] for c in lvl["cells"] for x in c["A"] + c["D"]]
+        strings += [x for lvl in obj["levels"] for key in LENGTH_COLUMNS for x in lvl[key]]
         digits = len(re.findall(r"[+-]", "".join(strings)))
         sizes = [digits_to_int(lvl["scale"], BITS).bit_length() for lvl in obj["levels"]]
-        predicted = sum((4 * len(lvl["cells"]) + 3) * -(-b // 8) for lvl, b in zip(obj["levels"], sizes))
-        cells = sum(len(lvl["cells"]) for lvl in obj["levels"])
+        predicted = sum((4 * len(lvl["label"]) + 3) * -(-b // 8) for lvl, b in zip(obj["levels"], sizes))
+        cells = sum(len(lvl["label"]) for lvl in obj["levels"])
         load, audit, *_, peak = cli_log_lines(caplog)
         assert re.fullmatch(
             rf"loaded {re.escape(str(work[name]))}: {len(text.encode())} bytes, {len(obj['levels'])} levels, "
@@ -369,6 +369,18 @@ def test_scheme_load_logs_what_it_read(work, caplog):
         )
         assert re.fullmatch(rf"audit of {re.escape(str(work[name]))}: pass in \d+\.\d\ds", audit)
         assert re.fullmatch(PEAK_LINE, peak)
+
+
+def test_od9_load_logs_the_cells_and_digits_it_read(tmp_path, caplog):
+    # the columns hold what the cells held: od9's 1,022 cells and 4,655
+    # nonzero signed digits, now in 43,740 bytes
+    path = tmp_path / "od9.json"
+    assert run([*GOLDEN_VALUES["od9"][0], "--out", str(path)])[0] == 0
+    caplog.set_level(logging.INFO, logger="cantor_shrink.cli")
+    assert run(["verify", "derivative", "--scheme", str(path)])[0] == 0
+    load = cli_log_lines(caplog)[0]
+    assert re.fullmatch(rf"loaded {re.escape(str(path))}: 43740 bytes, 9 levels, 1022 cells, 4655 signed digits, "
+                        r"largest scale \d+ bits, predicted \d+ bytes in \d+\.\d\ds", load)
 
 
 def test_failing_audit_and_bad_input_are_logged(work, tmp_path, caplog):
@@ -623,17 +635,34 @@ def test_missing_scheme_field_names_the_file(tmp_path):
     assert "hollow.json" in err and "missing field" in err
 
 
-def _set_endpoint(obj, text):
-    obj["levels"][1]["cells"][0]["A"][0] = text
+# the length columns of a format-5 level, each a list of signed-digit
+# strings over the level's scale, one per cell in the order of ``label``
+LENGTH_COLUMNS = ("start", "width", "inset", "core_width")
+LEVEL_KEYS = ("n", "scale", "a", "b", "label", "parent", *LENGTH_COLUMNS)
+
+
+def _set_first(obj, i, key, value):
+    """Make ``value`` the first entry of column ``key`` of level ``i``."""
+    obj["levels"][i][key][0] = value
 
 
 def _inflate(obj):
-    """Every scale, a, b, offset and width near 2^(2^22): a file of under
+    """Every scale, a, b, start and width near 2^(2^22): a file of under
     2 KB that would ask for tens of MB unless its scales are checked first."""
     for level in obj["levels"]:
         level.update(scale="+4194300", a="+4194290", b="+4194280")
-        for cell in level["cells"]:
-            cell["A"], cell["D"] = ["+4194200", "+4194250"], ["+4194210", "+4194240"]
+        for key, text in zip(LENGTH_COLUMNS, ["+4194200", "+4194250", "+4194210", "+4194240"]):
+            level[key] = [text] * len(level["label"])
+
+
+def _as_format_4(obj):
+    """The file as format 4 wrote it: one object per cell, ``{"label",
+    "parent", "A": [start, width], "D": [inset, core width]}``."""
+    for level in obj["levels"]:
+        columns = [level.pop(key) for key in ("label", "parent", *LENGTH_COLUMNS)]
+        level["cells"] = [{"label": label, "parent": parent, "A": [start, width], "D": [inset, core_width]}
+                          for label, parent, start, width, inset, core_width in zip(*columns)]
+    obj["format"] = 4
 
 
 # single mutations of the od3 scheme file, each with the text its error line
@@ -641,17 +670,22 @@ def _inflate(obj):
 SCHEME_MUTATIONS = {
     "levels-emptied": (lambda obj: obj.update(levels=[]), "'levels'"),
     "levels-cut-to-one": (lambda obj: obj.update(levels=obj["levels"][:1]), "levels 1..1"),
-    "string-label": (lambda obj: obj["levels"][0]["cells"][0].update(label="0"), "'label'"),
-    "parent-99": (lambda obj: obj["levels"][1]["cells"][0].update(parent=99), "'parent'"),
+    "string-label": (lambda obj: _set_first(obj, 0, "label", "0"), "'label'"),
+    "parent-99": (lambda obj: _set_first(obj, 1, "parent", 99), "'parent'"),
     "scalar-other-key": (lambda obj: obj["levels"][1].update(scale={"mantissa": "3", "other": "7"}), "'scale'"),
-    "cells-not-a-list": (lambda obj: obj["levels"][1].update(cells=5), "'cells'"),
+    "cells-not-a-list": (lambda obj: obj["levels"][1].update(width=5), "levels[1]: field 'width' must be a list"),
     "top-level-list": (lambda obj: [obj], "JSON object"),
     "source-string": (lambda obj: obj.update(source="x"), "'source'"),
     "depth-string": (lambda obj: obj["levels"][0].update(n="1"), "'n'"),
-    "endpoint-not-hex": (lambda obj: _set_endpoint(obj, "0x1g"), "'A'"),
+    "endpoint-not-hex": (lambda obj: _set_first(obj, 1, "start", "0x1g"), "levels[1] label 0: field 'start'"),
     "old-format": (lambda obj: obj.pop("format"), "rebuild"),
     "format-3": (
-        lambda obj: obj.update(format=3), "field 'format' is 3, not 4: rebuild the file with `cantor-shrink build`"
+        lambda obj: obj.update(format=3), "field 'format' is 3, not 5: rebuild the file with `cantor-shrink build`"
+    ),
+    "format-4": (
+        _as_format_4,
+        "field 'format' is 4, not 5: rebuild the file with `cantor-shrink build` from its source descriptor "
+        '{"rule":"list","s":[2,4,8]}',
     ),
     "scales-near-2^2^22": (_inflate, "levels[0]: field 'scale'"),
     "s-not-dividing": (
@@ -696,21 +730,34 @@ def test_mutated_scheme_is_a_one_line_usage_error(work, tmp_path, mutation, comm
 
 
 def _drop_last_depth3_cell(obj):
-    obj["levels"][2]["cells"].pop()
+    for key in ("label", "parent", *LENGTH_COLUMNS):
+        obj["levels"][2][key].pop()
 
 
-def _swap_intervals(cell):
-    """Give a file cell its core as carrier and its carrier as core.  In the
-    file's offsets, with A = [offset, width] and D = [inset, core width],
-    that is A = [offset + inset, core width] and D = [-inset, width]; the
-    cell's children, offsets from its core start, move with it."""
-    (offset, width), (inset, core_width) = ([digits_to_int(t, BITS) for t in cell[k]] for k in "AD")
-    cell["A"] = [int_to_digits(offset + inset), int_to_digits(core_width)]
-    cell["D"] = [int_to_digits(-inset), int_to_digits(width)]
+def _swap_intervals(level, k):
+    """Give the ``k``-th cell of a file level its core as carrier and its
+    carrier as core.  In the file's columns that is start + inset as the
+    start, the core width as the width, -inset as the inset and the width as
+    the core width; the cell's children, measured from its core start, move
+    with it."""
+    start, width, inset, core_width = (digits_to_int(level[key][k], BITS) for key in LENGTH_COLUMNS)
+    for key, value in zip(LENGTH_COLUMNS, (start + inset, core_width, -inset, width)):
+        level[key][k] = int_to_digits(value)
 
 
 def _swap_core_and_carrier(obj):
-    _swap_intervals(obj["levels"][1]["cells"][1])
+    _swap_intervals(obj["levels"][1], 1)
+
+
+@pytest.mark.parametrize("key", LEVEL_KEYS)
+def test_missing_level_field_names_its_level(work, tmp_path, key):
+    def drop(obj):
+        del obj["levels"][2][key]
+
+    bad = _write_mutated(work, tmp_path / "bad.json", drop)
+    code, out, err = run(["verify", "derivative", "--scheme", str(bad)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: levels[2]: file is missing field {key!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -925,19 +972,19 @@ def single_mutations(draw, obj):
         return f"{kind} {path}", False
     if kind == "non-canonical":
         path = draw(st.sampled_from([
-            p for p in _json_paths(obj) if p[-1] in ("scale", "a", "b") or p[-2:-1] in (("A",), ("D",))
+            p for p in _json_paths(obj) if p[-1] in ("scale", "a", "b") or p[-2:-1] in {(k,) for k in LENGTH_COLUMNS}
         ]))
         parent, key = _at(obj, path[:-1]), path[-1]
         parent[key] = _non_canonical(parent[key])
         return f"rewrite {path} as {parent[key]:.40}", True
     level = draw(st.sampled_from(obj["levels"]))
-    cell = draw(st.sampled_from(level["cells"]))
+    k = draw(st.sampled_from(range(len(level["label"]))))
     if kind == "swap":
-        _swap_intervals(cell)
-        return f"swap carrier and core of level {level['n']} label {cell['label']}", False
-    field, end, step = draw(st.sampled_from(["A", "D"])), draw(st.sampled_from([0, 1])), draw(st.sampled_from([-1, 1]))
-    cell[field][end] = int_to_digits(digits_to_int(cell[field][end], BITS) + step)
-    return f"shift level {level['n']} label {cell['label']} {field}[{end}] by {step}", False
+        _swap_intervals(level, k)
+        return f"swap carrier and core of level {level['n']} label {level['label'][k]}", False
+    field, step = draw(st.sampled_from(LENGTH_COLUMNS)), draw(st.sampled_from([-1, 1]))
+    level[field][k] = int_to_digits(digits_to_int(level[field][k], BITS) + step)
+    return f"shift level {level['n']} label {level['label'][k]} {field} by {step}", False
 
 
 def _scheme_audits(obj) -> bool:
@@ -1088,12 +1135,15 @@ GOLDEN_VALUES = {
 }
 
 
-# sha256 of the format-4 scheme files themselves, so that the encoding of the
-# values pinned above cannot drift unnoticed
+# sha256 of the format-5 scheme files themselves, so that the encoding of the
+# values pinned above cannot drift unnoticed; od9 and tr3 are built as
+# GOLDEN_VALUES builds them
 GOLDEN_SCHEME_FILES = {
-    "od3": "8c49eca3adef42ee1d79c8f5fd640a980ffa23a846ca348be66d2cb2db6ae95f",
-    "wm2": "5a21f80bae54ce1b3dc4c3fef2c46d8d7726bc08ef2c4b011cb85f02c94bdf61",
-    "tr2": "b77d849ac5a999a90a999dc4cec4efb7060c1bde8de8ddd847cd31aa31b12fb8",
+    "od3": "1e1a43642840b471169b9000cba0c227d7a1102dfd286148944db7c3927fd34f",
+    "wm2": "5ea9953ec4f19206e7170b5017f2a5adf00bc47023439588fe3e16ddf2efa420",
+    "tr2": "62163370471ed64e1b79dd8d24023bbb3e81de5a7fd70cd8448a989199e69157",
+    "od9": "7394d7c34f9fd3b313c2ea199a0ec229eec64e426c69ebebddc7f709779abdef",
+    "tr3": "6f0a87a79ea84b2e6a301b296dedefe7204da4ba63ba6bc7deda4f55f4032559",
 }
 
 
@@ -1220,8 +1270,12 @@ def test_scheme_geometry_matches_the_pinned_digest(work, name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCHEME_FILES))
-def test_scheme_file_bytes_match_the_pinned_digest(work, name):
-    assert hashlib.sha256(work[name].read_bytes()).hexdigest() == GOLDEN_SCHEME_FILES[name]
+def test_scheme_file_bytes_match_the_pinned_digest(work, tmp_path, name):
+    path = work.get(name)
+    if path is None:
+        path = tmp_path / f"{name}.json"
+        assert run([*GOLDEN_VALUES[name][0], "--out", str(path)])[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SCHEME_FILES[name]
 
 
 def _value_lines(scheme) -> str:

@@ -377,15 +377,16 @@ def _small_scheme(kind, tower, depth):
 
 
 @h.given(st.one_of(
-    # 2 to 4 moduli, given by their branching factors, to depth 5 at most
-    st.tuples(st.just("odometer"), st.lists(st.integers(2, 4), min_size=2, max_size=4), st.integers(1, 5)),
-    st.tuples(st.just("graph"), st.sampled_from(["weakly-mixing", "transitive"]), st.integers(1, 2)),
+    # 2 to 4 moduli, given by their branching factors, to depth 6 at most
+    st.tuples(st.just("odometer"), st.lists(st.integers(2, 4), min_size=2, max_size=4), st.integers(1, 6)),
+    st.tuples(st.just("graph"), st.sampled_from(["weakly-mixing", "transitive"]), st.integers(1, 3)),
 ))
-@h.example(("odometer", [4, 4, 4, 4], 5))
-@h.example(("graph", "weakly-mixing", 2))
-@h.example(("graph", "transitive", 2))
+@h.example(("odometer", [4, 4, 4, 4], 6))
+@h.example(("graph", "weakly-mixing", 3))
+@h.example(("graph", "transitive", 3))
 @h.settings(derandomize=True, deadline=None, max_examples=40)
 def test_scheme_files_roundtrip(case):
+    # read, then write, gives the file's bytes back
     scheme = _small_scheme(*case)
     blob = canonical_dumps(scheme_to_json(scheme))
     again = scheme_from_json(json.loads(blob))
@@ -398,6 +399,10 @@ def test_scheme_files_roundtrip(case):
 # the dense reference: the reader, the audit and the pair sweep as they were
 # when every endpoint was one integer over its level's scale, each cell placed
 # from 0 and the whole level checked in line order
+
+
+# the parallel lists of a format-5 level, in the order a cell's fields are read
+FILE_COLUMNS = ("label", "parent", "start", "width", "inset", "core_width")
 
 
 class DenseCell(NamedTuple):
@@ -416,16 +421,16 @@ class DenseLevel(NamedTuple):
 
 
 def dense_levels(obj: dict, factors: dict) -> list[DenseLevel]:
-    """A format-4 file's levels with each endpoint its offset added onto the
+    """A format-5 file's levels with each carrier start added onto the
     parent's core start, carried down by the level factor as ``x * m << e``."""
     levels, above = [], {}
     for entry in obj["levels"]:
         m, e = factors[entry["n"]]
         cells = {}
-        for c in entry["cells"]:
-            (offset, width), (inset, core_width) = ([digits_to_int(t, 1 << 30) for t in c[k]] for k in "AD")
-            lo = offset if c["parent"] is None else (above[c["parent"]].core[0] * m << e) + offset
-            cells[c["label"]] = DenseCell(c["label"], (lo, lo + width), (lo + inset, lo + inset + core_width), c["parent"])
+        for label, parent, *lengths in zip(*(entry[key] for key in FILE_COLUMNS)):
+            start, width, inset, core_width = (digits_to_int(t, 1 << 30) for t in lengths)
+            lo = start if parent is None else (above[parent].core[0] * m << e) + start
+            cells[label] = DenseCell(label, (lo, lo + width), (lo + inset, lo + inset + core_width), parent)
         scale, a, b = (digits_to_int(entry[key], 1 << 30) for key in ("scale", "a", "b"))
         levels.append(DenseLevel(entry["n"], scale, a, b, cells))
         above = cells
@@ -602,8 +607,8 @@ def test_lrs_report_matches_the_per_pair_sweep(case, data):
     if data is not None and data.draw(st.booleans(), label="widen a core"):
         # a child core blown up to its carrier, so that some pairs fail
         entry = obj["levels"][data.draw(st.integers(1, len(obj["levels"]) - 1), label="level")]
-        cell = data.draw(st.sampled_from(entry["cells"]), label="cell")
-        cell["D"] = ["0", cell["A"][1]]
+        k = data.draw(st.sampled_from(range(len(entry["label"]))), label="cell")
+        entry["inset"][k], entry["core_width"][k] = "0", entry["width"][k]
     assert_matches_the_dense_reference(obj)
 
 
@@ -618,8 +623,9 @@ _CORRUPTED_FILES: dict = {}
 
 @st.composite
 def corrupted_files(draw):
-    """A scheme file with one field corrupted: one offset or width moved by
-    ±2^j, one cell given another parent, or one level's scale mis-stated."""
+    """A scheme file with one field corrupted: one start, width, inset or
+    core width moved by ±2^j, one cell given another parent, or one level's
+    scale mis-stated."""
     name = draw(st.sampled_from(sorted(CORRUPTED)), label="scheme")
     if name not in _CORRUPTED_FILES:
         _CORRUPTED_FILES[name] = canonical_dumps(scheme_to_json(CORRUPTED[name]()))
@@ -630,14 +636,14 @@ def corrupted_files(draw):
     kind = draw(st.sampled_from(["move", "parent", "scale"] if i else ["move", "scale"]), label="kind")
     if kind == "scale":
         return obj, (i, amount)
-    cell = draw(st.sampled_from(obj["levels"][i]["cells"]), label="cell")
+    level = obj["levels"][i]
+    k = draw(st.sampled_from(range(len(level["label"]))), label="cell")
     if kind == "parent":
-        others = [c["label"] for c in obj["levels"][i - 1]["cells"] if c["label"] != cell["parent"]]
-        cell["parent"] = draw(st.sampled_from(others), label="parent")
+        others = [j for j in obj["levels"][i - 1]["label"] if j != level["parent"][k]]
+        level["parent"][k] = draw(st.sampled_from(others), label="parent")
     else:
-        pair = cell[draw(st.sampled_from("AD"), label="field")]
-        k = draw(st.integers(0, 1), label="offset or width")
-        pair[k] = int_to_digits(digits_to_int(pair[k], 1 << 30) + amount)
+        column = level[draw(st.sampled_from(FILE_COLUMNS[2:]), label="field")]
+        column[k] = int_to_digits(digits_to_int(column[k], 1 << 30) + amount)
     return obj, None
 
 
@@ -659,7 +665,7 @@ def test_loaded_scheme_keeps_file_intervals(od248):
     # the core width that puts the core's right end at 1/2
     obj = scheme_to_json(od248)
     cell = od248.level(1).cells[0]
-    obj["levels"][0]["cells"][0]["D"][1] = int_to_digits(int(od248.level(1).scale) // 2 - int(cell.start + cell.inset))
+    obj["levels"][0]["core_width"][0] = int_to_digits(int(od248.level(1).scale) // 2 - int(cell.start + cell.inset))
     loaded = scheme_from_json(obj)
     assert loaded.level(1).cells[0].D.hi == Fraction(1, 2)
     assert not audit_scheme(loaded).passed
@@ -669,8 +675,8 @@ def test_loaded_offsets_count_from_the_parent_core(od248):
     # one unit more on level-1 cell 1's core inset moves that core, and every
     # descendant of the cell (the odd labels), by 1 / S_1; nothing else moves
     obj = scheme_to_json(od248)
-    inset = obj["levels"][0]["cells"][1]["D"]
-    inset[0] = int_to_digits(digits_to_int(inset[0], 64) + 1)
+    inset = obj["levels"][0]["inset"]
+    inset[1] = int_to_digits(digits_to_int(inset[1], 64) + 1)
     loaded = scheme_from_json(obj)
     for lvl in loaded.levels:
         (scale, cells), (_, built) = absolute_level(loaded, lvl.n), absolute_level(od248, lvl.n)
@@ -695,32 +701,74 @@ def test_level_scales_refine_and_factor(od248, wm_scheme):
             assert rest == 1 and (q == 1 if scheme.kind == "odometer" else q >= 1)
 
 
+def format_4(obj: dict) -> dict:
+    """The format-5 scheme file ``obj`` as format 4 wrote it: one object per
+    cell, ``{"label", "parent", "A": [start, width], "D": [inset, core
+    width]}``, in a level's ``cells`` list."""
+    levels = []
+    for entry in obj["levels"]:
+        level = {key: entry[key] for key in ("n", "scale", "a", "b")}
+        level["cells"] = [{"label": label, "parent": parent, "A": [start, width], "D": [inset, core_width]}
+                          for label, parent, start, width, inset, core_width
+                          in zip(*(entry[key] for key in FILE_COLUMNS))]
+        levels.append(level)
+    return {**obj, "format": 4, "levels": levels}
+
+
 def test_scheme_from_json_wants_the_current_format(od248):
     obj = scheme_to_json(od248)
     del obj["format"]
     with pytest.raises(ValueError, match=r"rebuild .*\{\"rule\":\"list\",\"s\":\[2,4,8\]\}"):
         scheme_from_json(obj)
-    # a format-2 file, hex endpoints and all, and a format-3 file, whose
-    # absolute endpoints would read as offsets, are told to rebuild before
-    # any endpoint is read
+    # a format-2 file, hex endpoints and all, a format-3 file, whose absolute
+    # endpoints would read as offsets, and a format-4 file, one object per
+    # cell, are told to rebuild before any endpoint is read
+    old = format_4(scheme_to_json(od248))
     absolute = [[int_to_digits(x) for x in pair] for pair in absolute_level(od248, 1)[1][0]]
-    for version, endpoints in ((2, [["0", "3p40"], ["1p38", "1p39"]]), (3, absolute)):
+    for version, endpoints in ((2, [["0", "3p40"], ["1p38", "1p39"]]), (3, absolute), (4, None)):
+        obj = json.loads(json.dumps(old))
         obj.update(format=version)
-        obj["levels"][0]["cells"][0]["A"], obj["levels"][0]["cells"][0]["D"] = endpoints
-        with pytest.raises(ValueError, match=rf"field 'format' is {version}, not 4: rebuild"):
+        if endpoints is not None:
+            obj["levels"][0]["cells"][0]["A"], obj["levels"][0]["cells"][0]["D"] = endpoints
+        with pytest.raises(ValueError, match=rf"^field 'format' is {version}, not 5: rebuild the file with "
+                                             r"`cantor-shrink build` from its source descriptor "
+                                             r"\{\"rule\":\"list\",\"s\":\[2,4,8\]\}$"):
             scheme_from_json(obj)
 
 
-@pytest.mark.parametrize("field", ["A", "D"])
-def test_negative_width_is_refused(od248, field):
-    # offsets may be negative, widths not: a carrier or core with its ends
-    # out of order is refused as bad input, before the audit
+@pytest.mark.parametrize("offset, field", [("start", "width"), ("inset", "core_width")], ids=["A", "D"])
+def test_negative_width_is_refused(od248, offset, field):
+    # starts and insets may be negative, widths not: a carrier (A) or core
+    # (D) with its ends out of order is refused as bad input, before the audit
     obj = scheme_to_json(od248)
-    obj["levels"][1]["cells"][2][field][1] = "-3"
+    obj["levels"][1][field][2] = "-3"
     with pytest.raises(ValueError, match=rf"^levels\[1\] label 2: field '{field}': width < 0$"):
         scheme_from_json(obj)
-    obj["levels"][1]["cells"][2][field] = ["-3", "0"]
+    obj["levels"][1][offset][2], obj["levels"][1][field][2] = "-3", "0"
     assert scheme_from_json(obj).level(2).cells[2]
+
+
+@pytest.mark.parametrize("fault", ["missing", "not-a-list", "shorter", "longer"])
+@pytest.mark.parametrize("key", FILE_COLUMNS)
+def test_column_fault_is_refused_before_any_string_of_its_level(od248, key, fault):
+    # every string of level 1 is junk, so a fault found after any of them
+    # was decoded would be named as that string
+    obj = scheme_to_json(od248)
+    level = obj["levels"][1]
+    level.update(scale="junk", a="junk", b="junk", **{k: ["junk"] * 4 for k in FILE_COLUMNS[2:]})
+    if fault == "missing":
+        del level[key]
+        message = f"file is missing field '{key}'"
+    elif fault == "not-a-list":
+        level[key] = {"0": level[key][0]}
+        message = f"field '{key}' must be a list"
+    else:
+        level[key] = level[key][:-1] if fault == "shorter" else level[key] + level[key][:1]
+        named = "parent" if key == "label" else key  # a label column of another length shows in the next one
+        message = f"field '{named}' holds {len(level[named])} entries, not the {len(level['label'])} of 'label'"
+    with pytest.raises(ValueError) as exc:
+        scheme_from_json(obj)
+    assert str(exc.value) == f"levels[1]: {message}"
 
 
 def test_scheme_from_json_wants_scales_that_refine(od248):
@@ -730,11 +778,13 @@ def test_scheme_from_json_wants_scales_that_refine(od248):
         scheme_from_json(obj)
 
 
-# where a junk string goes in a level's file order (each cell's A and D, then
-# a and b), and the field its error names
+# where a junk string goes in the order a level is decoded (its start,
+# width, inset and core_width columns, then a and b), and the field its
+# error names
 LEVEL_PLACES = {
-    "first": (lambda lvl: lvl["cells"][0]["A"], 0, "levels[1] label 0: field 'A'"),
-    "middle": (lambda lvl: lvl["cells"][1]["D"], 1, "levels[1] label 1: field 'D'"),
+    "first": (lambda lvl: lvl["start"], 0, "levels[1] label 0: field 'start'"),
+    "inset": (lambda lvl: lvl["inset"], 2, "levels[1] label 2: field 'inset'"),
+    "middle": (lambda lvl: lvl["core_width"], 1, "levels[1] label 1: field 'core_width'"),
     "last": (lambda lvl: lvl, "b", "levels[1]: field 'b'"),
 }
 
@@ -752,9 +802,9 @@ def test_scheme_level_names_the_string_at_fault(od248, text, place):
     obj = scheme_to_json(od248)
     level = obj["levels"][1]
     holder(level)[key] = text
-    obj["levels"][2]["cells"][0]["A"][0] = "junk"
+    obj["levels"][2]["start"][0] = "junk"
     if place != "last":
-        level["cells"][-1]["D"][1] = "junk"
+        level["core_width"][-1] = "junk"
     with pytest.raises(ValueError) as alone:
         digits_to_int(text, od248.level(2).scale.bit_length() + 64)
     with pytest.raises(ValueError) as exc:
@@ -783,8 +833,8 @@ def test_scale_the_descriptor_cannot_give_is_refused_before_any_endpoint(od248):
     obj = scheme_to_json(od248)
     for level in obj["levels"]:
         level.update(scale="+4194300", a="+4194290", b="+4194280")
-        for cell in level["cells"]:
-            cell["A"], cell["D"] = ["+4194200", "+4194250"], ["+4194210", "+4194240"]
+        for key, text in zip(FILE_COLUMNS[2:], ["+4194200", "+4194250", "+4194210", "+4194240"]):
+            level[key] = [text] * len(level["label"])
     text = canonical_dumps(obj)
     assert len(text) < 2000
     tracemalloc.start()
@@ -827,7 +877,7 @@ def test_claimed_levels_build_no_cover_level_the_file_does_not_hold():
     # file that built the 7-level cover tower (25 MB traced) before its
     # third level was read
     obj = scheme_to_json(build_graph_scheme(build_sequence("weakly-mixing", 1), 1))
-    obj["levels"] += [{"n": 0, "scale": "0", "a": "0", "b": "0", "cells": []} for _ in range(6)]
+    obj["levels"] += [{"n": 0, "scale": "0", "a": "0", "b": "0", **dict.fromkeys(FILE_COLUMNS, [])} for _ in range(6)]
     obj["source"]["levels"] = 7
     text = canonical_dumps(obj)
     assert len(text) < 2500
@@ -848,7 +898,7 @@ def test_descriptor_asking_for_a_huge_scale_is_refused_from_its_size(od248):
     obj = scheme_to_json(od248)
     obj["source"]["s"] = [2, 1 << 40]
     predicted = (4 * 2 + 3) * ((1 << 36) + 1)  # 12 * 2^(2^39) has 2^39 + 4 bits
-    with pytest.raises(ValueError, match=rf"^levels\[0\]: field 'cells': predicted {predicted} bytes of integers, "
+    with pytest.raises(ValueError, match=rf"^levels\[0\]: field 'label': predicted {predicted} bytes of integers, "
                                          rf"past the bound of {MEMORY_BOUND}$"):
         scheme_from_json(obj)
 
@@ -934,15 +984,15 @@ def test_scheme_file_past_the_bound_is_refused_from_its_cells_count(od248):
     import tracemalloc
 
     # s_2 = 2^30 gives level 1 a scale of 2^29 + 4 bits: its 2 cells predict
-    # 0.7 GB, but a cells list of 400 entries predicts 108 GB, and the file
-    # is refused from the list's length, before any entry of it is read
+    # 0.7 GB, but columns of 400 entries predict 108 GB, and the file is
+    # refused from the length of ``label``, before any entry of it is read
     obj = scheme_to_json(od248)
     obj["source"]["s"] = [2, 1 << 30]
-    obj["levels"][0]["cells"] = ["not a cell"] * 400
+    obj["levels"][0].update(dict.fromkeys(FILE_COLUMNS, ["not a cell"] * 400))
     text = canonical_dumps(obj)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=rf"^levels\[0\]: field 'cells': predicted \d+ bytes of integers, "
+        with pytest.raises(ValueError, match=rf"^levels\[0\]: field 'label': predicted \d+ bytes of integers, "
                                              rf"past the bound of {MEMORY_BOUND}$"):
             scheme_from_json(json.loads(text))
         _, peak = tracemalloc.get_traced_memory()
