@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from cantor_shrink.exact import canonical_dumps, dense_bytes
+from cantor_shrink.exact import canonical_dumps, common_scale, system_bytes
 from cantor_shrink.interval_embed import (
     audit_scheme,
     build_graph_scheme,
@@ -70,14 +70,12 @@ def _stage(message: str, values):
         logger.info(message + " in %.2fs", *values(), seconds)
 
 
-SYSTEM_LINE = "%s: %d points, %d-bit scale, predicted %d bytes, %d triangle triples checked"
+SYSTEM_LINE = "%s: %d points, %d-bit scale, predicted %d bytes"
 
 
-def _system_values(what: str, system) -> tuple:
-    n, bits = len(system.points), system.scale.bit_length()
-    # a system built from coordinates is a metric by theorem: its constructor checks no triangle
-    triples = 0 if system.coords is not None else n * (n - 1) * (n - 2)
-    return what, n, bits, dense_bytes(n * n, bits), triples
+def _system_values(what: str, points, scale: int) -> tuple:
+    n, bits = len(points), scale.bit_length()
+    return what, n, bits, system_bytes(n, bits)
 
 
 def _emit(render, out: str | None, message: str = "serialised %d bytes", *values) -> None:
@@ -197,8 +195,10 @@ def cmd_build_extension(args) -> int:
     scheme = _load_scheme(args.scheme, "odometer", "the extension construction starts from an odometer scheme")
     if _audit_fails(args.scheme, scheme):
         return 1
-    # the line's counts need the whole system, built from its coordinates
-    with _stage(SYSTEM_LINE, lambda: _system_values("extension", ext.as_system())):
+    # the line's counts come from the points and the scale their coordinates share, not from a built system
+    with _stage(SYSTEM_LINE, lambda: _system_values(
+        "extension", ext.ids, common_scale(c for xy in ext.positions.values() for c in xy)[0]
+    )):
         ext = build_attractor_repellor(scheme, levels=args.levels, tail=args.tail, refine=args.refine, rate=args.rate)
     _emit(lambda: canonical_dumps(extension_to_json(ext)), args.out)
     return 0
@@ -212,16 +212,16 @@ def cmd_build_system(args) -> int:
     if args.shift is not None:
         if args.depth is not None:
             raise ValueError("--shift takes no --depth: the shift's word length is the --shift value")
-        with _stage(SYSTEM_LINE, lambda: _system_values("system", system)):
-            system = full_shift_midpoint_system(args.shift)
+        build = lambda: full_shift_midpoint_system(args.shift)
     else:
         if args.depth is None:
             raise ValueError("--scheme needs --depth")
         scheme = _load_scheme(args.scheme, "odometer", "midpoint systems need an odometer scheme (graphs branch)")
         if _audit_fails(args.scheme, scheme):
             return 1
-        with _stage(SYSTEM_LINE, lambda: _system_values("system", system)):
-            system = midpoint_system(scheme, args.depth)
+        build = lambda: midpoint_system(scheme, args.depth)
+    with _stage(SYSTEM_LINE, lambda: _system_values("system", system.points, system.scale)):
+        system = build()
     _emit(lambda: canonical_dumps(system_to_json(system)), args.out)
     return 0
 
@@ -259,7 +259,7 @@ def cmd_verify_lrs(args) -> int:
         raise ValueError(
             f"{args.scheme}: --depth {args.depth} is before the scheme's first depth {scheme.min_depth}"
         )
-    depths = [d for d in range(scheme.min_depth, args.depth + 1) if d <= feasible]
+    depths = list(range(scheme.min_depth, min(args.depth, feasible) + 1))
     if not depths:
         raise ValueError(
             f"{args.scheme}: scheme holds levels {scheme.min_depth}..{scheme.max_depth}; "
@@ -337,9 +337,11 @@ def cmd_export_entropy(args) -> int:
     import csv
 
     from cantor_shrink.metric_systems import entropy_estimate, system_from_json
+    from cantor_shrink.metric_systems.core import CLIQUE_POINTS_LIMIT
 
-    with _stage(SYSTEM_LINE, lambda: _system_values(f"loaded {args.sys}", system)):
-        _, system = _read(args.sys, system_from_json)
+    # the clique search's bound is checked from the file's count of points, before anything is built
+    with _stage(SYSTEM_LINE, lambda: _system_values(f"loaded {args.sys}", system.points, system.scale)):
+        _, system = _read(args.sys, lambda obj: system_from_json(obj, CLIQUE_POINTS_LIMIT))
 
     def table() -> str:
         buf = io.StringIO()

@@ -9,11 +9,11 @@ not about unchecked tables.
 
 A system stores its metric as one positive integer scale S and an n×n matrix
 of integers D, indexed by point position, with d(x_i, x_j) = D[i][j] / S.
-The constructors put their inputs over one common denominator once, and the
-metric checks and every certificate compare integers over S; reduced
-``Fraction``s appear only where a distance, radius or margin leaves the
-module, built by :func:`~cantor_shrink.exact.scaled_fraction`.  A system
-file writes every distance and radius as an integer over one declared scale.
+The constructors put their inputs over one common denominator once, and
+every certificate compares integers over S; reduced ``Fraction``s appear
+only where a value leaves the module (:func:`~cantor_shrink.exact.scaled_fraction`).
+A system file writes every coordinate and radius as an integer over one
+declared scale, and is read back into the system of those coordinates.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from operator import add
 from typing import NamedTuple
 
 from cantor_shrink.exact import check_memory, common_scale, dense_bytes, digits_bits, digits_to_int, int_to_digits
-from cantor_shrink.exact import scaled_fraction
+from cantor_shrink.exact import scaled_fraction, system_bytes
 from cantor_shrink.interval_embed import EmbeddingScheme
 
 
@@ -51,8 +51,9 @@ class FinitePointSystem:
     coordinate-sum (L1) distance, which is a metric once the tuples are
     distinct, so only that is checked: each axis |p - q| is symmetric and
     obeys the triangle inequality, so does a sum of them, and the sum is
-    positive exactly when the tuples differ.  An explicit ``dist`` has its
-    symmetry, positivity and every triangle checked.
+    positive exactly when the tuples differ (and the bound admits the
+    matrix).  An explicit ``dist`` has its symmetry, positivity and every
+    triangle checked.
     """
 
     points: list
@@ -89,7 +90,9 @@ class FinitePointSystem:
 
     def _l1_distances(self) -> list:
         """The coordinate-sum matrix of ``coords``, refused on a repeated
-        tuple with the line the explicit check gives for the first such pair."""
+        tuple with the line the explicit check gives for the first such pair,
+        and past the bound predicted over the scale: the package's systems lie
+        within a few multiples of it, and the file reader bounds the rest."""
         coords, n = self.coords, len(self.points)
         if len(coords) != n or len(set(map(len, coords))) > 1:
             raise ValueError(f"coordinates must be {n} tuples of one length")
@@ -97,6 +100,8 @@ class FinitePointSystem:
             first = {}
             pairs = [(first[c], j) for j, c in enumerate(coords) if first.setdefault(c, j) != j]
             raise _pair_fault(self.points, *min(pairs))
+        bits = self.scale.bit_length()
+        check_memory(system_bytes(n, bits), f"{n} points over a {bits}-bit scale")
         axes = list(zip(*coords)) or [(0,) * n]
         dist = [[abs(p - q) for q in axes[0]] for p in axes[0]]
         for xs in axes[1:]:
@@ -148,9 +153,6 @@ class FinitePointSystem:
 
     def d(self, x, y) -> Fraction:
         return scaled_fraction(self.dist[self.index[x]][self.index[y]], self.scale)
-
-    def f(self, x):
-        return self.map[x]
 
 
 class LrsResult(NamedTuple):
@@ -231,21 +233,12 @@ def check_shrinking(sys: FinitePointSystem) -> bool:
 
 
 def periodic_points(sys: FinitePointSystem) -> list:
-    """All points on cycles of the (finite, total) map, sorted."""
-    on_cycle = set()
-    for x in sys.points:
-        y = x
-        for _ in range(len(sys.points)):
-            y = sys.f(y)
-        if y in on_cycle:
-            continue
-        cycle = [y]
-        z = sys.f(y)
-        while z != y:
-            cycle.append(z)
-            z = sys.f(z)
-        on_cycle.update(cycle)
-    return sorted(on_cycle)
+    """All points on cycles of the (finite, total) map, sorted: the image of
+    f^|P|, as |P| steps from any point end on a cycle, which f maps onto itself."""
+    image = set(range(len(sys.points)))
+    for _ in sys.points:
+        image = {sys.succ[i] for i in image}
+    return sorted(sys.points[i] for i in image)
 
 
 # ---------------------------------------------------------------------------
@@ -400,25 +393,32 @@ def _max_clique(adj: list[int]) -> int:
     return best
 
 
+# the clique search recurses once per clique point: near 1,000 points it meets Python's
+# 1,000-frame limit (shift 10, eps 1/64, n 3); 512, the most a matrix file held, take 0.3 s
+CLIQUE_POINTS_LIMIT = 512
+
+
 def separated_count(sys: FinitePointSystem, n: int, eps: Fraction) -> int:
     """Maximal number of points whose orbits eps-separate within n steps.
 
-    Exact branch-and-bound maximum clique on the separation graph; worst
-    case exponential, intended for systems of at most ~64 points.
+    Exact branch-and-bound maximum clique on the separation graph, worst
+    case exponential, refused past CLIQUE_POINTS_LIMIT points.  Orbits walk
+    min(n, |P|^2) steps: a pair's joint orbit repeats a state within |P|^2.
     """
     if n < 1:
         raise ValueError("need at least one step")
     if eps <= 0:
         raise ValueError("separation threshold must be positive")
+    size = len(sys.points)
+    if size > CLIQUE_POINTS_LIMIT:
+        raise ValueError(f"a separated count takes at most {CLIQUE_POINTS_LIMIT} points, not {size}")
     # d > eps exactly when D > floor(eps * scale), D being an integer
     threshold = Fraction(eps) * sys.scale // 1
     dist, succ = sys.dist, sys.succ
-    orbits = []
-    for i in range(len(dist)):
-        orbit = [i]
-        for _ in range(n - 1):
+    orbits = [[i] for i in range(size)]
+    for _ in range(min(n, size * size) - 1):
+        for orbit in orbits:
             orbit.append(succ[orbit[-1]])
-        orbits.append(orbit)
     adj = [0] * len(dist)
     for i, orbit in enumerate(orbits):
         for j in range(i + 1, len(dist)):
@@ -448,48 +448,34 @@ def product_system(sys1: FinitePointSystem, sys2: FinitePointSystem) -> FinitePo
 
     Radii combine as the componentwise minimum when both factors carry
     radii, which is exactly what makes local shrinking survive the product.
-    When both factors carry coordinates, so does the product: each factor's
-    tuple over the common scale, concatenated.
+    Its coordinates are each factor's tuple over the common scale,
+    concatenated, so both factors must carry coordinates.
     """
     pts = [(p, q) for p in sys1.points for q in sys2.points]
     scale = math.lcm(sys1.scale, sys2.scale)
     up1, up2 = scale // sys1.scale, scale // sys2.scale
-    dist = coords = None
-    if sys1.coords is not None and sys2.coords is not None:
-        coords = [tuple(u * up1 for u in c1) + tuple(v * up2 for v in c2) for c1 in sys1.coords for c2 in sys2.coords]
-    else:
-        dist = [[u * up1 + v * up2 for u in r1 for v in r2] for r1 in sys1.dist for r2 in sys2.dist]
-    step = {(p, q): (sys1.f(p), sys2.f(q)) for p, q in pts}
+    coords = [tuple(u * up1 for u in c1) + tuple(v * up2 for v in c2) for c1 in sys1.coords for c2 in sys2.coords]
+    step = {(p, q): (sys1.map[p], sys2.map[q]) for p, q in pts}
     eps = None
     if sys1.eps is not None and sys2.eps is not None:
         eps = {(p, q): min(sys1.eps[p], sys2.eps[q]) for p, q in pts}
     source = None
     if sys1.source is not None and sys2.source is not None:
         source = {"kind": "product", "factors": [sys1.source, sys2.source]}
-    return FinitePointSystem(pts, scale, dist, step, eps=eps, source=source, coords=coords)
-
-
-# a midpoint system is built from coordinates in well under a second, but
-# its file is an explicit matrix, whose reader checks every triangle and
-# searches cliques: 256 points of depth 8 of the (2, 4, 8) odometer load in
-# about 3 s, and each doubling of the points costs the load 8 times more
-MIDPOINT_POINTS_LIMIT = 256
+    return FinitePointSystem(pts, scale, None, step, eps=eps, source=source, coords=coords)
 
 
 def midpoint_system(scheme: EmbeddingScheme, depth: int) -> FinitePointSystem:
     """Depth-``depth`` core midpoints of an odometer scheme, map = +1 mod s.
 
     Raises:
-        ValueError: for a level of more than MIDPOINT_POINTS_LIMIT points,
-            before any point is built.
+        ValueError: past MEMORY_BOUND, predicted before any point is built
+            over twice the level's scale, a multiple of every midpoint's.
     """
     if scheme.kind != "odometer":
         raise ValueError("midpoint systems need an odometer scheme (graphs branch)")
     level = scheme.level(depth)
-    if len(level.cells) > MIDPOINT_POINTS_LIMIT:
-        raise ValueError(
-            f"depth {depth} has {len(level.cells)} points; a midpoint system takes at most {MIDPOINT_POINTS_LIMIT}"
-        )
+    check_memory(system_bytes(len(level.cells), level.scale.bit_length() + 1), f"depth {depth}")
     s_d = scheme.spec.extended_modulus(depth)
     positions = {label: cell.D.midpoint for label, cell in level.cells.items()}
     step = {label: (label + 1) % s_d for label in positions}
@@ -503,12 +489,6 @@ def midpoint_system(scheme: EmbeddingScheme, depth: int) -> FinitePointSystem:
     return sys
 
 
-# 2^depth points: depth 9 builds in under a second, and its 2.5 MB file
-# loads in about 6 s of triangle checks, 8 times more with each depth, before
-# the entropy table's clique search
-SHIFT_DEPTH_LIMIT = 9
-
-
 def full_shift_midpoint_system(depth: int = 6) -> FinitePointSystem:
     """Binary words of a fixed length as dyadic midpoints, map = left shift.
 
@@ -516,10 +496,13 @@ def full_shift_midpoint_system(depth: int = 6) -> FinitePointSystem:
     estimates sit at log 2 instead of decaying.
 
     Raises:
-        ValueError: unless 1 <= depth <= SHIFT_DEPTH_LIMIT.
+        ValueError: for a word length below 1, or at the first length up
+            to ``depth`` predicted past MEMORY_BOUND, before any word exists.
     """
-    if not 1 <= depth <= SHIFT_DEPTH_LIMIT:
-        raise ValueError(f"the full shift needs a word length from 1 to {SHIFT_DEPTH_LIMIT}, not {depth!r}")
+    if depth < 1:
+        raise ValueError(f"the full shift needs a word length of at least 1, not {depth!r}")
+    for length in range(1, depth + 1):  # the first length past the bound is refused, never a huge 2^depth
+        check_memory(system_bytes(1 << length, length + 2), f"word length {length}")
     words = [format(v, f"0{depth}b") for v in range(2**depth)]
     positions = {w: Fraction(2 * int(w, 2) + 1, 2 ** (depth + 1)) for w in words}
     step = {w: w[1:] + "0" for w in words}
@@ -548,16 +531,19 @@ def _decode_id(x):
 
 def system_to_json(sys: FinitePointSystem) -> dict:
     """The system's JSON form: one ``scale``, the least multiple of the
-    system's over which every radius is an integer, and each distance and
-    radius as signed binary digits over it."""
+    system's over which every radius is an integer, and each point's
+    coordinates and each radius as signed binary digits over it; a system
+    given by its distances alone is refused."""
+    if sys.coords is None:
+        raise ValueError("a system file holds coordinates, and this system was given only distances")
     scale, eps = common_scale([] if sys.eps is None else [sys.eps[x] for x in sys.points], sys.scale)
     up = scale // sys.scale
     out = {
         "kind": "finite-system",
         "points": [_encode_id(x) for x in sys.points],
-        "metric": "explicit",
+        "metric": "l1",
         "scale": int_to_digits(scale),
-        "distances": [[int_to_digits(d * up) for d in row] for row in sys.dist],
+        "coords": [[int_to_digits(c * up) for c in point] for point in sys.coords],
         "map": list(sys.succ),
     }
     if sys.eps is not None:
@@ -577,38 +563,50 @@ def _integers(values, name: str, n: int, decode) -> list:
         raise ValueError(f"field {name!r}: {exc}") from None
 
 
-def system_from_json(obj: dict) -> FinitePointSystem:
-    """Rebuild a system from its JSON form, every distance and radius an
-    integer over the declared scale, each refused from the text past 64
-    bits more than it; n points predict n^2 integers of the scale's size,
-    checked against the bound before any integer is decoded.  The system
-    keeps a copy of the file's ``source``, so editing ``obj`` after the load
-    edits no system.
+def system_from_json(obj: dict, max_points=math.inf) -> FinitePointSystem:
+    """Rebuild a system from its JSON form: n distinct tuples of k
+    coordinates over the declared scale, each refused from the text past 64
+    bits more than it, and admitted from n, k and the scale's leading digit
+    by the bound before any is decoded; more than ``max_points`` points are
+    refused before anything is decoded.  It keeps a copy of the file's
+    ``source``, so editing ``obj`` after the load edits no system.
 
     Raises:
         ValueError: naming the field, on any entry that is missing, mistyped
-            or out of range, and on a matrix that is not a metric.
+            or out of range, and on a file of another metric.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"a finite-system file holds a JSON object, not a {type(obj).__name__}")
-    if obj.get("kind") != "finite-system" or obj.get("metric") != "explicit":
+    if obj.get("kind") != "finite-system":
         raise ValueError("not a finite-system descriptor")
-    if "scale" not in obj:
-        raise ValueError("field 'scale' is missing: rebuild the file with `cantor-shrink build system`")
+    if obj.get("metric") != "l1":
+        rebuild = "rebuild the file with `cantor-shrink build system`"
+        raise ValueError(f"field 'metric' is {obj.get('metric')!r:.40}, not 'l1': {rebuild}")
     if not isinstance(obj.get("points"), list):
         raise ValueError("field 'points' must be a list of point ids")
+    n, rows = len(obj["points"]), obj.get("coords")
+    if n > max_points:
+        raise ValueError(f"field 'points': {n} points, past the limit of {max_points}")
     pts = [_decode_id(x) for x in obj["points"]]
-    n = len(pts)
-    [bits] = _integers([obj["scale"]], "scale", 1, digits_bits)
-    check_memory(dense_bytes(n * n, bits), f"field 'points': {n} points over a {bits}-bit scale")
+    if not isinstance(rows, list) or len(rows) != n or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"field 'coords' must hold {n} lists, one per point")
+    k = max(map(len, rows), default=0)
+    [bits] = _integers([obj.get("scale")], "scale", 1, digits_bits)
+    # k is the longest tuple's length; a coordinate's leading digit is at most 64 bits past
+    # the scale's, so it lies below 2^(bits+65), and a distance below 2^(bits+66) k: at that
+    # width the prediction counts no distance as a shared small int, however the file spreads them
+    where = f"field 'coords': {n} points, {k} coordinates each, over a {bits}-bit scale"
+    check_memory(system_bytes(n, bits + 66 + k.bit_length()) + dense_bytes(n * k, bits + 65), where)
     [scale] = _integers([obj["scale"]], "scale", 1, partial(digits_to_int, max_bits=bits))
     if scale <= 0:
         raise ValueError(f"field 'scale' must be positive, not {obj['scale']!r:.40}")
     decode = partial(digits_to_int, max_bits=scale.bit_length() + 64)
-    rows = obj.get("distances")
-    if not isinstance(rows, list) or len(rows) != n:
-        raise ValueError(f"field 'distances' must hold {n} rows, one per point")
-    dist = [_integers(row, "distances", n, decode) for row in rows]
+    coords, first = [tuple(_integers(row, "coords", len(row), decode)) for row in rows], {}
+    for x, c in zip(pts, coords):
+        if len(c) != len(coords[0]):
+            raise ValueError(f"field 'coords': point {x!r:.40} has {len(c)} coordinates, not {len(coords[0])}")
+        if first.setdefault(c, x) != x:
+            raise ValueError(f"field 'coords': points {first[c]!r:.40} and {x!r:.40} share one tuple")
     targets = obj.get("map")
     if not isinstance(targets, list) or len(targets) != n:
         raise ValueError(f"field 'map' must list {n} point indices, one per point")
@@ -619,4 +617,4 @@ def system_from_json(obj: dict) -> FinitePointSystem:
     eps = None
     if "eps" in obj:
         eps = {x: scaled_fraction(e, scale) for x, e in zip(pts, _integers(obj["eps"], "eps", n, decode))}
-    return FinitePointSystem(pts, scale, dist, step, eps=eps, source=deepcopy(obj.get("source")))
+    return FinitePointSystem(pts, scale, None, step, eps=eps, source=deepcopy(obj.get("source")), coords=coords)

@@ -2,6 +2,7 @@
 API.  Importing its in-process steps here makes a removed or renamed name
 fail the test suite instead of the benchmark run."""
 
+import json
 import os
 import subprocess
 import sys
@@ -100,3 +101,42 @@ def test_benchmark_checks_the_finite_systems(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode() == "[]\n"
+
+
+# Run in a child next to the benchmark's modules: the graph-tr3 and
+# odometer-d9 in-process steps under an enabled Tracer, then each workload's
+# checks on the files they wrote, printing the failing checks and the counts.
+TRACED = """
+import json, sys
+from pathlib import Path
+
+import workloads
+from tracing import Tracer
+
+result = {}
+for name, steps, check in (("graph", workloads.graph_inprocess, workloads.graph_check),
+                           ("odometer", workloads.odometer_inprocess, workloads.odometer_check)):
+    work = Path(sys.argv[1]) / name
+    work.mkdir()
+    tracer = Tracer("tier-1")
+    steps(tracer, work, 7)
+    result[name] = {"failed": [n for n, ok in check(work, 7) if not ok], "counts": tracer.to_json()["counts"]}
+print(json.dumps(result))
+"""
+
+
+def test_benchmark_traces_the_cli_workloads(tmp_path):
+    """The traced steps of the two CLI workloads run and pass their checks,
+    and count each scheme's largest denominator, which the benchmark reads
+    off the cells' interval views: a change to those fails here, not only
+    in a ``--trace 1`` run."""
+    src_root = str(Path(cantor_shrink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_root, str(PERFBENCH)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED, str(tmp_path)], capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    result = json.loads(proc.stdout)
+    for name in ("graph", "odometer"):
+        assert result[name]["failed"] == [], name
+        assert result[name]["counts"]["interval_embed.max_den_bits"] > 0, name

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from cantor_shrink.metric_systems import (
     verify_deformed_lrs,
     verify_extension_lrs,
 )
-from cantor_shrink.metric_systems.core import MIDPOINT_POINTS_LIMIT, SHIFT_DEPTH_LIMIT
 from cantor_shrink.odometer import OdometerSpec
 
 # the leading exponent a test accepts when it decodes a digit string of a
@@ -174,11 +174,45 @@ def test_build_system_shift(tmp_path):
     assert len(payload["points"]) == 4
 
 
-@pytest.mark.parametrize("depth", ["-1", "0", str(SHIFT_DEPTH_LIMIT + 1)])
+@pytest.mark.parametrize("depth", ["-1", "0"])
 def test_build_system_refuses_shift_depths_out_of_range(depth):
     code, out, err = run(["build", "system", "--shift", depth])
     assert code == 2 and out == ""
-    assert err == f"error: the full shift needs a word length from 1 to {SHIFT_DEPTH_LIMIT}, not {depth}\n"
+    assert err == f"error: the full shift needs a word length of at least 1, not {depth}\n"
+
+
+def refused_in_a_small_child(argv, seconds=1):
+    """The one stderr line of ``main(argv)`` run in a child capped at 1 GB of
+    address space, after checking that it exits 2 within ``seconds``."""
+    code = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from cantor_shrink.cli import main\n"
+        "t0 = time.perf_counter()\n"
+        f"status = main({argv + ['--out', os.devnull]!r})\n"
+        "print(status, time.perf_counter() - t0)\n"
+    )
+    proc = run_python(["-c", code], timeout=60)
+    status, elapsed = proc.stdout.decode().split()
+    assert status == "2" and float(elapsed) < seconds
+    [line] = proc.stderr.decode().splitlines()
+    return line
+
+
+# the first word length of the full shift whose system is predicted past the
+# bound: 2^14 points over the scale 2^15, 9.6 GB (word length 13 predicts 2.4 GB)
+FIRST_REFUSED_SHIFT = 14
+
+
+@pytest.mark.parametrize("depth", [str(FIRST_REFUSED_SHIFT), str(10**18)])
+def test_build_system_refuses_the_first_shift_past_the_bound(depth):
+    # refused from the prediction before any word is built: a request of
+    # 10^18 is refused at the first length past the bound, in a child that
+    # could not hold its words
+    line = refused_in_a_small_child(["build", "system", "--shift", depth])
+    bound = f"past the bound of {MEMORY_BOUND}"
+    match = re.fullmatch(rf"error: word length {FIRST_REFUSED_SHIFT}: predicted (\d+) bytes of integers, {bound}", line)
+    assert match and int(match[1]) > MEMORY_BOUND
 
 
 def test_build_system_shortest_shift():
@@ -207,22 +241,11 @@ FIRST_REFUSED = {"graph": 5, "odometer": 14}
     (["build", "graph", "--variant", "weakly-mixing", "--levels", "12"], 12),
 ])
 def test_build_refuses_a_scale_no_reader_loads(argv, depth):
-    # the child is capped at 1 GB of address space, and builds nothing: the
-    # refusal comes from the predicted bytes of the scale steps, level by
-    # level, before any cell is made (and before a graph tower grows past
-    # the refused level), so stderr is the error line alone
-    code = (
-        "import resource, sys, time\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from cantor_shrink.cli import main\n"
-        "t0 = time.perf_counter()\n"
-        f"status = main({argv + ['--out', os.devnull]!r})\n"
-        "print(status, time.perf_counter() - t0)\n"
-    )
-    proc = run_python(["-c", code], timeout=60)
-    status, seconds = proc.stdout.decode().split()
-    assert status == "2" and float(seconds) < 1
-    [line] = proc.stderr.decode().splitlines()
+    # the child builds nothing: the refusal comes from the predicted bytes
+    # of the scale steps, level by level, before any cell is made (and
+    # before a graph tower grows past the refused level), so stderr is the
+    # error line alone
+    line = refused_in_a_small_child(argv)
     refused = min(depth, FIRST_REFUSED[argv[1]])
     match = re.fullmatch(
         rf"error: depth {refused}: predicted (\d+) bytes of integers, past the bound of {MEMORY_BOUND}", line
@@ -255,16 +278,39 @@ def test_build_extension_roundtrip(work, tmp_path):
     assert again.read_bytes() == out_path.read_bytes()
 
 
-def test_quiet_build_extension_builds_no_system(work, monkeypatch):
-    # the finite system of the extension feeds only the INFO line
+def test_quiet_build_extension_builds_no_system(work, monkeypatch, caplog):
+    # nothing the command writes needs the extension's finite system, and
+    # its INFO line takes the counts from the points and their common scale
     argv = ["build", "extension", "--scheme", str(work["od3"]), "--levels", "1", "--tail", "4", "--refine", "3"]
     code, out, _ = run(argv)
 
     def refuse(self):
-        raise AssertionError("a quiet build extension built the extension's finite system")
+        raise AssertionError("build extension built the extension's finite system")
 
     monkeypatch.setattr(ExtensionSystem, "as_system", refuse)
     assert run(argv) == (0, out, "")
+    caplog.set_level(logging.INFO, logger="cantor_shrink.cli")
+    assert run(argv) == (0, out, "")
+    assert any(line.startswith("extension: 23 points, 49-bit scale") for line in cli_log_lines(caplog))
+
+
+PEAK_RSS = "import resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+
+
+def test_logged_build_extension_peaks_as_the_quiet_one(tmp_path):
+    # 619 points over a 604-bit scale: forming their distance matrix for the
+    # log line alone raised the logged run's peak from 19 to 62 MB
+    scheme = tmp_path / "od3.json"
+    assert run(["build", "odometer", "--s", "2,4,8", "--depth", "3", "--out", str(scheme)])[0] == 0
+    argv = ["build", "extension", "--scheme", str(scheme), "--levels", "1", "--tail", "600", "--refine", "3"]
+    code = f"from cantor_shrink.cli import main\nassert main({argv + ['--out', os.devnull]!r}) == 0\n{PEAK_RSS}"
+    peaks = []
+    for level in ("INFO", None):
+        proc = run_python(["-c", code], log_level=level)
+        assert proc.returncode == 0, proc.stderr.decode()
+        peaks.append(int(proc.stdout.decode()))  # KiB
+    logged, quiet = peaks
+    assert abs(logged - quiet) < 4096, peaks
 
 
 def test_build_extension_continues_the_listed_tower(tmp_path):
@@ -292,12 +338,15 @@ def test_build_system_refuses_a_depth_before_the_first(work):
 
 
 def test_build_system_refuses_a_level_past_the_point_bound(tmp_path):
-    scheme = tmp_path / "wide.json"
-    n = MIDPOINT_POINTS_LIMIT + 1
-    assert run(["build", "odometer", "--s", str(n), "--depth", "1", "--out", str(scheme)])[0] == 0
-    code, out, err = run(["build", "system", "--scheme", str(scheme), "--depth", "1"])
-    assert (code, out) == (2, "")
-    assert err == f"error: depth 1 has {n} points; a midpoint system takes at most {MIDPOINT_POINTS_LIMIT}\n"
+    # the first depth of the (2, 4, 8) odometer whose midpoint system is
+    # predicted past the bound, over twice the level's scale: 1,024 points
+    # over 36,817 bits, 5.2 GB (depth 9 predicts 580 MB); refused before any
+    # midpoint is formed, in a child that loads and audits the scheme
+    scheme = tmp_path / "od10.json"
+    assert run(["build", "odometer", "--s", "2,4,8", "--depth", "10", "--out", str(scheme)])[0] == 0
+    line = refused_in_a_small_child(["build", "system", "--scheme", str(scheme), "--depth", "10"])
+    match = re.fullmatch(rf"error: depth 10: predicted (\d+) bytes of integers, past the bound of {MEMORY_BOUND}", line)
+    assert match and int(match[1]) > MEMORY_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +370,20 @@ def test_verify_lrs_clamps_to_feasible_depths(work):
     assert report["depths_checked"] == [1, 2]
     assert report["pass"] is True
     assert [r["check"] for r in report["reports"]] == ["audit", "lrs-pairs", "lrs-pairs"]
+
+
+def test_verify_lrs_past_the_deepest_depth_checks_no_more(work):
+    # the depths stop at the deepest checkable one, so a request of 10^18
+    # costs what a request of 2 does, and reports the same
+    argv = ["verify", "lrs", "--scheme", str(work["od3"]), "--depth"]
+    code, near, _ = run([*argv, "2"])
+    start = time.perf_counter()
+    far_code, far, _ = run([*argv, str(10**18)])
+    assert time.perf_counter() - start < 1
+    assert code == far_code == 0
+    near, far = json.loads(near), json.loads(far)
+    assert (near.pop("requested_depth"), far.pop("requested_depth")) == (2, 10**18)
+    assert near == far
 
 
 def test_verify_lrs_logs_each_depth_and_the_report_size(work, caplog):
@@ -599,8 +662,7 @@ def _nested_point_system(path):
     for _ in range(500):
         point = [point]
     path.write_text(json.dumps({
-        "kind": "finite-system", "metric": "explicit", "scale": "+0", "points": [point],
-        "distances": [["0"]], "map": [0],
+        "kind": "finite-system", "metric": "l1", "scale": "+0", "points": [point], "coords": [["0"]], "map": [0],
     }))
 
 
@@ -822,18 +884,17 @@ def _setting(value, *path):
     return mutate
 
 
-def _nudge_distance(i, j):
-    """Add one unit of the file's scale to distance (i, j) alone: a valid
-    digit string whose matrix is no longer a metric."""
-    def mutate(obj):
-        row = obj["distances"][i]
-        row[j] = int_to_digits(digits_to_int(row[j], BITS) + 1)
-    return mutate
-
-
-def _distance_past_the_scale(obj):
+def _coordinate_past_the_scale(obj):
     bits = digits_to_int(obj["scale"], BITS).bit_length()
-    obj["distances"][0][1] = f"+{bits + 65}"
+    obj["coords"][0][0] = f"+{bits + 65}"
+
+
+def _as_explicit(obj):
+    """The file as systems were written before they held coordinates: the
+    n×n matrix of their distances over the scale."""
+    coords = [[digits_to_int(c, BITS) for c in point] for point in obj.pop("coords")]
+    obj["distances"] = [[int_to_digits(sum(abs(a - b) for a, b in zip(p, q))) for q in coords] for p in coords]
+    obj["metric"] = "explicit"
 
 
 # single mutations of the depth-3 midpoint system file, each with the text its
@@ -842,21 +903,29 @@ def _distance_past_the_scale(obj):
 SYSTEM_MUTATIONS = {
     "map-index-out-of-range": (_setting(8, "map", 0), "'map'"),
     "map-entry-string": (_setting("1", "map", 0), "'map'"),
-    "short-distance-row": (lambda obj: obj["distances"][1].pop(), "'distances'"),
     "points-not-a-list": (_setting(5, "points"), "'points'"),
     "short-eps": (lambda obj: obj["eps"].pop(), "'eps'"),
     "top-level-list": (lambda obj: [obj], "JSON object"),
-    "asymmetric": (_nudge_distance(1, 0), "distances must be positive and symmetric off the diagonal"),
-    "nonzero-diagonal": (_nudge_distance(2, 2), "distances must vanish on the diagonal"),
     "zero-scale": (_setting("0", "scale"), "field 'scale' must be positive"),
     # 8 points: the distances of a scale of more than 2^29 bits take more
     # than MEMORY_BOUND bytes
     "scale-past-the-limit": (
         _setting("+536870912", "scale"),
-        f"field 'points': 8 points over a 536870913-bit scale: predicted 4294967360 bytes of integers, "
-        f"past the bound of {MEMORY_BOUND}",
+        f"field 'coords': 8 points, 1 coordinates each, over a 536870913-bit scale: predicted 5118176328 bytes "
+        f"of integers, past the bound of {MEMORY_BOUND}",
     ),
-    "distance-past-the-scale": (_distance_past_the_scale, "field 'distances': '+"),
+    "coords-not-a-list": (_setting(5, "coords"), "field 'coords' must hold 8 lists, one per point"),
+    "ragged-coords": (lambda obj: obj["coords"][1].append("0"), "field 'coords': point 1 has 2 coordinates, not 1"),
+    "repeated-coords": (
+        lambda obj: obj["coords"].__setitem__(2, obj["coords"][1]), "field 'coords': points 1 and 2 share one tuple"
+    ),
+    "coordinate-past-the-scale": (_coordinate_past_the_scale, "field 'coords': '+"),
+    "non-canonical-coordinate": (
+        lambda obj: obj["coords"][1].__setitem__(0, _non_canonical(obj["coords"][1][0])), "field 'coords': "
+    ),
+    "explicit-metric": (
+        _as_explicit, "field 'metric' is 'explicit', not 'l1': rebuild the file with `cantor-shrink build system`"
+    ),
 }
 
 
@@ -884,26 +953,39 @@ def test_system_file_without_a_scale_is_told_to_rebuild(tmp_path):
     }))
     code, out, err = run(["export", "entropy", "--sys", str(old), "--eps", "1/4", "--n", "1"])
     assert (code, out) == (2, "")
-    assert err == f"error: {old}: field 'scale' is missing: rebuild the file with `cantor-shrink build system`\n"
+    rebuild = "rebuild the file with `cantor-shrink build system`"
+    assert err == f"error: {old}: field 'metric' is 'explicit', not 'l1': {rebuild}\n"
+
+
+def test_entropy_table_refuses_a_system_past_the_clique_bound_from_its_count(tmp_path):
+    # 513 points, one more than the clique search takes: refused from the
+    # length of 'points', naming the file and field, before any coordinate is read
+    path = tmp_path / "line513.json"
+    path.write_text(json.dumps({
+        "kind": "finite-system", "metric": "l1", "scale": "+0", "points": list(range(513)),
+        "coords": [["junk"]] * 513, "map": [0] * 513,
+    }))
+    code, out, err = run(["export", "entropy", "--sys", str(path), "--eps", "1/4", "--n", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: field 'points': 513 points, past the limit of 512\n"
 
 
 # the INFO line each command that builds or loads a finite system logs, after
 # the load and audit lines of the scheme it reads, if any, and before the
-# line of its serialise and its peak RSS; a system built from coordinates
-# checks no triangle, a loaded file every one
+# line of its serialise and its peak RSS: 8 points over 21 bits predict
+# 8 x 512 + 64 x 8 + 64 x 28 bytes, 23 over 49 bits 23 x 512 + 529 x (8 + 32)
 SYSTEM_LOG_LINES = {
     "build-system": (
         ["build", "system", "--scheme", "{od3}", "--depth", "3"],
-        r"system: 8 points, 21-bit scale, predicted 192 bytes, 0 triangle triples checked in \d+\.\d\ds",
+        r"system: 8 points, 21-bit scale, predicted 6400 bytes in \d+\.\d\ds",
     ),
     "build-extension": (
         ["build", "extension", "--scheme", "{od3}", "--levels", "1", "--tail", "4", "--refine", "3"],
-        r"extension: 23 points, 49-bit scale, predicted 3703 bytes, 0 triangle triples checked in \d+\.\d\ds",
+        r"extension: 23 points, 49-bit scale, predicted 32936 bytes in \d+\.\d\ds",
     ),
     "export-entropy": (
         ["export", "entropy", "--sys", "{sys3}", "--eps", "1/4", "--n", "1,2"],
-        r"loaded \S+sys3\.json: 8 points, 21-bit scale, predicted 192 bytes, 336 triangle triples checked "
-        r"in \d+\.\d\ds",
+        r"loaded \S+sys3\.json: 8 points, 21-bit scale, predicted 6400 bytes in \d+\.\d\ds",
     ),
 }
 
@@ -1046,8 +1128,9 @@ def test_single_mutations_of_a_system_file_exit_cleanly(work, data):
 # entries were re-pinned when margins became signed binary digits over a
 # declared scale; GOLDEN_PAIR_VALUES holds their values across that switch.
 # od3-build-system and od3-build-extension were re-pinned when finite systems
-# and extensions became signed binary digits over a declared scale;
-# GOLDEN_FINITE_VALUES holds their values across that switch
+# and extensions became signed binary digits over a declared scale, and
+# od3-build-system again when system files came to hold coordinates in place
+# of distances; GOLDEN_FINITE_VALUES holds their values across both switches
 GOLDEN_STDOUT = {
     "od3-verify-derivative": (
         ["verify", "derivative", "--scheme", "{od3}"],
@@ -1079,7 +1162,7 @@ GOLDEN_STDOUT = {
     ),
     "od3-build-system": (
         ["build", "system", "--scheme", "{od3}", "--depth", "2"],
-        "89024bc61ebfa5db862dd109e63b63efc44cb50fcde9c7447975f5786968f0fe",
+        "a03c6326779ff8ec1448d97692b1759ebcefe9aec37cf84e61fb2019c1a43b30",
     ),
     "od3-build-extension": (
         ["build", "extension", "--scheme", "{od3}", "--levels", "1", "--tail", "4", "--refine", "3"],
@@ -1176,15 +1259,18 @@ def sha256(text: str) -> str:
 
 def _finite_value_lines(obj: dict) -> str:
     """One line per value of a finite-system file, an extension file or an
-    extension or deformed report: each distance and eps by point index, each
-    slack, each point's x and y by id, and each margin with its kind and
-    index, every value as a reduced fraction."""
+    extension or deformed report: each distance, the coordinate-sum of a
+    system file's coordinates, and eps by point index, each slack, each
+    point's x and y by id, and each margin with its kind and index, every
+    value as a reduced fraction."""
     scale = digits_to_int(obj["scale"], BITS)
 
     def value(text):
         return Fraction(digits_to_int(text, scale.bit_length() + 64), scale)
 
-    lines = [f"distance {i} {j} {value(v)}" for i, row in enumerate(obj.get("distances", [])) for j, v in enumerate(row)]
+    coords = [[value(c) for c in point] for point in obj.get("coords", [])]
+    lines = [f"distance {i} {j} {sum(abs(a - b) for a, b in zip(p, q))}"
+             for i, p in enumerate(coords) for j, q in enumerate(coords)]
     lines += [f"eps {i} {value(v)}" for i, v in enumerate(obj.get("eps", []))]
     lines += [f"slack {n} {value(v)}" for n, v in enumerate(obj.get("slack", obj.get("stats", {}).get("slack", [])), 1)]
     lines += [f"point {p['id']} {value(p['x'])} {value(p['y'])}" for p in obj.get("points", []) if isinstance(p, dict)]

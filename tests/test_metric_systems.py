@@ -6,14 +6,16 @@ import math
 import operator
 import random
 from fractions import Fraction
+from functools import partial
 
 import hypothesis as h
 import hypothesis.strategies as st
 import pytest
 
-from cantor_shrink.exact import canonical_dumps, digits_to_int
+from cantor_shrink import exact
+from cantor_shrink.exact import MEMORY_BOUND, canonical_dumps, dense_bytes, digits_to_int, int_to_digits, system_bytes
 from cantor_shrink.graphcover import build_sequence
-from cantor_shrink.interval_embed import build_graph_scheme, build_odometer_scheme
+from cantor_shrink.interval_embed import Cell, build_graph_scheme, build_odometer_scheme
 from cantor_shrink.metric_systems import (
     OMEGA,
     FinitePointSystem,
@@ -282,7 +284,7 @@ def small_systems(draw):
 
 def reference_check_lrs(system):
     """check_lrs as a loop over every ordered pair of Fraction distances."""
-    pts, d, f = system.points, system.d, system.f
+    pts, d, f = system.points, system.d, system.map.get
     radii = system.eps
     if radii is None:
         diameter = max(d(x, y) for x in pts for y in pts)
@@ -311,7 +313,7 @@ def reference_separated_count(system, n, eps):
     for x in pts:
         orbits[x] = [x]
         for _ in range(n - 1):
-            orbits[x].append(system.f(orbits[x][-1]))
+            orbits[x].append(system.map[orbits[x][-1]])
     apart = {
         (x, y): any(system.d(u, v) > eps for u, v in zip(orbits[x], orbits[y])) for x in pts for y in pts
     }
@@ -335,10 +337,30 @@ def test_integer_certificates_match_the_fraction_loops(case):
         assert computed_radii(system) == radii
     pts = system.points
     assert check_shrinking(system) == all(
-        system.d(system.f(x), system.f(y)) < system.d(x, y) for x, y in itertools.combinations(pts, 2)
+        system.d(system.map[x], system.map[y]) < system.d(x, y) for x, y in itertools.combinations(pts, 2)
     )
     for n in (1, 2):
         assert separated_count(system, n, eps) == reference_separated_count(system, n, eps)
+
+
+# a 2-cycle and a 3-cycle on the line whose pair (a0, b0) separates at
+# 8/5 only at its sixth step, more than |P| steps on: a walk of |P| steps
+# would count 4 points at n = 6 where there are 5
+TWO_CYCLES = FinitePointSystem.from_positions(
+    {"a0": Fraction(3), "a1": Fraction(0), "b0": Fraction(3, 2), "b1": Fraction(29, 20), "b2": Fraction(31, 10)},
+    {"a0": "a1", "a1": "a0", "b0": "b1", "b1": "b2", "b2": "b0"},
+)
+
+
+@h.given(case=small_systems(), n=st.integers(min_value=1, max_value=80))
+@h.example(case=(TWO_CYCLES, Fraction(8, 5)), n=6)
+@h.settings(derandomize=True, max_examples=100, deadline=None)
+def test_separated_count_walks_at_most_the_square_of_the_points(case, n):
+    """Orbits walked for min(n, |P|^2) steps give the count of orbits walked
+    for all n, so a request of 10^12 steps costs what |P|^2 does."""
+    system, eps = case
+    assert separated_count(system, n, eps) == reference_separated_count(system, n, eps)
+    assert separated_count(system, 10**12, eps) == reference_separated_count(system, len(system.points) ** 2, eps)
 
 
 @st.composite
@@ -382,13 +404,21 @@ def test_coordinates_and_their_explicit_matrix_give_one_system(case, threshold):
     assert periodic_points(built) == periodic_points(given)
     for n in (1, 2):
         assert separated_count(built, n, threshold) == separated_count(given, n, threshold)
-    assert canonical_dumps(system_to_json(built)) == canonical_dumps(system_to_json(given))
-    # a product of coordinate factors carries coordinates, and the same metric,
-    # here over a scale both factors' scales divide properly
-    by_coords = product_system(built, FinitePointSystem(points, scale + 1, None, step, coords=coords))
-    explicit = product_system(given, FinitePointSystem(points, scale + 1, dist, step))
-    assert by_coords.coords is not None and explicit.coords is None
-    assert canonical_dumps(system_to_json(by_coords)) == canonical_dumps(system_to_json(explicit))
+    # a file holds the coordinates, and loads to the system of the explicit
+    # matrix; a system given by its matrix alone has no file
+    loaded = system_from_json(json.loads(canonical_dumps(system_to_json(built))))
+    assert loaded.dist == [[d * (loaded.scale // scale) for d in row] for row in given.dist]
+    assert check_lrs(loaded) == check_lrs(given) and check_shrinking(loaded) == check_shrinking(given)
+    with pytest.raises(ValueError, match=r"^a system file holds coordinates, and this system was given only dist"):
+        system_to_json(given)
+    # a product carries its factors' coordinates side by side, so its metric
+    # is the sum of theirs, here over a scale both factors' scales divide
+    # properly, and it passes the explicit checks too
+    product = product_system(built, FinitePointSystem(points, scale + 1, None, step, coords=coords))
+    up, up_other = product.scale // scale, product.scale // (scale + 1)
+    summed = [[u * up + v * up_other for u in row for v in other] for row in dist for other in dist]
+    explicit = FinitePointSystem(product.points, product.scale, summed, product.map)
+    assert system_from_json(system_to_json(product)).dist == product.dist == explicit.dist
 
 
 def test_system_takes_coordinates_or_distances_not_both():
@@ -602,11 +632,68 @@ def test_oracle_reports_every_broken_claim(monkeypatch):
 
 
 def test_midpoint_system_takes_a_level_up_to_the_point_bound(od248, monkeypatch):
-    monkeypatch.setattr(core, "MIDPOINT_POINTS_LIMIT", 8)
+    # 8 points, predicted over twice the level's scale before any midpoint
+    # is formed, then over the system's own scale, which divides it
+    predicted = system_bytes(8, od248.level(3).scale.bit_length() + 1)
+    assert system_bytes(8, midpoint_system(od248, 3).scale.bit_length()) <= predicted
+    monkeypatch.setattr(exact, "MEMORY_BOUND", predicted)
     assert len(midpoint_system(od248, 3).points) == 8
-    monkeypatch.setattr(core, "MIDPOINT_POINTS_LIMIT", 7)
-    with pytest.raises(ValueError, match=r"^depth 3 has 8 points; a midpoint system takes at most 7$"):
+    monkeypatch.setattr(exact, "MEMORY_BOUND", predicted - 1)
+    monkeypatch.setattr(Cell, "D", property(lambda cell: pytest.fail("a midpoint was formed")))
+    with pytest.raises(ValueError, match=rf"^depth 3: predicted {predicted} bytes of integers, past the bound"):
         midpoint_system(od248, 3)
+
+
+def test_full_shift_is_refused_before_its_words(monkeypatch):
+    # the words of length 6 are 64 points over the scale 2^7; the bound is
+    # checked at each length up to the one asked for, before any word exists
+    predicted = system_bytes(64, 8)
+    monkeypatch.setattr(exact, "MEMORY_BOUND", predicted)
+    assert len(full_shift_midpoint_system(6).points) == 64
+    monkeypatch.setattr(exact, "MEMORY_BOUND", predicted - 1)
+    monkeypatch.setattr(core, "format", None, raising=False)  # no word is written
+    for depth in (6, 7, 10**18):
+        with pytest.raises(ValueError, match=rf"^word length 6: predicted {predicted} bytes of integers, past"):
+            full_shift_midpoint_system(depth)
+
+
+def test_system_prediction_is_near_the_traced_peak(od248):
+    """The predicted bytes of the shift of word lengths 6 and 9 and of the
+    depth-8 midpoints of the (2, 4, 8) odometer are within 25 % of the peak
+    tracemalloc sees while each is built: the matrix's slots, its int
+    objects past 256, and what each point holds besides."""
+    import tracemalloc
+
+    od8 = build_odometer_scheme(OdometerSpec.from_list([2, 4, 8]), 8)
+    for build in (partial(full_shift_midpoint_system, 6), partial(full_shift_midpoint_system, 9),
+                  partial(midpoint_system, od8, 8)):
+        tracemalloc.start()
+        try:
+            system = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        predicted = system_bytes(len(system.points), system.scale.bit_length())
+        assert 0.75 < predicted / peak < 1.25, (build, predicted, peak)
+
+
+def test_coordinate_systems_are_refused_past_the_bound_before_their_matrix():
+    # 2^15 points of one small coordinate predict 9.6 GB of distances
+    n = 1 << 15
+    with pytest.raises(ValueError, match=rf"^{n} points over a 16-bit scale: predicted \d+ bytes of integers"):
+        FinitePointSystem(list(range(n)), 1 << 15, None, {i: 0 for i in range(n)}, coords=[(i,) for i in range(n)])
+    assert system_bytes(n, 16) > MEMORY_BOUND
+
+
+def test_separated_count_takes_at_most_the_clique_bound():
+    # every system file written before files held coordinates had at most
+    # 512 points; at 1,024 the clique search would recurse past Python's limit
+    sh9 = full_shift_midpoint_system(9)
+    assert core.CLIQUE_POINTS_LIMIT == len(sh9.points) == 512
+    assert separated_count(sh9, 9, Fraction(1, 64)) == 512
+    line = FinitePointSystem(list(range(513)), 1, None, {i: i for i in range(513)}, coords=[(i,) for i in range(513)])
+    with pytest.raises(ValueError, match=r"^a separated count takes at most 512 points, not 513$"):
+        separated_count(line, 3, Fraction(1, 2))
 
 
 def test_separated_count_validates_input(od248):
@@ -626,7 +713,7 @@ def test_depth2_midpoints_all_separate_at_tiny_eps(od248):
 
 def test_shift_separation_counts_frozen():
     sh4 = full_shift_midpoint_system(4)
-    assert sh4.f("0110") == "1100"
+    assert sh4.map["0110"] == "1100"
     quarter = Fraction(1, 4)
     assert [separated_count(sh4, n, quarter) for n in range(1, 5)] == [4, 6, 8, 16]
 
@@ -726,25 +813,58 @@ def test_system_json_roundtrip(system):
 def test_system_file_past_the_bound_is_refused_before_its_distances():
     import tracemalloc
 
-    # 1000 points over a scale of 2^22 bits predict 524 GB of distances: the
-    # file is refused from its point count and the scale's leading digit,
-    # before the scale or any distance (here not even a digit string) is read
+    # 1000 points over a scale of 2^22 bits predict 560 GB of distances: the
+    # file is refused from its counts and the scale's leading digit, before
+    # the scale or any coordinate (here not even a digit string) is read;
+    # each distance is taken as wide as the decoder lets a sum of k
+    # coordinates grow, 66 bits past the scale and one per doubling of k
     obj = {
-        "kind": "finite-system", "metric": "explicit", "scale": "+4194303", "points": list(range(1000)),
-        "distances": [["junk"] * 1000] * 1000, "map": [0] * 1000,
+        "kind": "finite-system", "metric": "l1", "scale": "+4194303", "points": list(range(1000)),
+        "coords": [["junk"]] * 1000, "map": [0] * 1000,
     }
+    predicted = system_bytes(1000, 4194304 + 66 + 1) + dense_bytes(1000, 4194304 + 65)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"^field 'points': 1000 points over a 4194304-bit scale: "
-                                             rf"predicted {10**6 << 19} bytes of integers, past the bound of 4294967296$"):
+        with pytest.raises(ValueError, match=r"^field 'coords': 1000 points, 1 coordinates each, over a 4194304-bit "
+                                             rf"scale: predicted {predicted} bytes of integers, past the bound of "
+                                             rf"{MEMORY_BOUND}$"):
             system_from_json(obj)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
-    # the same file over a 1-bit scale passes the bound, and its distances are read
-    with pytest.raises(ValueError, match=r"^field 'distances': 'junk' is not a signed-digit string$"):
+    assert peak < 1_000_000 and predicted > 500 * 10**9
+    # the same file over a 1-bit scale passes the bound, and its coordinates are read
+    with pytest.raises(ValueError, match=r"^field 'coords': 'junk' is not a signed-digit string$"):
         system_from_json({**obj, "scale": "+0"})
+    # one point whose many coordinates would decode to 52 GB is refused too
+    many = {**obj, "points": [0], "coords": [["+4194303"] * 100_000], "map": [0]}
+    with pytest.raises(ValueError, match=r"^field 'coords': 1 points, 100000 coordinates each, over a 4194304-bit"):
+        system_from_json(many)
+
+
+def test_system_file_of_wide_coordinates_over_a_small_scale_is_refused_before_decoding(monkeypatch):
+    # 23,000 points 0..22,999 over the scale 1 are a file of about 200 KB, but
+    # most of their 529 million distances are ints past 256, about 19 GB: the
+    # prediction takes each as wide as the decoder admits, so none is shared
+    n = 23_000
+    obj = {
+        "kind": "finite-system", "metric": "l1", "scale": "+0", "points": list(range(n)),
+        "coords": [[int_to_digits(i)] for i in range(n)], "map": [0] * n,
+    }
+    predicted = system_bytes(n, 1 + 66 + 1) + dense_bytes(n, 1 + 65)
+    assert predicted > MEMORY_BOUND > system_bytes(n, 1)
+    monkeypatch.setattr(core, "digits_to_int", lambda *args, **kwargs: pytest.fail("a string was decoded"))
+    with pytest.raises(ValueError, match=rf"^field 'coords': {n} points, 1 coordinates each, over a 1-bit scale: "
+                                         rf"predicted {predicted} bytes"):
+        system_from_json(obj)
+
+
+def test_system_file_past_a_reader_s_point_limit_is_refused_from_its_count(monkeypatch):
+    obj = system_to_json(full_shift_midpoint_system(3))
+    assert len(system_from_json(obj, 8).points) == 8
+    monkeypatch.setattr(core, "_decode_id", lambda x: pytest.fail("a point id was decoded"))
+    with pytest.raises(ValueError, match=r"^field 'points': 8 points, past the limit of 7$"):
+        system_from_json(obj, 7)
 
 
 def test_system_json_puts_radii_off_the_distance_scale_over_one_scale():
@@ -752,8 +872,8 @@ def test_system_json_puts_radii_off_the_distance_scale_over_one_scale():
         {0: Fraction(0), 1: Fraction(1, 8)}, {0: 0, 1: 0}, eps={0: Fraction(1, 7), 1: Fraction(1, 8)}
     )
     obj = system_to_json(system)
-    # 56 = 64 - 8: the distance 1/8 is 7/56 and the radii are 8/56 and 7/56
-    assert (obj["scale"], obj["distances"], obj["eps"]) == ("+6-3", [["0", "+3-0"], ["+3-0", "0"]], ["+3", "+3-0"])
+    # 56 = 64 - 8: the points 0 and 1/8 are 0 and 7/56, and the radii 8/56 and 7/56
+    assert (obj["scale"], obj["coords"], obj["eps"]) == ("+6-3", [["0"], ["+3-0"]], ["+3", "+3-0"])
     assert system_from_json(obj).eps == {0: Fraction(1, 7), 1: Fraction(1, 8)}
 
 
