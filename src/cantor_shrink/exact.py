@@ -566,7 +566,3 @@ class ClosedInterval(_Interval):
     @property
     def diameter(self) -> Fraction:
         return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2

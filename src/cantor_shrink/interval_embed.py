@@ -25,8 +25,12 @@ odometer pair share the parent label + 1, and a graph pair whose successors
 split across parents is excluded.  The audit checks disjointness parent by
 parent (:func:`_audit_geometry`).  Where a corrupted scheme leaves no
 common parent to measure from, that one check places the cells absolutely
-(:func:`_absolute_starts`), and ``Cell.A``/``Cell.D`` do so for readers that
-want fractions at desk depths.
+(:func:`_absolute_starts`), and so does :func:`absolute_level` for the
+readers that build finite systems or the picture at desk depths.
+``Cell.A``/``Cell.D`` still give a cell's intervals in fractions, but no
+module of the package reads them: they are kept because the benchmark's
+largest-denominator count (``perfbench`` ``max_den_bits``) does, and can go
+once it reads each level's scale instead.
 
 Two builders are provided: :func:`build_odometer_scheme` for adding machines
 and :func:`build_graph_scheme` for inverse limits of graph covers.  Both feed
@@ -94,7 +98,10 @@ class Cell(NamedTuple):
     all over the level ``scale``.  ``parent`` is the label of the
     depth-(n-1) cell whose core contains A, or None on the coarsest level,
     and ``up`` is that cell.  ``A`` and ``D`` are the intervals from 0 in
-    fractions, formed on access through the chain of parents.
+    fractions, formed on access through the chain of parents.  The package
+    reads :func:`absolute_level` instead; ``A`` and ``D`` (with ``up``,
+    ``scale`` and :func:`_carrier_start` behind them) are kept for the
+    benchmark's largest-denominator count, which reads them.
     """
 
     label: int
@@ -119,7 +126,8 @@ class Cell(NamedTuple):
 
 def _carrier_start(cell: Cell) -> Dyadic:
     """The cell's carrier start from 0 over its scale, through ``up``; the
-    scales are one cluster each, so their ratio is (c / c', l - l')."""
+    scales are one cluster each, so their ratio is (c / c', l - l').  Only
+    ``Cell.A``/``Cell.D`` call it."""
     up = cell.up
     if up is None:
         return cell.start
@@ -664,7 +672,7 @@ def _absolute_starts(scheme: EmbeddingScheme, factors: dict, depth: int) -> dict
 def absolute_level(scheme: EmbeddingScheme, depth: int) -> tuple[int, dict[int, tuple]]:
     """``(S, {label: ((carrier lo, hi), (core lo, hi))})``, the depth's
     cells from 0 as dense integers over its dense scale S: for readers at
-    desk depths, which build finite systems from them."""
+    desk depths, which build finite systems and the picture from them."""
     level = scheme.level(depth)
     starts = _absolute_starts(scheme, _level_factors(scheme), depth)
     out = {}
@@ -1095,16 +1103,20 @@ def render_svg(scheme: EmbeddingScheme) -> str:
     """Approximate picture of the scheme: carriers outlined, cores filled.
 
     Intended for eyeballing the nesting only; endpoints are rounded to float
-    and widths are clamped to stay visible, so nothing here is exact.
+    (each an integer of :func:`absolute_level` divided by its level's
+    scale, the float ``Fraction`` gives) and widths are clamped to stay
+    visible, so nothing here is exact.
     """
     width, row_height, pad = 960, 56, 20.0
-    first = [c.A for c in scheme.levels[0].cells.values()]
-    lo, hi = min(approx_float(A.lo) for A in first), max(approx_float(A.hi) for A in first)
+    levels = [absolute_level(scheme, lvl.n) for lvl in scheme.levels]
+    scale, first = levels[0]
+    lo = min(carrier[0] for carrier, _ in first.values()) / scale
+    hi = max(carrier[1] for carrier, _ in first.values()) / scale
     span = max(hi - lo, 1e-9)
     inner = width - 2 * pad
 
-    def x(value) -> float:
-        return pad + (approx_float(value) - lo) / span * inner
+    def x(value: int, scale: int) -> float:
+        return pad + (value / scale - lo) / span * inner
 
     height = row_height * len(scheme.levels) + 2 * pad
     parts = [
@@ -1112,15 +1124,15 @@ def render_svg(scheme: EmbeddingScheme) -> str:
         f'viewBox="0 0 {width} {height:.0f}">',
         f'<title>{scheme.kind} scheme (approximate)</title>',
     ]
-    for row, lvl in enumerate(scheme.levels):
+    for row, (lvl, (scale, cells)) in enumerate(zip(scheme.levels, levels)):
         y = pad + row * row_height
         parts.append(
             f'<text x="4" y="{y + 14:.1f}" font-size="11" font-family="monospace">'
             f"n={lvl.n}</text>"
         )
-        for A, D in sorted(((c.A, c.D) for c in lvl.cells.values()), key=lambda AD: AD[0].lo):
-            ax, aw = x(A.lo), max(x(A.hi) - x(A.lo), 0.7)
-            dx, dw = x(D.lo), max(x(D.hi) - x(D.lo), 0.7)
+        for (a_lo, a_hi), (d_lo, d_hi) in sorted(cells.values(), key=lambda cell: cell[0][0]):
+            ax, aw = x(a_lo, scale), max(x(a_hi, scale) - x(a_lo, scale), 0.7)
+            dx, dw = x(d_lo, scale), max(x(d_hi, scale) - x(d_lo, scale), 0.7)
             parts.append(
                 f'<rect x="{ax:.2f}" y="{y + 6:.1f}" width="{aw:.2f}" height="18" '
                 'fill="none" stroke="#4466aa" stroke-width="0.8"/>'

@@ -1,17 +1,18 @@
 """Finite metric dynamical systems with exact rational distances.
 
-Everything here is desk scale on purpose: systems are finite point sets whose
-metric is exactly a metric: by theorem when built from integer coordinates,
-by a check of symmetry, positivity and every triangle when given as a matrix.
-So any certificate computed downstream — local radial shrinking, separated-set
-counts, entropy estimates — is a statement about a genuine metric space and
-not about unchecked tables.
+Everything here is desk scale on purpose: a system is a finite set of points
+given by integer coordinates over one scale, and its metric is their
+coordinate-sum (L1) distance, a metric by theorem once the tuples are
+distinct.  So any certificate computed downstream — local radial shrinking,
+separated-set counts, entropy estimates — is a statement about a genuine
+metric space and not about unchecked tables.
 
-A system stores its metric as one positive integer scale S and an n×n matrix
-of integers D, indexed by point position, with d(x_i, x_j) = D[i][j] / S.
-The constructors put their inputs over one common denominator once, and
-every certificate compares integers over S; reduced ``Fraction``s appear
-only where a value leaves the module (:func:`~cantor_shrink.exact.scaled_fraction`).
+A system stores its metric as one positive integer scale S and the n×n
+matrix of integers D its coordinates give, indexed by point position, with
+d(x_i, x_j) = D[i][j] / S.  The constructors put their inputs over one
+common denominator once, and every certificate compares integers over S;
+reduced ``Fraction``s appear only where a value leaves the module
+(:func:`~cantor_shrink.exact.scaled_fraction`).
 A system file writes every coordinate and radius as an integer over one
 declared scale, and is read back into the system of those coordinates.
 """
@@ -25,16 +26,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from operator import add
 from typing import NamedTuple
 
 from cantor_shrink.exact import check_memory, common_scale, dense_bytes, digits_bits, digits_to_int, int_to_digits
 from cantor_shrink.exact import scaled_fraction, system_bytes
-from cantor_shrink.interval_embed import EmbeddingScheme
-
-
-def _pair_fault(points: list, i: int, j: int) -> ValueError:
-    return ValueError(f"distances must be positive and symmetric off the diagonal; not on {(points[i], points[j])!r}")
+from cantor_shrink.interval_embed import EmbeddingScheme, absolute_level
 
 
 @dataclass
@@ -46,30 +42,26 @@ class FinitePointSystem:
     which shrinking is demanded; ``source`` records where the system came
     from (used by label bookkeeping, never by the metric checks).
 
-    A system is given by exactly one of ``dist`` and ``coords``, one integer
-    tuple per point over ``scale``.  Coordinates give ``dist`` as their
-    coordinate-sum (L1) distance, which is a metric once the tuples are
-    distinct, so only that is checked: each axis |p - q| is symmetric and
-    obeys the triangle inequality, so does a sum of them, and the sum is
-    positive exactly when the tuples differ (and the bound admits the
-    matrix).  An explicit ``dist`` has its symmetry, positivity and every
-    triangle checked.
+    A system is given by ``coords``, one integer tuple per point over
+    ``scale``, and ``dist`` is their coordinate-sum (L1) distance.  That is
+    a metric once the tuples are distinct, so only that is checked: each
+    axis |p - q| is symmetric and obeys the triangle inequality, so does a
+    sum of them, and the sum is positive exactly when the tuples differ
+    (and the bound admits the matrix).
     """
 
     points: list
     scale: int
-    dist: list | None
+    coords: list
     map: dict
     eps: dict | None = None
     source: dict | None = None
-    coords: list | None = None
+    dist: list = field(init=False, repr=False)
     index: dict = field(init=False, repr=False)
     succ: list = field(init=False, repr=False)
 
     def __post_init__(self):
         pts, n = self.points, len(self.points)
-        if (self.dist is None) == (self.coords is None):
-            raise ValueError("a system takes exactly one of distances and coordinates")
         self.index = index = {x: i for i, x in enumerate(pts)}
         if not pts or len(index) != n:
             raise ValueError("points must be nonempty and distinct")
@@ -79,10 +71,7 @@ class FinitePointSystem:
             raise ValueError(f"map must send {x!r} to a point of the system")
         if type(self.scale) is not int or self.scale <= 0:
             raise ValueError(f"scale must be a positive integer, not {self.scale!r:.40}")
-        if self.coords is None:
-            self._check_metric()
-        else:
-            self.dist = self._l1_distances()
+        self.dist = self._l1_distances()
         if self.eps is not None:
             for x in pts:
                 if self.eps.get(x, Fraction(0)) <= 0:
@@ -90,16 +79,16 @@ class FinitePointSystem:
 
     def _l1_distances(self) -> list:
         """The coordinate-sum matrix of ``coords``, refused on a repeated
-        tuple with the line the explicit check gives for the first such pair,
-        and past the bound predicted over the scale: the package's systems lie
-        within a few multiples of it, and the file reader bounds the rest."""
+        tuple, naming the first such pair in point order, and past the bound
+        predicted over the scale: the package's systems lie within a few
+        multiples of it, and the file reader bounds the rest."""
         coords, n = self.coords, len(self.points)
         if len(coords) != n or len(set(map(len, coords))) > 1:
             raise ValueError(f"coordinates must be {n} tuples of one length")
         if len(set(coords)) < n:
             first = {}
-            pairs = [(first[c], j) for j, c in enumerate(coords) if first.setdefault(c, j) != j]
-            raise _pair_fault(self.points, *min(pairs))
+            i, j = min((first[c], j) for j, c in enumerate(coords) if first.setdefault(c, j) != j)
+            raise ValueError(f"points {self.points[i]!r} and {self.points[j]!r} share one coordinate tuple")
         bits = self.scale.bit_length()
         check_memory(system_bytes(n, bits), f"{n} points over a {bits}-bit scale")
         axes = list(zip(*coords)) or [(0,) * n]
@@ -109,34 +98,6 @@ class FinitePointSystem:
             for row, p in zip(dist, xs):
                 row[:] = [d + abs(p - q) for d, q in zip(row, xs)]
         return dist
-
-    def _check_metric(self) -> None:
-        """Zero diagonal, positive and symmetric off it, every triangle."""
-        pts, dist, n = self.points, self.dist, len(self.points)
-        if len(dist) != n or any(len(row) != n for row in dist):
-            raise ValueError(f"distances must form a {n}x{n} matrix")
-        for i, row in enumerate(dist):
-            if row[i] != 0:
-                raise ValueError(f"distances must vanish on the diagonal; not at {pts[i]!r}")
-            for j in range(i + 1, n):
-                if row[j] <= 0 or row[j] != dist[j][i]:
-                    raise _pair_fault(pts, i, j)
-        # the triangle inequality d(x, y) <= d(x, z) + d(z, y), checked over
-        # whole rows: for each pair x < y, the least D[x][z] + D[y][z] over
-        # every z, symmetry having made D[y][z] = D[z][y]
-        for i, row in enumerate(dist):
-            for j in range(i + 1, n):
-                if min(map(add, row, dist[j])) < row[j]:
-                    # name the first failing triple in point order (x, then
-                    # y, then z), which the order of pairs does not follow
-                    x, y, z = next(
-                        (x, y, z)
-                        for x, xrow in enumerate(dist)
-                        for y, yrow in enumerate(dist)
-                        for z in range(n)
-                        if xrow[z] - yrow[z] > xrow[y]
-                    )
-                    raise ValueError(f"triangle inequality fails on {(pts[x], pts[y], pts[z])!r}")
 
     @classmethod
     def from_positions(cls, positions: dict, step: dict, eps=None, source=None):
@@ -149,7 +110,7 @@ class FinitePointSystem:
         scale, flat = common_scale(c for p in coords for c in p)
         ints = iter(flat)
         ints = [tuple(islice(ints, len(p))) for p in coords]
-        return cls(list(positions), scale, None, dict(step), eps=eps, source=source, coords=ints)
+        return cls(list(positions), scale, ints, dict(step), eps=eps, source=source)
 
     def d(self, x, y) -> Fraction:
         return scaled_fraction(self.dist[self.index[x]][self.index[y]], self.scale)
@@ -251,12 +212,12 @@ def _random_system(rng: random.Random, max_size: int) -> FinitePointSystem:
     its positions share: 997, 3989, or 997·49·2^(n-1) for the halving chain."""
     kind = rng.randrange(3)
     if kind == 0:
-        return FinitePointSystem([0], 997, None, {0: 0}, coords=[(rng.randrange(1, 1000),)])
+        return FinitePointSystem([0], 997, [(rng.randrange(1, 1000),)], {0: 0})
     n = rng.randint(2, max_size)
     if kind == 1:
         values = rng.sample(range(1, 4000), n)
         step = {i: rng.randrange(n) for i in range(n)}
-        return FinitePointSystem(list(range(n)), 3989, None, step, coords=[(v,) for v in values])
+        return FinitePointSystem(list(range(n)), 3989, [(v,) for v in values], step)
     # halving chain onto a fixed endpoint: strictly shrinking, never
     # surjective (the fixed point sits on the same geometric ladder so that
     # every pair, not just interior ones, contracts strictly).  Point i sits
@@ -265,7 +226,7 @@ def _random_system(rng: random.Random, max_size: int) -> FinitePointSystem:
     offset = rng.choice([-1, 1]) * rng.randrange(1, 50) * 997
     coords = [(centre + (offset << i),) for i in range(n)]
     step = {i: max(i - 1, 0) for i in range(n)}
-    return FinitePointSystem(list(range(n)), (997 * 49) << (n - 1), None, step, coords=coords)
+    return FinitePointSystem(list(range(n)), (997 * 49) << (n - 1), coords, step)
 
 
 def _vanishing_step(preimages: list, x: int) -> int | None:
@@ -449,7 +410,7 @@ def product_system(sys1: FinitePointSystem, sys2: FinitePointSystem) -> FinitePo
     Radii combine as the componentwise minimum when both factors carry
     radii, which is exactly what makes local shrinking survive the product.
     Its coordinates are each factor's tuple over the common scale,
-    concatenated, so both factors must carry coordinates.
+    concatenated.
     """
     pts = [(p, q) for p in sys1.points for q in sys2.points]
     scale = math.lcm(sys1.scale, sys2.scale)
@@ -462,7 +423,14 @@ def product_system(sys1: FinitePointSystem, sys2: FinitePointSystem) -> FinitePo
     source = None
     if sys1.source is not None and sys2.source is not None:
         source = {"kind": "product", "factors": [sys1.source, sys2.source]}
-    return FinitePointSystem(pts, scale, None, step, eps=eps, source=source, coords=coords)
+    return FinitePointSystem(pts, scale, coords, step, eps=eps, source=source)
+
+
+def core_midpoints(scheme: EmbeddingScheme, depth: int) -> dict:
+    """Label -> the midpoint of the cell's core at ``depth``, from 0, taken
+    from :func:`~cantor_shrink.interval_embed.absolute_level`."""
+    scale, cells = absolute_level(scheme, depth)
+    return {label: Fraction(lo + hi, 2 * scale) for label, (_, (lo, hi)) in cells.items()}
 
 
 def midpoint_system(scheme: EmbeddingScheme, depth: int) -> FinitePointSystem:
@@ -477,7 +445,7 @@ def midpoint_system(scheme: EmbeddingScheme, depth: int) -> FinitePointSystem:
     level = scheme.level(depth)
     check_memory(system_bytes(len(level.cells), level.scale.bit_length() + 1), f"depth {depth}")
     s_d = scheme.spec.extended_modulus(depth)
-    positions = {label: cell.D.midpoint for label, cell in level.cells.items()}
+    positions = core_midpoints(scheme, depth)
     step = {label: (label + 1) % s_d for label in positions}
     source = {
         "kind": "odometer-midpoints",
@@ -532,10 +500,7 @@ def _decode_id(x):
 def system_to_json(sys: FinitePointSystem) -> dict:
     """The system's JSON form: one ``scale``, the least multiple of the
     system's over which every radius is an integer, and each point's
-    coordinates and each radius as signed binary digits over it; a system
-    given by its distances alone is refused."""
-    if sys.coords is None:
-        raise ValueError("a system file holds coordinates, and this system was given only distances")
+    coordinates and each radius as signed binary digits over it."""
     scale, eps = common_scale([] if sys.eps is None else [sys.eps[x] for x in sys.points], sys.scale)
     up = scale // sys.scale
     out = {
@@ -617,4 +582,4 @@ def system_from_json(obj: dict, max_points=math.inf) -> FinitePointSystem:
     eps = None
     if "eps" in obj:
         eps = {x: scaled_fraction(e, scale) for x, e in zip(pts, _integers(obj["eps"], "eps", n, decode))}
-    return FinitePointSystem(pts, scale, None, step, eps=eps, source=deepcopy(obj.get("source")), coords=coords)
+    return FinitePointSystem(pts, scale, coords, step, eps=eps, source=deepcopy(obj.get("source")))

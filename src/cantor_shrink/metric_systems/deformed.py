@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cantor_shrink.interval_embed import EmbeddingScheme, VerifyReport
-from cantor_shrink.metric_systems.core import FinitePointSystem, check_lrs, periodic_points, split_margins
+from cantor_shrink.metric_systems.core import FinitePointSystem, check_lrs, core_midpoints, periodic_points
+from cantor_shrink.metric_systems.core import split_margins
 from cantor_shrink.metric_systems.extension import ExtensionSystem
 
 OMEGA = ("omega",)
@@ -29,9 +30,7 @@ def _outer_positions(scheme: EmbeddingScheme) -> dict:
     if scheme.kind != "odometer":
         raise ValueError("outer coordinates come from odometer schemes")
     s_1 = scheme.spec.extended_modulus(1)
-    return {
-        label: cell.D.midpoint / s_1 for label, cell in scheme.level(1).cells.items()
-    }
+    return {label: mid / s_1 for label, mid in core_midpoints(scheme, 1).items()}
 
 
 @dataclass

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from cantor_shrink.exact import common_scale, int_to_digits, scaled_fraction
 from cantor_shrink.interval_embed import EmbeddingScheme, VerifyReport, absolute_level
-from cantor_shrink.metric_systems.core import FinitePointSystem, check_lrs, split_margins
+from cantor_shrink.metric_systems.core import FinitePointSystem, check_lrs, core_midpoints, split_margins
 
 
 def certify_slack(scheme: EmbeddingScheme, n: int, refine: int, anchor_value: int = 0) -> Fraction:
@@ -146,9 +146,8 @@ def build_attractor_repellor(
     k = [0] + [spec.extended_modulus(n) for n in range(1, levels + 1)]  # first return times
     slack = slack_sequence(scheme, levels, refine)
 
-    level = scheme.level(refine)
     s_m = spec.extended_modulus(refine)
-    mid = {label: cell.D.midpoint for label, cell in level.cells.items()}
+    mid = core_midpoints(scheme, refine)
 
     # the orbit runs along the thread of the anchor z = 0
     ids: list = [("y", j) for j in range(-k[levels], tail + 1)]

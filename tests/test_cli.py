@@ -1364,6 +1364,39 @@ def test_scheme_file_bytes_match_the_pinned_digest(work, tmp_path, name):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SCHEME_FILES[name]
 
 
+# sha256 of ``export svg`` on each scheme, pinned while the picture read the
+# Fraction endpoints of Cell.A and Cell.D, before it took them from
+# absolute_level: the floats, and so the bytes, must not move
+GOLDEN_SVG = {
+    "od3": (
+        ["build", "odometer", "--s", "2,4,8", "--depth", "3"],
+        "3c0c18944a29eb1d254089f8f348a51a47364c164beb7c433e3de6683b1f59ae",
+    ),
+    "od9": (
+        GOLDEN_VALUES["od9"][0],
+        "e91944f28a79c85c4f4fd5f208efda6794393665b3203f8f83472181cfb63aa1",
+    ),
+    "tr3": (
+        GOLDEN_VALUES["tr3"][0],
+        "dd0345993c2d6471f1039a59976b2925d0be4276bd9d8bb59aef51281c8dba81",
+    ),
+    "wm3": (
+        ["build", "graph", "--variant", "weakly-mixing", "--levels", "3"],
+        "16597027b85382275448a0650df8c1ac818d2ca4614f3ef69ff712f7088f6461",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SVG))
+def test_svg_bytes_match_the_pinned_digest(tmp_path, name):
+    argv, digest = GOLDEN_SVG[name]
+    path = tmp_path / f"{name}.json"
+    assert run([*argv, "--out", str(path)])[0] == 0
+    code, out, _ = run(["export", "svg", "--sys", str(path)])
+    assert code == 0
+    assert sha256(out) == digest
+
+
 def _value_lines(scheme) -> str:
     # every endpoint from 0, as a dense integer over the level's scale
     lines = []

@@ -1,4 +1,3 @@
-import ast
 import hashlib
 import itertools
 import json
@@ -15,7 +14,7 @@ import pytest
 from cantor_shrink import exact
 from cantor_shrink.exact import MEMORY_BOUND, canonical_dumps, dense_bytes, digits_to_int, int_to_digits, system_bytes
 from cantor_shrink.graphcover import build_sequence
-from cantor_shrink.interval_embed import Cell, build_graph_scheme, build_odometer_scheme
+from cantor_shrink.interval_embed import build_graph_scheme, build_odometer_scheme
 from cantor_shrink.metric_systems import (
     OMEGA,
     FinitePointSystem,
@@ -42,6 +41,7 @@ from cantor_shrink.metric_systems import (
 )
 from cantor_shrink.metric_systems import core
 from cantor_shrink.metric_systems.core import _random_system, _shrinking_claims, _vanishing_step
+from cantor_shrink.metric_systems.deformed import _outer_positions
 from cantor_shrink.odometer import OdometerSpec
 
 
@@ -99,13 +99,6 @@ def test_constant_map_shrinks_and_fixes_target():
 
 
 def test_metric_validation():
-    with pytest.raises(ValueError, match="triangle"):
-        FinitePointSystem(
-            points=[0, 1, 2],
-            scale=1,
-            dist=[[0, 1, 5], [1, 0, 1], [5, 1, 0]],  # d(0, 2) violates the triangle via 1
-            map={0: 0, 1: 1, 2: 2},
-        )
     with pytest.raises(ValueError):
         FinitePointSystem.from_positions({0: Fraction(0)}, {0: 7})
     with pytest.raises(ValueError):
@@ -117,68 +110,9 @@ def test_metric_validation():
 positive = st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=12)
 
 
-@st.composite
-def rational_metrics(draw):
-    """Symmetric matrices of positive rationals with a zero diagonal: the L1
-    metric of distinct plane points, optionally with one distance nudged
-    (a near-metric, on or just past the triangle boundary), or arbitrary."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    m = [[Fraction(0)] * n for _ in range(n)]
-    if draw(st.booleans()):
-        coord = st.fractions(min_value=-4, max_value=4, max_denominator=12)
-        xs = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
-        ys = draw(st.lists(coord, min_size=n, max_size=n))
-        for i in range(n):
-            for j in range(n):
-                m[i][j] = abs(xs[i] - xs[j]) + abs(ys[i] - ys[j])
-        if n > 1 and draw(st.booleans()):
-            i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
-            nudge = draw(st.fractions(min_value=Fraction(-1, 4), max_value=Fraction(1, 4), max_denominator=8))
-            m[i][j] = m[j][i] = max(m[i][j] + nudge, Fraction(1, 64))
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                m[i][j] = m[j][i] = draw(positive)
-    return m
-
-
-@h.given(m=rational_metrics())
-@h.settings(derandomize=True, max_examples=200, deadline=None)
-def test_triangle_check_matches_brute_force(m):
-    """The constructor raises exactly when some ordered triple of distinct
-    points violates the triangle inequality, names the first one in point
-    order, and otherwise gives back every distance as the reduced Fraction."""
-    n = len(m)
-    ids = [f"p{i}" for i in range(n)]
-    violations = [
-        (x, y, z)
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-        if len({x, y, z}) == 3 and m[x][y] + m[y][z] < m[x][z]
-    ]
-    scale = math.lcm(*(v.denominator for row in m for v in row))
-    dist = [[int(v * scale) for v in row] for row in m]
-    try:
-        system = FinitePointSystem(ids, scale, dist, {x: x for x in ids})
-    except ValueError as exc:
-        assert violations, str(exc)
-        named = ast.literal_eval(str(exc).partition("triangle inequality fails on ")[2])
-        x, y, z = violations[0]
-        assert named == (ids[x], ids[y], ids[z])
-        assert m[x][y] + m[y][z] < m[x][z]
-    else:
-        assert not violations
-        for i, x in enumerate(ids):
-            for j, y in enumerate(ids):
-                got = system.d(x, y)
-                assert (got.numerator, got.denominator) == (m[i][j].numerator, m[i][j].denominator)
-
-
-def reference_constructor_error(points, dist, step):
-    """The first ValueError text of the constructor's metric checks, run as
-    per-pair loops over the matrix (the sliced abs-difference pass for the
-    triangle), or None when every check passes."""
+def reference_constructor_error(points, coords, step):
+    """The first ValueError text of the constructor's checks, run as
+    per-pair loops over the points, or None when every check passes."""
     index = {x: i for i, x in enumerate(points)}
     n = len(points)
     if not points or len(index) != n:
@@ -186,54 +120,32 @@ def reference_constructor_error(points, dist, step):
     for x in points:
         if step.get(x) not in index:
             return f"map must send {x!r} to a point of the system"
-    for i, row in enumerate(dist):
-        if row[i] != 0:
-            return f"distances must vanish on the diagonal; not at {points[i]!r}"
+    for i in range(n):
         for j in range(i + 1, n):
-            if row[j] <= 0 or row[j] != dist[j][i]:
-                return f"distances must be positive and symmetric off the diagonal; not on {(points[i], points[j])!r}"
-    for i, row in enumerate(dist):
-        for j in range(i + 1, n):
-            if max(map(abs, map(operator.sub, row[i + 1 :], dist[j][i + 1 :]))) > row[j]:
-                x, y, z = next(
-                    (x, y, z)
-                    for x, xrow in enumerate(dist)
-                    for y, yrow in enumerate(dist)
-                    for z in range(n)
-                    if xrow[z] - yrow[z] > xrow[y]
-                )
-                return f"triangle inequality fails on {(points[x], points[y], points[z])!r}"
+            if coords[i] == coords[j]:
+                return f"points {points[i]!r} and {points[j]!r} share one coordinate tuple"
     return None
 
 
-FAULTS = ("triangle", "asymmetric", "not-positive", "missing-target", "duplicate-point", "diagonal")
+FAULTS = ("repeated-tuple", "missing-target", "duplicate-point")
 
 
 @st.composite
 def faulty_systems(draw):
-    """The L1 metric of up to nine distinct integer points on the line or in
-    the plane under a random map, with one or two faults from FAULTS planted
-    (a fault needing more points than drawn is skipped), so that the order
-    of the checks is pinned as well as their texts."""
+    """Up to nine distinct integer points on the line or in the plane under
+    a random map, with one or two faults from FAULTS planted (a fault
+    needing more points than drawn is skipped), so that the order of the
+    checks is pinned as well as their texts."""
     n = draw(st.integers(min_value=1, max_value=9))
     dim = draw(st.integers(min_value=1, max_value=2))
     coords = draw(st.lists(st.tuples(*[st.integers(-20, 20)] * dim), min_size=n, max_size=n, unique=True))
-    dist = [[sum(abs(a - b) for a, b in zip(p, q)) for q in coords] for p in coords]
     points = [f"p{i}" for i in range(n)]
     step = {x: points[draw(st.integers(0, n - 1))] for x in points}
     pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
     for fault in draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2)):
-        if fault == "diagonal":
-            i = draw(st.integers(0, n - 1))
-            dist[i][i] = draw(st.integers(-5, 5).filter(bool))
-        elif fault == "not-positive" and n > 1:
+        if fault == "repeated-tuple" and n > 1:
             i, j = draw(pair)
-            dist[i][j] = draw(st.integers(-5, 0))
-            if draw(st.booleans()):
-                dist[j][i] = dist[i][j]
-        elif fault == "asymmetric" and n > 1:
-            i, j = draw(pair)
-            dist[i][j] += draw(st.integers(-3, 3).filter(bool))
+            coords[i] = coords[j]
         elif fault == "duplicate-point" and n > 1:
             i, j = draw(pair)
             points[i] = points[j]
@@ -243,19 +155,17 @@ def faulty_systems(draw):
                 step.pop(x, None)
             else:
                 step[x] = "q"
-        elif fault == "triangle" and n > 2:
-            i, j, k = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
-            dist[i][j] = dist[j][i] = dist[i][k] + dist[k][j] + draw(st.integers(1, 3))
-    return points, dist, step
+    return points, coords, step
 
 
 @h.given(case=faulty_systems())
+@h.example(case=([], [], {}))
 @h.settings(derandomize=True, max_examples=400, deadline=None)
 def test_constructor_names_the_first_fault_as_the_per_pair_loops_do(case):
-    points, dist, step = case
-    want = reference_constructor_error(points, dist, step)
+    points, coords, step = case
+    want = reference_constructor_error(points, coords, step)
     try:
-        FinitePointSystem(points, 1, dist, step)
+        FinitePointSystem(points, 1, coords, step)
     except ValueError as exc:
         assert str(exc) == want
     else:
@@ -383,53 +293,44 @@ def l1_points(draw):
 @h.settings(derandomize=True, max_examples=150, deadline=None)
 def test_coordinates_and_their_explicit_matrix_give_one_system(case, threshold):
     """A system built from coordinates, checked for distinct tuples only,
-    certifies and writes exactly as their L1 matrix given explicitly, and is
-    refused on a repeated tuple with the same first-pair line."""
+    holds their L1 matrix and gives back every distance as the reduced
+    Fraction, and is refused on a repeated tuple, naming the first pair in
+    point order; its file and its product hold the matrices they should."""
     points, scale, coords, step, eps = case
     dist = [[sum(abs(a - b) for a, b in zip(p, q)) for q in coords] for p in coords]
     try:
-        built = FinitePointSystem(points, scale, None, step, eps=eps, coords=coords)
+        built = FinitePointSystem(points, scale, coords, step, eps=eps)
     except ValueError as exc:
-        assert len(set(coords)) < len(coords)
-        with pytest.raises(ValueError) as explicit:
-            FinitePointSystem(points, scale, dist, step, eps=eps)
-        assert str(exc) == str(explicit.value)
-        assert str(exc).startswith("distances must be positive and symmetric off the diagonal; not on (")
+        i, j = next((i, j) for i, j in itertools.combinations(range(len(coords)), 2) if coords[i] == coords[j])
+        assert str(exc) == f"points {points[i]!r} and {points[j]!r} share one coordinate tuple"
         return
-    given = FinitePointSystem(points, scale, dist, step, eps=eps)
-    assert built.dist == given.dist
-    assert check_lrs(built) == check_lrs(given)
-    assert computed_radii(built) == computed_radii(given)
-    assert check_shrinking(built) == check_shrinking(given)
-    assert periodic_points(built) == periodic_points(given)
-    for n in (1, 2):
-        assert separated_count(built, n, threshold) == separated_count(given, n, threshold)
-    # a file holds the coordinates, and loads to the system of the explicit
-    # matrix; a system given by its matrix alone has no file
+    assert built.dist == dist
+    for (i, x), (j, y) in itertools.product(enumerate(points), repeat=2):
+        got, want = built.d(x, y), Fraction(dist[i][j], scale)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    # a file holds the coordinates, and loads to the system of the same
+    # matrix, over a scale the file's radii may have multiplied
     loaded = system_from_json(json.loads(canonical_dumps(system_to_json(built))))
-    assert loaded.dist == [[d * (loaded.scale // scale) for d in row] for row in given.dist]
-    assert check_lrs(loaded) == check_lrs(given) and check_shrinking(loaded) == check_shrinking(given)
-    with pytest.raises(ValueError, match=r"^a system file holds coordinates, and this system was given only dist"):
-        system_to_json(given)
+    assert loaded.dist == [[d * (loaded.scale // scale) for d in row] for row in dist]
+    assert check_lrs(loaded) == check_lrs(built) and check_shrinking(loaded) == check_shrinking(built)
+    assert computed_radii(loaded) == computed_radii(built)
+    for n in (1, 2):
+        assert separated_count(loaded, n, threshold) == separated_count(built, n, threshold)
     # a product carries its factors' coordinates side by side, so its metric
     # is the sum of theirs, here over a scale both factors' scales divide
-    # properly, and it passes the explicit checks too
-    product = product_system(built, FinitePointSystem(points, scale + 1, None, step, coords=coords))
+    product = product_system(built, FinitePointSystem(points, scale + 1, coords, step))
     up, up_other = product.scale // scale, product.scale // (scale + 1)
     summed = [[u * up + v * up_other for u in row for v in other] for row in dist for other in dist]
-    explicit = FinitePointSystem(product.points, product.scale, summed, product.map)
-    assert system_from_json(system_to_json(product)).dist == product.dist == explicit.dist
+    assert system_from_json(system_to_json(product)).dist == product.dist == summed
 
 
-def test_system_takes_coordinates_or_distances_not_both():
+def test_system_takes_one_coordinate_tuple_per_point():
     points, step = [0, 1], {0: 0, 1: 0}
-    with pytest.raises(ValueError, match=r"^a system takes exactly one of distances and coordinates$"):
-        FinitePointSystem(points, 1, [[0, 1], [1, 0]], step, coords=[(0,), (1,)])
-    with pytest.raises(ValueError, match=r"^a system takes exactly one of distances and coordinates$"):
-        FinitePointSystem(points, 1, None, step)
     with pytest.raises(ValueError, match=r"^coordinates must be 2 tuples of one length$"):
-        FinitePointSystem(points, 1, None, step, coords=[(0,), (1, 2)])
-    assert FinitePointSystem(points, 1, None, step, coords=[(0,), (1,)]).dist == [[0, 1], [1, 0]]
+        FinitePointSystem(points, 1, [(0,), (1, 2)], step)
+    with pytest.raises(ValueError, match=r"^coordinates must be 2 tuples of one length$"):
+        FinitePointSystem(points, 1, [(0,)], step)
+    assert FinitePointSystem(points, 1, [(0,), (1,)], step).dist == [[0, 1], [1, 0]]
 
 
 def test_computed_radii_fallback_past_diameter():
@@ -639,9 +540,32 @@ def test_midpoint_system_takes_a_level_up_to_the_point_bound(od248, monkeypatch)
     monkeypatch.setattr(exact, "MEMORY_BOUND", predicted)
     assert len(midpoint_system(od248, 3).points) == 8
     monkeypatch.setattr(exact, "MEMORY_BOUND", predicted - 1)
-    monkeypatch.setattr(Cell, "D", property(lambda cell: pytest.fail("a midpoint was formed")))
+    monkeypatch.setattr(core, "absolute_level", lambda *args: pytest.fail("a midpoint was formed"))
     with pytest.raises(ValueError, match=rf"^depth 3: predicted {predicted} bytes of integers, past the bound"):
         midpoint_system(od248, 3)
+
+
+def test_scheme_positions_are_the_core_midpoints_of_the_fractions():
+    """The midpoint systems at depths 1-8 of the (2, 4, 8) odometer, the
+    extension's points at refinements 3-8 (the least a return level admits)
+    and the deformed triple's outer coordinates, taken from absolute_level,
+    are the midpoints of the Fraction cores Cell.D gives."""
+    od8 = build_odometer_scheme(OdometerSpec.from_list([2, 4, 8]), 8)
+
+    def midpoints(depth):
+        return {label: (c.D.lo + c.D.hi) / 2 for label, c in od8.level(depth).cells.items()}
+
+    for depth in range(1, 9):
+        system = midpoint_system(od8, depth)
+        assert {x: Fraction(c, system.scale) for x, (c,) in zip(system.points, system.coords)} == midpoints(depth)
+    for refine in range(3, 9):
+        ext = build_attractor_repellor(od8, levels=1, tail=0, refine=refine)
+        mids, s_m = midpoints(refine), od8.spec.extended_modulus(refine)
+        # a sheet point ("sheet", label, sign) and an orbit point ("y", j) sit over label and j mod s_m
+        assert all(x == mids[u[1] % s_m] for u, (x, _) in ext.positions.items())
+        assert {u[1] for u in ext.positions if u[0] == "sheet"} == set(mids)
+    s_1 = od8.spec.extended_modulus(1)
+    assert _outer_positions(od8) == {label: mid / s_1 for label, mid in midpoints(1).items()}
 
 
 def test_full_shift_is_refused_before_its_words(monkeypatch):
@@ -681,7 +605,7 @@ def test_coordinate_systems_are_refused_past_the_bound_before_their_matrix():
     # 2^15 points of one small coordinate predict 9.6 GB of distances
     n = 1 << 15
     with pytest.raises(ValueError, match=rf"^{n} points over a 16-bit scale: predicted \d+ bytes of integers"):
-        FinitePointSystem(list(range(n)), 1 << 15, None, {i: 0 for i in range(n)}, coords=[(i,) for i in range(n)])
+        FinitePointSystem(list(range(n)), 1 << 15, [(i,) for i in range(n)], {i: 0 for i in range(n)})
     assert system_bytes(n, 16) > MEMORY_BOUND
 
 
@@ -691,7 +615,7 @@ def test_separated_count_takes_at_most_the_clique_bound():
     sh9 = full_shift_midpoint_system(9)
     assert core.CLIQUE_POINTS_LIMIT == len(sh9.points) == 512
     assert separated_count(sh9, 9, Fraction(1, 64)) == 512
-    line = FinitePointSystem(list(range(513)), 1, None, {i: i for i in range(513)}, coords=[(i,) for i in range(513)])
+    line = FinitePointSystem(list(range(513)), 1, [(i,) for i in range(513)], {i: i for i in range(513)})
     with pytest.raises(ValueError, match=r"^a separated count takes at most 512 points, not 513$"):
         separated_count(line, 3, Fraction(1, 2))
 
