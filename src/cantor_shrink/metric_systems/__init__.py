@@ -5,7 +5,6 @@ from cantor_shrink.metric_systems.core import (
     FinitePointSystem,
     LrsResult,
     check_lrs,
-    check_shrinking,
     computed_radii,
     entropy_estimate,
     full_shift_midpoint_system,
@@ -36,7 +35,6 @@ __all__ = [
     "FinitePointSystem",
     "LrsResult",
     "check_lrs",
-    "check_shrinking",
     "computed_radii",
     "entropy_estimate",
     "full_shift_midpoint_system",

@@ -187,12 +187,6 @@ def split_margins(checks: list, extra=()) -> tuple[int, list, list, list]:
     return scale, passed, failed, digits[len(checks):]
 
 
-def check_shrinking(sys: FinitePointSystem) -> bool:
-    """Global strict shrinking: d(f(x), f(y)) < d(x, y) for every pair."""
-    dist, succ = sys.dist, sys.succ
-    return all(dist[succ[i]][succ[j]] < row[j] for i, row in enumerate(dist) for j in range(i + 1, len(row)))
-
-
 def periodic_points(sys: FinitePointSystem) -> list:
     """All points on cycles of the (finite, total) map, sorted: the image of
     f^|P|, as |P| steps from any point end on a cycle, which f maps onto itself."""
@@ -207,26 +201,39 @@ def periodic_points(sys: FinitePointSystem) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _random_system(rng: random.Random, max_size: int) -> FinitePointSystem:
-    """One random system on the line, built as integers over the denominator
-    its positions share: 997, 3989, or 997·49·2^(n-1) for the halving chain."""
+def _random_line_map(rng: random.Random, max_size: int) -> tuple[list, list]:
+    """One random map on the line: each point's integer position over the
+    denominator they share, 997, 3989, or 997·49·2^(n-1) for the halving
+    chain, and each point's successor index."""
     kind = rng.randrange(3)
     if kind == 0:
-        return FinitePointSystem([0], 997, [(rng.randrange(1, 1000),)], {0: 0})
+        return [rng.randrange(1, 1000)], [0]
     n = rng.randint(2, max_size)
     if kind == 1:
-        values = rng.sample(range(1, 4000), n)
-        step = {i: rng.randrange(n) for i in range(n)}
-        return FinitePointSystem(list(range(n)), 3989, [(v,) for v in values], step)
+        return rng.sample(range(1, 4000), n), [rng.randrange(n) for _ in range(n)]
     # halving chain onto a fixed endpoint: strictly shrinking, never
     # surjective (the fixed point sits on the same geometric ladder so that
     # every pair, not just interior ones, contracts strictly).  Point i sits
     # at centre + offset / 2^(n-1-i), centre = a/997 and offset = ±b/49
     centre = (rng.randrange(1000) * 49) << (n - 1)
     offset = rng.choice([-1, 1]) * rng.randrange(1, 50) * 997
-    coords = [(centre + (offset << i),) for i in range(n)]
-    step = {i: max(i - 1, 0) for i in range(n)}
-    return FinitePointSystem(list(range(n)), (997 * 49) << (n - 1), coords, step)
+    return [centre + (offset << i) for i in range(n)], [max(i - 1, 0) for i in range(n)]
+
+
+def _shrinks_on_the_line(positions: list, succ: list) -> bool:
+    """Global strict shrinking of the map ``succ`` on distinct integer
+    ``positions`` on the line, where d(x, y) is |x - y| over one scale: is
+    |x[s_i] - x[s_j]| < |x_i - x_j| for every pair i < j?  A repeated
+    position raises ValueError, as a repeated tuple does in a system."""
+    if len(set(positions)) < len(positions):
+        raise ValueError(f"positions must be distinct, not {positions!r:.60}")
+    n = len(positions)
+    for i in range(n):
+        x, fx = positions[i], positions[succ[i]]
+        for j in range(i + 1, n):
+            if abs(fx - positions[succ[j]]) >= abs(x - positions[j]):
+                return False
+    return True
 
 
 def _vanishing_step(preimages: list, x: int) -> int | None:
@@ -262,17 +269,19 @@ def _shrinking_claims(succ: list) -> tuple[bool, list, int]:
 
 
 def shrinking_propositions_oracle(trials: int = 1000, max_size: int = 8, seed: int = 0) -> dict:
-    """Hammer the shrinking-map propositions with random finite systems.
+    """Hammer the shrinking-map propositions with random maps on the line.
 
-    For every generated system that happens to shrink globally, assert:
+    For every drawn map that happens to shrink globally, assert:
     surjective implies a single point; the eventual image is a unique fixed
     point; every non-fixed point has an empty iterated preimage within |X|
     steps.  Any violation lands in ``counterexamples`` (expected empty —
     these are theorems).
 
-    Every trial builds and checks its own system, but the propositions are
-    decided once per distinct map: they read only the successor list, so
-    systems with equal lists have equal claims.  Few distinct maps occur (a
+    Every trial draws its own points and map and checks shrinking on the
+    integer positions, which needs no distance matrix: the points lie on the
+    line over one denominator.  The propositions are decided once per
+    distinct map: they read only the successor list, so maps with equal
+    lists have equal claims.  Few distinct maps occur (a
     single point is always ``[0]``, a halving chain's map is fixed by its
     length, and few random maps shrink), so 5,000 trials meet a few dozen.
 
@@ -295,13 +304,13 @@ def shrinking_propositions_oracle(trials: int = 1000, max_size: int = 8, seed: i
         "counterexamples": [],
     }
     for t in range(trials):
-        sys = _random_system(rng, max_size)
-        if not check_shrinking(sys):
+        positions, succ = _random_line_map(rng, max_size)
+        if not _shrinks_on_the_line(positions, succ):
             continue
         report["shrinking_systems"] += 1
-        key = tuple(sys.succ)
+        key = tuple(succ)
         if key not in decided:
-            decided[key] = _shrinking_claims(sys.succ)
+            decided[key] = _shrinking_claims(succ)
         surjective, claims, steps = decided[key]
         report["surjective_shrinking"] += surjective
         report["counterexamples"] += [{"trial": t, "claim": claim} for claim in claims]
@@ -426,10 +435,10 @@ def product_system(sys1: FinitePointSystem, sys2: FinitePointSystem) -> FinitePo
     return FinitePointSystem(pts, scale, coords, step, eps=eps, source=source)
 
 
-def core_midpoints(scheme: EmbeddingScheme, depth: int) -> dict:
-    """Label -> the midpoint of the cell's core at ``depth``, from 0, taken
-    from :func:`~cantor_shrink.interval_embed.absolute_level`."""
-    scale, cells = absolute_level(scheme, depth)
+def core_midpoints(level: tuple) -> dict:
+    """Label -> the midpoint of the cell's core, from 0, for a level
+    ``(scale, cells)`` of :func:`~cantor_shrink.interval_embed.absolute_level`."""
+    scale, cells = level
     return {label: Fraction(lo + hi, 2 * scale) for label, (_, (lo, hi)) in cells.items()}
 
 
@@ -445,7 +454,7 @@ def midpoint_system(scheme: EmbeddingScheme, depth: int) -> FinitePointSystem:
     level = scheme.level(depth)
     check_memory(system_bytes(len(level.cells), level.scale.bit_length() + 1), f"depth {depth}")
     s_d = scheme.spec.extended_modulus(depth)
-    positions = core_midpoints(scheme, depth)
+    positions = core_midpoints(absolute_level(scheme, depth))
     step = {label: (label + 1) % s_d for label in positions}
     source = {
         "kind": "odometer-midpoints",

@@ -21,12 +21,13 @@ from cantor_shrink.interval_embed import EmbeddingScheme, VerifyReport, absolute
 from cantor_shrink.metric_systems.core import FinitePointSystem, check_lrs, core_midpoints, split_margins
 
 
-def certify_slack(scheme: EmbeddingScheme, n: int, refine: int, anchor_value: int = 0) -> Fraction:
+def certify_slack(scheme: EmbeddingScheme, n: int, refine: int, anchor_value: int = 0, *, level=None) -> Fraction:
     """Certified positive slack between d(z, y) and d(Tz, Ty) on U_n minus U_{n+1}.
 
     Scans every depth-``refine`` cell of the annulus, bounding d(z, y) from
     below by the gap to z's core and d(Tz, Ty) from above by the spread of
-    the successor cells; returns half the worst difference.
+    the successor cells; returns half the worst difference.  ``level`` is the
+    scheme's depth-``refine`` :func:`absolute_level`, formed here if not given.
 
     Raises when the bound is not positive — the caller should rebuild with a
     deeper refinement.
@@ -36,7 +37,7 @@ def certify_slack(scheme: EmbeddingScheme, n: int, refine: int, anchor_value: in
     if refine < n + 1:
         raise ValueError("refinement must be deeper than the separating cylinder")
     spec = scheme.spec
-    scale, cells = absolute_level(scheme, refine)  # (carrier, core) of each cell
+    scale, cells = level or absolute_level(scheme, refine)  # (carrier, core) of each cell
     s_n = spec.extended_modulus(n)
     s_next = spec.extended_modulus(n + 1)
     s_m = spec.extended_modulus(refine)
@@ -63,11 +64,13 @@ def certify_slack(scheme: EmbeddingScheme, n: int, refine: int, anchor_value: in
     return scaled_fraction(worst, 2 * scale)
 
 
-def slack_sequence(scheme: EmbeddingScheme, levels: int, refine: int) -> list:
-    """a_1..a_{levels+1} (index 0 unused), capped to halve at every step."""
+def slack_sequence(scheme: EmbeddingScheme, levels: int, refine: int, *, level=None) -> list:
+    """a_1..a_{levels+1} (index 0 unused), capped to halve at every step,
+    all certified on one depth-``refine`` level (see :func:`certify_slack`)."""
+    level = level or absolute_level(scheme, refine)
     slack: list = [None]
     for n in range(1, levels + 2):
-        candidate = certify_slack(scheme, n, refine)
+        candidate = certify_slack(scheme, n, refine, level=level)
         if n == 1:
             slack.append(min(candidate, Fraction(1, 4)))
         else:
@@ -144,10 +147,11 @@ def build_attractor_repellor(
         )
     spec = scheme.spec
     k = [0] + [spec.extended_modulus(n) for n in range(1, levels + 1)]  # first return times
-    slack = slack_sequence(scheme, levels, refine)
+    level = absolute_level(scheme, refine)  # formed once, for the slacks and the midpoints
+    slack = slack_sequence(scheme, levels, refine, level=level)
 
     s_m = spec.extended_modulus(refine)
-    mid = core_midpoints(scheme, refine)
+    mid = core_midpoints(level)
 
     # the orbit runs along the thread of the anchor z = 0
     ids: list = [("y", j) for j in range(-k[levels], tail + 1)]

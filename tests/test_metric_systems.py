@@ -14,7 +14,7 @@ import pytest
 from cantor_shrink import exact
 from cantor_shrink.exact import MEMORY_BOUND, canonical_dumps, dense_bytes, digits_to_int, int_to_digits, system_bytes
 from cantor_shrink.graphcover import build_sequence
-from cantor_shrink.interval_embed import build_graph_scheme, build_odometer_scheme
+from cantor_shrink.interval_embed import absolute_level, build_graph_scheme, build_odometer_scheme
 from cantor_shrink.metric_systems import (
     OMEGA,
     FinitePointSystem,
@@ -23,7 +23,6 @@ from cantor_shrink.metric_systems import (
     build_fixed_point_system,
     certify_slack,
     check_lrs,
-    check_shrinking,
     computed_radii,
     entropy_estimate,
     extension_to_json,
@@ -40,9 +39,16 @@ from cantor_shrink.metric_systems import (
     verify_extension_lrs,
 )
 from cantor_shrink.metric_systems import core
-from cantor_shrink.metric_systems.core import _random_system, _shrinking_claims, _vanishing_step
+from cantor_shrink.metric_systems import extension
+from cantor_shrink.metric_systems.core import _random_line_map, _shrinking_claims, _shrinks_on_the_line, _vanishing_step
 from cantor_shrink.metric_systems.deformed import _outer_positions
 from cantor_shrink.odometer import OdometerSpec
+
+
+def check_shrinking(sys):
+    """Global strict shrinking on the system's distance matrix: d(f(x), f(y)) < d(x, y) for every pair."""
+    dist, succ = sys.dist, sys.succ
+    return all(dist[succ[i]][succ[j]] < row[j] for i, row in enumerate(dist) for j in range(i + 1, len(row)))
 
 
 def halving_chain(n, centre=Fraction(0), offset=Fraction(1)):
@@ -387,15 +393,16 @@ def fraction_random_system(rng, max_size):
 @h.given(seed=st.integers(min_value=0, max_value=2**64), max_size=st.integers(min_value=2, max_value=12))
 @h.settings(derandomize=True, max_examples=100, deadline=None)
 def test_integer_oracle_systems_match_the_fraction_construction(seed, max_size):
+    """Each drawn map is the Fraction system's, with its positions over one
+    of the three denominators, from the same calls on the generator."""
     ints, fractions = random.Random(seed), random.Random(seed)
     for _ in range(30):
-        got = _random_system(ints, max_size)
+        positions, succ = _random_line_map(ints, max_size)
         want = fraction_random_system(fractions, max_size)
         assert ints.getstate() == fractions.getstate()
-        assert (got.points, got.map) == (want.points, want.map)
-        assert [got.d(x, y) for x in got.points for y in got.points] == [
-            want.d(x, y) for x in want.points for y in want.points
-        ]
+        assert (list(range(len(positions))), succ) == (want.points, want.succ)
+        units = [Fraction(1, 997), Fraction(1, 3989), Fraction(1, (997 * 49) << (len(positions) - 1))]
+        assert [Fraction(c, want.scale) for (c,) in want.coords] in [[x * u for x in positions] for u in units]
 
 
 # sha256 of the canonical JSON of the oracle report at the benchmark's trial
@@ -407,15 +414,30 @@ ORACLE_5000_SHA256 = {
 }
 
 
+# the same at seed 0 for the smallest, a small and a large max_size, pinned
+# while every trial was built as a system and checked on its distance matrix
+ORACLE_5000_SEED_0_SHA256 = {
+    2: "215b83bfaeafe374118da0a39a7840f9eba14fb54c1139a6a72a59ca1da01a63",
+    3: "0f5ad12c691c762921f8e59891a3090bf7829b467792d6f4d9989aef9401248a",
+    12: "07595f621fe876ac304517bd1c583c0ca5a5efdd7c9718851ee7c7cf46b6e6f0",
+}
+
+
 @pytest.mark.parametrize("seed", sorted(ORACLE_5000_SHA256))
 def test_oracle_5000_trials_pinned(seed):
     report = canonical_dumps(shrinking_propositions_oracle(trials=5000, seed=seed))
     assert hashlib.sha256(report.encode()).hexdigest() == ORACLE_5000_SHA256[seed]
 
 
+@pytest.mark.parametrize("max_size", sorted(ORACLE_5000_SEED_0_SHA256))
+def test_oracle_5000_trials_pinned_at_other_sizes(max_size):
+    report = canonical_dumps(shrinking_propositions_oracle(trials=5000, max_size=max_size, seed=0))
+    assert hashlib.sha256(report.encode()).hexdigest() == ORACLE_5000_SEED_0_SHA256[max_size]
+
+
 def per_trial_oracle(trials, max_size, seed):
-    """The oracle as a loop that decides the propositions on every
-    shrinking trial, with no cache."""
+    """The oracle as a loop that builds each trial's Fraction system and
+    decides the propositions on every shrinking one, with no cache."""
     rng = random.Random(seed)
     report = {
         "trials": trials,
@@ -427,7 +449,7 @@ def per_trial_oracle(trials, max_size, seed):
         "counterexamples": [],
     }
     for t in range(trials):
-        sys = _random_system(rng, max_size)
+        sys = fraction_random_system(rng, max_size)
         if not check_shrinking(sys):
             continue
         report["shrinking_systems"] += 1
@@ -452,8 +474,8 @@ def test_oracle_matches_the_per_trial_loop(seed, max_size, trials):
 @pytest.mark.parametrize("seed", sorted(ORACLE_5000_SHA256))
 def test_oracle_decides_each_distinct_map_once(seed, monkeypatch):
     rng = random.Random(seed)
-    systems = (_random_system(rng, 8) for _ in range(5000))
-    distinct = {tuple(sys.succ) for sys in systems if check_shrinking(sys)}
+    draws = (_random_line_map(rng, 8) for _ in range(5000))
+    distinct = {tuple(succ) for positions, succ in draws if _shrinks_on_the_line(positions, succ)}
     calls = []
 
     def counted(succ):
@@ -465,9 +487,49 @@ def test_oracle_decides_each_distinct_map_once(seed, monkeypatch):
     assert sorted(calls) == sorted(distinct)
 
 
+def test_oracle_builds_no_system(monkeypatch):
+    monkeypatch.setattr(core, "FinitePointSystem", lambda *args, **kwargs: pytest.fail("a system was built"))
+    report = shrinking_propositions_oracle(trials=200, max_size=6, seed=1)
+    assert (report["shrinking_systems"], report["surjective_shrinking"]) == (152, 80)
+
+
+def line_system(positions, succ):
+    return FinitePointSystem(list(range(len(positions))), 1, [(x,) for x in positions], dict(enumerate(succ)))
+
+
+@st.composite
+def line_maps(draw):
+    positions = draw(st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=7, unique=True))
+    n = len(positions)
+    return positions, draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n))
+
+
+# the first two maps break shrinking only on the first pair (0, 1) and only
+# on the last pair (n - 2, n - 1), each at an equal distance, not a longer
+# one; a halving chain and a constant map shrink
+@h.given(case=line_maps())
+@h.example(case=([0, 1, 100], [0, 1, 0]))
+@h.example(case=([100, 0, 1], [1, 1, 2]))
+@h.example(case=([1, 2, 4, 8, 16], [0, 0, 1, 2, 3]))
+@h.example(case=([5, 0, 1, 2], [1, 1, 1, 1]))
+@h.settings(derandomize=True, max_examples=300, deadline=None)
+def test_line_shrinking_matches_the_matrix_check(case):
+    positions, succ = case
+    assert _shrinks_on_the_line(positions, succ) == check_shrinking(line_system(positions, succ))
+
+
+@pytest.mark.parametrize("positions", [[3, 5, 3], [7, 7]])
+def test_line_shrinking_refuses_a_repeated_position(positions):
+    succ = [0] * len(positions)
+    with pytest.raises(ValueError, match=r"^positions must be distinct"):
+        _shrinks_on_the_line(positions, succ)
+    with pytest.raises(ValueError, match=r"share one coordinate tuple$"):
+        line_system(positions, succ)
+
+
 @pytest.mark.parametrize("max_size", [1, 0, -2])
 def test_oracle_refuses_max_size_below_two_before_any_trial(max_size, monkeypatch):
-    monkeypatch.setattr(core, "_random_system", None)  # a trial would call it
+    monkeypatch.setattr(core, "_random_line_map", None)  # a trial would call it
     with pytest.raises(ValueError, match=rf"^the oracle's max_size must be at least 2, not {max_size}$"):
         shrinking_propositions_oracle(trials=10, max_size=max_size)
 
@@ -516,12 +578,12 @@ def test_preimages_on_a_cycle_never_vanish(n):
 
 
 def test_oracle_reports_every_broken_claim(monkeypatch):
-    """With every system taken as shrinking, the random maps that are not
+    """With every map taken as shrinking, the random maps that are not
     contractions land in the report under their trial, claim by claim."""
-    monkeypatch.setattr(core, "check_shrinking", lambda sys: True)
+    monkeypatch.setattr(core, "_shrinks_on_the_line", lambda positions, succ: True)
     report = shrinking_propositions_oracle(trials=40, max_size=5, seed=2)
     rng = random.Random(2)
-    claims = [_shrinking_claims(_random_system(rng, 5).succ)[1] for _ in range(40)]
+    claims = [_shrinking_claims(_random_line_map(rng, 5)[1])[1] for _ in range(40)]
     assert report["shrinking_systems"] == 40
     assert report["counterexamples"] == [{"trial": t, "claim": c} for t, cs in enumerate(claims) for c in cs]
     assert {c["claim"] for c in report["counterexamples"]} == {"surjective", "unique-fixed-point"}
@@ -829,6 +891,26 @@ def test_exceptional_anchors_cannot_be_certified(od5):
     for anchor in (0, 8, 16):
         for n in (1, 2, 3):
             assert certify_slack(od5, n, 5, anchor) > 0
+
+
+def test_extension_forms_its_level_once(od5, monkeypatch):
+    """The slacks and the midpoints of an extension read one depth-refine
+    level, formed once, and equal the slacks each certified on its own."""
+    calls = []
+
+    def counted(scheme, depth):
+        calls.append(depth)
+        return absolute_level(scheme, depth)
+
+    monkeypatch.setattr(extension, "absolute_level", counted)
+    monkeypatch.setattr(core, "absolute_level", counted)
+    ext = build_attractor_repellor(od5, levels=3, tail=16, refine=5)
+    assert calls == [5]
+    monkeypatch.undo()
+    capped = [None]
+    for n in range(1, 5):
+        capped.append(min(certify_slack(od5, n, 5), Fraction(1, 4) if n == 1 else capped[-1] / 4))
+    assert ext.slack == slack_sequence(od5, 3, 5) == capped
 
 
 def test_slack_sequence_caps(od5):
