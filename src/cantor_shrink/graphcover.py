@@ -24,36 +24,28 @@ Edge = tuple[Vertex, Vertex]
 
 
 class Graph:
-    """Finite directed graph with adjacency lookups."""
+    """Finite directed graph with adjacency lookups.
+
+    Vertices and edges are deduplicated in the order given before they are
+    sorted, so input that comes as a few ordered runs, one per cycle as each
+    level emits it, sorts in a pass over those runs.
+    """
 
     def __init__(self, vertices, edges):
-        self.vertices: tuple[Vertex, ...] = tuple(sorted(set(vertices)))
-        vertex_set = set(self.vertices)
-        self.edges: tuple[Edge, ...] = tuple(sorted(set(edges)))
-        for u, v in self.edges:
-            if u not in vertex_set or v not in vertex_set:
-                raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
+        self.vertices: tuple[Vertex, ...] = tuple(sorted(dict.fromkeys(vertices)))
+        self.edges: tuple[Edge, ...] = tuple(sorted(dict.fromkeys(edges)))
         self._out: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
         self._in: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            self._out[u].append(v)
-            self._in[v].append(u)
+        out, into = self._out, self._in
+        try:
+            for u, v in self.edges:
+                out[u].append(v)
+                into[v].append(u)
+        except KeyError:
+            raise ValueError(f"edge ({u}, {v}) leaves the vertex set") from None
 
     def out_neighbors(self, v: Vertex) -> list[Vertex]:
         return list(self._out[v])
-
-    def in_neighbors(self, v: Vertex) -> list[Vertex]:
-        return list(self._in[v])
-
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return v in self._out.get(u, ())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
 
     def __repr__(self):
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -61,7 +53,7 @@ class Graph:
 
 def check_edge_surjective(g: Graph) -> bool:
     """True iff every vertex has at least one incoming and one outgoing edge."""
-    return all(g._out[v] and g._in[v] for v in g.vertices)
+    return all(g._out.values()) and all(g._in.values())
 
 
 def check_bidirectional(hom: dict, source: Graph, target: Graph) -> bool:
@@ -71,22 +63,33 @@ def check_bidirectional(hom: dict, source: Graph, target: Graph) -> bool:
     In-condition: edges (w,u), (w',u) force hom(w) = hom(w').
 
     Raises:
-        ValueError: if hom is not a graph homomorphism source -> target.
+        ValueError: if hom is not a graph homomorphism source -> target,
+            naming the first vertex without an image, else the first edge
+            sent to a non-edge, else the first vertex sent outside the target.
     """
     for v in source.vertices:
         if v not in hom:
             raise ValueError(f"vertex {v} has no image under the map")
-    for u, v in source.edges:
-        if not target.has_edge(hom[u], hom[v]):
-            raise ValueError(
-                f"not a homomorphism: edge ({u}, {v}) maps to non-edge "
-                f"({hom[u]}, {hom[v]})"
-            )
-    for w in source.vertices:
-        if len({hom[u] for u in source.out_neighbors(w)}) > 1:
-            return False
-        if len({hom[u] for u in source.in_neighbors(w)}) > 1:
-            return False
+    # the out-lists, walked in vertex order, hold the edges in sorted order
+    target_out, into = target._out, source._in
+    for u, near in source._out.items():
+        allowed = target_out.get(hom[u], ())
+        for v in near:
+            if hom[v] not in allowed:
+                raise ValueError(
+                    f"not a homomorphism: edge ({u}, {v}) maps to non-edge "
+                    f"({hom[u]}, {hom[v]})"
+                )
+    # a vertex on an edge has an image in the target by now; one on no edge may not
+    for v, near in source._out.items():
+        if not near and not into[v] and hom[v] not in target_out:
+            raise ValueError(f"not a homomorphism: vertex {v} maps to {hom[v]}, not a target vertex")
+    for neighbours in (source._out, source._in):
+        for near in neighbours.values():
+            if len(near) > 1:
+                image = hom[near[0]]
+                if any(hom[u] != image for u in near):
+                    return False
     return True
 
 
@@ -395,14 +398,24 @@ def check_weak_mixing_certificate(seq: CoverSequence, n: int) -> bool:
     the finite-level witness used for weak mixing.  Return lengths are sums
     of cycle lengths with repeats up to 2 + (L1+1)·(L2+1), held as a bit
     mask; ``reach & reach >> 1`` has bit t where t and t + 1 are both return
-    lengths, and t = 0 (the empty path) is shifted out.
+    lengths, and t = 0 (the empty path) is shifted out.  Bit t depends only
+    on the sums up to t, so the masks up to 2·max L + 2, 4·max L + 2, … are
+    tried in turn, and the full bound is reached only when no smaller one
+    shows a pair (always so when the lengths share a factor).
     """
     if not 0 <= n <= seq.top:
         raise ValueError(f"level {n} outside the built tower")
     lengths = seq.levels[n].cycle_lengths
-    bound = 2 + (lengths[0] + 1) * (lengths[-1] + 1)
-    reach = _closed_path_lengths(lengths, bound)
-    return (reach & reach >> 1) >> 1 != 0
+    full = 2 + (lengths[0] + 1) * (lengths[-1] + 1)
+    bound = 2 * max(lengths) + 2
+    while True:
+        bound = min(bound, full)
+        reach = _closed_path_lengths(lengths, bound)
+        if (reach & reach >> 1) >> 1:
+            return True
+        if bound == full:
+            return False
+        bound = 2 * bound - 2
 
 
 def invariant_subsystem(seq: CoverSequence) -> CoverSequence:
@@ -439,27 +452,54 @@ def invariant_subsystem(seq: CoverSequence) -> CoverSequence:
 def minimal_cycle_length(g: Graph) -> int:
     """Length of the shortest closed path through any vertex (directed girth).
 
-    A breadth-first search from each vertex v, one layer of path length at a
-    time, stops at the first layer that reaches v again, or at the length of
-    the shortest closed path found so far, which no longer path can beat.
+    Each vertex of in- and out-degree 1 lies on one chain: the walk on from a
+    branch vertex (any other vertex) through such vertices to the next
+    branch vertex becomes one weighted edge, and of parallel ones only the
+    lightest is kept.  Chain vertices that no such walk meets form cycles of
+    their own, each a candidate length.  Dijkstra from each branch vertex back
+    to itself then keeps no path as long as the best length so far, and
+    picks its next vertex by a scan, which costs the square of the branch
+    vertices and no import.  The walks visit each vertex and edge once, and
+    a tower level has a single branch vertex, its base.
     """
-    out = g._out
-    best = None
-    for v in g.vertices:
-        frontier, seen, length = [v], set(), 0
-        while frontier and (best is None or length + 1 < best):
+    out, into = g._out, g._in
+    chain = {v for v in g.vertices if len(out[v]) == len(into[v]) == 1}
+    branch = [v for v in g.vertices if v not in chain]
+    ids = {v: i for i, v in enumerate(branch)}
+    arcs: list[dict[int, int]] = []
+    for b in branch:
+        lightest: dict[int, int] = {}
+        for v in out[b]:
+            weight = 1
+            while v in chain:
+                chain.remove(v)
+                v = out[v][0]
+                weight += 1
+            lightest[ids[v]] = min(weight, lightest.get(ids[v], weight))
+        arcs.append(lightest)
+    best = len(g.vertices) + 1  # no closed path is longer than |V|
+    while chain:
+        v, length = chain.pop(), 1
+        w = out[v][0]
+        while w != v:
+            chain.remove(w)
+            w = out[w][0]
             length += 1
-            layer = []
-            for u in frontier:
-                for w in out[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        layer.append(w)
-            if v in seen:
-                best = length
+        best = min(best, length)
+    for s, row in enumerate(arcs):
+        # Dijkstra back to s; a length no shorter than the best is never held
+        tentative, done = {t: weight for t, weight in row.items() if weight < best}, set()
+        while tentative:
+            u = min(tentative, key=tentative.get)
+            d = tentative.pop(u)
+            if u == s:
+                best = d
                 break
-            frontier = layer
-    if best is None:
+            done.add(u)
+            for t, weight in arcs[u].items():
+                if t not in done and d + weight < tentative.get(t, best):
+                    tentative[t] = d + weight
+    if best > len(g.vertices):
         raise ValueError("graph has no closed path")
     return best
 

@@ -80,8 +80,8 @@ class FinitePointSystem:
     def _l1_distances(self) -> list:
         """The coordinate-sum matrix of ``coords``, refused on a repeated
         tuple, naming the first such pair in point order, and past the bound
-        predicted over the scale: the package's systems lie within a few
-        multiples of it, and the file reader bounds the rest."""
+        predicted over the wider of the scale and the largest distance the
+        coordinates can give, the sum over the axes of max - min."""
         coords, n = self.coords, len(self.points)
         if len(coords) != n or len(set(map(len, coords))) > 1:
             raise ValueError(f"coordinates must be {n} tuples of one length")
@@ -89,9 +89,13 @@ class FinitePointSystem:
             first = {}
             i, j = min((first[c], j) for j, c in enumerate(coords) if first.setdefault(c, j) != j)
             raise ValueError(f"points {self.points[i]!r} and {self.points[j]!r} share one coordinate tuple")
-        bits = self.scale.bit_length()
-        check_memory(system_bytes(n, bits), f"{n} points over a {bits}-bit scale")
         axes = list(zip(*coords)) or [(0,) * n]
+        bits = self.scale.bit_length()
+        where = f"{n} points over a {bits}-bit scale"
+        span = sum(max(xs) - min(xs) for xs in axes).bit_length()
+        if span > bits:
+            bits, where = span, f"{where}, distances of up to {span} bits"
+        check_memory(system_bytes(n, bits), where)
         dist = [[abs(p - q) for q in axes[0]] for p in axes[0]]
         for xs in axes[1:]:
             # summed into the rows in place, so no second matrix is held

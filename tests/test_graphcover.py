@@ -1,9 +1,12 @@
+import re
 from collections import deque
+from unittest import mock
 
 import hypothesis as h
 import hypothesis.strategies as st
 import pytest
 
+from cantor_shrink import graphcover
 from cantor_shrink.graphcover import (
     _closed_path_lengths,
     COVER_WORDS,
@@ -89,6 +92,24 @@ def test_bidirectional_detects_out_split():
     )
     hom = {base: t_base, u: t_u, w: t_w}
     assert not check_bidirectional(hom, source, target)
+
+
+def test_bidirectional_refuses_an_image_outside_the_target():
+    # c lies on no edge, so no edge check looks its image up in the target
+    a, b, c = (1, 1, 1), (1, 1, 2), (1, 2, 1)
+    source = Graph([a, b, c], [(a, b), (b, a)])
+    t = (0, 0, 0)
+    target = Graph([t], [(t, t)])
+    text = "not a homomorphism: vertex (1, 2, 1) maps to ('nowhere',), not a target vertex"
+    with pytest.raises(ValueError, match=rf"^{re.escape(text)}$"):
+        check_bidirectional({a: t, b: t, c: ("nowhere",)}, source, target)
+    assert check_bidirectional({a: t, b: t, c: t}, source, target)
+    report = certify_cover(CoverSequence([_GraphLevel(target), _GraphLevel(source)], [{a: t, b: t, c: ("nowhere",)}]))
+    assert report["steps"][0] == {
+        "step": 0, "homomorphism": False, "edge_surjective": True, "bidirectional": False, "error": text,
+        "minimality": True,
+    }
+    assert report["pass"] is False
 
 
 def test_expand_cycle_expr_paths():
@@ -322,6 +343,37 @@ def test_weak_mixing_fails_for_even_lengths():
     assert not check_weak_mixing_certificate(seq, 0)
 
 
+@h.given(
+    factor=st.sampled_from([1, 1, 2, 3]),
+    lengths=st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=4),
+)
+@h.example(factor=1, lengths=[7, 9])  # the first pair, 35 and 36, lies past the first bound
+@h.example(factor=1, lengths=[19, 21])  # past the third bound
+@h.example(factor=1, lengths=[35, 37])  # past the fourth bound
+@h.example(factor=1, lengths=[13, 55, 47, 13])  # only the full bound, 198, holds a pair
+@h.example(factor=1, lengths=[5, 55, 5])  # the full bound lies below 2·max L + 2
+@h.example(factor=2, lengths=[1, 2])
+@h.settings(derandomize=True, max_examples=300, deadline=None)
+def test_doubling_weak_mixing_verdict_matches_the_full_bound(factor, lengths):
+    lengths = [factor * length for length in lengths]
+    full = 2 + (lengths[0] + 1) * (lengths[-1] + 1)
+    reach = _closed_path_lengths(lengths, full)
+    want = (reach & reach >> 1) >> 1 != 0
+    bounds = []
+
+    def recorded(lengths, bound):
+        bounds.append(bound)
+        return _closed_path_lengths(lengths, bound)
+
+    with mock.patch.object(graphcover, "_closed_path_lengths", recorded):
+        got = check_weak_mixing_certificate(CoverSequence([_GraphLevel(None, tuple(lengths))], []), 0)
+    assert got is want
+    # a common factor leaves no consecutive return lengths, found only at the full bound
+    assert not (factor > 1 and got)
+    assert bounds == sorted(set(bounds)) and bounds[-1] <= full
+    assert got or bounds[-1] == full
+
+
 def test_invariant_subsystem(tr2, wm4):
     sub = invariant_subsystem(tr2)
     assert [lvl.length for lvl in sub.levels] == [2, 6, 18]
@@ -356,12 +408,12 @@ def test_periodic_point_free(wm4):
 
 
 class _GraphLevel:
-    """Minimal level wrapper for handcrafted graphs in tests."""
+    """Minimal level wrapper for handcrafted graphs and cycle lengths in tests."""
 
-    def __init__(self, graph):
+    def __init__(self, graph, cycle_lengths=()):
         self.graph = graph
         self.cycles = []
-        self.cycle_lengths = ()
+        self.cycle_lengths = cycle_lengths
 
 
 def test_minimal_cycle_length_girth():
@@ -403,19 +455,92 @@ def digraphs(draw):
     return Graph(vertices, [(vertices[i], vertices[j]) for i, j in edges])
 
 
-@h.given(digraphs())
+@st.composite
+def chained_digraphs(draw):
+    """Random digraphs that contraction must get right: a skeleton on up to
+    5 vertices (self-loops and repeated edges allowed), each skeleton edge
+    drawn out into a chain through 0 to 6 new vertices, so that a repeated
+    edge gives parallel chains of different lengths, and up to 2 cycles of
+    1 to 6 new vertices touching nothing else; or skeleton edges only from a
+    lower to a higher index and no separate cycle, which leave no closed path."""
+    size = draw(st.integers(1, 5))
+    acyclic = draw(st.booleans())
+    pairs = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    skeleton = draw(st.lists(pairs, max_size=3 * size))
+    if acyclic:
+        skeleton = [(i, j) for i, j in skeleton if i < j]
+    vertices, edges = [(0, 0, i) for i in range(size)], []
+    for i, j in skeleton:
+        inner = [(0, 1, len(vertices) + k) for k in range(draw(st.integers(0, 6)))]
+        walk = [vertices[i], *inner, vertices[j]]
+        vertices += inner
+        edges += zip(walk, walk[1:])
+    for _ in range(0 if acyclic else draw(st.integers(0, 2))):
+        ring = [(0, 2, len(vertices) + k) for k in range(draw(st.integers(1, 6)))]
+        vertices += ring
+        edges += zip(ring, ring[1:] + ring[:1])
+    return Graph(vertices, edges)
+
+
+def walks(*paths):
+    """The graph of the given walks over vertex numbers."""
+    vertex = {i: (0, 1, i) for path in paths for i in path}
+    return Graph(vertex.values(), [(vertex[i], vertex[j]) for path in paths for i, j in zip(path, path[1:])])
+
+
+@h.given(st.one_of(digraphs(), chained_digraphs()))
 @h.example(Graph([(0, 1, 0)], [((0, 1, 0), (0, 1, 0))]))
 @h.example(Graph([(0, 1, 0), (0, 1, 1)], [((0, 1, 0), (0, 1, 1))]))
 @h.example(TwoCycleLevel(2, (37, 38)).graph)
-@h.settings(derandomize=True, deadline=None, max_examples=300)
+@h.example(walks([0, 1, 2], [0, 3, 4, 5, 6, 2], [2, 0]))  # parallel chains of 2 and 5 edges: girth 3
+@h.example(walks([0, 1, 2, 0], [0, 3, 4, 5, 0], [6, 7, 6]))  # a 2-cycle apart from a 3, 4 wedge
+@h.example(walks([0, 0], [0, 1, 2, 0]))  # a self-loop on a branch vertex
+@h.example(walks([0, 2, 3, 4, 0], [1, 5, 6, 1], [0, 1], [1, 0]))  # Dijkstra must settle the nearest first
+@h.example(walks([0, 1, 2, 3, 4], [5, 2]))  # chains with no closed path
+@h.settings(derandomize=True, deadline=None, max_examples=400)
 def test_minimal_cycle_length_matches_the_full_search(g):
     try:
         want = reference_girth(g)
-    except ValueError:
-        with pytest.raises(ValueError, match="no closed path"):
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=rf"^{exc}$"):
             minimal_cycle_length(g)
     else:
         assert minimal_cycle_length(g) == want
+
+
+def test_deep_towers_certify_and_the_mask_stays_narrow(monkeypatch):
+    tr6 = build_sequence("transitive", 6)
+    report = certify_cover(tr6)
+    assert report["pass"]
+    # the word rule c_1' = 3·c_1, c_2' = 2·c_1 + 2·c_2 + c_1: closed paths go
+    # round whole cycles, so each level's girth is its shorter cycle length
+    lengths = [(2, 3)]
+    for _ in range(6):
+        l1, l2 = lengths[-1]
+        lengths.append((3 * l1, 3 * l1 + 2 * l2))
+    minima = report["certificates"]["minimal_closed_path_lengths"]
+    assert minima == [min(pair) for pair in lengths] == [2 * 3**n for n in range(7)]
+
+    wm7 = build_sequence("weakly-mixing", 7)
+    lengths = [(2, 3)]
+    for _ in range(7):
+        l1, l2 = lengths[-1]
+        lengths.append((3 * l1 + l2, 2 * l1 + 2 * l2))
+    assert [lvl.lengths for lvl in wm7.levels] == lengths
+    # the full bound would be a 1.46e9-bit mask: fail before any mask wider
+    # than the second doubling bound is formed
+    widest, bounds = 4 * max(lengths[-1]) + 2, []
+
+    def guarded(lengths, bound):
+        if bound > widest:
+            pytest.fail(f"a mask up to {bound} at wm7")
+        bounds.append(bound)
+        return _closed_path_lengths(lengths, bound)
+
+    monkeypatch.setattr(graphcover, "_closed_path_lengths", guarded)
+    report = certify_cover(wm7)
+    assert report["pass"] and report["certificates"] == {"minimality": True, "weak_mixing": True}
+    assert bounds == [2 * max(lengths[-1]) + 2]
 
 
 def test_fibres_are_the_preimages_in_canonical_order(wm4, tr2):

@@ -671,6 +671,25 @@ def test_coordinate_systems_are_refused_past_the_bound_before_their_matrix():
     assert system_bytes(n, 16) > MEMORY_BOUND
 
 
+def test_coordinate_systems_are_bounded_by_their_span_not_only_their_scale(monkeypatch):
+    # 23,000 points 0..22,999 over the scale 1 would hold about 19 GB of
+    # distances up to 15 bits, though the scale alone predicts a 1-bit system
+    # within the bound; the same fault shows here at a size a missing check
+    # builds harmlessly: 20 points 2^20000 apart over the scale 1 predict
+    # 13 KB from the scale and about 1 MB from their 20,005-bit distances,
+    # and a bound between the two refuses them before the matrix is formed
+    assert system_bytes(23_000, 1) < MEMORY_BOUND < system_bytes(23_000, 15)
+    n, coords = 20, [(i << 20000,) for i in range(20)]
+    wide = system_bytes(n, 20005)
+    monkeypatch.setattr(exact, "MEMORY_BOUND", wide - 1)
+    assert system_bytes(n, 1) < exact.MEMORY_BOUND
+    with pytest.raises(ValueError, match=rf"^{n} points over a 1-bit scale, distances of up to 20005 bits: predicted "
+                                         rf"{wide} bytes of integers, past the bound of {wide - 1}$"):
+        FinitePointSystem(list(range(n)), 1, coords, {i: 0 for i in range(n)})
+    monkeypatch.setattr(exact, "MEMORY_BOUND", wide)
+    assert FinitePointSystem(list(range(n)), 1, coords, {i: 0 for i in range(n)}).dist[0][-1] == 19 << 20000
+
+
 def test_separated_count_takes_at_most_the_clique_bound():
     # every system file written before files held coordinates had at most
     # 512 points; at 1,024 the clique search would recurse past Python's limit
