@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from cantor_shrink.exact import canonical_dumps, common_scale, system_bytes
+from cantor_shrink.exact import canonical_dumps, common_scale
 from cantor_shrink.interval_embed import (
     audit_scheme,
     build_graph_scheme,
@@ -73,9 +73,14 @@ def _stage(message: str, values):
 SYSTEM_LINE = "%s: %d points, %d-bit scale, predicted %d bytes"
 
 
-def _system_values(what: str, points, scale: int) -> tuple:
-    n, bits = len(points), scale.bit_length()
-    return what, n, bits, system_bytes(n, bits)
+def _system_values(what: str, n: int, k: int, scale: int, radii: bool = False) -> tuple:
+    from cantor_shrink.metric_systems.core import held_bytes
+
+    return what, n, scale.bit_length(), held_bytes(n, k, scale.bit_length(), radii)
+
+
+def _held_values(what: str, system) -> tuple:
+    return _system_values(what, len(system.points), len(system.coords[0]), system.scale, system.eps is not None)
 
 
 def _emit(render, out: str | None, message: str = "serialised %d bytes", *values) -> None:
@@ -197,7 +202,7 @@ def cmd_build_extension(args) -> int:
         return 1
     # the line's counts come from the points and the scale their coordinates share, not from a built system
     with _stage(SYSTEM_LINE, lambda: _system_values(
-        "extension", ext.ids, common_scale(c for xy in ext.positions.values() for c in xy)[0]
+        "extension", len(ext.ids), 2, common_scale(c for xy in ext.positions.values() for c in xy)[0]
     )):
         ext = build_attractor_repellor(scheme, levels=args.levels, tail=args.tail, refine=args.refine, rate=args.rate)
     _emit(lambda: canonical_dumps(extension_to_json(ext)), args.out)
@@ -206,12 +211,18 @@ def cmd_build_extension(args) -> int:
 
 def cmd_build_system(args) -> int:
     from cantor_shrink.metric_systems import full_shift_midpoint_system, midpoint_system, system_to_json
+    from cantor_shrink.metric_systems.core import CLIQUE_POINTS_LIMIT
 
     if (args.scheme is None) == (args.shift is None):
         raise ValueError("give exactly one of --scheme (with --depth) or --shift")
+    # export entropy, the only reader of these files, takes CLIQUE_POINTS_LIMIT
+    # points: more are refused from their count, before any point exists
+    past = f"past the {CLIQUE_POINTS_LIMIT} that export entropy takes"
     if args.shift is not None:
         if args.depth is not None:
             raise ValueError("--shift takes no --depth: the shift's word length is the --shift value")
+        if args.shift >= CLIQUE_POINTS_LIMIT.bit_length():  # 2^shift is never formed
+            raise ValueError(f"--shift {args.shift}: 2^{args.shift} points, {past}")
         build = lambda: full_shift_midpoint_system(args.shift)
     else:
         if args.depth is None:
@@ -219,8 +230,11 @@ def cmd_build_system(args) -> int:
         scheme = _load_scheme(args.scheme, "odometer", "midpoint systems need an odometer scheme (graphs branch)")
         if _audit_fails(args.scheme, scheme):
             return 1
+        n = len(scheme.level(args.depth).cells)
+        if n > CLIQUE_POINTS_LIMIT:
+            raise ValueError(f"--depth {args.depth}: {n} points, {past}")
         build = lambda: midpoint_system(scheme, args.depth)
-    with _stage(SYSTEM_LINE, lambda: _system_values("system", system.points, system.scale)):
+    with _stage(SYSTEM_LINE, lambda: _held_values("system", system)):
         system = build()
     _emit(lambda: canonical_dumps(system_to_json(system)), args.out)
     return 0
@@ -340,7 +354,7 @@ def cmd_export_entropy(args) -> int:
     from cantor_shrink.metric_systems.core import CLIQUE_POINTS_LIMIT
 
     # the clique search's bound is checked from the file's count of points, before anything is built
-    with _stage(SYSTEM_LINE, lambda: _system_values(f"loaded {args.sys}", system.points, system.scale)):
+    with _stage(SYSTEM_LINE, lambda: _held_values(f"loaded {args.sys}", system)):
         _, system = _read(args.sys, lambda obj: system_from_json(obj, CLIQUE_POINTS_LIMIT))
 
     def table() -> str:

@@ -412,28 +412,16 @@ ZERO = Dyadic()
 # ---------------------------------------------------------------------------
 # predicted memory
 #
-# Finite systems are n×n matrices of Python integers over scales that grow
-# like 2^(s_n^2), predicted within about 25 % of traced peaks, and work past
-# MEMORY_BOUND is refused before it starts.  Schemes are predicted as the
-# dense integers they stand for, not the clusters they hold, so the bound
-# refuses the same depths as before: it admits wm4 and od13, not tr5 or od14.
+# Scheme levels and finite systems hold integers over scales that grow like
+# 2^(s_n^2); work past MEMORY_BOUND is refused, from the sizes of what it would
+# hold, before it starts.  A scheme is predicted as the dense integers it stands
+# for, not its clusters, so the bound admits wm4 and od13, not tr5 or od14.
 MEMORY_BOUND = 1 << 32
 
 
 def dense_bytes(count: int, bits: int) -> int:
     """Predicted bytes of ``count`` integers of up to ``bits`` bits each."""
     return count * -(-bits // 8)
-
-
-def system_bytes(n: int, bits: int) -> int:
-    """Predicted bytes of n points over a ``bits``-bit scale: per point 512
-    (its row's list, id, coordinates, map), per distance an 8-byte slot and,
-    unless CPython shares it as an integer up to 256, 24 bytes and 4 per 30
-    bits, distances spread evenly below 2^(bits-1) (all shared below 10 bits)."""
-    entries = n * n
-    if bits < 10:
-        return 512 * n + 8 * entries
-    return 512 * n + 8 * entries + (entries - ((257 * entries) >> (bits - 1))) * (24 + 4 * -(-bits // 30))
 
 
 def check_memory(predicted: int, where: str) -> int:

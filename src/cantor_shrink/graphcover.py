@@ -430,11 +430,10 @@ def invariant_subsystem(seq: CoverSequence) -> CoverSequence:
     restricted_levels = [
         CycleLevel(lvl.n, lvl.cycle_lengths[0]) for lvl in seq.levels
     ]
+    vertex_sets = [set(lvl.cycle_path(1)[:-1]) for lvl in restricted_levels]
     homs = []
     for m, hom in enumerate(seq.homs):
-        upper = seq.levels[m + 1]
-        keep = set(restricted_levels[m + 1].graph.vertices)
-        allowed = set(restricted_levels[m].graph.vertices)
+        upper, keep, allowed = seq.levels[m + 1], vertex_sets[m + 1], vertex_sets[m]
         sub = {}
         for w in upper.cycle_path(1)[:-1]:
             image = hom[w]

@@ -7,12 +7,11 @@ distinct.  So any certificate computed downstream — local radial shrinking,
 separated-set counts, entropy estimates — is a statement about a genuine
 metric space and not about unchecked tables.
 
-A system stores its metric as one positive integer scale S and the n×n
-matrix of integers D its coordinates give, indexed by point position, with
-d(x_i, x_j) = D[i][j] / S.  The constructors put their inputs over one
-common denominator once, and every certificate compares integers over S;
-reduced ``Fraction``s appear only where a value leaves the module
-(:func:`~cantor_shrink.exact.scaled_fraction`).
+A system stores one positive integer scale S and its points' integer
+coordinates, and no distance: a certificate forms the integers over S one
+row per point, walking each orbit of the map so that a point's row is the
+image row of the point before it; reduced ``Fraction``s appear only where
+a value leaves the module (:func:`~cantor_shrink.exact.scaled_fraction`).
 A system file writes every coordinate and radius as an integer over one
 declared scale, and is read back into the system of those coordinates.
 """
@@ -29,25 +28,30 @@ from itertools import islice
 from typing import NamedTuple
 
 from cantor_shrink.exact import check_memory, common_scale, dense_bytes, digits_bits, digits_to_int, int_to_digits
-from cantor_shrink.exact import scaled_fraction, system_bytes
+from cantor_shrink.exact import scaled_fraction
 from cantor_shrink.interval_embed import EmbeddingScheme, absolute_level
+
+
+def held_bytes(n: int, k: int, bits: int, radii: bool = False) -> int:
+    """Predicted bytes of n points of k coordinates of up to ``bits`` bits,
+    and radii of a numerator and a denominator that wide: the integers
+    dense, and 300 per point for its id, tuple, index, map and successor."""
+    return 300 * n + dense_bytes(n * (k + 2 * radii), bits)
 
 
 @dataclass
 class FinitePointSystem:
-    """Point ids, exact metric as integers over one scale, total self-map.
+    """Point ids, integer coordinates over one scale, total self-map.
 
-    ``dist[i][j] / scale`` is the distance between ``points[i]`` and
-    ``points[j]``.  ``eps`` optionally assigns each point the radius inside
-    which shrinking is demanded; ``source`` records where the system came
-    from (used by label bookkeeping, never by the metric checks).
-
-    A system is given by ``coords``, one integer tuple per point over
-    ``scale``, and ``dist`` is their coordinate-sum (L1) distance.  That is
-    a metric once the tuples are distinct, so only that is checked: each
-    axis |p - q| is symmetric and obeys the triangle inequality, so does a
-    sum of them, and the sum is positive exactly when the tuples differ
-    (and the bound admits the matrix).
+    ``points[i]`` sits at ``coords[i] / scale``, one integer tuple per
+    point, and the distance of two points is the sum over the axes of their
+    coordinates' gaps (L1), formed when read, a row at a time (:meth:`row`).
+    That is a metric once the tuples are distinct, so only that is checked:
+    each axis |p - q| is symmetric and obeys the triangle inequality, so
+    does a sum of them, and the sum is positive exactly when the tuples
+    differ.  ``eps`` optionally assigns each point the radius inside which
+    shrinking is demanded; ``source`` records where the system came from
+    (used by label bookkeeping, never by the metric checks).
     """
 
     points: list
@@ -56,12 +60,12 @@ class FinitePointSystem:
     map: dict
     eps: dict | None = None
     source: dict | None = None
-    dist: list = field(init=False, repr=False)
     index: dict = field(init=False, repr=False)
     succ: list = field(init=False, repr=False)
+    axes: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        pts, n = self.points, len(self.points)
+        pts, coords, n = self.points, self.coords, len(self.points)
         self.index = index = {x: i for i, x in enumerate(pts)}
         if not pts or len(index) != n:
             raise ValueError("points must be nonempty and distinct")
@@ -71,37 +75,17 @@ class FinitePointSystem:
             raise ValueError(f"map must send {x!r} to a point of the system")
         if type(self.scale) is not int or self.scale <= 0:
             raise ValueError(f"scale must be a positive integer, not {self.scale!r:.40}")
-        self.dist = self._l1_distances()
-        if self.eps is not None:
-            for x in pts:
-                if self.eps.get(x, Fraction(0)) <= 0:
-                    raise ValueError(f"eps radius at {x!r} must be positive")
-
-    def _l1_distances(self) -> list:
-        """The coordinate-sum matrix of ``coords``, refused on a repeated
-        tuple, naming the first such pair in point order, and past the bound
-        predicted over the wider of the scale and the largest distance the
-        coordinates can give, the sum over the axes of max - min."""
-        coords, n = self.coords, len(self.points)
         if len(coords) != n or len(set(map(len, coords))) > 1:
             raise ValueError(f"coordinates must be {n} tuples of one length")
         if len(set(coords)) < n:
             first = {}
             i, j = min((first[c], j) for j, c in enumerate(coords) if first.setdefault(c, j) != j)
-            raise ValueError(f"points {self.points[i]!r} and {self.points[j]!r} share one coordinate tuple")
-        axes = list(zip(*coords)) or [(0,) * n]
-        bits = self.scale.bit_length()
-        where = f"{n} points over a {bits}-bit scale"
-        span = sum(max(xs) - min(xs) for xs in axes).bit_length()
-        if span > bits:
-            bits, where = span, f"{where}, distances of up to {span} bits"
-        check_memory(system_bytes(n, bits), where)
-        dist = [[abs(p - q) for q in axes[0]] for p in axes[0]]
-        for xs in axes[1:]:
-            # summed into the rows in place, so no second matrix is held
-            for row, p in zip(dist, xs):
-                row[:] = [d + abs(p - q) for d, q in zip(row, xs)]
-        return dist
+            raise ValueError(f"points {pts[i]!r} and {pts[j]!r} share one coordinate tuple")
+        self.axes = list(zip(*coords)) or [(0,)]  # one point of no coordinates sits at the origin
+        if self.eps is not None:
+            for x in pts:
+                if self.eps.get(x, Fraction(0)) <= 0:
+                    raise ValueError(f"eps radius at {x!r} must be positive")
 
     @classmethod
     def from_positions(cls, positions: dict, step: dict, eps=None, source=None):
@@ -116,8 +100,19 @@ class FinitePointSystem:
         ints = [tuple(islice(ints, len(p))) for p in coords]
         return cls(list(positions), scale, ints, dict(step), eps=eps, source=source)
 
+    def row(self, i: int) -> list:
+        """d(x_i, x_j) over the scale for every j, summed axis by axis."""
+        first, *rest = self.axes
+        p = first[i]
+        row = [abs(p - q) for q in first]
+        for axis in rest:
+            p = axis[i]
+            row = [d + abs(p - q) for d, q in zip(row, axis)]
+        return row
+
     def d(self, x, y) -> Fraction:
-        return scaled_fraction(self.dist[self.index[x]][self.index[y]], self.scale)
+        p, q = self.coords[self.index[x]], self.coords[self.index[y]]
+        return scaled_fraction(sum(abs(a - b) for a, b in zip(p, q)), self.scale)
 
 
 class LrsResult(NamedTuple):
@@ -128,54 +123,67 @@ class LrsResult(NamedTuple):
     min_margin: Fraction | None
 
 
-def _image_distances(sys: FinitePointSystem) -> list:
-    """Row i, column j: d(f(x_i), f(x_j)) over the system's scale."""
-    succ = sys.succ
-    return [[row[k] for k in succ] for row in (sys.dist[i] for i in succ)]
-
-
-def _radii(sys: FinitePointSystem, image: list) -> list:
-    """Computed radii over the scale: nearest non-shrinking partner, else
-    one unit past the diameter."""
-    fallback = max(map(max, sys.dist)) + sys.scale
-    return [
-        min((d for d, e in zip(row, img) if e >= d > 0), default=fallback)
-        for row, img in zip(sys.dist, image)
-    ]
+def _row_walk(sys: FinitePointSystem):
+    """``(i, row i, row of succ[i])`` for every point i, walking each orbit
+    from its least unvisited point, so that the image's row is the next
+    point's own: each row is formed once on a permutation, at most twice
+    otherwise.  The sweep forms n^2 distances as wide as the coordinates'
+    span, so its first row is refused past MEMORY_BOUND as if it held them
+    all as CPython ints: that bounds its time."""
+    n, succ = len(sys.points), sys.succ
+    bits = sum(max(axis) - min(axis) for axis in sys.axes).bit_length()
+    check_memory(n * n * (24 + 4 * -(-bits // 30)), f"a sweep of {n} points over distances of up to {bits} bits")
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        i, row = start, sys.row(start)
+        first = row
+        while True:
+            seen[i], j = True, succ[i]
+            image = row if j == i else first if j == start else sys.row(j)
+            yield i, row, image
+            if seen[j]:
+                break
+            i, row = j, image
 
 
 def computed_radii(sys: FinitePointSystem) -> dict:
     """Largest usable radius per point: distance to its nearest
-    non-shrinking partner, or past the diameter if every partner shrinks."""
-    radii = _radii(sys, _image_distances(sys))
-    return {x: scaled_fraction(r, sys.scale) for x, r in zip(sys.points, radii)}
+    non-shrinking partner, or one unit past the diameter if every partner shrinks."""
+    succ, radii, diameter = sys.succ, [None] * len(sys.points), 0
+    for i, row, image in _row_walk(sys):
+        radii[i] = min((d for d, k in zip(row, succ) if image[k] >= d > 0), default=None)
+        diameter = max(diameter, max(row))
+    return {x: scaled_fraction(diameter + sys.scale if r is None else r, sys.scale) for x, r in zip(sys.points, radii)}
 
 
 def check_lrs(sys: FinitePointSystem) -> LrsResult:
     """Is the system locally radially shrinking at every point?
 
     Uses the system's own radii when provided, otherwise the computed
-    maximal feasible ones.  Returns the first failing pair as witness, or the
-    smallest shrink margin over all pairs that had to shrink.
+    maximal feasible ones, from the rows the margins come from.  Returns the
+    first failing pair in point order as witness, or the smallest shrink
+    margin over all pairs that had to shrink.
     """
-    scale, image = sys.scale, _image_distances(sys)
-    if sys.eps is None:
-        radii = _radii(sys, image)
-    else:
-        # d < r exactly when D < ceil(r * scale), D being an integer
-        radii = [-(-Fraction(sys.eps[x]) * scale // 1) for x in sys.points]
-    worst = None
-    for i, (row, img, r) in enumerate(zip(sys.dist, image, radii)):
-        margins = [d - e for d, e in zip(row, img) if 0 < d < r]
-        if not margins:
+    scale, succ, eps = sys.scale, sys.succ, sys.eps
+    worst = failure = None  # failure: (i, pair, margin) of the least failing i and its row's first
+    for i, row, image in _row_walk(sys):
+        image = [image[k] for k in succ]
+        if eps is None:
+            r = min((d for d, e in zip(row, image) if e >= d > 0), default=max(row) + 1)
+        else:  # d < r exactly when D < ceil(r * scale), D being an integer
+            r = -(-Fraction(eps[sys.points[i]]) * scale // 1)
+        least = min((d - e for d, e in zip(row, image) if 0 < d < r), default=None)
+        if least is None:
             continue
-        least = min(margins)
-        if least <= 0:
-            j = next(j for j, (d, e) in enumerate(zip(row, img)) if 0 < d < r and d <= e)
-            margin = scaled_fraction(row[j] - img[j], scale)
-            return LrsResult(False, (sys.points[i], sys.points[j]), margin)
-        if worst is None or least < worst:
-            worst = least
+        if least > 0:
+            worst = least if worst is None else min(worst, least)
+        elif failure is None or i < failure[0]:
+            j = next(j for j, (d, e) in enumerate(zip(row, image)) if 0 < d < r and d <= e)
+            failure = i, (sys.points[i], sys.points[j]), row[j] - image[j]
+    if failure is not None:
+        return LrsResult(False, failure[1], scaled_fraction(failure[2], scale))
     return LrsResult(True, None, None if worst is None else scaled_fraction(worst, scale))
 
 
@@ -376,8 +384,10 @@ def separated_count(sys: FinitePointSystem, n: int, eps: Fraction) -> int:
     """Maximal number of points whose orbits eps-separate within n steps.
 
     Exact branch-and-bound maximum clique on the separation graph, worst
-    case exponential, refused past CLIQUE_POINTS_LIMIT points.  Orbits walk
-    min(n, |P|^2) steps: a pair's joint orbit repeats a state within |P|^2.
+    case exponential, refused past CLIQUE_POINTS_LIMIT points.  Orbits
+    separate within m + 1 steps when their points are more than eps apart
+    or their images' orbits separate within m; the steps stop at n or at
+    one that adds no pair, within |P|^2 steps, as each before it adds one.
     """
     if n < 1:
         raise ValueError("need at least one step")
@@ -386,20 +396,21 @@ def separated_count(sys: FinitePointSystem, n: int, eps: Fraction) -> int:
     size = len(sys.points)
     if size > CLIQUE_POINTS_LIMIT:
         raise ValueError(f"a separated count takes at most {CLIQUE_POINTS_LIMIT} points, not {size}")
-    # d > eps exactly when D > floor(eps * scale), D being an integer
+    # d > eps exactly when D > floor(eps * scale), D being an integer; a row holds
+    # one byte per partner, 1 when apart, as one int, so OR is one operation
     threshold = Fraction(eps) * sys.scale // 1
-    dist, succ = sys.dist, sys.succ
-    orbits = [[i] for i in range(size)]
-    for _ in range(min(n, size * size) - 1):
-        for orbit in orbits:
-            orbit.append(succ[orbit[-1]])
-    adj = [0] * len(dist)
-    for i, orbit in enumerate(orbits):
-        for j in range(i + 1, len(dist)):
-            if any(dist[u][v] > threshold for u, v in zip(orbit, orbits[j])):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return _max_clique(adj)
+    far = [0] * size
+    for i, row, _ in _row_walk(sys):
+        far[i] = int.from_bytes(bytes(map(threshold.__lt__, row)))
+    succ, apart = sys.succ, far
+    for _ in range(n - 1):  # an image's row read through the map: byte j is its byte succ[j]
+        read = {u: int.from_bytes(bytes(map(apart[u].to_bytes(size).__getitem__, succ))) for u in set(succ)}
+        step = [f | read[u] for f, u in zip(far, succ)]
+        if step == apart:
+            break
+        apart = step
+    digits = bytes.maketrans(b"\0\1", b"01")  # byte j of a row becomes bit j of the clique search's
+    return _max_clique([int(row.to_bytes(size)[::-1].translate(digits), 2) for row in apart])
 
 
 def entropy_estimate(sys: FinitePointSystem, eps_list, n_list) -> list[dict]:
@@ -449,23 +460,31 @@ def core_midpoints(level: tuple) -> dict:
 def midpoint_system(scheme: EmbeddingScheme, depth: int) -> FinitePointSystem:
     """Depth-``depth`` core midpoints of an odometer scheme, map = +1 mod s.
 
+    A core's midpoint (lo + hi) / 2S, S the level's scale, is (lo + hi) / g
+    over their least common denominator 2S / g, g = gcd(2S, every lo + hi):
+    2^z, z the fewest trailing zero bits among them, times one gcd chain
+    from the small odd part of 2S, so no division is by a wide number.
+
     Raises:
-        ValueError: past MEMORY_BOUND, predicted before any point is built
-            over twice the level's scale, a multiple of every midpoint's.
+        ValueError: past MEMORY_BOUND, predicted over that scale before the
+            system is built, and where :func:`computed_radii` refuses its sweep.
     """
     if scheme.kind != "odometer":
         raise ValueError("midpoint systems need an odometer scheme (graphs branch)")
-    level = scheme.level(depth)
-    check_memory(system_bytes(len(level.cells), level.scale.bit_length() + 1), f"depth {depth}")
+    level_scale, cells = absolute_level(scheme, depth)
+    two, sums = 2 * level_scale, [lo + hi for _, (lo, hi) in cells.values()]
+    z = min((x & -x).bit_length() for x in (two, *sums)) - 1
+    odd = math.gcd(two >> (two & -two).bit_length() - 1, *sums)
+    scale = (two >> z) // odd
+    check_memory(held_bytes(len(sums), 1, scale.bit_length(), radii=True), f"depth {depth}")
     s_d = scheme.spec.extended_modulus(depth)
-    positions = core_midpoints(absolute_level(scheme, depth))
-    step = {label: (label + 1) % s_d for label in positions}
+    step = {label: (label + 1) % s_d for label in cells}
     source = {
         "kind": "odometer-midpoints",
         "moduli": [scheme.spec.extended_modulus(n) for n in range(1, depth + 1)],
         "depth": depth,
     }
-    sys = FinitePointSystem.from_positions(positions, step, source=source)
+    sys = FinitePointSystem(list(cells), scale, [((c >> z) // odd,) for c in sums], step, source=source)
     sys.eps = computed_radii(sys)
     return sys
 
@@ -474,7 +493,8 @@ def full_shift_midpoint_system(depth: int = 6) -> FinitePointSystem:
     """Binary words of a fixed length as dyadic midpoints, map = left shift.
 
     The entropy negative control: separated counts grow like 2^n, so the
-    estimates sit at log 2 instead of decaying.
+    estimates sit at log 2 instead of decaying.  Word v sits at
+    (2v + 1) / 2^(depth + 1).
 
     Raises:
         ValueError: for a word length below 1, or at the first length up
@@ -483,12 +503,11 @@ def full_shift_midpoint_system(depth: int = 6) -> FinitePointSystem:
     if depth < 1:
         raise ValueError(f"the full shift needs a word length of at least 1, not {depth!r}")
     for length in range(1, depth + 1):  # the first length past the bound is refused, never a huge 2^depth
-        check_memory(system_bytes(1 << length, length + 2), f"word length {length}")
+        check_memory(held_bytes(1 << length, 1, length + 2), f"word length {length}")
     words = [format(v, f"0{depth}b") for v in range(2**depth)]
-    positions = {w: Fraction(2 * int(w, 2) + 1, 2 ** (depth + 1)) for w in words}
     step = {w: w[1:] + "0" for w in words}
     source = {"kind": "full-shift", "symbols": 2, "depth": depth}
-    return FinitePointSystem.from_positions(positions, step, source=source)
+    return FinitePointSystem(words, 2 ** (depth + 1), [(2 * v + 1,) for v in range(2**depth)], step, source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +563,9 @@ def _integers(values, name: str, n: int, decode) -> list:
 def system_from_json(obj: dict, max_points=math.inf) -> FinitePointSystem:
     """Rebuild a system from its JSON form: n distinct tuples of k
     coordinates over the declared scale, each refused from the text past 64
-    bits more than it, and admitted from n, k and the scale's leading digit
-    by the bound before any is decoded; more than ``max_points`` points are
+    bits more than it.  The system it would hold, its coordinates and radii
+    that wide, is admitted by the bound from n, k and the scale's leading
+    digit before any is decoded, and more than ``max_points`` points are
     refused before anything is decoded.  It keeps a copy of the file's
     ``source``, so editing ``obj`` after the load edits no system.
 
@@ -570,11 +590,9 @@ def system_from_json(obj: dict, max_points=math.inf) -> FinitePointSystem:
         raise ValueError(f"field 'coords' must hold {n} lists, one per point")
     k = max(map(len, rows), default=0)
     [bits] = _integers([obj.get("scale")], "scale", 1, digits_bits)
-    # k is the longest tuple's length; a coordinate's leading digit is at most 64 bits past
-    # the scale's, so it lies below 2^(bits+65), and a distance below 2^(bits+66) k: at that
-    # width the prediction counts no distance as a shared small int, however the file spreads them
+    # k is the longest tuple's length; a coordinate's or radius's leading digit is at most 64 bits past the scale's
     where = f"field 'coords': {n} points, {k} coordinates each, over a {bits}-bit scale"
-    check_memory(system_bytes(n, bits + 66 + k.bit_length()) + dense_bytes(n * k, bits + 65), where)
+    check_memory(held_bytes(n, k, bits + 65, "eps" in obj), where)
     [scale] = _integers([obj["scale"]], "scale", 1, partial(digits_to_int, max_bits=bits))
     if scale <= 0:
         raise ValueError(f"field 'scale' must be positive, not {obj['scale']!r:.40}")

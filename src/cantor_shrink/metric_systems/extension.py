@@ -180,6 +180,7 @@ def verify_extension_lrs(ext: ExtensionSystem) -> VerifyReport:
     """
     checks = []  # (entry, margin): the entry passes when its margin is positive
     system = ext.as_system()  # rho, the sum metric on the two coordinates
+    sweep = check_lrs(system)  # first, so its bound is checked before any row is formed
     z_sheet = ("sheet", 0, -1)  # the anchor's point on the repellor
     for n in range(1, ext.levels + 1):
         anchor = ("y", -ext.k[n])
@@ -188,9 +189,8 @@ def verify_extension_lrs(ext: ExtensionSystem) -> VerifyReport:
         checks.append(({"kind": "critical-pair", "n": n}, before - after))
 
     orbit = [system.index[u] for u in ext.ids if u[0] == "y"]
-    isolation = scaled_fraction(
-        min(min(d for v, d in enumerate(system.dist[u]) if v != u) for u in orbit), system.scale
-    )
+    # each orbit point's least nonzero distance: its only zero is to itself
+    isolation = scaled_fraction(min(min(filter(None, system.row(u))) for u in orbit), system.scale)
     checks.append(({"kind": "isolation"}, isolation))
 
     returns = {-ext.k[n] for n in range(1, ext.levels + 1)}
@@ -203,7 +203,6 @@ def verify_extension_lrs(ext: ExtensionSystem) -> VerifyReport:
         rise = ext.pi2(j + 1) - ext.pi2(j)
         checks.append(({"kind": "attractor-monotone", "j": j}, rise))
 
-    sweep = check_lrs(system)
     if sweep.ok and sweep.min_margin is not None:
         checks.append(({"kind": "sweep"}, sweep.min_margin))
     scale, margins, witnesses, slack = split_margins(checks, ext.slack[1:])

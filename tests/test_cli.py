@@ -199,20 +199,24 @@ def refused_in_a_small_child(argv, seconds=1):
     return line
 
 
-# the first word length of the full shift whose system is predicted past the
-# bound: 2^14 points over the scale 2^15, 9.6 GB (word length 13 predicts 2.4 GB)
-FIRST_REFUSED_SHIFT = 14
+# the first word length of the full shift past the 512 points export entropy
+# takes, the only reader of system files: 2^10 points
+FIRST_REFUSED_SHIFT = 10
 
 
 @pytest.mark.parametrize("depth", [str(FIRST_REFUSED_SHIFT), str(10**18)])
 def test_build_system_refuses_the_first_shift_past_the_bound(depth):
-    # refused from the prediction before any word is built: a request of
-    # 10^18 is refused at the first length past the bound, in a child that
-    # could not hold its words
+    # refused from the word length alone, before any word is built: a
+    # request of 10^18 is refused in a child that could not hold its words
     line = refused_in_a_small_child(["build", "system", "--shift", depth])
-    bound = f"past the bound of {MEMORY_BOUND}"
-    match = re.fullmatch(rf"error: word length {FIRST_REFUSED_SHIFT}: predicted (\d+) bytes of integers, {bound}", line)
-    assert match and int(match[1]) > MEMORY_BOUND
+    assert line == f"error: --shift {depth}: 2^{depth} points, past the 512 that export entropy takes"
+
+
+def test_build_system_writes_the_longest_shift_export_entropy_takes(tmp_path):
+    out = tmp_path / "sh9.json"
+    assert run(["build", "system", "--shift", str(FIRST_REFUSED_SHIFT - 1), "--out", str(out)])[0] == 0
+    code, table, _ = run(["export", "entropy", "--sys", str(out), "--eps", "1/4", "--n", "1"])
+    assert (code, table.splitlines()[1]) == (0, "1/4,1,4,1.3862943611198906")
 
 
 def test_build_system_shortest_shift():
@@ -338,15 +342,13 @@ def test_build_system_refuses_a_depth_before_the_first(work):
 
 
 def test_build_system_refuses_a_level_past_the_point_bound(tmp_path):
-    # the first depth of the (2, 4, 8) odometer whose midpoint system is
-    # predicted past the bound, over twice the level's scale: 1,024 points
-    # over 36,817 bits, 5.2 GB (depth 9 predicts 580 MB); refused before any
+    # the first depth of the (2, 4, 8) odometer past the 512 points export
+    # entropy takes: 1,024 points, refused from the level's count before any
     # midpoint is formed, in a child that loads and audits the scheme
     scheme = tmp_path / "od10.json"
     assert run(["build", "odometer", "--s", "2,4,8", "--depth", "10", "--out", str(scheme)])[0] == 0
     line = refused_in_a_small_child(["build", "system", "--scheme", str(scheme), "--depth", "10"])
-    match = re.fullmatch(rf"error: depth 10: predicted (\d+) bytes of integers, past the bound of {MEMORY_BOUND}", line)
-    assert match and int(match[1]) > MEMORY_BOUND
+    assert line == "error: --depth 10: 1024 points, past the 512 that export entropy takes"
 
 
 # ---------------------------------------------------------------------------
@@ -907,11 +909,11 @@ SYSTEM_MUTATIONS = {
     "short-eps": (lambda obj: obj["eps"].pop(), "'eps'"),
     "top-level-list": (lambda obj: [obj], "JSON object"),
     "zero-scale": (_setting("0", "scale"), "field 'scale' must be positive"),
-    # 8 points: the distances of a scale of more than 2^29 bits take more
-    # than MEMORY_BOUND bytes
+    # 8 points of a coordinate and a radius: over a scale of 2^31 bits their
+    # integers take more than MEMORY_BOUND bytes
     "scale-past-the-limit": (
-        _setting("+536870912", "scale"),
-        f"field 'coords': 8 points, 1 coordinates each, over a 536870913-bit scale: predicted 5118176328 bytes "
+        _setting("+2147483647", "scale"),
+        f"field 'coords': 8 points, 1 coordinates each, over a 2147483648-bit scale: predicted 6442453560 bytes "
         f"of integers, past the bound of {MEMORY_BOUND}",
     ),
     "coords-not-a-list": (_setting(5, "coords"), "field 'coords' must hold 8 lists, one per point"),
@@ -972,20 +974,21 @@ def test_entropy_table_refuses_a_system_past_the_clique_bound_from_its_count(tmp
 
 # the INFO line each command that builds or loads a finite system logs, after
 # the load and audit lines of the scheme it reads, if any, and before the
-# line of its serialise and its peak RSS: 8 points over 21 bits predict
-# 8 x 512 + 64 x 8 + 64 x 28 bytes, 23 over 49 bits 23 x 512 + 529 x (8 + 32)
+# line of its serialise and its peak RSS: 8 points over 21 bits, each a
+# coordinate and a radius's numerator and denominator, predict 8 x 300 +
+# 24 x 3 bytes, 23 points of two coordinates over 49 bits 23 x 300 + 46 x 7
 SYSTEM_LOG_LINES = {
     "build-system": (
         ["build", "system", "--scheme", "{od3}", "--depth", "3"],
-        r"system: 8 points, 21-bit scale, predicted 6400 bytes in \d+\.\d\ds",
+        r"system: 8 points, 21-bit scale, predicted 2472 bytes in \d+\.\d\ds",
     ),
     "build-extension": (
         ["build", "extension", "--scheme", "{od3}", "--levels", "1", "--tail", "4", "--refine", "3"],
-        r"extension: 23 points, 49-bit scale, predicted 32936 bytes in \d+\.\d\ds",
+        r"extension: 23 points, 49-bit scale, predicted 7222 bytes in \d+\.\d\ds",
     ),
     "export-entropy": (
         ["export", "entropy", "--sys", "{sys3}", "--eps", "1/4", "--n", "1,2"],
-        r"loaded \S+sys3\.json: 8 points, 21-bit scale, predicted 6400 bytes in \d+\.\d\ds",
+        r"loaded \S+sys3\.json: 8 points, 21-bit scale, predicted 2472 bytes in \d+\.\d\ds",
     ),
 }
 

@@ -5,14 +5,13 @@ import math
 import operator
 import random
 from fractions import Fraction
-from functools import partial
 
 import hypothesis as h
 import hypothesis.strategies as st
 import pytest
 
 from cantor_shrink import exact
-from cantor_shrink.exact import MEMORY_BOUND, canonical_dumps, dense_bytes, digits_to_int, int_to_digits, system_bytes
+from cantor_shrink.exact import MEMORY_BOUND, canonical_dumps, digits_to_int, int_to_digits, scaled_fraction
 from cantor_shrink.graphcover import build_sequence
 from cantor_shrink.interval_embed import absolute_level, build_graph_scheme, build_odometer_scheme
 from cantor_shrink.metric_systems import (
@@ -40,14 +39,21 @@ from cantor_shrink.metric_systems import (
 )
 from cantor_shrink.metric_systems import core
 from cantor_shrink.metric_systems import extension
-from cantor_shrink.metric_systems.core import _random_line_map, _shrinking_claims, _shrinks_on_the_line, _vanishing_step
+from cantor_shrink.metric_systems.core import _max_clique, _random_line_map, _shrinking_claims, _shrinks_on_the_line
+from cantor_shrink.metric_systems.core import _vanishing_step, held_bytes
 from cantor_shrink.metric_systems.deformed import _outer_positions
 from cantor_shrink.odometer import OdometerSpec
 
 
+def reference_matrix(sys):
+    """The n×n L1 distances of the system's coordinates over its scale, as
+    systems held them before they formed their rows when read."""
+    return [[sum(abs(a - b) for a, b in zip(p, q)) for q in sys.coords] for p in sys.coords]
+
+
 def check_shrinking(sys):
     """Global strict shrinking on the system's distance matrix: d(f(x), f(y)) < d(x, y) for every pair."""
-    dist, succ = sys.dist, sys.succ
+    dist, succ = reference_matrix(sys), sys.succ
     return all(dist[succ[i]][succ[j]] < row[j] for i, row in enumerate(dist) for j in range(i + 1, len(row)))
 
 
@@ -60,6 +66,11 @@ def halving_chain(n, centre=Fraction(0), offset=Fraction(1)):
 @pytest.fixture(scope="module")
 def od248():
     return build_odometer_scheme(OdometerSpec.from_list([2, 4, 8]), 3)
+
+
+@pytest.fixture(scope="module")
+def od8():
+    return build_odometer_scheme(OdometerSpec.from_list([2, 4, 8]), 8)
 
 
 @pytest.fixture(scope="module")
@@ -299,9 +310,10 @@ def l1_points(draw):
 @h.settings(derandomize=True, max_examples=150, deadline=None)
 def test_coordinates_and_their_explicit_matrix_give_one_system(case, threshold):
     """A system built from coordinates, checked for distinct tuples only,
-    holds their L1 matrix and gives back every distance as the reduced
-    Fraction, and is refused on a repeated tuple, naming the first pair in
-    point order; its file and its product hold the matrices they should."""
+    forms the rows of their L1 matrix and gives back every distance as the
+    reduced Fraction, and is refused on a repeated tuple, naming the first
+    pair in point order; its file and its product give the matrices they
+    should."""
     points, scale, coords, step, eps = case
     dist = [[sum(abs(a - b) for a, b in zip(p, q)) for q in coords] for p in coords]
     try:
@@ -310,14 +322,14 @@ def test_coordinates_and_their_explicit_matrix_give_one_system(case, threshold):
         i, j = next((i, j) for i, j in itertools.combinations(range(len(coords)), 2) if coords[i] == coords[j])
         assert str(exc) == f"points {points[i]!r} and {points[j]!r} share one coordinate tuple"
         return
-    assert built.dist == dist
+    assert [built.row(i) for i in range(len(points))] == dist
     for (i, x), (j, y) in itertools.product(enumerate(points), repeat=2):
         got, want = built.d(x, y), Fraction(dist[i][j], scale)
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
     # a file holds the coordinates, and loads to the system of the same
     # matrix, over a scale the file's radii may have multiplied
     loaded = system_from_json(json.loads(canonical_dumps(system_to_json(built))))
-    assert loaded.dist == [[d * (loaded.scale // scale) for d in row] for row in dist]
+    assert reference_matrix(loaded) == [[d * (loaded.scale // scale) for d in row] for row in dist]
     assert check_lrs(loaded) == check_lrs(built) and check_shrinking(loaded) == check_shrinking(built)
     assert computed_radii(loaded) == computed_radii(built)
     for n in (1, 2):
@@ -327,7 +339,93 @@ def test_coordinates_and_their_explicit_matrix_give_one_system(case, threshold):
     product = product_system(built, FinitePointSystem(points, scale + 1, coords, step))
     up, up_other = product.scale // scale, product.scale // (scale + 1)
     summed = [[u * up + v * up_other for u in row for v in other] for row in dist for other in dist]
-    assert system_from_json(system_to_json(product)).dist == product.dist == summed
+    loaded = system_from_json(system_to_json(product))
+    assert [loaded.row(i) for i in range(len(summed))] == [product.row(i) for i in range(len(summed))] == summed
+
+
+def matrix_check_lrs(system):
+    """check_lrs and computed_radii as they ran on the whole matrix and its
+    image matrix: the radii, each within one unit of the diameter past it
+    if every partner shrinks, and the first failing pair in point order."""
+    dist, succ, scale, pts = reference_matrix(system), system.succ, system.scale, system.points
+    image = [[row[k] for k in succ] for row in (dist[i] for i in succ)]
+    fallback = max(map(max, dist)) + scale
+    radii = [min((d for d, e in zip(row, img) if e >= d > 0), default=fallback) for row, img in zip(dist, image)]
+    computed = {x: scaled_fraction(r, scale) for x, r in zip(pts, radii)}
+    if system.eps is not None:
+        radii = [-(-Fraction(system.eps[x]) * scale // 1) for x in pts]
+    worst = None
+    for i, (row, img, r) in enumerate(zip(dist, image, radii)):
+        margins = [d - e for d, e in zip(row, img) if 0 < d < r]
+        if margins and min(margins) <= 0:
+            j = next(j for j, (d, e) in enumerate(zip(row, img)) if 0 < d < r and d <= e)
+            return LrsResult(False, (pts[i], pts[j]), scaled_fraction(row[j] - img[j], scale)), computed
+        if margins and (worst is None or min(margins) < worst):
+            worst = min(margins)
+    return LrsResult(True, None, None if worst is None else scaled_fraction(worst, scale)), computed
+
+
+def matrix_separated_count(system, n, eps):
+    """separated_count as it walked every pair's orbits for min(n, |P|^2) steps on the matrix."""
+    dist, succ, size = reference_matrix(system), system.succ, len(system.points)
+    threshold = Fraction(eps) * system.scale // 1
+    orbits = [[i] for i in range(size)]
+    for _ in range(min(n, size * size) - 1):
+        for orbit in orbits:
+            orbit.append(succ[orbit[-1]])
+    adj = [0] * size
+    for i, j in itertools.combinations(range(size), 2):
+        if any(dist[u][v] > threshold for u, v in zip(orbits[i], orbits[j])):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return _max_clique(adj)
+
+
+@st.composite
+def coordinate_systems(draw):
+    """Up to nine distinct tuples of one to three axes, drawn from few values
+    inside the scale and past it on both sides (so distances repeat), under
+    a random map, a permutation or a chain onto its first point, with radii
+    (often too wide, so that many systems fail) or none."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    axes, scale = draw(st.integers(min_value=1, max_value=3)), draw(st.integers(min_value=1, max_value=6))
+    values = st.integers(min_value=-scale, max_value=2 * scale)
+    coords = draw(st.lists(st.tuples(*[values] * axes), min_size=n, max_size=n, unique=True))
+    kind = draw(st.sampled_from(["random", "permutation", "chain"]))
+    if kind == "random":
+        succ = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n))
+    else:
+        succ = draw(st.permutations(range(n))) if kind == "permutation" else [max(i - 1, 0) for i in range(n)]
+    points = [f"p{i}" for i in range(n)]
+    radius = st.fractions(min_value=Fraction(1, 2 * scale), max_value=3 * axes, max_denominator=2 * scale)
+    eps = draw(st.none() | st.fixed_dictionaries({x: radius for x in points}))
+    return FinitePointSystem(points, scale, coords, {x: points[j] for x, j in zip(points, succ)}, eps=eps)
+
+
+@h.given(
+    system=coordinate_systems(),
+    threshold=st.fractions(min_value=Fraction(1, 12), max_value=6, max_denominator=12),
+    n=st.integers(min_value=1, max_value=90),
+)
+@h.settings(derandomize=True, max_examples=600, deadline=None)
+def test_row_sweeps_equal_the_matrix_checks(system, threshold, n):
+    """Radii, the radial check's verdict, witness and least margin, separated
+    counts and periodic points, taken from rows formed along each orbit,
+    equal those of the whole matrix, on passing and failing systems alike."""
+    lrs, radii = matrix_check_lrs(system)
+    assert check_lrs(system) == lrs
+    assert computed_radii(system) == radii
+    for steps in (1, 2, n):
+        assert separated_count(system, steps, threshold) == matrix_separated_count(system, steps, threshold)
+    succ, cycle = system.succ, set()
+    for i in range(len(succ)):
+        j = i
+        for _ in succ:
+            j = succ[j]
+            if j == i:
+                cycle.add(system.points[i])
+                break
+    assert periodic_points(system) == sorted(cycle)
 
 
 def test_system_takes_one_coordinate_tuple_per_point():
@@ -336,7 +434,8 @@ def test_system_takes_one_coordinate_tuple_per_point():
         FinitePointSystem(points, 1, [(0,), (1, 2)], step)
     with pytest.raises(ValueError, match=r"^coordinates must be 2 tuples of one length$"):
         FinitePointSystem(points, 1, [(0,)], step)
-    assert FinitePointSystem(points, 1, [(0,), (1,)], step).dist == [[0, 1], [1, 0]]
+    line = FinitePointSystem(points, 1, [(0,), (1,)], step)
+    assert [line.row(0), line.row(1)] == [[0, 1], [1, 0]]
 
 
 def test_computed_radii_fallback_past_diameter():
@@ -595,16 +694,27 @@ def test_oracle_reports_every_broken_claim(monkeypatch):
 
 
 def test_midpoint_system_takes_a_level_up_to_the_point_bound(od248, monkeypatch):
-    # 8 points, predicted over twice the level's scale before any midpoint
-    # is formed, then over the system's own scale, which divides it
-    predicted = system_bytes(8, od248.level(3).scale.bit_length() + 1)
-    assert system_bytes(8, midpoint_system(od248, 3).scale.bit_length()) <= predicted
+    # 8 points of a coordinate and a radius's numerator and denominator, predicted
+    # over the system's own scale from the level, before the system is built
+    predicted = held_bytes(8, 3, midpoint_system(od248, 3).scale.bit_length())
     monkeypatch.setattr(exact, "MEMORY_BOUND", predicted)
     assert len(midpoint_system(od248, 3).points) == 8
     monkeypatch.setattr(exact, "MEMORY_BOUND", predicted - 1)
-    monkeypatch.setattr(core, "absolute_level", lambda *args: pytest.fail("a midpoint was formed"))
+    monkeypatch.setattr(core, "FinitePointSystem", lambda *args, **kwargs: pytest.fail("a system was built"))
     with pytest.raises(ValueError, match=rf"^depth 3: predicted {predicted} bytes of integers, past the bound"):
         midpoint_system(od248, 3)
+
+
+def test_midpoint_scale_is_the_least_common_denominator(od248):
+    """The midpoints' scale is 2S over the gcd of 2S and every lo + hi, S the
+    level's scale, and no midpoint is formed as a Fraction to find it."""
+    od8 = build_odometer_scheme(OdometerSpec.from_list([2, 4, 8]), 8)
+    for scheme, depth in [(od248, 1), (od248, 3), (od8, 6), (od8, 8)]:
+        scale, cells = absolute_level(scheme, depth)
+        sums = [lo + hi for _, (lo, hi) in cells.values()]
+        g = math.gcd(2 * scale, *sums)
+        system = midpoint_system(scheme, depth)
+        assert (system.scale, system.coords) == (2 * scale // g, [(c // g,) for c in sums])
 
 
 def test_scheme_positions_are_the_core_midpoints_of_the_fractions():
@@ -633,7 +743,7 @@ def test_scheme_positions_are_the_core_midpoints_of_the_fractions():
 def test_full_shift_is_refused_before_its_words(monkeypatch):
     # the words of length 6 are 64 points over the scale 2^7; the bound is
     # checked at each length up to the one asked for, before any word exists
-    predicted = system_bytes(64, 8)
+    predicted = held_bytes(64, 1, 8)
     monkeypatch.setattr(exact, "MEMORY_BOUND", predicted)
     assert len(full_shift_midpoint_system(6).points) == 64
     monkeypatch.setattr(exact, "MEMORY_BOUND", predicted - 1)
@@ -643,51 +753,91 @@ def test_full_shift_is_refused_before_its_words(monkeypatch):
             full_shift_midpoint_system(depth)
 
 
-def test_system_prediction_is_near_the_traced_peak(od248):
-    """The predicted bytes of the shift of word lengths 6 and 9 and of the
-    depth-8 midpoints of the (2, 4, 8) odometer are within 25 % of the peak
-    tracemalloc sees while each is built: the matrix's slots, its int
-    objects past 256, and what each point holds besides."""
+# the first word length whose full shift is predicted past the bound:
+# 2^24 points at 300 bytes and a 26-bit coordinate each, 5.1 GB
+FIRST_REFUSED_WORD_LENGTH = 24
+
+
+def test_full_shift_refuses_its_first_word_length_past_the_bound():
+    assert held_bytes(1 << 23, 1, 25) <= MEMORY_BOUND < held_bytes(1 << 24, 1, 26)
+    with pytest.raises(ValueError, match=rf"^word length {FIRST_REFUSED_WORD_LENGTH}: predicted \d+ bytes"):
+        full_shift_midpoint_system(10**18)
+
+
+def test_system_prediction_is_near_the_traced_peak(od8):
+    """The predicted bytes of the shift of word lengths 9 and 12 and of the
+    depth-8 midpoints of the (2, 4, 8) odometer, from the counts the CLI
+    logs, are within 25 % of the peak tracemalloc sees while each is read
+    from its file: its coordinates, each radius's numerator and
+    denominator, and what each point holds besides (at word length 6 the
+    reader's fixed costs still weigh, and the prediction reads 0.7 of it)."""
     import tracemalloc
 
-    od8 = build_odometer_scheme(OdometerSpec.from_list([2, 4, 8]), 8)
-    for build in (partial(full_shift_midpoint_system, 6), partial(full_shift_midpoint_system, 9),
-                  partial(midpoint_system, od8, 8)):
+    for system in (full_shift_midpoint_system(9), full_shift_midpoint_system(12), midpoint_system(od8, 8)):
+        obj = json.loads(canonical_dumps(system_to_json(system)))
         tracemalloc.start()
         try:
-            system = build()
+            loaded = system_from_json(obj)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        predicted = system_bytes(len(system.points), system.scale.bit_length())
-        assert 0.75 < predicted / peak < 1.25, (build, predicted, peak)
+        ints = len(loaded.coords[0]) + 2 * (loaded.eps is not None)
+        predicted = held_bytes(len(loaded.points), ints, loaded.scale.bit_length())
+        assert 0.75 < predicted / peak < 1.25, (system.source, predicted, peak)
 
 
-def test_coordinate_systems_are_refused_past_the_bound_before_their_matrix():
-    # 2^15 points of one small coordinate predict 9.6 GB of distances
+def test_radial_sweep_holds_rows_not_the_matrix(od8):
+    """check_lrs on the depth-8 midpoints of the (2, 4, 8) odometer, 256
+    points over a 3,052-bit scale, peaks far below the 28 MB their matrix
+    would take as ints: it holds three rows at a time."""
+    import tracemalloc
+
+    system = midpoint_system(od8, 8)
+    n, bits = len(system.points), system.scale.bit_length()
+    matrix = n * n * (24 + 4 * -(-bits // 30))
+    tracemalloc.start()
+    try:
+        result = check_lrs(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (n, bits, matrix) == (256, 3052, 28_311_552)
+    assert result.ok and result.min_margin > 0 and peak * 20 < matrix
+
+
+def test_coordinate_systems_are_refused_past_the_bound_before_their_matrix(monkeypatch):
+    # 2^15 points of one 15-bit coordinate hold a few MB, but a sweep over them
+    # forms 2^30 distances, 30 GB as ints: it is refused before its first row
     n = 1 << 15
-    with pytest.raises(ValueError, match=rf"^{n} points over a 16-bit scale: predicted \d+ bytes of integers"):
-        FinitePointSystem(list(range(n)), 1 << 15, [(i,) for i in range(n)], {i: 0 for i in range(n)})
-    assert system_bytes(n, 16) > MEMORY_BOUND
+    system = FinitePointSystem(list(range(n)), 1 << 15, [(i,) for i in range(n)], {i: 0 for i in range(n)})
+    monkeypatch.setattr(FinitePointSystem, "row", lambda *args: pytest.fail("a row was formed"))
+    refused = (rf"^a sweep of {n} points over distances of up to 15 bits: predicted {n * n * 28} bytes of integers, "
+               rf"past the bound of {MEMORY_BOUND}$")
+    for sweep in (check_lrs, computed_radii):
+        with pytest.raises(ValueError, match=refused):
+            sweep(system)
 
 
 def test_coordinate_systems_are_bounded_by_their_span_not_only_their_scale(monkeypatch):
-    # 23,000 points 0..22,999 over the scale 1 would hold about 19 GB of
-    # distances up to 15 bits, though the scale alone predicts a 1-bit system
-    # within the bound; the same fault shows here at a size a missing check
-    # builds harmlessly: 20 points 2^20000 apart over the scale 1 predict
-    # 13 KB from the scale and about 1 MB from their 20,005-bit distances,
-    # and a bound between the two refuses them before the matrix is formed
-    assert system_bytes(23_000, 1) < MEMORY_BOUND < system_bytes(23_000, 15)
+    # 23,000 points 0..22,999 over the scale 1 would sweep 529 million
+    # distances of up to 15 bits, 14.8 GB as ints, and are refused, though the
+    # scale's one bit is no wider; 20 points 2^20000 apart over the scale 1
+    # sweep 400 distances of up to 20,005 bits, about 1 MB, and finish at once,
+    # and a bound just below that refuses them before their first row
+    n = 23_000
+    line = FinitePointSystem(list(range(n)), 1, [(i,) for i in range(n)], {i: 0 for i in range(n)})
+    with pytest.raises(ValueError, match=rf"^a sweep of {n} points over distances of up to 15 bits: predicted "
+                                         rf"{n * n * 28} bytes of integers, past the bound of {MEMORY_BOUND}$"):
+        check_lrs(line)
     n, coords = 20, [(i << 20000,) for i in range(20)]
-    wide = system_bytes(n, 20005)
-    monkeypatch.setattr(exact, "MEMORY_BOUND", wide - 1)
-    assert system_bytes(n, 1) < exact.MEMORY_BOUND
-    with pytest.raises(ValueError, match=rf"^{n} points over a 1-bit scale, distances of up to 20005 bits: predicted "
-                                         rf"{wide} bytes of integers, past the bound of {wide - 1}$"):
-        FinitePointSystem(list(range(n)), 1, coords, {i: 0 for i in range(n)})
-    monkeypatch.setattr(exact, "MEMORY_BOUND", wide)
-    assert FinitePointSystem(list(range(n)), 1, coords, {i: 0 for i in range(n)}).dist[0][-1] == 19 << 20000
+    wide = FinitePointSystem(list(range(n)), 1, coords, {i: 0 for i in range(n)})
+    swept = n * n * (24 + 4 * 667)
+    monkeypatch.setattr(exact, "MEMORY_BOUND", swept - 1)
+    with pytest.raises(ValueError, match=rf"^a sweep of {n} points over distances of up to 20005 bits: predicted "
+                                         rf"{swept} bytes of integers, past the bound of {swept - 1}$"):
+        check_lrs(wide)
+    monkeypatch.setattr(exact, "MEMORY_BOUND", swept)
+    assert check_lrs(wide) == LrsResult(True, None, Fraction(1 << 20000))
 
 
 def test_separated_count_takes_at_most_the_clique_bound():
@@ -818,26 +968,27 @@ def test_system_json_roundtrip(system):
 def test_system_file_past_the_bound_is_refused_before_its_distances():
     import tracemalloc
 
-    # 1000 points over a scale of 2^22 bits predict 560 GB of distances: the
-    # file is refused from its counts and the scale's leading digit, before
-    # the scale or any coordinate (here not even a digit string) is read;
-    # each distance is taken as wide as the decoder lets a sum of k
-    # coordinates grow, 66 bits past the scale and one per doubling of k
+    # 10,000 points over a scale of 2^22 bits predict 5.2 GB of coordinates:
+    # the file is refused from its counts and the scale's leading digit,
+    # before the scale or any coordinate (here not even a digit string) is
+    # read; each coordinate is taken as wide as the decoder lets it grow, 65
+    # bits past the scale
+    n = 10_000
     obj = {
-        "kind": "finite-system", "metric": "l1", "scale": "+4194303", "points": list(range(1000)),
-        "coords": [["junk"]] * 1000, "map": [0] * 1000,
+        "kind": "finite-system", "metric": "l1", "scale": "+4194303", "points": list(range(n)),
+        "coords": [["junk"]] * n, "map": [0] * n,
     }
-    predicted = system_bytes(1000, 4194304 + 66 + 1) + dense_bytes(1000, 4194304 + 65)
+    predicted = held_bytes(n, 1, 4194304 + 65)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"^field 'coords': 1000 points, 1 coordinates each, over a 4194304-bit "
+        with pytest.raises(ValueError, match=rf"^field 'coords': {n} points, 1 coordinates each, over a 4194304-bit "
                                              rf"scale: predicted {predicted} bytes of integers, past the bound of "
                                              rf"{MEMORY_BOUND}$"):
             system_from_json(obj)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000 and predicted > 500 * 10**9
+    assert peak < 1_000_000 and predicted > 5 * 10**9
     # the same file over a 1-bit scale passes the bound, and its coordinates are read
     with pytest.raises(ValueError, match=r"^field 'coords': 'junk' is not a signed-digit string$"):
         system_from_json({**obj, "scale": "+0"})
@@ -845,23 +996,32 @@ def test_system_file_past_the_bound_is_refused_before_its_distances():
     many = {**obj, "points": [0], "coords": [["+4194303"] * 100_000], "map": [0]}
     with pytest.raises(ValueError, match=r"^field 'coords': 1 points, 100000 coordinates each, over a 4194304-bit"):
         system_from_json(many)
+    # and so is a file whose radii take it past the bound: each is a numerator and a denominator
+    radii = {**obj, "points": list(range(3000)), "coords": [["junk"]] * 3000, "map": [0] * 3000}
+    assert held_bytes(3000, 1, 4194369) < MEMORY_BOUND < held_bytes(3000, 3, 4194369)
+    with pytest.raises(ValueError, match=r"^field 'coords': 'junk' is not a signed-digit string$"):
+        system_from_json(radii)
+    with pytest.raises(ValueError, match=r"^field 'coords': 3000 points, 1 coordinates each, .* past the bound"):
+        system_from_json({**radii, "eps": ["junk"] * 3000})
 
 
-def test_system_file_of_wide_coordinates_over_a_small_scale_is_refused_before_decoding(monkeypatch):
-    # 23,000 points 0..22,999 over the scale 1 are a file of about 200 KB, but
-    # most of their 529 million distances are ints past 256, about 19 GB: the
-    # prediction takes each as wide as the decoder admits, so none is shared
+def test_system_file_of_wide_coordinates_over_a_small_scale_is_refused_before_its_first_row(monkeypatch):
+    # 23,000 points 0..22,999 over the scale 1 are a file of about 200 KB and
+    # a system predicted at about 7 MB, but 529 million distances of up to 15 bits:
+    # export entropy's reader refuses the file from its count, and a sweep
+    # over the loaded system is refused before its first row
     n = 23_000
     obj = {
         "kind": "finite-system", "metric": "l1", "scale": "+0", "points": list(range(n)),
         "coords": [[int_to_digits(i)] for i in range(n)], "map": [0] * n,
     }
-    predicted = system_bytes(n, 1 + 66 + 1) + dense_bytes(n, 1 + 65)
-    assert predicted > MEMORY_BOUND > system_bytes(n, 1)
-    monkeypatch.setattr(core, "digits_to_int", lambda *args, **kwargs: pytest.fail("a string was decoded"))
-    with pytest.raises(ValueError, match=rf"^field 'coords': {n} points, 1 coordinates each, over a 1-bit scale: "
-                                         rf"predicted {predicted} bytes"):
-        system_from_json(obj)
+    with pytest.raises(ValueError, match=rf"^field 'points': {n} points, past the limit of 512$"):
+        system_from_json(obj, core.CLIQUE_POINTS_LIMIT)
+    system = system_from_json(obj)
+    assert held_bytes(n, 1, 66) < 10**7
+    monkeypatch.setattr(FinitePointSystem, "row", lambda *args: pytest.fail("a row was formed"))
+    with pytest.raises(ValueError, match=rf"^a sweep of {n} points over distances of up to 15 bits: predicted "):
+        computed_radii(system)
 
 
 def test_system_file_past_a_reader_s_point_limit_is_refused_from_its_count(monkeypatch):
