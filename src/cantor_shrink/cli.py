@@ -154,22 +154,26 @@ def _audit_fails(path: str, scheme) -> bool:
     return not report.passed
 
 
-def _comma_list(parse, what: str):
+def _comma_list(parse, what: str, positive: bool = False):
     """An argparse type for a comma-separated list of ``parse`` values, with
-    no part empty."""
+    no part empty and, if ``positive``, every value above 0."""
 
     def read(text: str) -> list:
         try:
-            return [parse(part) for part in text.split(",")]
+            values = [parse(part) for part in text.split(",")]
         except (ValueError, ZeroDivisionError):
             # an empty part, as in "1,,2", "1," or ",", is refused like junk
             raise argparse.ArgumentTypeError(f"not a comma-separated {what} list: {text!r}") from None
+        if positive and min(values) <= 0:
+            raise argparse.ArgumentTypeError(f"not a list of positive {what}s: {text!r}")
+        return values
 
     return read
 
 
 _int_list = _comma_list(int, "integer")
-_fraction_list = _comma_list(Fraction, "rational")
+_step_list = _comma_list(int, "integer", positive=True)
+_fraction_list = _comma_list(Fraction, "rational", positive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +371,9 @@ def cmd_export_entropy(args) -> int:
             writer.writerow([str(eps), row["n"], row["count"], repr(row["estimate"])])
         return buf.getvalue()
 
-    _emit(table, args.out)
+    # the table's refusals, such as an over-wide sweep, come from the file's contents
+    with _naming(args.sys):
+        _emit(table, args.out)
     return 0
 
 
@@ -455,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e_en = esub.add_parser("entropy", help="separated-count entropy table CSV")
     e_en.add_argument("--sys", required=True, help="finite-system file")
     e_en.add_argument("--eps", type=_fraction_list, required=True)
-    e_en.add_argument("--n", type=_int_list, required=True)
+    e_en.add_argument("--n", type=_step_list, required=True)
     e_en.add_argument("--out")
     e_en.set_defaults(func=cmd_export_entropy)
 

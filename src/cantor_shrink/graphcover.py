@@ -5,13 +5,14 @@ map sends the cycles of level n+1 around formal words in the cycles of level n.
 The inverse limit of such a tower is a Cantor dynamical system; everything here
 works with the finite truncations, where branching at the base is explicit.
 
-The level and word records (:class:`TwoCycleLevel`, :class:`CycleLevel`,
-:class:`CycleExpr`) are ``typing.NamedTuple`` subclasses that validate in
-``__new__``, as does their ``_make`` (which ``_replace`` calls), and
-:class:`CoverSequence` is a plain class: every graph scheme command imports
-this module, and ``dataclasses`` would load ``inspect`` (with ``ast``,
-``dis`` and ``tokenize``) into each launch.  Being tuples, the records
-compare equal to plain tuples of their fields.
+One record, :class:`CycleLevel`, holds every level: two cycles on a cover
+level, one on a level of the restricted tower.  It is a ``typing.NamedTuple``
+subclass that validates in ``__new__``, as does its ``_make`` (which
+``_replace`` calls), so it compares equal to the plain tuple of its fields.
+A word is a plain tuple of (multiplicity, cycle) pairs, checked where
+:func:`expand_cycle_expr` reads it.  :class:`CoverSequence` is a plain class:
+every graph scheme command imports this module, and ``dataclasses`` would
+load ``inspect`` (with ``ast``, ``dis`` and ``tokenize``) into each launch.
 """
 
 from __future__ import annotations
@@ -101,20 +102,21 @@ def base_vertex(n: int) -> Vertex:
     return (n, 0, 0)
 
 
-class _TwoCycle(NamedTuple):
+class _Level(NamedTuple):
     n: int
-    lengths: tuple[int, int]
+    cycle_lengths: tuple[int, ...]
 
 
-class TwoCycleLevel(_TwoCycle):
-    """Wedge of two directed cycles at a shared base vertex."""
+class CycleLevel(_Level):
+    """Wedge of directed cycles of the given lengths at the base vertex
+    (n, 0, 0): two at a cover level, one at a level of the restricted tower."""
 
     __slots__ = ()
 
-    def __new__(cls, n, lengths):
-        if any(length < 2 for length in lengths):
-            raise ValueError(f"cycle lengths must be >= 2, got {lengths}")
-        return super().__new__(cls, n, lengths)
+    def __new__(cls, n, cycle_lengths):
+        if not cycle_lengths or any(length < 2 for length in cycle_lengths):
+            raise ValueError(f"cycle lengths must be >= 2, got {cycle_lengths}")
+        return super().__new__(cls, n, cycle_lengths)
 
     @classmethod
     def _make(cls, iterable):
@@ -124,15 +126,11 @@ class TwoCycleLevel(_TwoCycle):
     def base(self) -> Vertex:
         return base_vertex(self.n)
 
-    @property
-    def cycle_lengths(self) -> tuple[int, ...]:
-        return self.lengths
-
     def cycle_path(self, cycle: int) -> list[Vertex]:
-        """Closed vertex path of the given cycle (1 or 2), base to base."""
-        if cycle not in (1, 2):
-            raise ValueError(f"no cycle {cycle} at a two-cycle level")
-        length = self.lengths[cycle - 1]
+        """Closed vertex path of the given cycle (1, 2, …), base to base."""
+        if not 1 <= cycle <= len(self.cycle_lengths):
+            raise ValueError(f"level {self.n} has no cycle {cycle}")
+        length = self.cycle_lengths[cycle - 1]
         return (
             [self.base]
             + [(self.n, cycle, i) for i in range(1, length)]
@@ -141,7 +139,7 @@ class TwoCycleLevel(_TwoCycle):
 
     @property
     def cycles(self) -> list[list[Vertex]]:
-        return [self.cycle_path(1), self.cycle_path(2)]
+        return [self.cycle_path(c) for c in range(1, len(self.cycle_lengths) + 1)]
 
     @property
     def graph(self) -> Graph:
@@ -152,90 +150,23 @@ class TwoCycleLevel(_TwoCycle):
         return Graph(vertices, edges)
 
 
-class _Cycle(NamedTuple):
-    n: int
-    length: int
-
-
-class CycleLevel(_Cycle):
-    """Single directed cycle (appears as the restricted invariant tower)."""
-
-    __slots__ = ()
-
-    def __new__(cls, n, length):
-        if length < 1:
-            raise ValueError(f"cycle length must be positive, got {length}")
-        return super().__new__(cls, n, length)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    @property
-    def base(self) -> Vertex:
-        return base_vertex(self.n)
-
-    @property
-    def cycle_lengths(self) -> tuple[int, ...]:
-        return (self.length,)
-
-    def cycle_path(self, cycle: int) -> list[Vertex]:
-        if cycle != 1:
-            raise ValueError(f"no cycle {cycle} at a single-cycle level")
-        return (
-            [self.base]
-            + [(self.n, 1, i) for i in range(1, self.length)]
-            + [self.base]
-        )
-
-    @property
-    def cycles(self) -> list[list[Vertex]]:
-        return [self.cycle_path(1)]
-
-    @property
-    def graph(self) -> Graph:
-        path = self.cycle_path(1)
-        return Graph(path[:-1], list(zip(path, path[1:])))
-
-
-class _Word(NamedTuple):
-    terms: tuple[tuple[int, int], ...]
-
-
-class CycleExpr(_Word):
-    """Formal sum a_1·c_{e_1} + a_2·c_{e_2} + … read left to right."""
-
-    __slots__ = ()
-
-    def __new__(cls, terms):
-        terms = tuple((int(a), int(c)) for a, c in terms)
-        for mult, _ in terms:
-            if mult < 1:
-                raise ValueError(f"multiplicity must be positive, got {mult}")
-        return super().__new__(cls, terms)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def length(self, cycle_lengths) -> int:
-        return sum(a * cycle_lengths[c - 1] for a, c in self.terms)
-
-
-def expand_cycle_expr(level, expr: CycleExpr) -> list[Vertex]:
+def expand_cycle_expr(level, word) -> list[Vertex]:
     """Expand a cycle word into its closed vertex path at the base vertex.
 
+    A word is a tuple of (multiplicity, cycle) pairs, the formal sum
+    a_1·c_{e_1} + a_2·c_{e_2} + … read left to right.
+
     Raises:
-        ValueError: empty expression, or a cycle id missing at this level.
+        ValueError: an empty word, a multiplicity below 1, or a cycle
+            missing at this level.
     """
-    if not expr.terms:
+    if not word:
         raise ValueError("empty cycle expression")
     path = [level.base]
-    for mult, cycle in expr.terms:
-        if not 1 <= cycle <= len(level.cycle_lengths):
-            raise ValueError(f"level {level.n} has no cycle {cycle}")
-        for _ in range(mult):
-            path.extend(level.cycle_path(cycle)[1:])
+    for mult, cycle in word:
+        if mult < 1:
+            raise ValueError(f"multiplicity must be positive, got {mult}")
+        path.extend(level.cycle_path(cycle)[1:] * mult)
     return path
 
 
@@ -275,21 +206,22 @@ class CoverSequence:
         return {"variant": self.variant, "levels": self.top}
 
 
-# the word rule of each variant: cycle i of level n+1 wraps around the i-th word
+# the word rule of each variant: cycle i of level n+1 wraps around the i-th
+# word, its (multiplicity, cycle) pairs read left to right
 COVER_WORDS = {
     # c_i' -> 2·c_1 + c_i + c_2: both images traverse both cycles, and the
     # cycle lengths stay consecutive integers at every level — the
     # ingredients of the minimality and weak-mixing certificates
     "weakly-mixing": (
-        CycleExpr(((2, 1), (1, 1), (1, 2))),
-        CycleExpr(((2, 1), (1, 2), (1, 2))),
+        ((2, 1), (1, 1), (1, 2)),
+        ((2, 1), (1, 2), (1, 2)),
     ),
     # c_1' -> 3·c_1 and c_2' -> 2·c_1 + 2·c_2 + c_1: the first cycle never
     # visits the second, so the tower is transitive but not minimal; the c_1
     # cycles form a closed subtower (an odometer)
     "transitive": (
-        CycleExpr(((3, 1),)),
-        CycleExpr(((2, 1), (2, 2), (1, 1))),
+        ((3, 1),),
+        ((2, 1), (2, 2), (1, 1)),
     ),
 }
 
@@ -299,7 +231,7 @@ def cover_base(variant: str) -> CoverSequence:
     covering level yet: :func:`extend_sequence` adds them one at a time."""
     if not (isinstance(variant, str) and variant in COVER_WORDS):
         raise ValueError(f"unknown cover variant {variant!r}")
-    return CoverSequence([TwoCycleLevel(0, (2, 3))], [], variant)
+    return CoverSequence([CycleLevel(0, (2, 3))], [], variant)
 
 
 def extend_sequence(seq: CoverSequence) -> None:
@@ -307,12 +239,11 @@ def extend_sequence(seq: CoverSequence) -> None:
     rule of the sequence's variant."""
     words = COVER_WORDS[seq.variant]
     cur = seq.levels[-1]
-    next_lengths = tuple(expr.length(cur.cycle_lengths) for expr in words)
-    nxt = TwoCycleLevel(cur.n + 1, next_lengths)  # type: ignore[arg-type]
+    nxt = CycleLevel(cur.n + 1, tuple(sum(a * cur.cycle_lengths[c - 1] for a, c in word) for word in words))
     hom: dict[Vertex, Vertex] = {}
-    for cycle_id, expr in enumerate(words, start=1):
+    for cycle_id, word in enumerate(words, start=1):
         source_path = nxt.cycle_path(cycle_id)
-        image_path = expand_cycle_expr(cur, expr)
+        image_path = expand_cycle_expr(cur, word)
         if len(source_path) != len(image_path):
             raise AssertionError("cycle word length mismatch")
         for w, v in zip(source_path, image_path):
@@ -427,9 +358,7 @@ def invariant_subsystem(seq: CoverSequence) -> CoverSequence:
     Raises:
         ValueError: if some covering image of cycle 1 leaves cycle 1.
     """
-    restricted_levels = [
-        CycleLevel(lvl.n, lvl.cycle_lengths[0]) for lvl in seq.levels
-    ]
+    restricted_levels = [CycleLevel(lvl.n, lvl.cycle_lengths[:1]) for lvl in seq.levels]
     vertex_sets = [set(lvl.cycle_path(1)[:-1]) for lvl in restricted_levels]
     homs = []
     for m, hom in enumerate(seq.homs):
@@ -542,13 +471,13 @@ def certify_cover(seq: CoverSequence) -> dict:
             entry["bidirectional"] = check_bidirectional(seq.homs[n], seq.graph(n + 1), seq.graph(n))
         except ValueError as exc:
             entry.update(homomorphism=False, bidirectional=False, error=str(exc))
-        witness = minimality_witness(seq, n)
+        missed = _missed(seq, n)
+        witness = next((cycle for cycle, vertices in enumerate(missed, start=1) if vertices), None)
         entry["minimality"] = witness is None
         if witness is not None:
-            missed = [list(v) for v in witness["missed"]]
-            entry["minimality_witness"] = {"cycle": witness["cycle"], "missed": missed}
+            entry["minimality_witness"] = {"cycle": witness, "missed": [list(v) for v in missed[witness - 1]]}
         if variant == "transitive":
-            entry["transitivity"] = check_transitivity_certificate(seq, n)
+            entry["transitivity"] = not missed[-1]
         steps.append(entry)
     ok = check_edge_surjective(seq.graph(seq.top)) and all(
         s["homomorphism"] and s["bidirectional"] and s["edge_surjective"] for s in steps

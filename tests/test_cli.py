@@ -972,6 +972,36 @@ def test_entropy_table_refuses_a_system_past_the_clique_bound_from_its_count(tmp
     assert err == f"error: {path}: field 'points': 513 points, past the limit of 512\n"
 
 
+def test_entropy_table_names_the_file_it_refuses_to_sweep(tmp_path):
+    # the 512 shift-9 points, the clique search's limit, with scale and
+    # coordinates multiplied up to a 2^200000 scale: a 27 KB file that the
+    # reader admits, whose sweep is refused from the coordinates' span
+    code, out, _ = run(["build", "system", "--shift", "9"])
+    assert code == 0
+    obj = json.loads(out)
+    shift = 200000 - (digits_to_int(obj["scale"], 64).bit_length() - 1)
+    obj["scale"] = int_to_digits(digits_to_int(obj["scale"], 64) << shift)
+    obj["coords"] = [[int_to_digits(digits_to_int(c, 64) << shift) for c in point] for point in obj["coords"]]
+    path = tmp_path / "wide9.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(["export", "entropy", "--sys", str(path), "--eps", "1/4", "--n", "1"])
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {path}: a sweep of 512 points over distances of up to 200000 bits: ")
+
+
+@pytest.mark.parametrize("option, value, what", [
+    ("--n", "0", "integers"), ("--n", "1,-2", "integers"), ("--eps", "0", "rationals"), ("--eps", "1/4,-1/2", "rationals"),
+])
+def test_entropy_steps_and_thresholds_must_be_positive(work, option, value, what):
+    argv = {"--n": "1", "--eps": "1/4", option: value}
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["export", "entropy", "--sys", str(work["sys2"]), "--eps", argv["--eps"], "--n", argv["--n"]])
+    assert exc.value.code == 2
+    assert err.getvalue().strip().endswith(f"error: argument {option}: not a list of positive {what}: {value!r}")
+
+
 # the INFO line each command that builds or loads a finite system logs, after
 # the load and audit lines of the scheme it reads, if any, and before the
 # line of its serialise and its peak RSS: 8 points over 21 bits, each a

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from collections import deque
 from unittest import mock
@@ -7,14 +8,13 @@ import hypothesis.strategies as st
 import pytest
 
 from cantor_shrink import graphcover
+from cantor_shrink.exact import canonical_dumps
 from cantor_shrink.graphcover import (
     _closed_path_lengths,
     COVER_WORDS,
     CoverSequence,
-    CycleExpr,
     CycleLevel,
     Graph,
-    TwoCycleLevel,
     base_vertex,
     build_sequence,
     canonical_vertices,
@@ -54,7 +54,7 @@ def test_edge_surjective():
     assert check_edge_surjective(loop)
     a, b = (0, 1, 1), (0, 1, 2)
     assert not check_edge_surjective(Graph([a, b], [(a, b)]))
-    assert check_edge_surjective(TwoCycleLevel(0, (2, 3)).graph)
+    assert check_edge_surjective(CycleLevel(0, (2, 3)).graph)
 
 
 def test_graph_rejects_stray_edge():
@@ -63,13 +63,13 @@ def test_graph_rejects_stray_edge():
 
 
 def test_bidirectional_identity_on_branch_free_graph():
-    cycle = CycleLevel(0, 5).graph
+    cycle = CycleLevel(0, (5,)).graph
     ident = {v: v for v in cycle.vertices}
     assert check_bidirectional(ident, cycle, cycle)
 
 
 def test_bidirectional_rejects_branching_identity_and_nonhom():
-    g = TwoCycleLevel(0, (2, 3)).graph
+    g = CycleLevel(0, (2, 3)).graph
     ident = {v: v for v in g.vertices}
     # the base's two out-neighbors keep distinct images, so the collapse
     # condition fails even though the identity is a homomorphism
@@ -113,33 +113,44 @@ def test_bidirectional_refuses_an_image_outside_the_target():
 
 
 def test_expand_cycle_expr_paths():
-    lvl = TwoCycleLevel(0, (2, 3))
-    one = expand_cycle_expr(lvl, CycleExpr(((1, 1),)))
+    lvl = CycleLevel(0, (2, 3))
+    one = expand_cycle_expr(lvl, ((1, 1),))
     assert one == [(0, 0, 0), (0, 1, 1), (0, 0, 0)]
-    nine = expand_cycle_expr(lvl, CycleExpr(((2, 1), (1, 1), (1, 2))))
+    nine = expand_cycle_expr(lvl, ((2, 1), (1, 1), (1, 2)))
     assert len(nine) - 1 == 9
     assert nine[0] == nine[-1] == lvl.base
-    with pytest.raises(ValueError):
-        expand_cycle_expr(lvl, CycleExpr(()))
-    with pytest.raises(ValueError):
-        expand_cycle_expr(lvl, CycleExpr(((1, 3),)))
-    with pytest.raises(ValueError):
-        CycleExpr(((0, 1),))
+    assert nine == one + one[1:] + one[1:] + lvl.cycle_path(2)[1:]
+    with pytest.raises(ValueError, match="^empty cycle expression$"):
+        expand_cycle_expr(lvl, ())
+    with pytest.raises(ValueError, match="^level 0 has no cycle 3$"):
+        expand_cycle_expr(lvl, ((1, 3),))
+    for mult in (0, -1):
+        with pytest.raises(ValueError, match=rf"^multiplicity must be positive, got {mult}$"):
+            expand_cycle_expr(lvl, ((1, 1), (mult, 2)))
+
+
+def test_levels_hold_any_number_of_cycles_at_one_base():
+    for lengths in ((2,), (2, 3), (4, 2, 5)):
+        lvl = CycleLevel(7, lengths)
+        assert len(lvl.cycles) == len(lengths)
+        for c, (path, length) in enumerate(zip(lvl.cycles, lengths), start=1):
+            assert path == lvl.cycle_path(c) == [(7, 0, 0)] + [(7, c, i) for i in range(1, length)] + [(7, 0, 0)]
+        assert len(lvl.graph.vertices) == len(lvl.graph.edges) - len(lengths) + 1 == 1 + sum(lengths) - len(lengths)
+        for c in (0, len(lengths) + 1):
+            with pytest.raises(ValueError, match=rf"^level 7 has no cycle {c}$"):
+                lvl.cycle_path(c)
 
 
 def test_records_compare_as_tuples_and_replace_validates():
     # _replace builds through _make, which validates as the constructor does
-    lvl = TwoCycleLevel(0, (2, 3))
-    assert lvl == (0, (2, 3)) and lvl._replace(lengths=(9, 10)) == TwoCycleLevel(0, (9, 10))
-    with pytest.raises(ValueError, match="cycle lengths"):
-        lvl._replace(lengths=(1, 3))
-    assert CycleLevel(0, 2)._replace(length=6) == (0, 6)
-    with pytest.raises(ValueError, match="cycle length"):
-        CycleLevel(0, 2)._replace(length=0)
-    word = CycleExpr(((2, 1), (1, 2)))
-    assert word._replace(terms=[(3, 1)]).terms == ((3, 1),)
-    with pytest.raises(ValueError, match="multiplicity"):
-        word._replace(terms=((0, 1),))
+    lvl = CycleLevel(0, (2, 3))
+    assert lvl == (0, (2, 3)) and lvl._replace(cycle_lengths=(9, 10)) == CycleLevel(0, (9, 10))
+    assert CycleLevel(0, (2,))._replace(cycle_lengths=(6,)) == (0, (6,))
+    for bad in ((1, 3), (3, 1), (1,), (0,), ()):
+        with pytest.raises(ValueError, match=rf"^cycle lengths must be >= 2, got {re.escape(str(bad))}$"):
+            lvl._replace(cycle_lengths=bad)
+        with pytest.raises(ValueError, match="^cycle lengths must be >= 2"):
+            CycleLevel(0, bad)
 
 
 def test_cover_sequences_compare_on_levels_maps_and_variant(tr2):
@@ -148,8 +159,8 @@ def test_cover_sequences_compare_on_levels_maps_and_variant(tr2):
     assert again == tr2 and again is not tr2
     assert CoverSequence(tr2.levels, tr2.homs, None) != tr2
     assert CoverSequence(tr2.levels[:2], tr2.homs[:1], "transitive") != tr2
-    assert repr(CoverSequence([CycleLevel(0, 2)], [])) == (
-        "CoverSequence(levels=[CycleLevel(n=0, length=2)], homs=[], variant=None)"
+    assert repr(CoverSequence([CycleLevel(0, (2,))], [])) == (
+        "CoverSequence(levels=[CycleLevel(n=0, cycle_lengths=(2,))], homs=[], variant=None)"
     )
 
 
@@ -158,7 +169,7 @@ def test_cover_sequences_compare_on_levels_maps_and_variant(tr2):
 
 
 def test_weakly_mixing_lengths_and_sizes(wm4):
-    assert [lvl.lengths for lvl in wm4.levels] == [
+    assert [lvl.cycle_lengths for lvl in wm4.levels] == [
         (2, 3),
         (9, 10),
         (37, 38),
@@ -178,7 +189,7 @@ def test_consecutive_cycle_lengths_recursion():
 
 
 def test_transitive_lengths(tr2):
-    assert [lvl.lengths for lvl in tr2.levels] == [(2, 3), (6, 12), (18, 42)]
+    assert [lvl.cycle_lengths for lvl in tr2.levels] == [(2, 3), (6, 12), (18, 42)]
     assert len(tr2.graph(1).vertices) == 1 + 5 + 11
 
 
@@ -263,6 +274,32 @@ def test_certify_cover_steps_agree_with_the_per_level_checks(variant, levels):
             assert "transitivity" not in step
 
 
+# sha256 of canonical_dumps(certify_cover(build_sequence(variant, levels))),
+# pinned before the level records were merged into one: every step, witness
+# and certificate holds whatever the records look like
+GOLDEN_COVER_CERTIFICATES = {
+    "wm1": "545677f1af261bbd7ad705e2c69b3ce1c54c916b822d20a71e1b28cdb40a478c",
+    "wm2": "1ae15dc424d98e5bc3c37da15810b81dd35bc94ed4cb8c547d68af9d8b2cf619",
+    "wm3": "9106383a47cf7b6ad4f0fbed76b1a8931e47bf75d433cd162af7ea224dd57b6f",
+    "wm4": "607dd3b1f46850d3ed91142c0858106b9372d55192e2fc6ebd3883013b0c175d",
+    "wm5": "5c3786b384d9b1c2f76f630bd0e39366eff592da7279de9d22c8e7fd9f961204",
+    "wm6": "69c4b0b58ed053b4aae4c61e15a79a54539bdf1611bd9cf9579f1e02d42c140f",
+    "tr1": "1ec60b61dc380f453af8e26a19f0f4e0bf7bdeb3ee44df24049db4b02a8f41a5",
+    "tr2": "f6a64c72ca7a371d0eb16c608b0a5c1b4a18adc59db7798c3f5ac8e30bcaafb1",
+    "tr3": "8571d88daf0d1f445d8b43e8da864c4b5976549851a961e5776d9bb77b76a6fc",
+    "tr4": "968ddc6e250901889e979c4eaaa2fc749b460d0b33eca39108fc6e05f27e5232",
+    "tr5": "a879d555f99dfc1d459988bbed46c3d72260749f1751886025556d2dab3c8e9a",
+    "tr6": "0f88e5a21535fdef070667bcf97fd03f365c7c0c5023528bc19bab790a7f302f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COVER_CERTIFICATES))
+def test_cover_certificates_match_the_pinned_digests(name):
+    variant = {"wm": "weakly-mixing", "tr": "transitive"}[name[:2]]
+    report = certify_cover(build_sequence(variant, int(name[2:])))
+    assert hashlib.sha256(canonical_dumps(report).encode()).hexdigest() == GOLDEN_COVER_CERTIFICATES[name]
+
+
 def test_certify_cover_fails_on_a_map_that_is_no_homomorphism():
     wm2 = build_sequence("weakly-mixing", 2)
     homs = [dict(hom) for hom in wm2.homs]
@@ -339,7 +376,7 @@ def test_weak_mixing_certificate_matches_subset_sums(wm4):
 
 
 def test_weak_mixing_fails_for_even_lengths():
-    seq = CoverSequence([TwoCycleLevel(0, (4, 6))], [], None)
+    seq = CoverSequence([CycleLevel(0, (4, 6))], [], None)
     assert not check_weak_mixing_certificate(seq, 0)
 
 
@@ -376,7 +413,7 @@ def test_doubling_weak_mixing_verdict_matches_the_full_bound(factor, lengths):
 
 def test_invariant_subsystem(tr2, wm4):
     sub = invariant_subsystem(tr2)
-    assert [lvl.length for lvl in sub.levels] == [2, 6, 18]
+    assert [lvl.cycle_lengths for lvl in sub.levels] == [(2,), (6,), (18,)]
     for n in range(sub.top):
         assert check_bidirectional(sub.homs[n], sub.graph(n + 1), sub.graph(n))
     assert not check_weak_mixing_certificate(sub, 1)
@@ -385,7 +422,7 @@ def test_invariant_subsystem(tr2, wm4):
 
 
 def test_invariant_subsystem_of_cycle_tower_is_itself():
-    levels = [CycleLevel(0, 2), CycleLevel(1, 6)]
+    levels = [CycleLevel(0, (2,)), CycleLevel(1, (6,))]
     upper, lower = levels[1], levels[0]
     # walk the length-6 cycle three times around the length-2 cycle
     hom = {
@@ -394,7 +431,7 @@ def test_invariant_subsystem_of_cycle_tower_is_itself():
     }
     seq = CoverSequence(levels, [hom], None)
     again = invariant_subsystem(seq)
-    assert [lvl.length for lvl in again.levels] == [2, 6]
+    assert [lvl.cycle_lengths for lvl in again.levels] == [(2,), (6,)]
 
 
 def test_periodic_point_free(wm4):
@@ -417,7 +454,7 @@ class _GraphLevel:
 
 
 def test_minimal_cycle_length_girth():
-    lvl = TwoCycleLevel(3, (5, 8))
+    lvl = CycleLevel(3, (5, 8))
     assert minimal_cycle_length(lvl.graph) == 5
 
 
@@ -491,7 +528,7 @@ def walks(*paths):
 @h.given(st.one_of(digraphs(), chained_digraphs()))
 @h.example(Graph([(0, 1, 0)], [((0, 1, 0), (0, 1, 0))]))
 @h.example(Graph([(0, 1, 0), (0, 1, 1)], [((0, 1, 0), (0, 1, 1))]))
-@h.example(TwoCycleLevel(2, (37, 38)).graph)
+@h.example(CycleLevel(2, (37, 38)).graph)
 @h.example(walks([0, 1, 2], [0, 3, 4, 5, 6, 2], [2, 0]))  # parallel chains of 2 and 5 edges: girth 3
 @h.example(walks([0, 1, 2, 0], [0, 3, 4, 5, 0], [6, 7, 6]))  # a 2-cycle apart from a 3, 4 wedge
 @h.example(walks([0, 0], [0, 1, 2, 0]))  # a self-loop on a branch vertex
@@ -526,7 +563,7 @@ def test_deep_towers_certify_and_the_mask_stays_narrow(monkeypatch):
     for _ in range(7):
         l1, l2 = lengths[-1]
         lengths.append((3 * l1 + l2, 2 * l1 + 2 * l2))
-    assert [lvl.lengths for lvl in wm7.levels] == lengths
+    assert [lvl.cycle_lengths for lvl in wm7.levels] == lengths
     # the full bound would be a 1.46e9-bit mask: fail before any mask wider
     # than the second doubling bound is formed
     widest, bounds = 4 * max(lengths[-1]) + 2, []
@@ -556,7 +593,7 @@ def test_fibres_are_the_preimages_in_canonical_order(wm4, tr2):
 
 
 def test_signed_indices():
-    lvl = TwoCycleLevel(1, (9, 10))
+    lvl = CycleLevel(1, (9, 10))
     assert signed_index(lvl.base) == 0
     assert signed_index((1, 1, 4)) == 4
     assert signed_index((1, 2, 7)) == -7
