@@ -176,6 +176,18 @@ _step_list = _comma_list(int, "integer", positive=True)
 _fraction_list = _comma_list(Fraction, "rational", positive=True)
 
 
+def _at_least(low: int):
+    """An argparse type for an integer of at least ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # junk is refused by argparse as an "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"not an integer of at least {low}: {text!r}")
+        return value
+
+    return integer
+
+
 # ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------
@@ -184,7 +196,10 @@ _fraction_list = _comma_list(Fraction, "rational", positive=True)
 def cmd_build_odometer(args) -> int:
     from cantor_shrink.odometer import OdometerSpec
 
-    spec = OdometerSpec.from_list(args.s)
+    try:
+        spec = OdometerSpec.from_list(args.s)
+    except ValueError as exc:
+        raise ValueError(f"--s {','.join(map(str, args.s))}: {exc}") from None
     with _stage("odometer depth %d built, predicted %d bytes", lambda: (args.depth, scheme_bytes(scheme))):
         scheme = build_odometer_scheme(spec, args.depth)
     _emit(lambda: canonical_dumps(scheme_to_json(scheme)), args.out)
@@ -394,29 +409,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b_od = bsub.add_parser("odometer", help="nested-interval odometer scheme")
     b_od.add_argument("--s", type=_int_list, required=True, help="tower moduli, e.g. 2,4,8")
-    b_od.add_argument("--depth", type=int, required=True)
+    b_od.add_argument("--depth", type=_at_least(1), required=True)
     b_od.add_argument("--out")
     b_od.set_defaults(func=cmd_build_odometer)
 
     b_gr = bsub.add_parser("graph", help="graph-cover interval scheme")
     b_gr.add_argument("--variant", choices=["weakly-mixing", "transitive"], required=True)
-    b_gr.add_argument("--levels", type=int, required=True)
+    b_gr.add_argument("--levels", type=_at_least(1), required=True)
     b_gr.add_argument("--out")
     b_gr.set_defaults(func=cmd_build_graph)
 
     b_ex = bsub.add_parser("extension", help="attractor-repellor extension")
     b_ex.add_argument("--scheme", required=True, help="odometer scheme file")
-    b_ex.add_argument("--levels", type=int, required=True)
-    b_ex.add_argument("--tail", type=int, required=True)
+    b_ex.add_argument("--levels", type=_at_least(1), required=True)
+    b_ex.add_argument("--tail", type=_at_least(0), required=True)
     b_ex.add_argument("--refine", type=int, required=True)
-    b_ex.add_argument("--rate", type=int, default=2)
+    b_ex.add_argument("--rate", type=_at_least(2), default=2)
     b_ex.add_argument("--out")
     b_ex.set_defaults(func=cmd_build_extension)
 
     b_sy = bsub.add_parser("system", help="finite point system (midpoints or shift)")
     b_sy.add_argument("--scheme", help="odometer scheme file")
     b_sy.add_argument("--depth", type=int)
-    b_sy.add_argument("--shift", type=int, help="full 2-symbol shift of this word length")
+    b_sy.add_argument("--shift", type=_at_least(1), help="full 2-symbol shift of this word length")
     b_sy.add_argument("--out")
     b_sy.set_defaults(func=cmd_build_system)
 
@@ -440,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v_co.set_defaults(func=cmd_verify_cover)
 
     v_or = vsub.add_parser("oracle", help="randomized shrinking-map propositions")
-    v_or.add_argument("--trials", type=int, default=1000)
+    v_or.add_argument("--trials", type=_at_least(1), default=1000)
     v_or.add_argument("--seed", type=int, default=0)
     v_or.add_argument("--out")
     v_or.set_defaults(func=cmd_verify_oracle)

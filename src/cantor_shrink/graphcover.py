@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 # structured vertex ids: (level, cycle, index); the base vertex is (n, 0, 0)
 Vertex = tuple[int, int, int]
-Edge = tuple[Vertex, Vertex]
 
 
 class Graph:
@@ -34,12 +33,11 @@ class Graph:
 
     def __init__(self, vertices, edges):
         self.vertices: tuple[Vertex, ...] = tuple(sorted(dict.fromkeys(vertices)))
-        self.edges: tuple[Edge, ...] = tuple(sorted(dict.fromkeys(edges)))
         self._out: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
         self._in: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
         out, into = self._out, self._in
         try:
-            for u, v in self.edges:
+            for u, v in sorted(dict.fromkeys(edges)):
                 out[u].append(v)
                 into[v].append(u)
         except KeyError:
@@ -49,7 +47,7 @@ class Graph:
         return list(self._out[v])
 
     def __repr__(self):
-        return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+        return f"Graph({len(self.vertices)} vertices, {sum(map(len, self._out.values()))} edges)"
 
 
 def check_edge_surjective(g: Graph) -> bool:

@@ -20,13 +20,14 @@ lengths as one list over its cells (:data:`COLUMNS`), so a load only parses
 and a write only concatenates each value's digits.
 
 No certificate forms an absolute position, because each compares lengths
-inside one parent: sibling pairs share their parent, the images of an
-odometer pair share the parent label + 1, and a graph pair whose successors
-split across parents is excluded.  The audit checks disjointness parent by
-parent (:func:`_audit_geometry`).  Where a corrupted scheme leaves no
-common parent to measure from, that one check places the cells absolutely
-(:func:`_absolute_starts`), and so does :func:`absolute_level` for the
-readers that build finite systems or the picture at desk depths.
+inside one parent: sibling pairs share their parent, and the images of an
+odometer pair share the parent label + 1.  A graph pair whose successors
+split across parents is excluded, and an odometer pair so placed is a
+witness.  The audit checks disjointness parent by parent
+(:func:`_audit_geometry`).  Only its whole-line fallback, where a corrupted
+scheme leaves no common parent to measure from, and :func:`absolute_level`,
+for the readers that build finite systems or the picture at desk depths,
+place cells from 0 (:func:`_absolute_starts`).
 ``Cell.A``/``Cell.D`` still give a cell's intervals in fractions, but no
 module of the package reads them: they are kept because the benchmark's
 largest-denominator count (``perfbench`` ``max_den_bits``) does, and can go
@@ -577,20 +578,19 @@ def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
     The cores of a pair are measured from their common parent's core start,
     and the image hulls from the core start of the images' parent, which
     the images of a checked pair share: each difference is formed inside
-    one parent.  Only an odometer pair whose images a corrupted file puts
-    under two parents has its hulls placed from 0 (:func:`_absolute_starts`).
+    one parent.  An odometer pair whose images lie under two parents is a
+    witness, not measured, and a sweep that checks no pair fails.
     """
     child_map = children_of(scheme, depth)
     skip = exceptional_labels(scheme, depth)
     child_level = scheme.level(depth + 1)
     cells = child_level.cells
-    images, targets, hulls = {}, {}, {}
+    targets, hulls = {}, {}
     for label in cells:
-        images[label] = induced_map_label(scheme, depth + 1, label)
-        targets[label] = {cells[j].parent for j in images[label]}
+        images = induced_map_label(scheme, depth + 1, label)
+        targets[label] = {cells[j].parent for j in images}
         if len(targets[label]) == 1:
-            hulls[label] = _hull(cells, images[label])
-    starts = None  # the level's carrier starts from 0, formed when a pair's images have two parents
+            hulls[label] = _hull(cells, images)
 
     margins = []
     witnesses = []
@@ -605,15 +605,11 @@ def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
             if parent in skip:
                 excluded.append({**pair, "reason": "exceptional parent"})
                 continue
-            if len(targets[u] | targets[v]) == 1:
-                (u_lo, u_hi), (v_lo, v_hi) = hulls[u], hulls[v]
-            elif scheme.kind == "graph":
-                excluded.append({**pair, "reason": "successors split across parents"})
+            if len(targets[u] | targets[v]) > 1:
+                (excluded if scheme.kind == "graph" else witnesses).append(
+                    {**pair, "reason": "successors split across parents"})
                 continue
-            else:
-                if starts is None:
-                    starts = _absolute_starts(scheme, _level_factors(scheme), depth + 1)
-                (u_lo, u_hi), (v_lo, v_hi) = (_hull(cells, images[x], starts) for x in (u, v))
+            (u_lo, u_hi), (v_lo, v_hi) = hulls[u], hulls[v]
             sup = max(v_hi - u_lo, u_hi - v_lo)
             (u_core, u_end), (v_core, v_end) = cores[u], cores[v]
             order = u_core.compare(v_core)  # the cores in the order ``sorted`` gives
@@ -625,7 +621,7 @@ def verify_lrs_pairs(scheme: EmbeddingScheme, depth: int) -> VerifyReport:
                 witnesses.append({**pair, "sup": sup.digits(), "inf": inf.digits()})
     return VerifyReport(
         check="lrs-pairs",
-        passed=not witnesses,
+        passed=checked > 0 and not witnesses,
         witnesses=witnesses,
         margins=margins,
         excluded=excluded,
@@ -640,22 +636,20 @@ def _core(cell: Cell) -> tuple[Dyadic, Dyadic]:
     return lo, lo + cell.core_width
 
 
-def _hull(cells: dict, labels, starts: dict | None = None) -> tuple[Dyadic, Dyadic]:
-    """The hull of the carriers of ``labels``, from their common parent's core
-    start, or from 0 given every cell's carrier start from 0 (``starts``)."""
-    if starts is None:
-        if len(labels) == 1:
-            cell = cells[labels[0]]
-            return cell.start, cell.start + cell.width
-        starts = {j: cells[j].start for j in labels}
-    return min(starts[j] for j in labels), max(starts[j] + cells[j].width for j in labels)
+def _hull(cells: dict, labels) -> tuple[Dyadic, Dyadic]:
+    """The hull of the carriers of ``labels``, from their common parent's core start."""
+    if len(labels) == 1:
+        cell = cells[labels[0]]
+        return cell.start, cell.start + cell.width
+    return min(cells[j].start for j in labels), max(cells[j].start + cells[j].width for j in labels)
 
 
 def _absolute_starts(scheme: EmbeddingScheme, factors: dict, depth: int) -> dict[int, Dyadic]:
     """Label -> carrier start from 0 over the level's scale, for every cell
     at ``depth``: each start added onto its stated parent's, level by level.
-    Formed only where a check on a corrupted scheme has no common parent to
-    measure from; its clusters grow by about one per level."""
+    Formed only by the audit's whole-line fallback, where a corrupted scheme
+    leaves no common parent to measure from, and by :func:`absolute_level`;
+    its clusters grow by about one per level."""
     starts: dict = {}
     above = None
     for lvl in scheme.levels[:depth - scheme.min_depth + 1]:

@@ -174,11 +174,62 @@ def test_build_system_shift(tmp_path):
     assert len(payload["points"]) == 4
 
 
+def refused_while_parsing(argv) -> str:
+    """The last stderr line of ``main(argv)``, after checking that argparse
+    stopped it with status 2."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return err.getvalue().splitlines()[-1]
+
+
 @pytest.mark.parametrize("depth", ["-1", "0"])
 def test_build_system_refuses_shift_depths_out_of_range(depth):
-    code, out, err = run(["build", "system", "--shift", depth])
-    assert code == 2 and out == ""
-    assert err == f"error: the full shift needs a word length of at least 1, not {depth}\n"
+    line = refused_while_parsing(["build", "system", "--shift", depth])
+    assert line.endswith(f"error: argument --shift: not an integer of at least 1: '{depth}'")
+
+
+# (command, flag, least value): each flag below its least value is refused
+# while the command line is parsed, and so before the scheme, a file that
+# does not exist in the refusal test, is read
+EXTENSION_ARGV = ["build", "extension", "--scheme", "{od3}", "--levels", "1", "--tail", "4", "--refine", "3"]
+FLAG_BOUNDS = {
+    "odometer-depth": (["build", "odometer", "--s", "2,4,8", "--depth", "3"], "--depth", 1),
+    "graph-levels": (["build", "graph", "--variant", "transitive", "--levels", "2"], "--levels", 1),
+    "extension-levels": (EXTENSION_ARGV, "--levels", 1),
+    "extension-tail": (EXTENSION_ARGV, "--tail", 0),
+    "extension-rate": ([*EXTENSION_ARGV, "--rate", "4"], "--rate", 2),
+    "system-shift": (["build", "system", "--shift", "3"], "--shift", 1),
+    "oracle-trials": (["verify", "oracle", "--trials", "50", "--seed", "3"], "--trials", 1),
+}
+
+
+def _with_flag(case, value, scheme):
+    argv, flag, _ = FLAG_BOUNDS[case]
+    argv = [arg.format(od3=scheme) for arg in argv]
+    argv[argv.index(flag) + 1] = str(value)
+    return argv
+
+
+@pytest.mark.parametrize("below", [1, 5])
+@pytest.mark.parametrize("case", sorted(FLAG_BOUNDS))
+def test_flags_below_their_least_value_are_refused_while_parsing(tmp_path, case, below):
+    _, flag, low = FLAG_BOUNDS[case]
+    line = refused_while_parsing(_with_flag(case, low - below, tmp_path / "missing.json"))
+    assert line.endswith(f"error: argument {flag}: not an integer of at least {low}: '{low - below}'")
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_BOUNDS))
+def test_flags_at_their_least_value_are_accepted(work, case):
+    assert run(_with_flag(case, FLAG_BOUNDS[case][2], work["od3"]))[0] == 0
+
+
+@pytest.mark.parametrize("tower, reason", [
+    ("0,4", "s_1 must be at least 2, got 0"), ("4,6", "modulus 6 does not properly extend 4"),
+])
+def test_build_odometer_names_the_tower_it_refuses(tower, reason):
+    assert run(["build", "odometer", "--s", tower, "--depth", "2"]) == (2, "", f"error: --s {tower}: {reason}\n")
 
 
 def refused_in_a_small_child(argv, seconds=1):
@@ -575,9 +626,8 @@ def test_verify_oracle_small(work, caplog):
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_oracle_refuses_fewer_than_one_trial(trials):
-    code, out, err = run(["verify", "oracle", "--trials", trials])
-    assert (code, out) == (2, "")
-    assert err == f"error: the oracle needs at least one trial, not {trials}\n"
+    line = refused_while_parsing(["verify", "oracle", "--trials", trials])
+    assert line.endswith(f"error: argument --trials: not an integer of at least 1: '{trials}'")
 
 
 def test_verify_oracle_fails_when_no_system_shrinks():
@@ -1426,6 +1476,39 @@ def test_svg_bytes_match_the_pinned_digest(tmp_path, name):
     path = tmp_path / f"{name}.json"
     assert run([*argv, "--out", str(path)])[0] == 0
     code, out, _ = run(["export", "svg", "--sys", str(path)])
+    assert code == 0
+    assert sha256(out) == digest
+
+
+# sha256 of ``verify lrs`` on deeper schemes, as (build command, --depth,
+# digest), pinned while an odometer pair whose successors lay under two
+# parents was still measured from 0: no scheme that passes its audit has
+# such a pair, so these reports must not move by a byte
+GOLDEN_LRS_STDOUT = {
+    "od9": (GOLDEN_VALUES["od9"][0], "8", "4511d03f3f63136c0d826f7a1b26c4c6a817e202c7535cb04cc5ed4f6fd46bec"),
+    "od3612-5": (
+        ["build", "odometer", "--s", "3,6,12", "--depth", "5"], "4",
+        "a83083201c3398d827c05e486062eec95e1c65577765f3113eb43886ec12e363",
+    ),
+    "tr3": (GOLDEN_VALUES["tr3"][0], "2", "e585d45e2568288f3fed59eb1cd29f97e5579fd623cc52630d3b09d3077d6cab"),
+    "tr4": (
+        ["build", "graph", "--variant", "transitive", "--levels", "4"], "3",
+        "44b3033f6c6449cd0c39af0650800c314251289f601abdf11e01d3a3abc97fc3",
+    ),
+    "wm3": (GOLDEN_SVG["wm3"][0], "2", "8fcc75844f3d1eba6c8a5dfbd63c16c94304a0234a877b7ee57785ccdf4ec8dc"),
+    "wm4": (
+        ["build", "graph", "--variant", "weakly-mixing", "--levels", "4"], "3",
+        "2134e2888e43d9d4743656771369653e66963b7b106c942cab4eae1e4b6bca9e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LRS_STDOUT))
+def test_deep_lrs_reports_match_the_pinned_digests(tmp_path, name):
+    argv, depth, digest = GOLDEN_LRS_STDOUT[name]
+    path = tmp_path / f"{name}.json"
+    assert run([*argv, "--out", str(path)])[0] == 0
+    code, out, _ = run(["verify", "lrs", "--scheme", str(path), "--depth", depth])
     assert code == 0
     assert sha256(out) == digest
 

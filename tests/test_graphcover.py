@@ -135,7 +135,9 @@ def test_levels_hold_any_number_of_cycles_at_one_base():
         assert len(lvl.cycles) == len(lengths)
         for c, (path, length) in enumerate(zip(lvl.cycles, lengths), start=1):
             assert path == lvl.cycle_path(c) == [(7, 0, 0)] + [(7, c, i) for i in range(1, length)] + [(7, 0, 0)]
-        assert len(lvl.graph.vertices) == len(lvl.graph.edges) - len(lengths) + 1 == 1 + sum(lengths) - len(lengths)
+        edges = sum(len(lvl.graph.out_neighbors(v)) for v in lvl.graph.vertices)
+        assert len(lvl.graph.vertices) == edges - len(lengths) + 1 == 1 + sum(lengths) - len(lengths)
+        assert repr(lvl.graph) == f"Graph({len(lvl.graph.vertices)} vertices, {edges} edges)"
         for c in (0, len(lengths) + 1):
             with pytest.raises(ValueError, match=rf"^level 7 has no cycle {c}$"):
                 lvl.cycle_path(c)

@@ -535,7 +535,9 @@ def dense_audit(scheme, levels: list[DenseLevel], factors: dict) -> list:
 def dense_lrs_report(scheme, levels: list[DenseLevel], depth: int) -> dict:
     """The sibling-pair sweep over endpoints from 0, looking up a child's
     successor cells again for every pair the child is in, as a report's JSON
-    form; ``scheme`` gives only the symbolic side."""
+    form; ``scheme`` gives only the symbolic side.  A pair whose successors
+    lie under two parents is excluded on a graph and a witness on an
+    odometer, and a sweep that checks no pair fails."""
     skip = exceptional_labels(scheme, depth)
     level = levels[depth + 1 - scheme.min_depth]
     child_map = {label: [] for label in levels[depth - scheme.min_depth].cells}
@@ -552,8 +554,9 @@ def dense_lrs_report(scheme, levels: list[DenseLevel], depth: int) -> dict:
             if parent in skip:
                 excluded.append({**pair, "reason": "exceptional parent"})
                 continue
-            if scheme.kind == "graph" and len({c.parent for c in successors(cu.label) + successors(cv.label)}) > 1:
-                excluded.append({**pair, "reason": "successors split across parents"})
+            if len({c.parent for c in successors(cu.label) + successors(cv.label)}) > 1:
+                split = {**pair, "reason": "successors split across parents"}
+                (excluded if scheme.kind == "graph" else witnesses).append(split)
                 continue
             (u_lo, u_hi), (v_lo, v_hi) = (
                 (min(c.carrier[0] for c in successors(x)), max(c.carrier[1] for c in successors(x)))
@@ -567,7 +570,7 @@ def dense_lrs_report(scheme, levels: list[DenseLevel], depth: int) -> dict:
                 margins.append({**pair, "margin": int_to_digits(inf - sup)})
             else:
                 witnesses.append({**pair, "sup": int_to_digits(sup), "inf": int_to_digits(inf)})
-    out = {"check": "lrs-pairs", "pass": not witnesses, "witnesses": witnesses, "margins": margins,
+    out = {"check": "lrs-pairs", "pass": checked > 0 and not witnesses, "witnesses": witnesses, "margins": margins,
            "scale": int_to_digits(level.scale)}
     if excluded:
         out["excluded"] = excluded
@@ -650,8 +653,8 @@ def corrupted_files(draw):
 @h.given(corrupted_files())
 @h.settings(derandomize=True, deadline=None, max_examples=250)
 def test_corrupted_files_give_the_dense_witnesses(case):
-    # where a corruption leaves no common parent to measure from, the cells
-    # are placed from 0 for that check, and give the dense check's witnesses
+    # where a corruption leaves the audit no common parent to measure from,
+    # its cells are placed from 0, and give the dense check's witnesses
     obj, scale_move = case
     try:
         scheme_from_json(obj)
@@ -659,6 +662,61 @@ def test_corrupted_files_give_the_dense_witnesses(case):
         assert str(exc).endswith("width < 0")
         return
     assert_matches_the_dense_reference(obj, scale_move)
+
+
+def _reparented(scheme, depth: int, parents: dict):
+    """``scheme`` written and read back with the depth-``depth`` cells of
+    ``parents`` given those parents."""
+    obj = scheme_to_json(scheme)
+    entry = obj["levels"][depth - scheme.min_depth]
+    for k, label in enumerate(entry["label"]):
+        entry["parent"][k] = parents.get(label, entry["parent"][k])
+    return scheme_from_json(obj)
+
+
+def test_a_sweep_that_checks_no_pair_fails(od248):
+    # every depth-2 cell under parent 1, the exceptional label at depth 1:
+    # all six pairs are excluded and none is left to check
+    bad = _reparented(od248, 2, {label: 1 for label in od248.level(2).cells})
+    report = verify_lrs_pairs(bad, 1)
+    assert (report.stats["pairs_checked"], len(report.excluded), report.witnesses) == (0, 6, [])
+    assert not report.passed
+    assert not audit_scheme(bad).passed
+
+
+def test_odometer_pair_whose_successors_split_is_a_witness(od248):
+    # cell 3 under parent 0: the successors of 0, 2 and 3 are 1, 3 and 0,
+    # whose parents are 1, 0 and 0, so two of parent 0's pairs split
+    bad = _reparented(od248, 2, {3: 0})
+    report = verify_lrs_pairs(bad, 1)
+    assert report.witnesses == [
+        {"parent": 0, "pair": [0, 2], "reason": "successors split across parents"},
+        {"parent": 0, "pair": [0, 3], "reason": "successors split across parents"},
+    ]
+    assert report.stats["pairs_checked"] == 1 and not report.passed
+    assert {"depth": 2, "label": 3, "reason": "parent is not j mod s_n"} in audit_scheme(bad).witnesses
+
+
+def assert_siblings_have_their_successors_under_one_parent(scheme) -> None:
+    # the rule that makes an odometer split pair a witness rests on this:
+    # siblings u = v (mod s_d) have successors u + 1 = v + 1 (mod s_d)
+    for d in range(scheme.min_depth, scheme.max_depth):
+        cells = scheme.level(d + 1).cells
+        for parent, kids in children_of(scheme, d).items():
+            targets = {cells[j].parent for c in kids for j in induced_map_label(scheme, d + 1, c.label)}
+            assert len(targets) <= 1, (d, parent, targets)
+
+
+@h.given(st.lists(st.integers(2, 4), min_size=2, max_size=4), st.integers(2, 6))
+@h.example([4, 4, 4, 4], 6)
+@h.settings(derandomize=True, deadline=None, max_examples=30)
+def test_odometer_siblings_have_their_successors_under_one_parent(tower, depth):
+    assert_siblings_have_their_successors_under_one_parent(_small_scheme("odometer", tower, depth))
+
+
+def test_od9_siblings_have_their_successors_under_one_parent():
+    assert_siblings_have_their_successors_under_one_parent(
+        build_odometer_scheme(OdometerSpec.from_list([2, 4, 8]), 9))
 
 
 def test_loaded_scheme_keeps_file_intervals(od248):
